@@ -14,6 +14,7 @@ from .grids import (
     downsample,
     one_hot,
 )
+from .gradients import contour_loss, total_loss
 from .losses import (
     ContourPointSet,
     FeatureVolume,
@@ -22,7 +23,6 @@ from .losses import (
     PrototypeSet,
     align_loss,
     chamfer,
-    contour_loss,
     contrast_loss,
     dice_loss,
     extract_contour_points,
@@ -31,7 +31,6 @@ from .losses import (
     lncc,
     prototype_loss,
     smoothness,
-    total_loss,
 )
 from .warp import (
     DisplacementField,

@@ -1,4 +1,12 @@
-"""Analytic gradients of every objective term with respect to the field.
+"""The objective's one forward path and its analytic gradient wrt the field.
+
+``evaluate_objective`` samples the moving image and masks through the field,
+carries the fixed contour points into moving space, and scores every term
+with the array-level helpers of ``losses``; with ``with_grad`` it also runs
+each term's backward pass, kept here.  ``total_loss`` and ``contour_loss``
+are views over the same path: the first is ``build_state`` followed by a
+value-only evaluation, the second scores the one contour transport,
+``_carried_contours``, which ``chamfer_tie_margin`` also uses.
 
 Each term is differentiated through exactly the chain used by the forward
 pass: trilinear warping (clamped borders, locally constant outside),
@@ -21,15 +29,7 @@ from scipy.spatial import cKDTree
 
 from . import losses
 from .grids import DimsMismatchError, OneHotMask, Volume
-from .losses import (
-    NORM_EPS,
-    ContourPointSet,
-    FeatureVolume,
-    LossBreakdown,
-    LossWeights,
-    PrototypeSet,
-    TERM_NAMES,
-)
+from .losses import NORM_EPS, LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
 from .warp import (
     DisplacementField,
     central_difference_adjoint,
@@ -42,8 +42,9 @@ from .warp import (
 @dataclass(frozen=True)
 class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
-    field.  Fixed-image features, prototypes, and hard assignments are
-    constants of the optimization and precomputed once."""
+    field.  Fixed-image prototypes, hard assignments, the fixed half of the
+    contrast term and both contour sets are constants of the optimization
+    and precomputed once."""
 
     fixed: Volume
     moving: Volume
@@ -52,14 +53,11 @@ class ObjectiveState:
     temperature: float
     fixed_onehot: OneHotMask | None = None
     moving_onehot: OneHotMask | None = None
-    fixed_feats: FeatureVolume | None = None
     fixed_protos: PrototypeSet | None = None
     fixed_assign: np.ndarray | None = None
     contrast_fixed: float = 0.0
     fixed_contours: tuple = ()
     moving_contours: tuple = ()
-    max_points: int = 2048
-    seed: int = 0
 
     @property
     def dims(self):
@@ -77,14 +75,13 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     if weights.sim > 0:
         losses._check_window(fixed.dims, window)
     if not weights.uses_masks:
-        return ObjectiveState(fixed, moving, weights, window, temperature,
-                              max_points=max_points, seed=seed)
+        return ObjectiveState(fixed, moving, weights, window, temperature)
     if fixed_onehot is None or moving_onehot is None:
         raise ValueError("build_state: mask-dependent weights need both masks")
     if fixed_onehot.num_classes != moving_onehot.num_classes:
         raise ValueError("build_state: masks cover different class universes")
 
-    fixed_feats = fixed_protos = fixed_assign = None
+    fixed_protos = fixed_assign = None
     contrast_fixed = 0.0
     if weights.prototype > 0:
         fixed_feats = losses.feature_volume(fixed)
@@ -109,8 +106,8 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
         )
     return ObjectiveState(
         fixed, moving, weights, window, temperature,
-        fixed_onehot, moving_onehot, fixed_feats, fixed_protos, fixed_assign,
-        contrast_fixed, fixed_contours, moving_contours, max_points, seed,
+        fixed_onehot, moving_onehot, fixed_protos, fixed_assign,
+        contrast_fixed, fixed_contours, moving_contours,
     )
 
 
@@ -143,13 +140,13 @@ def _lncc_backward(stats: dict, fixed: np.ndarray, moved: np.ndarray) -> np.ndar
     return -dsum / stats["count"]
 
 
-def _smoothness_gradient(u: np.ndarray) -> np.ndarray:
-    """Adjoint of the forward-difference stencil applied to 2*d/N."""
-    n = float(np.prod(u.shape[1:]))
-    d = losses._forward_diffs(u)
-    grad = np.zeros_like(u)
+def _smoothness_gradient(d: np.ndarray) -> np.ndarray:
+    """Adjoint of the forward-difference stencil applied to 2*d/N, where
+    ``d`` holds the forward differences of u that gave the value."""
+    n = float(np.prod(d.shape[2:]))
+    grad = np.zeros(d.shape[1:])
     for a in range(3):
-        shifted = np.zeros_like(u)
+        shifted = np.zeros(d.shape[1:])
         src = [slice(None)] * 4
         dst = [slice(None)] * 4
         src[1 + a] = slice(0, -1)
@@ -204,25 +201,20 @@ def _contrast_backward(stats: dict, shape) -> np.ndarray:
     return df.reshape(shape)
 
 
-def _align_pieces(protos_f: PrototypeSet, moved_feats_flat: np.ndarray,
-                  moved_mask_flat: np.ndarray):
-    """Alignment value plus gradients on features and mask channels.
+def _align_backward(protos_f: PrototypeSet, protos_m: PrototypeSet, mass: np.ndarray,
+                    moved_feats_flat: np.ndarray, moved_mask_flat: np.ndarray):
+    """Alignment gradients on features and mask channels, given the moved
+    prototypes and mask mass that ``losses._pool_prototypes`` returned.
 
-    Returns (value, dF flat (C, N), list of per-class dM (N,) or None).
+    Returns (dF flat (C, N), list of per-class dM (N,) or None).
     """
-    k = moved_mask_flat.shape[0]
-    mass = moved_mask_flat.sum(axis=1)
-    present_m = mass >= losses.PRESENCE_EPS
-    both = protos_f.present & present_m
-    value = 0.0
     df = np.zeros_like(moved_feats_flat)
-    dm = [None] * k
-    for kk in np.flatnonzero(both):
+    dm = [None] * moved_mask_flat.shape[0]
+    for kk in np.flatnonzero(protos_f.present & protos_m.present):
         m = moved_mask_flat[kk]
         s = mass[kk]
-        p_m = moved_feats_flat @ m / s
+        p_m = protos_m.vectors[kk]
         p_f = protos_f.vectors[kk]
-        value += 1.0 - losses._cosine(p_f, p_m)
         n_m = max(float(np.linalg.norm(p_m)), NORM_EPS)
         n_f = max(float(np.linalg.norm(p_f)), NORM_EPS)
         phat_m = p_m / n_m
@@ -235,7 +227,37 @@ def _align_pieces(protos_f: PrototypeSet, moved_feats_flat: np.ndarray,
         g = -dcos_dpm
         df += np.outer(g, m) / s
         dm[kk] = (g @ moved_feats_flat - float(g @ p_m)) / s
-    return float(value), df, dm
+    return df, dm
+
+
+def _carried_contours(fixed_contours, moving_contours, field: DisplacementField):
+    """The contour transport: per class with points on both sides, yield
+    (fixed points, moving points, fixed points carried into moving space).
+
+    phi(p) = p + u(p) sends output-grid coordinates to moving-image
+    coordinates (the pull-back convention of the warps), so the fixed points
+    are the ones carried.  u is sampled at the static fixed points, which
+    keeps the transport differentiable in u.
+    """
+    moving_by_class = {c.class_label: c.points for c in moving_contours if len(c) > 0}
+    for cf in fixed_contours:
+        moving_pts = moving_by_class.get(cf.class_label)
+        if moving_pts is None or len(cf) == 0:
+            continue
+        disp = np.stack(
+            [sample_volume_with_gradient(field.u[c], cf.points.T)[0] for c in range(3)],
+            axis=1,
+        )
+        yield cf.points, moving_pts, cf.points + disp
+
+
+def contour_loss(moving_contours, fixed_contours, field: DisplacementField) -> float:
+    """Per-class Chamfer between the two contour sets under the current map,
+    averaged over classes with points on both sides; the fixed points are
+    carried through the field (see ``_carried_contours``)."""
+    values = [losses._chamfer_stats(carried, moving_pts)[0]
+              for _, moving_pts, carried in _carried_contours(fixed_contours, moving_contours, field)]
+    return float(np.mean(values)) if values else 0.0
 
 
 # ------------------------------------------------------------- full objective
@@ -279,19 +301,18 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     if wd["sim"] > 0:
         stats = losses._lncc_stats(state.fixed.data, moved, state.window)
-        values["sim"] = float(-stats["ncc2"].sum() / stats["count"])
+        values["sim"] = stats["value"]
         if with_grad:
             d_moved += wd["sim"] * _lncc_backward(stats, state.fixed.data, moved)
 
     if wd["smooth"] > 0:
-        values["smooth"] = losses.smoothness(field)
+        values["smooth"], diffs = losses._smoothness_stats(field.u)
         if with_grad:
-            grad += wd["smooth"] * _smoothness_gradient(field.u)
+            grad += wd["smooth"] * _smoothness_gradient(diffs)
 
     if wd["seg"] > 0:
         stats = losses._dice_stats(state.fixed_onehot.channels, moved_mask)
-        if stats["present"].any():
-            values["seg"] = float(1.0 - stats["dice"][stats["present"]].mean())
+        values["seg"] = stats["value"]
         if with_grad:
             for kk, coef in enumerate(_dice_channel_coefficients(stats, state.fixed_onehot.channels)):
                 if coef is not None:
@@ -312,9 +333,11 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         if proto_mode in ("both", "align"):
             flat_f = feats.reshape(feats.shape[0], -1)
             flat_m = moved_mask.reshape(moved_mask.shape[0], -1)
-            align_value, df_align, dm_align = _align_pieces(state.fixed_protos, flat_f, flat_m)
-            value_proto += align_value
+            protos_m, mass = losses._pool_prototypes(flat_f, flat_m)
+            value_proto += losses.align_loss(state.fixed_protos, protos_m)
             if with_grad:
+                df_align, dm_align = _align_backward(state.fixed_protos, protos_m, mass,
+                                                     flat_f, flat_m)
                 d_feats += df_align.reshape(feats.shape)
                 for kk, dm in enumerate(dm_align):
                     if dm is not None:
@@ -324,27 +347,16 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             d_moved += wd["prototype"] * _features_backward(d_feats, cache)
 
     if wd["contour"] > 0:
-        # fixed contour points are carried through phi into moving space and
-        # matched against the moving contours (see losses.contour_loss)
-        moving_by_class = {c.class_label: c for c in state.moving_contours if len(c) > 0}
         class_values = []
         pending = []
-        for cf in state.fixed_contours:
-            cm = moving_by_class.get(cf.class_label)
-            if cm is None or len(cf) == 0:
-                continue
-            disp = np.stack(
-                [sample_volume_with_gradient(field.u[c], cf.points.T)[0] for c in range(3)],
-                axis=1,
-            )
-            carried = cf.points + disp
-            d1, j_idx = cKDTree(cm.points).query(carried)
-            d2, i_idx = cKDTree(carried).query(cm.points)
-            class_values.append(float((d1 ** 2).mean() + (d2 ** 2).mean()))
+        for fixed_pts, moving_pts, carried in _carried_contours(
+                state.fixed_contours, state.moving_contours, field):
+            value, j_idx, i_idx = losses._chamfer_stats(carried, moving_pts)
+            class_values.append(value)
             if with_grad:
-                g_pts = 2.0 * (carried - cm.points[j_idx]) / len(cf)
-                np.add.at(g_pts, i_idx, 2.0 * (carried[i_idx] - cm.points) / len(cm))
-                pending.append((cf.points, g_pts))
+                g_pts = 2.0 * (carried - moving_pts[j_idx]) / len(fixed_pts)
+                np.add.at(g_pts, i_idx, 2.0 * (carried[i_idx] - moving_pts) / len(moving_pts))
+                pending.append((fixed_pts, g_pts))
         if class_values:
             values["contour"] = float(np.mean(class_values))
             if with_grad:
@@ -364,6 +376,29 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     breakdown = LossBreakdown.from_terms(values, state.weights)
     return breakdown, grad
+
+
+def total_loss(fixed: Volume, moving: Volume, field: DisplacementField,
+               weights: LossWeights,
+               fixed_mask: OneHotMask | None = None,
+               moving_mask: OneHotMask | None = None,
+               window: int = 9, temperature: float = 0.1,
+               max_points: int = 2048, seed: int = 0) -> LossBreakdown:
+    """Evaluate every active term at the given field and report the breakdown.
+
+    Terms with zero weight are skipped (reported as 0.0); mask-dependent
+    terms require both masks.
+    """
+    if fixed.dims != moving.dims or fixed.dims != field.dims:
+        raise DimsMismatchError(
+            f"total_loss: dims differ (fixed {fixed.dims}, moving {moving.dims}, "
+            f"field {field.dims})"
+        )
+    if weights.uses_masks and (fixed_mask is None or moving_mask is None):
+        raise ValueError("total_loss: mask-dependent weights are active but masks are missing")
+    state = build_state(fixed, moving, weights, fixed_mask, moving_mask,
+                        window=window, temperature=temperature, max_points=max_points, seed=seed)
+    return evaluate_objective(state, field, with_grad=False)[0]
 
 
 def grad_total(state: ObjectiveState, field: DisplacementField,
@@ -427,22 +462,14 @@ def chamfer_tie_margin(state: ObjectiveState, field: DisplacementField) -> float
     tie; callers should resample instances whose margin is below a few probe
     steps.  Returns +inf when no class has points on both sides.
     """
-    moving_by_class = {c.class_label: c for c in state.moving_contours if len(c) > 0}
     margin = np.inf
-    for cf in state.fixed_contours:
-        cm = moving_by_class.get(cf.class_label)
-        if cm is None or len(cf) == 0:
-            continue
-        disp = np.stack(
-            [sample_volume_with_gradient(field.u[c], cf.points.T)[0] for c in range(3)],
-            axis=1,
-        )
-        carried = cf.points + disp
-        if len(cm) > 1:
-            d, _ = cKDTree(cm.points).query(carried, k=2)
+    for fixed_pts, moving_pts, carried in _carried_contours(
+            state.fixed_contours, state.moving_contours, field):
+        if len(moving_pts) > 1:
+            d, _ = cKDTree(moving_pts).query(carried, k=2)
             margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
-        if len(cf) > 1:
-            d, _ = cKDTree(carried).query(cm.points, k=2)
+        if len(fixed_pts) > 1:
+            d, _ = cKDTree(carried).query(moving_pts, k=2)
             margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
     return margin
 

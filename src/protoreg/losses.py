@@ -1,4 +1,4 @@
-"""Objective terms for mask-assisted registration.
+"""Objective terms for mask-assisted registration, on arrays already warped.
 
 Five terms are combined into the optimized total: windowed normalized
 cross-correlation of intensities (negated so lower is better), diffusion
@@ -6,6 +6,15 @@ smoothness of the displacement, soft Dice overlap of warped masks, a
 prototype term (voxel-to-prototype contrast plus cross-image prototype
 alignment on a fixed 2-channel feature bank), and a symmetric Chamfer loss
 between mask contour points.
+
+Each term's forward pass is written once, as an array-level helper that
+returns the value together with what the backward pass needs:
+``_lncc_stats``, ``_smoothness_stats``, ``_dice_stats``, ``_features_forward``,
+``_pool_prototypes``, ``_contrast_stats`` and ``_chamfer_stats``.  The public
+per-term functions here are thin views over those helpers, and
+``gradients.evaluate_objective`` calls the same ones.  Nothing here warps or
+transports: sampling the moving image and masks, carrying contour points
+through the field, ``contour_loss`` and ``total_loss`` live in ``gradients``.
 
 Conventions fixed here and relied on elsewhere:
   * the correlation term is the negative mean of squared window NCC over all
@@ -16,26 +25,20 @@ Conventions fixed here and relied on elsewhere:
     empty on both;
   * alignment sums (1 - cosine) over classes present in both prototype sets;
   * Chamfer is averaged over classes present in both contour collections, and
-    the moving-side points are transported by the current field before the
-    nearest-neighbor terms are formed.
+    the fixed-side points are carried by the current field into moving space
+    before the nearest-neighbor terms are formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.spatial import cKDTree
 
 from .grids import DimsMismatchError, LabelVolume, OneHotMask, Volume
-from .warp import (
-    DisplacementField,
-    central_difference,
-    sample_field_at_points,
-    warp_onehot,
-    warp_volume,
-)
+from .warp import DisplacementField, central_difference
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
 DICE_EPS = 1e-7          # soft Dice denominator guard
@@ -192,7 +195,8 @@ def _lncc_stats(fixed: np.ndarray, moved: np.ndarray, window: int) -> dict:
     np.divide(a * a, b * c, out=ncc2, where=valid)
     count = int(np.prod([n - window + 1 for n in fixed.shape]))
     return {
-        "a": a, "b": b, "c": c, "valid": valid, "ncc2": ncc2,
+        "value": float(-ncc2.sum() / count),
+        "a": a, "b": b, "c": c, "valid": valid,
         "mean_i": s_i / w3, "mean_j": s_j / w3,
         "count": count, "center": center, "window": window,
     }
@@ -203,8 +207,7 @@ def lncc(fixed: Volume, moved: Volume, window: int = 9) -> float:
     if fixed.dims != moved.dims:
         raise DimsMismatchError(f"lncc: {fixed.dims} vs {moved.dims}")
     _check_window(fixed.dims, window)
-    stats = _lncc_stats(fixed.data, moved.data, window)
-    return float(-stats["ncc2"].sum() / stats["count"])
+    return _lncc_stats(fixed.data, moved.data, window)["value"]
 
 
 # ---------------------------------------------------------------- smoothness
@@ -224,11 +227,15 @@ def _forward_diffs(u: np.ndarray) -> np.ndarray:
     return d
 
 
+def _smoothness_stats(u: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smoothness value and the forward differences that produced it."""
+    d = _forward_diffs(u)
+    return float((d * d).sum() / float(np.prod(u.shape[1:]))), d
+
+
 def smoothness(field: DisplacementField) -> float:
     """Mean over voxels of the squared forward-difference gradient of u."""
-    n = float(np.prod(field.dims))
-    d = _forward_diffs(field.u)
-    return float((d * d).sum() / n)
+    return _smoothness_stats(field.u)[0]
 
 
 # --------------------------------------------------------------------- Dice
@@ -241,8 +248,8 @@ def _dice_stats(fixed_channels: np.ndarray, moved_channels: np.ndarray) -> dict:
     present = (sum_f > PRESENCE_EPS) | (sum_m > PRESENCE_EPS)
     denom = sum_f + sum_m + DICE_EPS
     dice = 2.0 * inter / denom
-    return {"inter": inter, "sum_f": sum_f, "sum_m": sum_m,
-            "present": present, "denom": denom, "dice": dice}
+    value = float(1.0 - dice[present].mean()) if present.any() else 0.0
+    return {"value": value, "inter": inter, "present": present, "denom": denom}
 
 
 def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
@@ -253,31 +260,24 @@ def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
         )
     if fixed.dims != moved_soft.dims:
         raise DimsMismatchError(f"dice_loss: {fixed.dims} vs {moved_soft.dims}")
-    st = _dice_stats(fixed.channels, moved_soft.channels)
-    if not st["present"].any():
-        return 0.0
-    return float(1.0 - st["dice"][st["present"]].mean())
+    return _dice_stats(fixed.channels, moved_soft.channels)["value"]
 
 
 # --------------------------------------------------------------- prototypes
 
-def _standardize_cached(data: np.ndarray) -> tuple[np.ndarray, float]:
+def _standardize(data: np.ndarray) -> tuple[np.ndarray, float]:
     mu = data.mean()
     sigma = np.sqrt(((data - mu) ** 2).mean() + 1e-12)
     return (data - mu) / sigma, float(sigma)
 
 
-def standardize(data: np.ndarray) -> np.ndarray:
-    return _standardize_cached(data)[0]
-
-
 def _features_forward(data: np.ndarray) -> tuple[np.ndarray, dict]:
     """Compute the 2-channel feature bank plus the intermediates the analytic
     backward pass needs."""
-    ch0, sig0 = _standardize_cached(data)
+    ch0, sig0 = _standardize(data)
     grads = [central_difference(data, a) for a in range(3)]
     gm = np.sqrt(grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2 + 1e-12)
-    ch1, sig1 = _standardize_cached(gm)
+    ch1, sig1 = _standardize(gm)
     cache = {"ch0": ch0, "sig0": sig0, "grads": grads, "gm": gm, "ch1": ch1, "sig1": sig1}
     return np.stack([ch0, ch1]), cache
 
@@ -289,20 +289,23 @@ def feature_volume(vol: Volume) -> FeatureVolume:
     return FeatureVolume(vol.dims, vol.spacing, channels)
 
 
+def _pool_prototypes(flat_f: np.ndarray, flat_m: np.ndarray) -> tuple[PrototypeSet, np.ndarray]:
+    """Masked average pooling of (C, N) features under (K, N) mask channels;
+    also returns the per-class mask mass that the pooling divided by."""
+    mass = flat_m.sum(axis=1)
+    present = mass >= PRESENCE_EPS
+    vectors = np.zeros((flat_m.shape[0], flat_f.shape[0]))
+    for i in np.flatnonzero(present):
+        vectors[i] = flat_f @ flat_m[i] / mass[i]
+    return PrototypeSet(vectors, present), mass
+
+
 def extract_prototypes(features: FeatureVolume, mask: OneHotMask) -> PrototypeSet:
     """Masked average pooling: per class, the mask-weighted mean feature."""
     if features.dims != mask.dims:
         raise DimsMismatchError(f"extract_prototypes: {features.dims} vs {mask.dims}")
-    k = mask.num_classes
-    c = features.num_channels
-    flat_f = features.channels.reshape(c, -1)
-    flat_m = mask.channels.reshape(k, -1)
-    mass = flat_m.sum(axis=1)
-    present = mass >= PRESENCE_EPS
-    vectors = np.zeros((k, c))
-    for i in np.flatnonzero(present):
-        vectors[i] = flat_f @ flat_m[i] / mass[i]
-    return PrototypeSet(vectors, present)
+    flat_f = features.channels.reshape(features.num_channels, -1)
+    return _pool_prototypes(flat_f, mask.channels.reshape(mask.num_classes, -1))[0]
 
 
 def hard_assignments(mask: OneHotMask, threshold: float = 0.5) -> np.ndarray:
@@ -341,9 +344,8 @@ def _contrast_stats(features: np.ndarray, assign: np.ndarray, protos: PrototypeS
     expv = np.exp(shifted)
     z = expv.sum(axis=0)
     softmax = expv / z
-    # row index of each voxel's assigned class within the present-class list
-    row_of_class = {cid: i for i, cid in enumerate(class_ids)}
-    pos = np.array([row_of_class[a] for a in assign.ravel()[fg_idx]])
+    # row index of each voxel's assigned class within the (sorted) present-class list
+    pos = np.searchsorted(class_ids, assign.ravel()[fg_idx])
     log_prob = shifted[pos, np.arange(fg_idx.size)] - np.log(z)
     value = float(-log_prob.mean())
     return {
@@ -441,10 +443,12 @@ def extract_contour_points(mask, class_label: int, max_points: int = 2048,
     return ContourPointSet(class_label, pts)
 
 
-def _chamfer_arrays(a: np.ndarray, b: np.ndarray) -> float:
-    da, _ = cKDTree(b).query(a)
-    db, _ = cKDTree(a).query(b)
-    return float((da ** 2).mean() + (db ** 2).mean())
+def _chamfer_stats(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Chamfer value between (N, 3) ``a`` and (M, 3) ``b``, plus the index of
+    each point's nearest neighbor on the other side (a -> b, then b -> a)."""
+    da, a_to_b = cKDTree(b).query(a)
+    db, b_to_a = cKDTree(a).query(b)
+    return float((da ** 2).mean() + (db ** 2).mean()), a_to_b, b_to_a
 
 
 def chamfer(set_m: ContourPointSet | np.ndarray, set_f: ContourPointSet | np.ndarray) -> float:
@@ -453,76 +457,4 @@ def chamfer(set_m: ContourPointSet | np.ndarray, set_f: ContourPointSet | np.nda
     b = set_f.points if isinstance(set_f, ContourPointSet) else np.asarray(set_f, dtype=np.float64)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("chamfer: both point sets must be nonempty")
-    return _chamfer_arrays(a, b)
-
-
-def contour_loss(moving_contours, fixed_contours, field: DisplacementField) -> float:
-    """Per-class Chamfer between the two contour sets under the current map,
-    averaged over classes with points on both sides.
-
-    The map phi(p) = p + u(p) sends output-grid coordinates to moving-image
-    coordinates (the same pull-back convention the warps use), so the fixed
-    contour points are the ones carried through the field and matched against
-    the moving contours.  Transport samples u at the (static) fixed points,
-    which keeps the loss differentiable in u.
-    """
-    moving_by_class = {c.class_label: c for c in moving_contours if len(c) > 0}
-    values = []
-    for cf in fixed_contours:
-        cm = moving_by_class.get(cf.class_label)
-        if cm is None or len(cf) == 0:
-            continue
-        carried = cf.points + sample_field_at_points(field, cf.points)
-        values.append(_chamfer_arrays(carried, cm.points))
-    return float(np.mean(values)) if values else 0.0
-
-
-# ------------------------------------------------------------------- total
-
-def total_loss(fixed: Volume, moving: Volume, field: DisplacementField,
-               weights: LossWeights,
-               fixed_mask: OneHotMask | None = None,
-               moving_mask: OneHotMask | None = None,
-               window: int = 9, temperature: float = 0.1,
-               max_points: int = 2048, seed: int = 0) -> LossBreakdown:
-    """Evaluate every active term at the given field and report the breakdown.
-
-    Terms with zero weight are skipped (reported as 0.0); mask-dependent
-    terms require both masks.
-    """
-    if fixed.dims != moving.dims or fixed.dims != field.dims:
-        raise DimsMismatchError(
-            f"total_loss: dims differ (fixed {fixed.dims}, moving {moving.dims}, "
-            f"field {field.dims})"
-        )
-    wd = weights.as_dict()
-    if weights.uses_masks and (fixed_mask is None or moving_mask is None):
-        raise ValueError("total_loss: mask-dependent weights are active but masks are missing")
-
-    values = {name: 0.0 for name in TERM_NAMES}
-    moved = warp_volume(moving, field) if (wd["sim"] > 0 or wd["prototype"] > 0) else None
-
-    if wd["sim"] > 0:
-        values["sim"] = lncc(fixed, moved, window)
-    if wd["smooth"] > 0:
-        values["smooth"] = smoothness(field)
-
-    moved_mask = None
-    if wd["seg"] > 0 or wd["prototype"] > 0:
-        moved_mask = warp_onehot(moving_mask, field) if fixed_mask is not None else None
-    if wd["seg"] > 0:
-        values["seg"] = dice_loss(fixed_mask, moved_mask)
-    if wd["prototype"] > 0:
-        values["prototype"] = prototype_loss(
-            feature_volume(moved), feature_volume(fixed), fixed_mask, moved_mask, temperature
-        )
-    if wd["contour"] > 0:
-        k = fixed_mask.num_classes
-        fixed_contours = [
-            extract_contour_points(fixed_mask, c, max_points, seed) for c in range(1, k + 1)
-        ]
-        moving_contours = [
-            extract_contour_points(moving_mask, c, max_points, seed) for c in range(1, k + 1)
-        ]
-        values["contour"] = contour_loss(moving_contours, fixed_contours, field)
-    return LossBreakdown.from_terms(values, weights)
+    return _chamfer_stats(a, b)[0]

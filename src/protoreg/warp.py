@@ -152,12 +152,6 @@ def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
     return argmax_labels(warp_onehot(one_hot(labels), field))
 
 
-def sample_field_at_points(field: DisplacementField, points: np.ndarray) -> np.ndarray:
-    """Displacement vectors at continuous points, (N, 3) in -> (N, 3) out."""
-    pts = np.asarray(points, dtype=np.float64).T
-    return np.stack([sample_volume(field.u[c], pts) for c in range(3)], axis=1)
-
-
 def upsample_field(field: DisplacementField, target_dims) -> DisplacementField:
     """Trilinear-upsample each component onto the ceil-doubled grid, then
     scale vectors by 2 (one coarse voxel spans two fine voxels).

@@ -165,20 +165,6 @@ def chamfer(a, b):
     return d_ab / len(a) + d_ba / len(b)
 
 
-def cross_attention(q, k, v):
-    """Two-loop softmax attention."""
-    n, d = q.shape
-    out = np.zeros((n, v.shape[1]))
-    for i in range(n):
-        logits = np.array([float(q[i] @ k[j]) / math.sqrt(d) for j in range(k.shape[0])])
-        m = logits.max()
-        w = np.exp(logits - m)
-        w /= w.sum()
-        for j in range(k.shape[0]):
-            out[i] += w[j] * v[j]
-    return out
-
-
 def jacobian_dets(u):
     """Second differencing implementation via np.gradient."""
     grads = [np.gradient(u[c], axis=(0, 1, 2)) for c in range(3)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from protoreg.gradients import (
     TERM_CHECKS,
     ObjectiveState,
@@ -13,7 +14,7 @@ from protoreg.gradients import (
     term_evaluator,
 )
 from protoreg.grids import LabelVolume, OneHotMask, Volume, one_hot
-from protoreg.losses import LossWeights, total_loss
+from protoreg.losses import LossWeights
 from protoreg.warp import DisplacementField
 
 DIMS = (6, 6, 6)
@@ -154,18 +155,55 @@ def test_smooth_terms_stationary_at_identity():
         assert np.linalg.norm(g) < 1e-6, term
 
 
-def test_values_match_total_loss(state):
+def _oracle_features(data):
+    """The 2-channel feature bank, rebuilt with np.gradient: standardized
+    intensity and standardized gradient magnitude."""
+    def standardize(x):
+        return (x - x.mean()) / np.sqrt(((x - x.mean()) ** 2).mean() + 1e-12)
+
+    gx, gy, gz = np.gradient(data)
+    return np.stack([standardize(data), standardize(np.sqrt(gx ** 2 + gy ** 2 + gz ** 2 + 1e-12))])
+
+
+def test_term_values_match_oracle_composition(state):
     field = rand_field(37)
-    bd_grad, _ = evaluate_objective(state, field)
-    bd_fwd = total_loss(
-        state.fixed, state.moving, field, state.weights,
-        state.fixed_onehot, state.moving_onehot,
-        window=state.window, temperature=state.temperature,
-        max_points=state.max_points, seed=state.seed,
+    bd, _ = evaluate_objective(state, field)
+    u = field.u
+
+    moved = oracles.warp(state.moving.data, u)
+    fixed_ch = state.fixed_onehot.channels
+    moved_ch = np.stack([np.clip(oracles.warp(ch, u), 0.0, 1.0)
+                         for ch in state.moving_onehot.channels])
+
+    feats_f = _oracle_features(state.fixed.data)
+    feats_m = _oracle_features(moved)
+    protos_f, present_f = oracles.prototypes(feats_f, fixed_ch)
+    protos_m, present_m = oracles.prototypes(feats_m, moved_ch)
+    assign = np.where(fixed_ch.max(axis=0) >= 0.5, fixed_ch.argmax(axis=0) + 1, 0)
+    contrast = 0.5 * (
+        oracles.contrast(feats_m, assign, protos_f, present_f, state.temperature)
+        + oracles.contrast(feats_f, assign, protos_f, present_f, state.temperature)
     )
-    for name in bd_fwd.values:
-        assert bd_grad.values[name] == pytest.approx(bd_fwd.values[name], rel=1e-12, abs=1e-15)
-    assert bd_grad.total == pytest.approx(bd_fwd.total, rel=1e-12)
+
+    moving_pts = {c.class_label: c.points for c in state.moving_contours if len(c) > 0}
+    chamfers = []
+    for cf in state.fixed_contours:
+        if len(cf) == 0 or cf.class_label not in moving_pts:
+            continue
+        carried = np.array([[p[c] + oracles.trilinear(u[c], p) for c in range(3)]
+                            for p in cf.points])
+        chamfers.append(oracles.chamfer(carried, moving_pts[cf.class_label]))
+    assert chamfers
+
+    want = {
+        "sim": oracles.lncc(state.fixed.data, moved, state.window),
+        "smooth": oracles.smoothness(u),
+        "seg": oracles.dice_loss(fixed_ch, moved_ch),
+        "prototype": contrast + oracles.align(protos_f, present_f, protos_m, present_m),
+        "contour": sum(chamfers) / len(chamfers),
+    }
+    for name, value in want.items():
+        assert bd.values[name] == pytest.approx(value, rel=1e-9), name
 
 
 def test_gradient_finite_everywhere(state):

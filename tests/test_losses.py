@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from protoreg.gradients import contour_loss, total_loss
 from protoreg.grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, one_hot
 from protoreg.losses import (
     ContourPointSet,
@@ -11,7 +12,6 @@ from protoreg.losses import (
     PrototypeSet,
     align_loss,
     chamfer,
-    contour_loss,
     contrast_loss,
     dice_loss,
     extract_contour_points,
@@ -21,7 +21,6 @@ from protoreg.losses import (
     lncc,
     prototype_loss,
     smoothness,
-    total_loss,
 )
 from protoreg.warp import DisplacementField
 
