@@ -1,23 +1,22 @@
 """The objective's one forward path and its analytic gradient wrt the field.
 
 ``evaluate_objective`` samples the moving image and masks through the field,
-carries the fixed contour points into moving space, and scores every term
-with the array-level helpers of ``losses``; with ``with_grad`` it also runs
-each term's backward pass, kept here.  ``total_loss`` and ``contour_loss``
-are views over the same path: the first is ``build_state`` followed by a
-value-only evaluation, the second scores the one contour transport,
-``_carried_contours``, which ``chamfer_tie_margin`` also uses.
+carries the fixed contour points into moving space (``_carried_contours``),
+and scores every term with its function in ``losses``.  Each of those returns
+the term's value and, with ``with_grad``, its gradient wrt the term's direct
+input (moved intensities, moved mask channels, u, or the carried points);
+this module only chains those gradients through the warp onto u: through the
+spatial derivative of every trilinear sample, and, for the contour points,
+by adding each point's gradient to the voxel it was carried from.
+``total_loss`` is ``build_state`` followed by a value-only evaluation;
+``contour_loss`` and ``chamfer_tie_margin`` use the same contour transport.
+The finite-difference tools that check all of this live here too.
 
-Each term is differentiated through exactly the chain used by the forward
-pass: trilinear warping (clamped borders, locally constant outside),
-feature standardization, masked average pooling, and the Chamfer
-nearest-neighbor assignment held fixed during the backward pass.  All
-accumulation is float64.
-
-Known non-smooth points, excluded from finite-difference verification:
-sample positions crossing lattice planes or the clamp boundary, Chamfer
-nearest-neighbor ties, class-presence flips, degenerate correlation windows,
-and the kink of the soft Dice term at exactly-hard masks.
+All accumulation is float64.  Known non-smooth points, excluded from
+finite-difference verification: sample positions crossing lattice planes or
+the clamp boundary, Chamfer nearest-neighbor ties, class-presence flips,
+degenerate correlation windows, and the kink of the soft Dice term at
+exactly-hard masks.
 """
 
 from __future__ import annotations
@@ -28,15 +27,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import losses
-from .grids import DimsMismatchError, OneHotMask, Volume
-from .losses import NORM_EPS, LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
-from .warp import (
-    DisplacementField,
-    central_difference_adjoint,
-    identity_grid,
-    interp_stencil,
-    sample_volume_with_gradient,
-)
+from .grids import DimsMismatchError, OneHotMask, Volume, argmax_labels
+from .losses import LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
+from .warp import DisplacementField, identity_grid, sample_volume_with_gradient
 
 
 @dataclass(frozen=True)
@@ -86,11 +79,10 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     if weights.prototype > 0:
         fixed_feats = losses.feature_volume(fixed)
         fixed_protos = losses.extract_prototypes(fixed_feats, fixed_onehot)
-        fixed_assign = losses.hard_assignments(fixed_onehot)
-        stats = losses._contrast_stats(
+        fixed_assign = argmax_labels(fixed_onehot).labels
+        contrast_fixed = losses._contrast(
             fixed_feats.channels, fixed_assign, fixed_protos, temperature
-        )
-        contrast_fixed = 0.0 if stats is None else stats["value"]
+        )[0]
 
     fixed_contours: tuple = ()
     moving_contours: tuple = ()
@@ -111,152 +103,36 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     )
 
 
-# ----------------------------------------------------------- term backwards
-
-def _lncc_backward(stats: dict, fixed: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """d(loss)/d(moved intensity).  Window statistics are recomputed as box
-    sums rather than cached per window (windows overlap heavily)."""
-    window = stats["window"]
-    center = stats["center"]
-    valid = stats["valid"]
-    a, b, c = stats["a"], stats["b"], stats["c"]
-    alpha = np.zeros_like(a)
-    beta = np.zeros_like(a)
-    np.divide(2.0 * a, b * c, out=alpha, where=valid)
-    np.divide(2.0 * a * a, b * c * c, out=beta, where=valid)
-
-    def embed(x):
-        full = np.zeros(fixed.shape)
-        full[center] = x
-        return full
-
-    box = lambda x: losses._box_sum(x, window)
-    dsum = (
-        fixed * box(embed(alpha))
-        - box(embed(alpha * stats["mean_i"]))
-        - moved * box(embed(beta))
-        + box(embed(beta * stats["mean_j"]))
-    )
-    return -dsum / stats["count"]
-
-
-def _smoothness_gradient(d: np.ndarray) -> np.ndarray:
-    """Adjoint of the forward-difference stencil applied to 2*d/N, where
-    ``d`` holds the forward differences of u that gave the value."""
-    n = float(np.prod(d.shape[2:]))
-    grad = np.zeros(d.shape[1:])
-    for a in range(3):
-        shifted = np.zeros(d.shape[1:])
-        src = [slice(None)] * 4
-        dst = [slice(None)] * 4
-        src[1 + a] = slice(0, -1)
-        dst[1 + a] = slice(1, None)
-        shifted[tuple(dst)] = d[a][tuple(src)]
-        grad += (2.0 / n) * (shifted - d[a])
-    return grad
-
-
-def _dice_channel_coefficients(stats: dict, fixed_channels: np.ndarray) -> list:
-    """d(loss)/d(warped channel k) for every present class, else None."""
-    present = stats["present"]
-    n_present = int(present.sum())
-    coeffs = []
-    for k in range(fixed_channels.shape[0]):
-        if not present[k] or n_present == 0:
-            coeffs.append(None)
-            continue
-        b = stats["denom"][k]
-        coeffs.append(-(2.0 * fixed_channels[k] / b - 2.0 * stats["inter"][k] / (b * b)) / n_present)
-    return coeffs
-
-
-def _features_backward(dch: np.ndarray, cache: dict) -> np.ndarray:
-    """Pull a gradient on the feature channels back onto the raw intensities,
-    through both standardizations and the gradient-magnitude chain."""
-
-    def destandardize(g, ch, sig):
-        return (g - g.mean() - ch * (g * ch).mean()) / sig
-
-    d_data = destandardize(dch[0], cache["ch0"], cache["sig0"])
-    dgm = destandardize(dch[1], cache["ch1"], cache["sig1"])
-    for a in range(3):
-        dga = dgm * cache["grads"][a] / cache["gm"]
-        d_data += central_difference_adjoint(dga, a)
-    return d_data
-
-
-def _contrast_backward(stats: dict, shape) -> np.ndarray:
-    """d(contrast)/d(features), scattered to the full channel grid."""
-    softmax, cos, phat = stats["softmax"], stats["cos"], stats["phat"]
-    fhat, norms, fg_idx = stats["fhat"], stats["norms"], stats["fg_idx"]
-    n = fg_idx.size
-    w = softmax.copy()
-    w[stats["pos"], np.arange(n)] -= 1.0
-    term = phat.T @ w                             # (C, N)
-    cterm = (w * cos).sum(axis=0)                 # (N,)
-    normed = norms > NORM_EPS
-    df_fg = (term - fhat * (cterm * normed)) / (stats["temperature"] * norms * n)
-    df = np.zeros((shape[0], int(np.prod(shape[1:]))))
-    df[:, fg_idx] = df_fg
-    return df.reshape(shape)
-
-
-def _align_backward(protos_f: PrototypeSet, protos_m: PrototypeSet, mass: np.ndarray,
-                    moved_feats_flat: np.ndarray, moved_mask_flat: np.ndarray):
-    """Alignment gradients on features and mask channels, given the moved
-    prototypes and mask mass that ``losses._pool_prototypes`` returned.
-
-    Returns (dF flat (C, N), list of per-class dM (N,) or None).
-    """
-    df = np.zeros_like(moved_feats_flat)
-    dm = [None] * moved_mask_flat.shape[0]
-    for kk in np.flatnonzero(protos_f.present & protos_m.present):
-        m = moved_mask_flat[kk]
-        s = mass[kk]
-        p_m = protos_m.vectors[kk]
-        p_f = protos_f.vectors[kk]
-        n_m = max(float(np.linalg.norm(p_m)), NORM_EPS)
-        n_f = max(float(np.linalg.norm(p_f)), NORM_EPS)
-        phat_m = p_m / n_m
-        phat_f = p_f / n_f
-        cos = float(phat_f @ phat_m)
-        if np.linalg.norm(p_m) > NORM_EPS:
-            dcos_dpm = (phat_f - cos * phat_m) / n_m
-        else:
-            dcos_dpm = phat_f / n_m
-        g = -dcos_dpm
-        df += np.outer(g, m) / s
-        dm[kk] = (g @ moved_feats_flat - float(g @ p_m)) / s
-    return df, dm
-
-
 def _carried_contours(fixed_contours, moving_contours, field: DisplacementField):
     """The contour transport: per class with points on both sides, yield
-    (fixed points, moving points, fixed points carried into moving space).
+    (lattice index of the fixed points, moving points, fixed points carried
+    into moving space).
 
     phi(p) = p + u(p) sends output-grid coordinates to moving-image
     coordinates (the pull-back convention of the warps), so the fixed points
-    are the ones carried.  u is sampled at the static fixed points, which
-    keeps the transport differentiable in u.
+    are the ones carried.  They are voxel centers (``ContourPointSet`` admits
+    no other points), where trilinear sampling of u is a read of one voxel;
+    so u is indexed at them, and d(carried)/d(u) is the identity at that
+    voxel.  Points outside the field's grid raise ``ValueError``.
     """
     moving_by_class = {c.class_label: c.points for c in moving_contours if len(c) > 0}
     for cf in fixed_contours:
         moving_pts = moving_by_class.get(cf.class_label)
         if moving_pts is None or len(cf) == 0:
             continue
-        disp = np.stack(
-            [sample_volume_with_gradient(field.u[c], cf.points.T)[0] for c in range(3)],
-            axis=1,
-        )
-        yield cf.points, moving_pts, cf.points + disp
+        if (cf.points >= field.dims).any():
+            raise ValueError(f"contour points of class {cf.class_label} lie outside "
+                             f"the field's grid {field.dims}")
+        index = tuple(cf.points.T.astype(np.intp))
+        yield index, moving_pts, cf.points + field.u[(slice(None),) + index].T
 
 
 def contour_loss(moving_contours, fixed_contours, field: DisplacementField) -> float:
     """Per-class Chamfer between the two contour sets under the current map,
     averaged over classes with points on both sides; the fixed points are
     carried through the field (see ``_carried_contours``)."""
-    values = [losses._chamfer_stats(carried, moving_pts)[0]
-              for _, moving_pts, carried in _carried_contours(fixed_contours, moving_contours, field)]
+    transport = _carried_contours(fixed_contours, moving_contours, field)
+    values = [losses._chamfer(carried, moving_pts)[0] for _, moving_pts, carried in transport]
     return float(np.mean(values)) if values else 0.0
 
 
@@ -288,91 +164,56 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     moved_mask = mask_pos = d_mask = None
     if need_mask:
-        k = state.moving_onehot.num_classes
-        raw = []
-        mask_pos = []
-        for kk in range(k):
-            val, pg = sample_volume_with_gradient(state.moving_onehot.channels[kk], pts)
-            raw.append(val)
-            mask_pos.append(pg)
-        moved_mask = np.clip(np.stack(raw), 0.0, 1.0)
+        samples = [sample_volume_with_gradient(ch, pts) for ch in state.moving_onehot.channels]
+        moved_mask = np.clip(np.stack([value for value, _ in samples]), 0.0, 1.0)
+        mask_pos = [pos for _, pos in samples]
         if with_grad:
-            d_mask = np.zeros((k,) + dims)
+            d_mask = np.zeros(moved_mask.shape)
 
     if wd["sim"] > 0:
-        stats = losses._lncc_stats(state.fixed.data, moved, state.window)
-        values["sim"] = stats["value"]
+        values["sim"], g = losses._lncc(state.fixed.data, moved, state.window, with_grad)
         if with_grad:
-            d_moved += wd["sim"] * _lncc_backward(stats, state.fixed.data, moved)
+            d_moved += wd["sim"] * g
 
     if wd["smooth"] > 0:
-        values["smooth"], diffs = losses._smoothness_stats(field.u)
+        values["smooth"], g = losses._smoothness(field.u, with_grad)
         if with_grad:
-            grad += wd["smooth"] * _smoothness_gradient(diffs)
+            grad += wd["smooth"] * g
 
     if wd["seg"] > 0:
-        stats = losses._dice_stats(state.fixed_onehot.channels, moved_mask)
-        values["seg"] = stats["value"]
+        values["seg"], g = losses._dice(state.fixed_onehot.channels, moved_mask, with_grad)
         if with_grad:
-            for kk, coef in enumerate(_dice_channel_coefficients(stats, state.fixed_onehot.channels)):
-                if coef is not None:
-                    d_mask[kk] += wd["seg"] * coef
+            d_mask += wd["seg"] * g
 
     if wd["prototype"] > 0:
-        feats, cache = losses._features_forward(moved)
-        d_feats = np.zeros_like(feats) if with_grad else None
-        value_proto = 0.0
-        if proto_mode in ("both", "contrast"):
-            cstats = losses._contrast_stats(
-                feats, state.fixed_assign, state.fixed_protos, state.temperature
-            )
-            contrast_moved = 0.0 if cstats is None else cstats["value"]
-            value_proto += 0.5 * (contrast_moved + state.contrast_fixed)
-            if with_grad and cstats is not None:
-                d_feats += 0.5 * _contrast_backward(cstats, feats.shape)
-        if proto_mode in ("both", "align"):
-            flat_f = feats.reshape(feats.shape[0], -1)
-            flat_m = moved_mask.reshape(moved_mask.shape[0], -1)
-            protos_m, mass = losses._pool_prototypes(flat_f, flat_m)
-            value_proto += losses.align_loss(state.fixed_protos, protos_m)
-            if with_grad:
-                df_align, dm_align = _align_backward(state.fixed_protos, protos_m, mass,
-                                                     flat_f, flat_m)
-                d_feats += df_align.reshape(feats.shape)
-                for kk, dm in enumerate(dm_align):
-                    if dm is not None:
-                        d_mask[kk] += wd["prototype"] * dm.reshape(dims)
-        values["prototype"] = value_proto
+        values["prototype"], g, g_mask = losses._prototype(
+            moved, moved_mask, state.fixed_assign, state.fixed_protos,
+            state.contrast_fixed, state.temperature, proto_mode, with_grad)
         if with_grad:
-            d_moved += wd["prototype"] * _features_backward(d_feats, cache)
+            d_moved += wd["prototype"] * g
+            if g_mask is not None:
+                d_mask += wd["prototype"] * g_mask
 
     if wd["contour"] > 0:
         class_values = []
-        pending = []
-        for fixed_pts, moving_pts, carried in _carried_contours(
+        class_grads = []
+        for index, moving_pts, carried in _carried_contours(
                 state.fixed_contours, state.moving_contours, field):
-            value, j_idx, i_idx = losses._chamfer_stats(carried, moving_pts)
+            value, g = losses._chamfer(carried, moving_pts, with_grad)
             class_values.append(value)
-            if with_grad:
-                g_pts = 2.0 * (carried - moving_pts[j_idx]) / len(fixed_pts)
-                np.add.at(g_pts, i_idx, 2.0 * (carried[i_idx] - moving_pts) / len(moving_pts))
-                pending.append((fixed_pts, g_pts))
+            class_grads.append((index, g))
         if class_values:
             values["contour"] = float(np.mean(class_values))
             if with_grad:
                 scale = wd["contour"] / len(class_values)
-                for orig_pts, g_pts in pending:
-                    idx, wts = interp_stencil(dims, orig_pts)
-                    for corner in range(8):
-                        ix = (idx[corner, :, 0], idx[corner, :, 1], idx[corner, :, 2])
-                        for c in range(3):
-                            np.add.at(grad[c], ix, scale * wts[corner] * g_pts[:, c])
+                for index, g in class_grads:
+                    grad[(slice(None),) + index] += scale * g.T
 
     if with_grad and need_moved:
         grad += d_moved * moved_pos
     if with_grad and need_mask:
-        for kk in range(moved_mask.shape[0]):
-            grad += d_mask[kk] * mask_pos[kk]
+        for d, pos in zip(d_mask, mask_pos):
+            grad += d * pos
 
     breakdown = LossBreakdown.from_terms(values, state.weights)
     return breakdown, grad
@@ -463,12 +304,12 @@ def chamfer_tie_margin(state: ObjectiveState, field: DisplacementField) -> float
     steps.  Returns +inf when no class has points on both sides.
     """
     margin = np.inf
-    for fixed_pts, moving_pts, carried in _carried_contours(
+    for _, moving_pts, carried in _carried_contours(
             state.fixed_contours, state.moving_contours, field):
         if len(moving_pts) > 1:
             d, _ = cKDTree(moving_pts).query(carried, k=2)
             margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
-        if len(fixed_pts) > 1:
+        if len(carried) > 1:
             d, _ = cKDTree(carried).query(moving_pts, k=2)
             margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
     return margin

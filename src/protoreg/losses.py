@@ -2,19 +2,21 @@
 
 Five terms are combined into the optimized total: windowed normalized
 cross-correlation of intensities (negated so lower is better), diffusion
-smoothness of the displacement, soft Dice overlap of warped masks, a
-prototype term (voxel-to-prototype contrast plus cross-image prototype
-alignment on a fixed 2-channel feature bank), and a symmetric Chamfer loss
-between mask contour points.
+smoothness of the displacement, soft Dice on warped masks, a prototype term
+(voxel-to-prototype contrast plus cross-image prototype alignment on a fixed
+2-channel feature bank), and a symmetric Chamfer loss between mask contour
+points.
 
-Each term's forward pass is written once, as an array-level helper that
-returns the value together with what the backward pass needs:
-``_lncc_stats``, ``_smoothness_stats``, ``_dice_stats``, ``_features_forward``,
-``_pool_prototypes``, ``_contrast_stats`` and ``_chamfer_stats``.  The public
-per-term functions here are thin views over those helpers, and
-``gradients.evaluate_objective`` calls the same ones.  Nothing here warps or
-transports: sampling the moving image and masks, carrying contour points
-through the field, ``contour_loss`` and ``total_loss`` live in ``gradients``.
+Each term is one private function that returns its value and, with
+``with_grad``, its gradient with respect to its direct input: ``_lncc``
+(moved intensities), ``_smoothness`` (u), ``_dice`` (moved mask channels),
+``_contrast`` and ``_align`` (moved features; ``_align`` also the moved mask
+channels), ``_prototype`` (both halves pulled back through the feature bank
+onto the moved intensities, via ``_features_forward``/``_features_backward``)
+and ``_chamfer`` (the carried contour points).  The public per-term functions
+are value-only views over them.  Nothing here warps or transports:
+``gradients.evaluate_objective`` samples the moving image and masks, carries
+the contour points, and chains these gradients through the warp onto u.
 
 Conventions fixed here and relied on elsewhere:
   * the correlation term is the negative mean of squared window NCC over all
@@ -37,8 +39,8 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.spatial import cKDTree
 
-from .grids import DimsMismatchError, LabelVolume, OneHotMask, Volume
-from .warp import DisplacementField, central_difference
+from .grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels
+from .warp import DisplacementField, central_difference, central_difference_adjoint
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
 DICE_EPS = 1e-7          # soft Dice denominator guard
@@ -97,15 +99,6 @@ class LossBreakdown:
         total = sum(wd[name] * values[name] for name in TERM_NAMES)
         return cls(dict(values), weights, float(total))
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "terms": {
-                name: {"value": self.values[name], "weight": self.weights.as_dict()[name]}
-                for name in TERM_NAMES
-            },
-        }
-
 
 @dataclass(frozen=True)
 class FeatureVolume:
@@ -150,13 +143,18 @@ class PrototypeSet:
 
 @dataclass(frozen=True)
 class ContourPointSet:
-    """Sampled boundary points (voxel-center coordinates) of one class region."""
+    """Sampled boundary points of one class region, at voxel centers: every
+    coordinate is a non-negative integer, so the contour transport reads the
+    field at these points straight off the lattice."""
 
     class_label: int
     points: np.ndarray         # (N, 3)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        if not ((pts >= 0) & (pts == np.floor(pts))).all():
+            raise ValueError("ContourPointSet: points must be voxel centers "
+                             "(non-negative integer coordinates)")
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -177,8 +175,10 @@ def _check_window(dims, window: int) -> None:
         raise ValueError(f"window {window} exceeds smallest dim of {dims}")
 
 
-def _lncc_stats(fixed: np.ndarray, moved: np.ndarray, window: int) -> dict:
-    """Window statistics for the correlation term, on the full-window centers."""
+def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, with_grad: bool = False):
+    """Correlation value and, with ``with_grad``, d(value)/d(moved).  The
+    backward pass recomputes window sums as box sums rather than caching per
+    window (windows overlap heavily)."""
     w3 = float(window ** 3)
     r = window // 2
     center = tuple(slice(r, n - r) for n in fixed.shape)
@@ -194,12 +194,22 @@ def _lncc_stats(fixed: np.ndarray, moved: np.ndarray, window: int) -> dict:
     ncc2 = np.zeros_like(a)
     np.divide(a * a, b * c, out=ncc2, where=valid)
     count = int(np.prod([n - window + 1 for n in fixed.shape]))
-    return {
-        "value": float(-ncc2.sum() / count),
-        "a": a, "b": b, "c": c, "valid": valid,
-        "mean_i": s_i / w3, "mean_j": s_j / w3,
-        "count": count, "center": center, "window": window,
-    }
+    value = float(-ncc2.sum() / count)
+    if not with_grad:
+        return value, None
+    alpha = np.zeros_like(a)
+    beta = np.zeros_like(a)
+    np.divide(2.0 * a, b * c, out=alpha, where=valid)
+    np.divide(2.0 * a * a, b * c * c, out=beta, where=valid)
+
+    def box(x):
+        full = np.zeros(fixed.shape)
+        full[center] = x
+        return _box_sum(full, window)
+
+    dsum = (fixed * box(alpha) - box(alpha * (s_i / w3))
+            - moved * box(beta) + box(beta * (s_j / w3)))
+    return value, -dsum / count
 
 
 def lncc(fixed: Volume, moved: Volume, window: int = 9) -> float:
@@ -207,7 +217,7 @@ def lncc(fixed: Volume, moved: Volume, window: int = 9) -> float:
     if fixed.dims != moved.dims:
         raise DimsMismatchError(f"lncc: {fixed.dims} vs {moved.dims}")
     _check_window(fixed.dims, window)
-    return _lncc_stats(fixed.data, moved.data, window)["value"]
+    return _lncc(fixed.data, moved.data, window)[0]
 
 
 # ---------------------------------------------------------------- smoothness
@@ -227,20 +237,36 @@ def _forward_diffs(u: np.ndarray) -> np.ndarray:
     return d
 
 
-def _smoothness_stats(u: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smoothness value and the forward differences that produced it."""
+def _smoothness(u: np.ndarray, with_grad: bool = False):
+    """Smoothness value and, with ``with_grad``, d(value)/d(u): the adjoint of
+    the forward-difference stencil applied to 2*d/N."""
     d = _forward_diffs(u)
-    return float((d * d).sum() / float(np.prod(u.shape[1:]))), d
+    n = float(np.prod(u.shape[1:]))
+    value = float((d * d).sum() / n)
+    if not with_grad:
+        return value, None
+    grad = np.zeros(u.shape)
+    for a in range(3):
+        shifted = np.zeros(u.shape)
+        src = [slice(None)] * 4
+        dst = [slice(None)] * 4
+        src[1 + a] = slice(0, -1)
+        dst[1 + a] = slice(1, None)
+        shifted[tuple(dst)] = d[a][tuple(src)]
+        grad += (2.0 / n) * (shifted - d[a])
+    return value, grad
 
 
 def smoothness(field: DisplacementField) -> float:
     """Mean over voxels of the squared forward-difference gradient of u."""
-    return _smoothness_stats(field.u)[0]
+    return _smoothness(field.u)[0]
 
 
 # --------------------------------------------------------------------- Dice
 
-def _dice_stats(fixed_channels: np.ndarray, moved_channels: np.ndarray) -> dict:
+def _dice(fixed_channels: np.ndarray, moved_channels: np.ndarray, with_grad: bool = False):
+    """Soft Dice loss and, with ``with_grad``, d(loss)/d(moved channels); the
+    gradient is zero on classes absent from both sides."""
     k = fixed_channels.shape[0]
     inter = np.array([(fixed_channels[i] * moved_channels[i]).sum() for i in range(k)])
     sum_f = fixed_channels.reshape(k, -1).sum(axis=1)
@@ -249,7 +275,14 @@ def _dice_stats(fixed_channels: np.ndarray, moved_channels: np.ndarray) -> dict:
     denom = sum_f + sum_m + DICE_EPS
     dice = 2.0 * inter / denom
     value = float(1.0 - dice[present].mean()) if present.any() else 0.0
-    return {"value": value, "inter": inter, "present": present, "denom": denom}
+    if not with_grad:
+        return value, None
+    grad = np.zeros_like(moved_channels)
+    n_present = int(present.sum())
+    for i in np.flatnonzero(present):
+        b = denom[i]
+        grad[i] = -(2.0 * fixed_channels[i] / b - 2.0 * inter[i] / (b * b)) / n_present
+    return value, grad
 
 
 def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
@@ -260,7 +293,7 @@ def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
         )
     if fixed.dims != moved_soft.dims:
         raise DimsMismatchError(f"dice_loss: {fixed.dims} vs {moved_soft.dims}")
-    return _dice_stats(fixed.channels, moved_soft.channels)["value"]
+    return _dice(fixed.channels, moved_soft.channels)[0]
 
 
 # --------------------------------------------------------------- prototypes
@@ -272,14 +305,29 @@ def _standardize(data: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _features_forward(data: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Compute the 2-channel feature bank plus the intermediates the analytic
-    backward pass needs."""
+    """Compute the 2-channel feature bank plus the intermediates that
+    ``_features_backward`` needs."""
     ch0, sig0 = _standardize(data)
     grads = [central_difference(data, a) for a in range(3)]
     gm = np.sqrt(grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2 + 1e-12)
     ch1, sig1 = _standardize(gm)
     cache = {"ch0": ch0, "sig0": sig0, "grads": grads, "gm": gm, "ch1": ch1, "sig1": sig1}
     return np.stack([ch0, ch1]), cache
+
+
+def _features_backward(dch: np.ndarray, cache: dict) -> np.ndarray:
+    """Pull a gradient on the feature channels back onto the raw intensities,
+    through both standardizations and the gradient-magnitude chain."""
+
+    def destandardize(g, ch, sig):
+        return (g - g.mean() - ch * (g * ch).mean()) / sig
+
+    d_data = destandardize(dch[0], cache["ch0"], cache["sig0"])
+    dgm = destandardize(dch[1], cache["ch1"], cache["sig1"])
+    for a in range(3):
+        dga = dgm * cache["grads"][a] / cache["gm"]
+        d_data += central_difference_adjoint(dga, a)
+    return d_data
 
 
 def feature_volume(vol: Volume) -> FeatureVolume:
@@ -308,29 +356,22 @@ def extract_prototypes(features: FeatureVolume, mask: OneHotMask) -> PrototypeSe
     return _pool_prototypes(flat_f, mask.channels.reshape(mask.num_classes, -1))[0]
 
 
-def hard_assignments(mask: OneHotMask, threshold: float = 0.5) -> np.ndarray:
-    """Per-voxel class id (1..K) by strongest channel, 0 where below threshold."""
-    if mask.num_classes == 0:
-        return np.zeros(mask.dims, dtype=np.int32)
-    best = mask.channels.max(axis=0)
-    return np.where(best >= threshold, mask.channels.argmax(axis=0) + 1, 0).astype(np.int32)
+def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
+              temperature: float, with_grad: bool = False):
+    """Contrast value and, with ``with_grad``, d(value)/d(features).
 
-
-def _contrast_stats(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
-                    temperature: float) -> dict | None:
-    """Per-voxel softmax statistics for the contrast term.
-
-    Returns None when fewer than two classes are present (the term is then
-    defined as zero).
+    The term (and its gradient) is zero when fewer than two classes are
+    present or no voxel is assigned to a present class.
     """
+    grad = np.zeros(features.shape) if with_grad else None
     rows = np.flatnonzero(protos.present)
     if rows.size < 2:
-        return None
+        return 0.0, grad
     class_ids = rows + 1
-    fg = np.isin(assign.ravel(), class_ids)
-    fg_idx = np.flatnonzero(fg)
-    if fg_idx.size == 0:
-        return None
+    fg_idx = np.flatnonzero(np.isin(assign.ravel(), class_ids))
+    n = fg_idx.size
+    if n == 0:
+        return 0.0, grad
     c = features.shape[0]
     f = features.reshape(c, -1)[:, fg_idx]                     # (C, N)
     norms = np.maximum(np.linalg.norm(f, axis=0), NORM_EPS)
@@ -343,16 +384,18 @@ def _contrast_stats(features: np.ndarray, assign: np.ndarray, protos: PrototypeS
     shifted = logits - logits.max(axis=0, keepdims=True)
     expv = np.exp(shifted)
     z = expv.sum(axis=0)
-    softmax = expv / z
     # row index of each voxel's assigned class within the (sorted) present-class list
     pos = np.searchsorted(class_ids, assign.ravel()[fg_idx])
-    log_prob = shifted[pos, np.arange(fg_idx.size)] - np.log(z)
-    value = float(-log_prob.mean())
-    return {
-        "value": value, "fg_idx": fg_idx, "fhat": fhat, "norms": norms,
-        "phat": phat, "cos": cos, "softmax": softmax, "pos": pos,
-        "temperature": temperature,
-    }
+    value = float(-(shifted[pos, np.arange(n)] - np.log(z)).mean())
+    if not with_grad:
+        return value, None
+    w = expv / z
+    w[pos, np.arange(n)] -= 1.0
+    cterm = (w * cos).sum(axis=0)                              # (N,)
+    normed = norms > NORM_EPS
+    df_fg = (phat.T @ w - fhat * (cterm * normed)) / (temperature * norms * n)
+    grad.reshape(c, -1)[:, fg_idx] = df_fg
+    return value, grad
 
 
 def contrast_loss(features: FeatureVolume, mask: OneHotMask, protos: PrototypeSet,
@@ -361,8 +404,7 @@ def contrast_loss(features: FeatureVolume, mask: OneHotMask, protos: PrototypeSe
     the class prototypes; 0 when fewer than two classes are present."""
     if features.dims != mask.dims:
         raise DimsMismatchError(f"contrast_loss: {features.dims} vs {mask.dims}")
-    stats = _contrast_stats(features.channels, hard_assignments(mask), protos, temperature)
-    return 0.0 if stats is None else stats["value"]
+    return _contrast(features.channels, argmax_labels(mask).labels, protos, temperature)[0]
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -381,6 +423,59 @@ def align_loss(protos_f: PrototypeSet, protos_m: PrototypeSet) -> float:
     for k in np.flatnonzero(both):
         total += 1.0 - _cosine(protos_f.vectors[k], protos_m.vectors[k])
     return float(total)
+
+
+def _align(protos_f: PrototypeSet, features: np.ndarray, mask: np.ndarray,
+           with_grad: bool = False):
+    """Alignment of ``protos_f`` with the prototypes pooled from ``features``
+    under the soft ``mask`` channels.  Returns (value, d/d(features),
+    d/d(mask)); both gradients are None without ``with_grad``."""
+    flat_f = features.reshape(features.shape[0], -1)
+    flat_m = mask.reshape(mask.shape[0], -1)
+    protos_m, mass = _pool_prototypes(flat_f, flat_m)
+    value = align_loss(protos_f, protos_m)
+    if not with_grad:
+        return value, None, None
+    df = np.zeros_like(flat_f)
+    dm = np.zeros_like(flat_m)
+    for k in np.flatnonzero(protos_f.present & protos_m.present):
+        p_m = protos_m.vectors[k]
+        n_m = max(float(np.linalg.norm(p_m)), NORM_EPS)
+        n_f = max(float(np.linalg.norm(protos_f.vectors[k])), NORM_EPS)
+        phat_m = p_m / n_m
+        phat_f = protos_f.vectors[k] / n_f
+        cos = float(phat_f @ phat_m)
+        g = -((phat_f - cos * phat_m) if n_m > NORM_EPS else phat_f) / n_m
+        df += np.outer(g, flat_m[k]) / mass[k]
+        dm[k] = (g @ flat_f - float(g @ p_m)) / mass[k]
+    return value, df.reshape(features.shape), dm.reshape(mask.shape)
+
+
+def _prototype(moved: np.ndarray, moved_mask: np.ndarray, assign: np.ndarray,
+               protos_f: PrototypeSet, contrast_fixed: float, temperature: float,
+               mode: str = "both", with_grad: bool = False):
+    """The prototype term (see ``prototype_loss``) on the moved image and mask
+    channels, given the fixed image's contrast ``contrast_fixed``; ``mode``
+    keeps only the "contrast" or the "align" half.  Returns (value,
+    d/d(moved), d/d(moved_mask)); gradients are None without ``with_grad``,
+    and the mask gradient is None for the contrast half alone."""
+    feats, cache = _features_forward(moved)
+    value = 0.0
+    d_feats = np.zeros_like(feats) if with_grad else None
+    d_mask = None
+    if mode in ("both", "contrast"):
+        contrast_moved, g = _contrast(feats, assign, protos_f, temperature, with_grad)
+        value += 0.5 * (contrast_moved + contrast_fixed)
+        if with_grad:
+            d_feats += 0.5 * g
+    if mode in ("both", "align"):
+        align, g, d_mask = _align(protos_f, feats, moved_mask, with_grad)
+        value += align
+        if with_grad:
+            d_feats += g
+    if not with_grad:
+        return value, None, None
+    return value, _features_backward(d_feats, cache), d_mask
 
 
 def prototype_loss(moved_feats: FeatureVolume, fixed_feats: FeatureVolume,
@@ -443,12 +538,18 @@ def extract_contour_points(mask, class_label: int, max_points: int = 2048,
     return ContourPointSet(class_label, pts)
 
 
-def _chamfer_stats(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Chamfer value between (N, 3) ``a`` and (M, 3) ``b``, plus the index of
-    each point's nearest neighbor on the other side (a -> b, then b -> a)."""
+def _chamfer(a: np.ndarray, b: np.ndarray, with_grad: bool = False):
+    """Chamfer value between (N, 3) ``a`` and (M, 3) ``b`` and, with
+    ``with_grad``, d(value)/d(a) with the nearest-neighbor assignment held
+    fixed."""
     da, a_to_b = cKDTree(b).query(a)
     db, b_to_a = cKDTree(a).query(b)
-    return float((da ** 2).mean() + (db ** 2).mean()), a_to_b, b_to_a
+    value = float((da ** 2).mean() + (db ** 2).mean())
+    if not with_grad:
+        return value, None
+    grad = 2.0 * (a - b[a_to_b]) / len(a)
+    np.add.at(grad, b_to_a, 2.0 * (a[b_to_a] - b) / len(b))
+    return value, grad
 
 
 def chamfer(set_m: ContourPointSet | np.ndarray, set_f: ContourPointSet | np.ndarray) -> float:
@@ -457,4 +558,4 @@ def chamfer(set_m: ContourPointSet | np.ndarray, set_f: ContourPointSet | np.nda
     b = set_f.points if isinstance(set_f, ContourPointSet) else np.asarray(set_f, dtype=np.float64)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("chamfer: both point sets must be nonempty")
-    return _chamfer_stats(a, b)[0]
+    return _chamfer(a, b)[0]

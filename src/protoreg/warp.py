@@ -105,24 +105,6 @@ def sample_volume_with_gradient(data: np.ndarray, points: np.ndarray):
     return value, grad
 
 
-def interp_stencil(dims, points: np.ndarray):
-    """Corner indices and weights for scattering point gradients back onto
-    the lattice; ``points`` is (N, 3), returns (indices (8, N, 3), weights (8, N))."""
-    pts = np.asarray(points, dtype=np.float64)
-    cells = [_clamped_cell(pts[:, a], dims[a]) for a in range(3)]
-    fr = [c[2] for c in cells]
-    idx = []
-    wts = []
-    for corner in range(8):
-        bits = [(corner >> a) & 1 for a in range(3)]
-        idx.append(np.stack([cells[a][bits[a]] for a in range(3)], axis=1))
-        w = np.ones(pts.shape[0])
-        for a in range(3):
-            w = w * (fr[a] if bits[a] else 1.0 - fr[a])
-        wts.append(w)
-    return np.stack(idx), np.stack(wts)
-
-
 def trilinear_sample(vol: Volume, point) -> float:
     """Value of ``vol`` at one continuous coordinate (voxel units)."""
     p = np.asarray(point, dtype=np.float64).reshape(3, 1)

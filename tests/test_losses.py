@@ -3,7 +3,9 @@ import pytest
 
 import oracles
 from protoreg.gradients import contour_loss, total_loss
-from protoreg.grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, one_hot
+from protoreg.grids import (
+    DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels, one_hot,
+)
 from protoreg.losses import (
     ContourPointSet,
     FeatureVolume,
@@ -17,7 +19,6 @@ from protoreg.losses import (
     extract_contour_points,
     extract_prototypes,
     feature_volume,
-    hard_assignments,
     lncc,
     prototype_loss,
     smoothness,
@@ -232,7 +233,7 @@ def test_contrast_matches_per_voxel_softmax_oracle():
     protos = extract_prototypes(feats, mask)
     got = contrast_loss(feats, mask, protos, temperature=0.1)
     want = oracles.contrast(
-        feats.channels, hard_assignments(mask), protos.vectors, protos.present, 0.1
+        feats.channels, argmax_labels(mask).labels, protos.vectors, protos.present, 0.1
     )
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -378,6 +379,19 @@ def test_contour_loss_follows_warp_convention():
     assert contour_loss([moving_pts], [fixed_pts], field) == pytest.approx(0.0, abs=1e-12)
     zero = DisplacementField.zeros(dims)
     assert contour_loss([moving_pts], [fixed_pts], zero) == pytest.approx(2.0)
+
+
+def test_contour_points_must_be_voxel_centers():
+    for bad in ([[1.5, 2.0, 3.0]], [[-1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError):
+            ContourPointSet(1, np.array(bad))
+
+
+def test_contour_loss_rejects_points_outside_the_grid():
+    fixed_pts = ContourPointSet(1, np.array([[3.0, 6.0, 3.0]]))
+    moving_pts = ContourPointSet(1, np.array([[2.0, 3.0, 3.0]]))
+    with pytest.raises(ValueError):
+        contour_loss([moving_pts], [fixed_pts], DisplacementField.zeros((6, 6, 6)))
 
 
 # -------------------------------------------------------------------- total
