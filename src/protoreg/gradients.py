@@ -12,6 +12,19 @@ by adding each point's gradient to the voxel it was carried from.
 ``contour_loss`` and ``chamfer_tie_margin`` use the same contour transport.
 The finite-difference tools that check all of this live here too.
 
+Each moving mask channel is sampled only on the block of output voxels whose
+sample point can reach the channel's support, which is exact.  A clamped
+trilinear sample reads the two lattice neighbours of its (clamped)
+coordinate on each axis, so outside the channel's non-zero index range
+[a, b] grown by one voxel to [a-1, b+1], all eight corners are 0 and the
+value and the spatial derivative are exactly 0 (at a clamped coordinate the
+corner that could be non-zero has weight 0 and the derivative is zeroed).
+The range stays open on a face the support touches (a = 0 or b = n-1),
+because every sample clamped onto that face reads it.  Outside the block the
+moved channel is 0 and the channel adds nothing to the gradient, as the
+dense sampling would give; inside it every element goes through the same
+arithmetic.
+
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
 the clamp boundary, Chamfer nearest-neighbor ties, class-presence flips,
@@ -37,7 +50,16 @@ class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
     field.  Fixed-image prototypes, hard assignments, the fixed half of the
     contrast term and both contour sets are constants of the optimization
-    and precomputed once."""
+    and precomputed once.
+
+    ``mask_boxes`` holds, per moving mask channel, the support box derived
+    from it: per axis the source-coordinate range (lo, hi) outside which a
+    sample of the channel and its spatial derivative are exactly 0.  It is
+    the non-zero index range [a, b] grown by one voxel, open (-inf or +inf)
+    on a face the support touches; an all-zero channel has None.  Only the
+    output voxels whose sample points can fall inside the box are sampled
+    (see the module docstring).
+    """
 
     fixed: Volume
     moving: Volume
@@ -51,6 +73,7 @@ class ObjectiveState:
     contrast_fixed: float = 0.0
     fixed_contours: tuple = ()
     moving_contours: tuple = ()
+    mask_boxes: tuple = ()
 
     @property
     def dims(self):
@@ -100,7 +123,50 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
         fixed, moving, weights, window, temperature,
         fixed_onehot, moving_onehot, fixed_protos, fixed_assign,
         contrast_fixed, fixed_contours, moving_contours,
+        tuple(_support_box(ch) for ch in moving_onehot.channels),
     )
+
+
+def _support_box(channel: np.ndarray):
+    """Per axis (lo, hi): the non-zero index range [a, b] of ``channel``
+    grown to [a-1, b+1], open on a face the support touches; None when the
+    channel is all zero."""
+    box = []
+    for axis, n in enumerate(channel.shape):
+        others = tuple(a for a in range(3) if a != axis)
+        nonzero = np.flatnonzero(channel.any(axis=others))
+        if nonzero.size == 0:
+            return None
+        a, b = int(nonzero[0]), int(nonzero[-1])
+        box.append((a - 1.0 if a > 0 else -np.inf, b + 1.0 if b < n - 1 else np.inf))
+    return tuple(box)
+
+
+def _sample_window(box, u_min, u_max, dims):
+    """Slices of the output block holding every voxel p whose sample point
+    p + u(p) can fall in ``box``, given u_min <= u <= u_max per axis; None
+    when the block is empty.
+
+    On one axis that is [ceil(lo - max u), floor(hi - min u)] within the
+    grid.  Each end is settled by testing p + max u >= lo (p + min u <= hi)
+    in the float arithmetic that forms the sample points, so a point rounded
+    onto a face of the box is kept.
+    """
+    window = []
+    for (lo, hi), lo_u, hi_u, n in zip(box, u_min, u_max, dims):
+        start, stop = 0, n - 1
+        if lo > -np.inf:
+            start = max(0, int(np.ceil(lo - hi_u)) - 1)
+            if start + hi_u < lo:
+                start += 1
+        if hi < np.inf:
+            stop = min(n - 1, int(np.floor(hi - lo_u)) + 1)
+            if stop + lo_u > hi:
+                stop -= 1
+        if start > stop:
+            return None
+        window.append(slice(start, stop + 1))
+    return tuple(window)
 
 
 def _carried_contours(fixed_contours, moving_contours, field: DisplacementField):
@@ -162,11 +228,20 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         moved, moved_pos = sample_volume_with_gradient(state.moving.data, pts)
     d_moved = np.zeros(dims) if (with_grad and need_moved) else None
 
-    moved_mask = mask_pos = d_mask = None
+    moved_mask = d_mask = None
+    mask_samples = []       # (channel, output window, spatial derivative)
     if need_mask:
-        samples = [sample_volume_with_gradient(ch, pts) for ch in state.moving_onehot.channels]
-        moved_mask = np.clip(np.stack([value for value, _ in samples]), 0.0, 1.0)
-        mask_pos = [pos for _, pos in samples]
+        channels = state.moving_onehot.channels
+        moved_mask = np.zeros(channels.shape)
+        u_min = field.u.min(axis=(1, 2, 3))
+        u_max = field.u.max(axis=(1, 2, 3))
+        for k, (ch, box) in enumerate(zip(channels, state.mask_boxes, strict=True)):
+            window = None if box is None else _sample_window(box, u_min, u_max, dims)
+            if window is None:
+                continue
+            value, pos = sample_volume_with_gradient(ch, pts[(slice(None),) + window])
+            moved_mask[(k,) + window] = np.clip(value, 0.0, 1.0)
+            mask_samples.append((k, window, pos))
         if with_grad:
             d_mask = np.zeros(moved_mask.shape)
 
@@ -211,9 +286,9 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     if with_grad and need_moved:
         grad += d_moved * moved_pos
-    if with_grad and need_mask:
-        for d, pos in zip(d_mask, mask_pos):
-            grad += d * pos
+    if with_grad:
+        for k, window, pos in mask_samples:
+            grad[(slice(None),) + window] += d_mask[k][window] * pos
 
     breakdown = LossBreakdown.from_terms(values, state.weights)
     return breakdown, grad

@@ -7,8 +7,10 @@ components consecutively, each in the same layout, with ``kind: "field"``
 and ``units: "voxels"``.
 
 NIfTI-1 subset: 348-byte header, magic "n+1"/"ni1", datatypes uint8/int16/
-float32, optional gzip.  Only dims and pixdim are honored; orientation
-matrices are ignored (a warning is logged when one is present).
+float32/float64, optional gzip.  Dims, pixdim and the intensity scaling
+``scl_slope * stored + scl_inter`` (applied when the slope is non-zero and
+finite, to images and labels alike) are honored; orientation matrices are
+ignored (a warning is logged when one is present).
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def read_raw(path):
 
 # ------------------------------------------------------------- NIfTI subset
 
-_NIFTI_DTYPES = {2: np.uint8, 4: np.dtype("<i2"), 16: np.dtype("<f4")}
+_NIFTI_DTYPES = {2: np.uint8, 4: np.dtype("<i2"), 16: np.dtype("<f4"), 64: np.dtype("<f8")}
 _HDR_SIZE = 348
 
 
@@ -150,7 +152,8 @@ def read_nifti(path, kind: str = "image"):
 
     datatype, bitpix = struct.unpack_from("<2h", blob, 70)
     if datatype not in _NIFTI_DTYPES:
-        raise UnsupportedDatatypeError(f"{path}: datatype code {datatype} not in (2, 4, 16)")
+        raise UnsupportedDatatypeError(
+            f"{path}: datatype code {datatype} not in {tuple(_NIFTI_DTYPES)}")
     dtype = np.dtype(_NIFTI_DTYPES[datatype])
     if bitpix != dtype.itemsize * 8:
         raise MalformedHeaderError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
@@ -163,6 +166,10 @@ def read_nifti(path, kind: str = "image"):
     vox_offset = int(struct.unpack_from("<f", blob, 108)[0])
     if vox_offset < _HDR_SIZE:
         vox_offset = 352
+    slope, inter = struct.unpack_from("<2f", blob, 112)
+    scaled = slope != 0 and np.isfinite(slope)
+    if scaled and not np.isfinite(inter):
+        raise MalformedHeaderError(f"{path}: scl_inter {inter} is not finite")
     qform_code, sform_code = struct.unpack_from("<2h", blob, 252)
     if qform_code > 0 or sform_code > 0:
         logger.warning("%s: orientation matrices present but ignored; spacing only", path)
@@ -174,13 +181,16 @@ def read_nifti(path, kind: str = "image"):
             f"{path}: payload holds {len(payload)} bytes, need {nvox * dtype.itemsize}"
         )
     data = np.frombuffer(payload, dtype=dtype, count=nvox).reshape(dims, order="F")
+    data = data.astype(np.float64)
+    if scaled:
+        data = data * slope + inter
 
     if kind == "labels":
-        labels = np.rint(np.asarray(data, dtype=np.float64)).astype(np.int32)
+        labels = np.rint(data).astype(np.int32)
         if labels.min() < 0:
             raise IOFormatError(f"{path}: negative values cannot be labels")
         return LabelVolume(dims, spacing, labels, int(labels.max()))
-    return Volume(dims, spacing, np.asarray(data, dtype=np.float64))
+    return Volume(dims, spacing, data)
 
 
 def write_nifti(vol: Volume, path) -> None:

@@ -1,12 +1,15 @@
 """Independent brute-force implementations used as oracles.
 
-Everything here is written as plain loops over voxels/windows/points, sharing
-no code with the package's vectorized paths.
+Everything here except ``dense_seg`` is written as plain loops over
+voxels/windows/points, sharing no code with the package's vectorized paths.
 """
 
 import math
 
 import numpy as np
+
+from protoreg.losses import _dice
+from protoreg.warp import identity_grid, sample_volume_with_gradient
 
 
 def trilinear(data, point):
@@ -174,3 +177,18 @@ def jacobian_dets(u):
             jac[..., c, a] = grads[c][a]
         jac[..., c, c] += 1.0
     return np.linalg.det(jac)
+
+
+def dense_seg(fixed_ch, moving_ch, u):
+    """Soft-Dice value and gradient wrt u with every moving channel sampled
+    over the whole grid: the reference for the support-window mask sampling
+    of ``evaluate_objective``, built from the same sampler and Dice so that
+    the two must agree bit for bit."""
+    pts = identity_grid(u.shape[1:]) + u
+    samples = [sample_volume_with_gradient(ch, pts) for ch in moving_ch]
+    moved = np.clip(np.stack([value for value, _ in samples]), 0.0, 1.0)
+    value, d_mask = _dice(fixed_ch, moved, True)
+    grad = np.zeros(u.shape)
+    for d, (_, pos) in zip(d_mask, samples):
+        grad += d * pos
+    return value, grad

@@ -206,6 +206,61 @@ def test_term_values_match_oracle_composition(state):
         assert bd.values[name] == pytest.approx(value, rel=1e-9), name
 
 
+@pytest.fixture(scope="module")
+def compact_state():
+    """Hard masks on (9, 8, 7): class 1 touches the x=0 face, class 2 the
+    three far faces, class 3 is interior and class 4 is absent; the moving
+    labels are the fixed ones rolled by one voxel on y."""
+    dims = (9, 8, 7)
+    labels = np.zeros(dims, np.int32)
+    labels[0:3, 1:4, 1:4] = 1
+    labels[6:9, 5:8, 4:7] = 2
+    labels[3:6, 3:5, 2:4] = 3
+    fixed = one_hot(LabelVolume(dims, (1, 1, 1), labels, 4))
+    moving = one_hot(LabelVolume(dims, (1, 1, 1), np.roll(labels, 1, axis=1), 4))
+    return build_state(rand_volume(51, dims), rand_volume(52, dims),
+                       LossWeights(0, 0, 1, 0, 0), fixed, moving, window=3)
+
+
+def test_compact_mask_boxes(compact_state):
+    inf = np.inf
+    assert compact_state.mask_boxes == (
+        ((-inf, 3.0), (1.0, 5.0), (0.0, 4.0)),
+        ((5.0, inf), (-inf, inf), (3.0, inf)),
+        ((2.0, 6.0), (3.0, 6.0), (1.0, 4.0)),
+        None,
+    )
+
+
+def _assert_seg_matches_dense(state, u):
+    value, grad = term_evaluator(state, "seg")(DisplacementField(state.dims, (1, 1, 1), u))
+    want_value, want_grad = oracles.dense_seg(
+        state.fixed_onehot.channels, state.moving_onehot.channels, u)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
+    assert grad.any()
+
+
+@pytest.mark.parametrize("shift", [(-2.6, 0.4, 1.3), (2.2, -1.7, 0.3), (0.0, 0.0, 0.0)])
+def test_compact_masks_match_dense_sampling(compact_state, shift):
+    # samples past the faces read the clamped face values, and samples one
+    # voxel outside a support still carry a derivative: the support-window
+    # sampling must reproduce the dense sampling bit for bit
+    rng = np.random.default_rng(53)
+    u = np.asarray(shift)[:, None, None, None] + rng.uniform(-0.8, 0.8, (3,) + compact_state.dims)
+    _assert_seg_matches_dense(compact_state, u)
+
+
+def test_compact_masks_sample_rounded_onto_box_face(compact_state):
+    # class 2 starts at x = 6, so its box starts at x = 5; 2 + (3 - 2**-51)
+    # rounds to exactly 5, where the sample's x-derivative is non-zero,
+    # although ceil(5 - (3 - 2**-51)) = 3 would leave x = 2 out
+    u = np.zeros((3,) + compact_state.dims)
+    u[0] = np.nextafter(3.0, 0.0)
+    assert 2.0 + u[0].max() == 5.0
+    _assert_seg_matches_dense(compact_state, u)
+
+
 def test_gradient_finite_everywhere(state):
     _, g = grad_total(state, rand_field(41, scale=3.0))
     assert np.isfinite(g).all()

@@ -71,7 +71,7 @@ def test_raw_truncated_payload(tmp_path):
 
 
 def _build_nifti_int16(dims, spacing, values, magic=b"n+1\x00", datatype=4, bitpix=16,
-                       payload_trim=0):
+                       payload_trim=0, slope=0.0, inter=0.0):
     """Hand-assembled NIfTI-1 bytes, offsets straight from the header layout."""
     hdr = bytearray(348)
     struct.pack_into("<i", hdr, 0, 348)
@@ -79,6 +79,7 @@ def _build_nifti_int16(dims, spacing, values, magic=b"n+1\x00", datatype=4, bitp
     struct.pack_into("<2h", hdr, 70, datatype, bitpix)
     struct.pack_into("<8f", hdr, 76, 1.0, *spacing, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", hdr, 108, 352.0)
+    struct.pack_into("<2f", hdr, 112, slope, inter)
     hdr[344:348] = magic
     payload = b"".join(struct.pack("<h", v) for v in values)
     if payload_trim:
@@ -99,6 +100,51 @@ def test_nifti_int16_fixture_exact(tmp_path):
     assert vol.data[0, 1, 0] == 7.0
     assert vol.data[0, 0, 1] == 250.0
     assert vol.data[1, 1, 1] == 42.0
+
+
+def test_nifti_scaling_applied(tmp_path):
+    values = [10, -3, 7, 0, 250, -32768, 32767, 42]
+    path = tmp_path / "scaled.nii"
+    path.write_bytes(_build_nifti_int16((2, 2, 2), (1, 1, 1), values, slope=0.5, inter=-10.0))
+    vol = read_nifti(path)
+    stored = np.array(values, dtype=np.float64).reshape((2, 2, 2), order="F")
+    assert np.array_equal(vol.data, stored * 0.5 - 10.0)
+    assert vol.data[1, 0, 0] == -11.5
+
+
+def test_nifti_zero_slope_means_unscaled(tmp_path):
+    values = [10, -3, 7, 0, 250, -32768, 32767, 42]
+    path = tmp_path / "unscaled.nii"
+    path.write_bytes(_build_nifti_int16((2, 2, 2), (1, 1, 1), values, slope=0.0, inter=-10.0))
+    vol = read_nifti(path)
+    assert np.array_equal(vol.data, np.array(values, dtype=np.float64).reshape((2, 2, 2), order="F"))
+
+
+def test_nifti_scaling_applies_to_labels(tmp_path):
+    # labels stored as 2*label - 1 with slope 0.5 and intercept 0.5
+    path = tmp_path / "labels.nii"
+    path.write_bytes(_build_nifti_int16((2, 2, 2), (1, 1, 1), [-1, 1, 3, -1, 1, 3, -1, 1],
+                                        slope=0.5, inter=0.5))
+    lv = read_nifti(path, kind="labels")
+    assert lv.num_classes == 2
+    assert np.array_equal(lv.labels.ravel(order="F"), [0, 1, 2, 0, 1, 2, 0, 1])
+
+
+def test_nifti_nonfinite_intercept_rejected(tmp_path):
+    path = tmp_path / "nan_inter.nii"
+    path.write_bytes(_build_nifti_int16((2, 2, 2), (1, 1, 1), [0] * 8, slope=1.0,
+                                        inter=float("nan")))
+    with pytest.raises(MalformedHeaderError):
+        read_nifti(path)
+
+
+def test_nifti_float64_exact(tmp_path):
+    values = np.array([0.1, -2.5e300, 1.0 / 3.0, 0.0, 5e-324, 7.0, -1.0, 2.0 ** 60])
+    hdr = bytearray(_build_nifti_int16((2, 2, 2), (1.0, 1.0, 1.0), [], datatype=64, bitpix=64))
+    path = tmp_path / "f64.nii"
+    path.write_bytes(bytes(hdr) + values.astype("<f8").tobytes())
+    vol = read_nifti(path)
+    assert np.array_equal(vol.data, values.reshape((2, 2, 2), order="F"))
 
 
 def test_nifti_bad_magic(tmp_path):
