@@ -20,10 +20,13 @@ coordinate on each axis, so outside the channel's non-zero index range
 value and the spatial derivative are exactly 0 (at a clamped coordinate the
 corner that could be non-zero has weight 0 and the derivative is zeroed).
 The range stays open on a face the support touches (a = 0 or b = n-1),
-because every sample clamped onto that face reads it.  Outside the block the
-moved channel is 0 and the channel adds nothing to the gradient, as the
-dense sampling would give; inside it every element goes through the same
-arithmetic.
+because every sample clamped onto that face reads it.  The moved masks are
+never dense: each sampled channel stays a ``(k, window, values)`` block
+(see ``losses``) with its spatial derivative, the Dice and prototype terms
+reduce over the blocks, and each block's mask gradient is chained onto u on
+its window only.  Element by element the arithmetic is that of the dense
+sampling, but the sums run in another order, so the results agree with it
+to rounding (about 1e-16 relative), not bit for bit.
 
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
@@ -57,8 +60,8 @@ class ObjectiveState:
     sample of the channel and its spatial derivative are exactly 0.  It is
     the non-zero index range [a, b] grown by one voxel, open (-inf or +inf)
     on a face the support touches; an all-zero channel has None.  Only the
-    output voxels whose sample points can fall inside the box are sampled
-    (see the module docstring).
+    output voxels whose sample points can fall inside the box are sampled,
+    and the samples stay that block (see the module docstring).
     """
 
     fixed: Volume
@@ -228,11 +231,10 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         moved, moved_pos = sample_volume_with_gradient(state.moving.data, pts)
     d_moved = np.zeros(dims) if (with_grad and need_moved) else None
 
-    moved_mask = d_mask = None
-    mask_samples = []       # (channel, output window, spatial derivative)
+    blocks = []         # (channel, output window, clipped moved values)
+    block_pos = []      # each block's spatial derivative
     if need_mask:
         channels = state.moving_onehot.channels
-        moved_mask = np.zeros(channels.shape)
         u_min = field.u.min(axis=(1, 2, 3))
         u_max = field.u.max(axis=(1, 2, 3))
         for k, (ch, box) in enumerate(zip(channels, state.mask_boxes, strict=True)):
@@ -240,10 +242,9 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             if window is None:
                 continue
             value, pos = sample_volume_with_gradient(ch, pts[(slice(None),) + window])
-            moved_mask[(k,) + window] = np.clip(value, 0.0, 1.0)
-            mask_samples.append((k, window, pos))
-        if with_grad:
-            d_mask = np.zeros(moved_mask.shape)
+            blocks.append((k, window, np.clip(value, 0.0, 1.0, out=value)))
+            block_pos.append(pos)
+    d_blocks = [0.0] * len(blocks)
 
     if wd["sim"] > 0:
         values["sim"], g = losses._lncc(state.fixed.data, moved, state.window, with_grad)
@@ -256,18 +257,18 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             grad += wd["smooth"] * g
 
     if wd["seg"] > 0:
-        values["seg"], g = losses._dice(state.fixed_onehot.channels, moved_mask, with_grad)
+        values["seg"], g = losses._dice(state.fixed_onehot.channels, blocks, with_grad)
         if with_grad:
-            d_mask += wd["seg"] * g
+            d_blocks = [d + wd["seg"] * gb for d, gb in zip(d_blocks, g)]
 
     if wd["prototype"] > 0:
-        values["prototype"], g, g_mask = losses._prototype(
-            moved, moved_mask, state.fixed_assign, state.fixed_protos,
+        values["prototype"], g, g_blocks = losses._prototype(
+            moved, blocks, state.fixed_assign, state.fixed_protos,
             state.contrast_fixed, state.temperature, proto_mode, with_grad)
         if with_grad:
             d_moved += wd["prototype"] * g
-            if g_mask is not None:
-                d_mask += wd["prototype"] * g_mask
+            if g_blocks is not None:
+                d_blocks = [d + wd["prototype"] * gb for d, gb in zip(d_blocks, g_blocks)]
 
     if wd["contour"] > 0:
         class_values = []
@@ -287,8 +288,8 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     if with_grad and need_moved:
         grad += d_moved * moved_pos
     if with_grad:
-        for k, window, pos in mask_samples:
-            grad[(slice(None),) + window] += d_mask[k][window] * pos
+        for (_, window, _), d, pos in zip(blocks, d_blocks, block_pos):
+            grad[(slice(None),) + window] += d * pos
 
     breakdown = LossBreakdown.from_terms(values, state.weights)
     return breakdown, grad

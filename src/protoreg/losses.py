@@ -18,6 +18,14 @@ are value-only views over them.  Nothing here warps or transports:
 ``gradients.evaluate_objective`` samples the moving image and masks, carries
 the contour points, and chains these gradients through the warp onto u.
 
+Moved mask channels come as blocks: a list of ``(k, window, values)``, where
+``window`` is a tuple of slices of the grid and ``values`` holds channel k
+on it.  A channel is 0 outside its block and 0 everywhere without one, so
+``_dice``, ``_pool_prototypes`` and ``_align`` reduce over the blocks only,
+and their mask gradients are one array per block, on its window.  The dense
+views (``dice_loss``, ``extract_prototypes``) pass each channel as one
+whole-grid block (``_whole_blocks``).
+
 Conventions fixed here and relied on elsewhere:
   * the correlation term is the negative mean of squared window NCC over all
     full windows, so it lives in [-1, 0]; windows with variance below 1e-5 on
@@ -264,25 +272,41 @@ def smoothness(field: DisplacementField) -> float:
 
 # --------------------------------------------------------------------- Dice
 
-def _dice(fixed_channels: np.ndarray, moved_channels: np.ndarray, with_grad: bool = False):
-    """Soft Dice loss and, with ``with_grad``, d(loss)/d(moved channels); the
-    gradient is zero on classes absent from both sides."""
+def _whole_blocks(channels: np.ndarray) -> list:
+    """Each of the (K, nx, ny, nz) ``channels`` as one whole-grid block, the
+    block form that ``_dice``, ``_pool_prototypes`` and ``_align`` read."""
+    whole = (slice(None),) * (channels.ndim - 1)
+    return [(k, whole, ch) for k, ch in enumerate(channels)]
+
+
+def _dice(fixed_channels: np.ndarray, blocks, with_grad: bool = False):
+    """Soft Dice loss of the moved mask channels given as ``blocks`` of
+    ``(k, window, values)`` (see the module docstring) and, with
+    ``with_grad``, d(loss)/d(block values): one array per block, on its
+    window, zero on classes absent from both sides."""
     k = fixed_channels.shape[0]
-    inter = np.array([(fixed_channels[i] * moved_channels[i]).sum() for i in range(k)])
+    inter = np.zeros(k)
+    sum_m = np.zeros(k)
+    for i, window, values in blocks:
+        inter[i] = (fixed_channels[(i,) + window] * values).sum()
+        sum_m[i] = values.sum()
     sum_f = fixed_channels.reshape(k, -1).sum(axis=1)
-    sum_m = moved_channels.reshape(k, -1).sum(axis=1)
     present = (sum_f > PRESENCE_EPS) | (sum_m > PRESENCE_EPS)
     denom = sum_f + sum_m + DICE_EPS
     dice = 2.0 * inter / denom
     value = float(1.0 - dice[present].mean()) if present.any() else 0.0
     if not with_grad:
         return value, None
-    grad = np.zeros_like(moved_channels)
     n_present = int(present.sum())
-    for i in np.flatnonzero(present):
+    grads = []
+    for i, window, values in blocks:
+        if not present[i]:
+            grads.append(np.zeros_like(values))
+            continue
         b = denom[i]
-        grad[i] = -(2.0 * fixed_channels[i] / b - 2.0 * inter[i] / (b * b)) / n_present
-    return value, grad
+        grads.append(-(2.0 * fixed_channels[(i,) + window] / b
+                       - 2.0 * inter[i] / (b * b)) / n_present)
+    return value, grads
 
 
 def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
@@ -293,7 +317,7 @@ def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
         )
     if fixed.dims != moved_soft.dims:
         raise DimsMismatchError(f"dice_loss: {fixed.dims} vs {moved_soft.dims}")
-    return _dice(fixed.channels, moved_soft.channels)[0]
+    return _dice(fixed.channels, _whole_blocks(moved_soft.channels))[0]
 
 
 # --------------------------------------------------------------- prototypes
@@ -337,23 +361,27 @@ def feature_volume(vol: Volume) -> FeatureVolume:
     return FeatureVolume(vol.dims, vol.spacing, channels)
 
 
-def _pool_prototypes(flat_f: np.ndarray, flat_m: np.ndarray) -> tuple[PrototypeSet, np.ndarray]:
-    """Masked average pooling of (C, N) features under (K, N) mask channels;
-    also returns the per-class mask mass that the pooling divided by."""
-    mass = flat_m.sum(axis=1)
-    present = mass >= PRESENCE_EPS
-    vectors = np.zeros((flat_m.shape[0], flat_f.shape[0]))
-    for i in np.flatnonzero(present):
-        vectors[i] = flat_f @ flat_m[i] / mass[i]
-    return PrototypeSet(vectors, present), mass
+def _pool_prototypes(features: np.ndarray, blocks, k: int) -> tuple[PrototypeSet, np.ndarray]:
+    """Masked average pooling of (C, nx, ny, nz) ``features`` under the K
+    mask channels given as ``blocks`` (see ``_dice``), each on its window
+    only; also returns the per-class mask mass that the pooling divided by."""
+    c = features.shape[0]
+    mass = np.zeros(k)
+    vectors = np.zeros((k, c))
+    for i, window, values in blocks:
+        mass[i] = values.sum()
+        if mass[i] >= PRESENCE_EPS:
+            region = features[(slice(None),) + window]
+            vectors[i] = region.reshape(c, -1) @ values.ravel() / mass[i]
+    return PrototypeSet(vectors, mass >= PRESENCE_EPS), mass
 
 
 def extract_prototypes(features: FeatureVolume, mask: OneHotMask) -> PrototypeSet:
     """Masked average pooling: per class, the mask-weighted mean feature."""
     if features.dims != mask.dims:
         raise DimsMismatchError(f"extract_prototypes: {features.dims} vs {mask.dims}")
-    flat_f = features.channels.reshape(features.num_channels, -1)
-    return _pool_prototypes(flat_f, mask.channels.reshape(mask.num_classes, -1))[0]
+    return _pool_prototypes(features.channels, _whole_blocks(mask.channels),
+                            mask.num_classes)[0]
 
 
 def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
@@ -425,20 +453,22 @@ def align_loss(protos_f: PrototypeSet, protos_m: PrototypeSet) -> float:
     return float(total)
 
 
-def _align(protos_f: PrototypeSet, features: np.ndarray, mask: np.ndarray,
-           with_grad: bool = False):
+def _align(protos_f: PrototypeSet, features: np.ndarray, blocks, with_grad: bool = False):
     """Alignment of ``protos_f`` with the prototypes pooled from ``features``
-    under the soft ``mask`` channels.  Returns (value, d/d(features),
-    d/d(mask)); both gradients are None without ``with_grad``."""
-    flat_f = features.reshape(features.shape[0], -1)
-    flat_m = mask.reshape(mask.shape[0], -1)
-    protos_m, mass = _pool_prototypes(flat_f, flat_m)
+    under the soft mask channels given as ``blocks`` (see ``_dice``).
+    Returns (value, d/d(features), d/d(block values)), the last one array
+    per block on its window; both gradients are None without ``with_grad``."""
+    protos_m, mass = _pool_prototypes(features, blocks, protos_f.num_classes)
     value = align_loss(protos_f, protos_m)
     if not with_grad:
         return value, None, None
-    df = np.zeros_like(flat_f)
-    dm = np.zeros_like(flat_m)
-    for k in np.flatnonzero(protos_f.present & protos_m.present):
+    both = protos_f.present & protos_m.present
+    df = np.zeros_like(features)
+    dm = []
+    for k, window, values in blocks:
+        if not both[k]:
+            dm.append(np.zeros_like(values))
+            continue
         p_m = protos_m.vectors[k]
         n_m = max(float(np.linalg.norm(p_m)), NORM_EPS)
         n_f = max(float(np.linalg.norm(protos_f.vectors[k])), NORM_EPS)
@@ -446,36 +476,39 @@ def _align(protos_f: PrototypeSet, features: np.ndarray, mask: np.ndarray,
         phat_f = protos_f.vectors[k] / n_f
         cos = float(phat_f @ phat_m)
         g = -((phat_f - cos * phat_m) if n_m > NORM_EPS else phat_f) / n_m
-        df += np.outer(g, flat_m[k]) / mass[k]
-        dm[k] = (g @ flat_f - float(g @ p_m)) / mass[k]
-    return value, df.reshape(features.shape), dm.reshape(mask.shape)
+        region = (slice(None),) + window
+        df[region] += np.multiply.outer(g, values) / mass[k]
+        g_f = g @ features[region].reshape(g.size, -1)
+        dm.append((g_f.reshape(values.shape) - float(g @ p_m)) / mass[k])
+    return value, df, dm
 
 
-def _prototype(moved: np.ndarray, moved_mask: np.ndarray, assign: np.ndarray,
+def _prototype(moved: np.ndarray, blocks, assign: np.ndarray,
                protos_f: PrototypeSet, contrast_fixed: float, temperature: float,
                mode: str = "both", with_grad: bool = False):
-    """The prototype term (see ``prototype_loss``) on the moved image and mask
-    channels, given the fixed image's contrast ``contrast_fixed``; ``mode``
-    keeps only the "contrast" or the "align" half.  Returns (value,
-    d/d(moved), d/d(moved_mask)); gradients are None without ``with_grad``,
-    and the mask gradient is None for the contrast half alone."""
+    """The prototype term (see ``prototype_loss``) on the moved image and the
+    moved mask channels given as ``blocks`` (see ``_dice``), given the fixed
+    image's contrast ``contrast_fixed``; ``mode`` keeps only the "contrast"
+    or the "align" half.  Returns (value, d/d(moved), d/d(block values));
+    gradients are None without ``with_grad``, and the block gradients are
+    None for the contrast half alone."""
     feats, cache = _features_forward(moved)
     value = 0.0
     d_feats = np.zeros_like(feats) if with_grad else None
-    d_mask = None
+    d_blocks = None
     if mode in ("both", "contrast"):
         contrast_moved, g = _contrast(feats, assign, protos_f, temperature, with_grad)
         value += 0.5 * (contrast_moved + contrast_fixed)
         if with_grad:
             d_feats += 0.5 * g
     if mode in ("both", "align"):
-        align, g, d_mask = _align(protos_f, feats, moved_mask, with_grad)
+        align, g, d_blocks = _align(protos_f, feats, blocks, with_grad)
         value += align
         if with_grad:
             d_feats += g
     if not with_grad:
         return value, None, None
-    return value, _features_backward(d_feats, cache), d_mask
+    return value, _features_backward(d_feats, cache), d_blocks
 
 
 def prototype_loss(moved_feats: FeatureVolume, fixed_feats: FeatureVolume,

@@ -1,15 +1,16 @@
 """Independent brute-force implementations used as oracles.
 
 Everything here except ``dense_seg`` is written as plain loops over
-voxels/windows/points, sharing no code with the package's vectorized paths.
+voxels/windows/points, sharing no code with the package's vectorized paths;
+``dense_seg`` is plain numpy and shares only the trilinear sampler
+(``sample_volume_with_gradient``) with the package.
 """
 
 import math
 
 import numpy as np
 
-from protoreg.losses import _dice
-from protoreg.warp import identity_grid, sample_volume_with_gradient
+from protoreg.warp import sample_volume_with_gradient
 
 
 def trilinear(data, point):
@@ -179,16 +180,27 @@ def jacobian_dets(u):
     return np.linalg.det(jac)
 
 
-def dense_seg(fixed_ch, moving_ch, u):
+def dense_seg(fixed_ch, moving_ch, u, eps=1e-7, presence=1e-7):
     """Soft-Dice value and gradient wrt u with every moving channel sampled
-    over the whole grid: the reference for the support-window mask sampling
-    of ``evaluate_objective``, built from the same sampler and Dice so that
-    the two must agree bit for bit."""
-    pts = identity_grid(u.shape[1:]) + u
+    over the whole grid: the reference for the support-block mask sampling
+    of ``evaluate_objective``.  Per present class the Dice gradient wrt the
+    moved channel is -(2 f / b - 2 inter / b**2) / n_present with
+    b = sum f + sum m + eps, chained through each sample's spatial
+    derivative."""
+    pts = np.indices(u.shape[1:], dtype=np.float64) + u
     samples = [sample_volume_with_gradient(ch, pts) for ch in moving_ch]
+    k = len(samples)
     moved = np.clip(np.stack([value for value, _ in samples]), 0.0, 1.0)
-    value, d_mask = _dice(fixed_ch, moved, True)
+    sum_f = fixed_ch.reshape(k, -1).sum(axis=1)
+    sum_m = moved.reshape(k, -1).sum(axis=1)
+    inter = (fixed_ch * moved).reshape(k, -1).sum(axis=1)
+    present = (sum_f > presence) | (sum_m > presence)
+    denom = sum_f + sum_m + eps
+    value = float(1.0 - (2.0 * inter / denom)[present].mean()) if present.any() else 0.0
     grad = np.zeros(u.shape)
-    for d, (_, pos) in zip(d_mask, samples):
-        grad += d * pos
+    n_present = int(present.sum())
+    for i in np.flatnonzero(present):
+        b = denom[i]
+        d_moved = -(2.0 * fixed_ch[i] / b - 2.0 * inter[i] / (b * b)) / n_present
+        grad += d_moved * samples[i][1]
     return value, grad

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,8 +209,7 @@ def test_term_values_match_oracle_composition(state):
         assert bd.values[name] == pytest.approx(value, rel=1e-9), name
 
 
-@pytest.fixture(scope="module")
-def compact_state():
+def _compact_state(weights):
     """Hard masks on (9, 8, 7): class 1 touches the x=0 face, class 2 the
     three far faces, class 3 is interior and class 4 is absent; the moving
     labels are the fixed ones rolled by one voxel on y."""
@@ -219,7 +221,12 @@ def compact_state():
     fixed = one_hot(LabelVolume(dims, (1, 1, 1), labels, 4))
     moving = one_hot(LabelVolume(dims, (1, 1, 1), np.roll(labels, 1, axis=1), 4))
     return build_state(rand_volume(51, dims), rand_volume(52, dims),
-                       LossWeights(0, 0, 1, 0, 0), fixed, moving, window=3)
+                       weights, fixed, moving, window=3)
+
+
+@pytest.fixture(scope="module")
+def compact_state():
+    return _compact_state(LossWeights(0, 0, 1, 0, 0))
 
 
 def test_compact_mask_boxes(compact_state):
@@ -233,32 +240,86 @@ def test_compact_mask_boxes(compact_state):
 
 
 def _assert_seg_matches_dense(state, u):
+    # the blocks sum in another order than the dense oracle, which moves the
+    # result by about 1e-16 relative
     value, grad = term_evaluator(state, "seg")(DisplacementField(state.dims, (1, 1, 1), u))
     want_value, want_grad = oracles.dense_seg(
         state.fixed_onehot.channels, state.moving_onehot.channels, u)
-    assert value == want_value
-    assert np.array_equal(grad, want_grad)
+    assert value == pytest.approx(want_value, rel=1e-12)
+    assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
     assert grad.any()
 
 
-@pytest.mark.parametrize("shift", [(-2.6, 0.4, 1.3), (2.2, -1.7, 0.3), (0.0, 0.0, 0.0)])
-def test_compact_masks_match_dense_sampling(compact_state, shift):
-    # samples past the faces read the clamped face values, and samples one
-    # voxel outside a support still carry a derivative: the support-window
-    # sampling must reproduce the dense sampling bit for bit
+COMPACT_SHIFTS = [(-2.6, 0.4, 1.3), (2.2, -1.7, 0.3), (0.0, 0.0, 0.0)]
+
+
+def _shifted_field(shift, dims):
     rng = np.random.default_rng(53)
-    u = np.asarray(shift)[:, None, None, None] + rng.uniform(-0.8, 0.8, (3,) + compact_state.dims)
-    _assert_seg_matches_dense(compact_state, u)
+    return np.asarray(shift)[:, None, None, None] + rng.uniform(-0.8, 0.8, (3,) + dims)
 
 
-def test_compact_masks_sample_rounded_onto_box_face(compact_state):
+def _rounding_field(dims):
     # class 2 starts at x = 6, so its box starts at x = 5; 2 + (3 - 2**-51)
     # rounds to exactly 5, where the sample's x-derivative is non-zero,
     # although ceil(5 - (3 - 2**-51)) = 3 would leave x = 2 out
-    u = np.zeros((3,) + compact_state.dims)
+    u = np.zeros((3,) + dims)
     u[0] = np.nextafter(3.0, 0.0)
     assert 2.0 + u[0].max() == 5.0
-    _assert_seg_matches_dense(compact_state, u)
+    return u
+
+
+@pytest.mark.parametrize("shift", COMPACT_SHIFTS)
+def test_compact_masks_match_dense_sampling(compact_state, shift):
+    # samples past the faces read the clamped face values, and samples one
+    # voxel outside a support still carry a derivative: the support-block
+    # sampling must reproduce the dense sampling to rounding
+    _assert_seg_matches_dense(compact_state, _shifted_field(shift, compact_state.dims))
+
+
+def test_compact_masks_sample_rounded_onto_box_face(compact_state):
+    _assert_seg_matches_dense(compact_state, _rounding_field(compact_state.dims))
+
+
+def test_compact_masks_align_matches_whole_grid_blocks():
+    # the alignment half pools features and scatters its gradients on each
+    # channel's block; opening every box to the whole grid gives whole-grid
+    # blocks, which must agree to rounding
+    state = _compact_state(LossWeights(0, 0, 0, 1, 0))
+    whole = ((-np.inf, np.inf),) * 3
+    opened = dataclasses.replace(state, mask_boxes=tuple(
+        None if box is None else whole for box in state.mask_boxes))
+    fields = [_shifted_field(shift, state.dims) for shift in COMPACT_SHIFTS]
+    for u in fields + [_rounding_field(state.dims)]:
+        field = DisplacementField(state.dims, (1, 1, 1), u)
+        value, grad = term_evaluator(state, "align")(field)
+        want_value, want_grad = term_evaluator(opened, "align")(field)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+        assert grad.any()
+
+
+def test_compact_masks_need_no_dense_channel_array():
+    # twelve 4^3 organs on 32^3: the evaluation works on the channels'
+    # blocks and never holds a K x N array of moved mask values
+    dims, k = (32, 32, 32), 12
+    labels = np.zeros(dims, np.int32)
+    for c in range(k):
+        x, y, z = 3 + 9 * (c % 3), 3 + 9 * (c // 3 % 2), 6 + 12 * (c // 6)
+        labels[x:x + 4, y:y + 4, z:z + 4] = c + 1
+    fixed = one_hot(LabelVolume(dims, (1, 1, 1), labels, k))
+    moving = one_hot(LabelVolume(dims, (1, 1, 1), np.roll(labels, 1, axis=1), k))
+    state = build_state(rand_volume(54, dims), rand_volume(55, dims),
+                        LossWeights(0, 0, 1, 0, 0), fixed, moving, window=3)
+    field = DisplacementField(dims, (1, 1, 1),
+                              np.random.default_rng(56).uniform(-1, 1, (3,) + dims))
+    tracemalloc.start()
+    try:
+        _, grad = evaluate_objective(state, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.any()
+    assert peak < k * np.prod(dims) * 8
 
 
 def test_gradient_finite_everywhere(state):
