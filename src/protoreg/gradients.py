@@ -7,10 +7,12 @@ the term's value and, with ``with_grad``, its gradient wrt the term's direct
 input (moved intensities, moved mask channels, u, or the carried points);
 this module only chains those gradients through the warp onto u: through the
 spatial derivative of every trilinear sample, and, for the contour points,
-by adding each point's gradient to the voxel it was carried from.
-``total_loss`` is ``build_state`` followed by a value-only evaluation;
-``contour_loss`` and ``chamfer_tie_margin`` use the same contour transport.
-The finite-difference tools that check all of this live here too.
+by adding each point's gradient to the voxel it was carried from.  A
+value-only evaluation (``with_grad=False``: ``total_loss``, each level's
+final breakdown, every finite-difference probe) samples through
+``sample_volume`` and takes no spatial derivative.  ``contour_loss`` and
+``chamfer_tie_margin`` use the same contour transport.  The
+finite-difference tools that check all of this live here too.
 
 Each moving mask channel is sampled only on the block of output voxels whose
 sample point can reach the channel's support, which is exact.  A clamped
@@ -37,7 +39,7 @@ exactly-hard masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,15 +47,17 @@ from scipy.spatial import cKDTree
 from . import losses
 from .grids import DimsMismatchError, OneHotMask, Volume, argmax_labels
 from .losses import LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
-from .warp import DisplacementField, identity_grid, sample_volume_with_gradient
+from .warp import DisplacementField, identity_grid, sample_volume, sample_volume_with_gradient
 
 
 @dataclass(frozen=True)
 class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
-    field.  Fixed-image prototypes, hard assignments, the fixed half of the
-    contrast term and both contour sets are constants of the optimization
-    and precomputed once.
+    field.  Its fixed-side constants are computed once per level: prototypes,
+    hard assignments, the fixed half of the contrast term, both contour
+    sets, and, derived whenever a state is made (``replace`` too), the LNCC
+    window sums ``lncc_fixed`` (when the similarity weight is positive) and
+    the fixed masks' per-class masses ``fixed_mass`` for Dice.
 
     ``mask_boxes`` holds, per moving mask channel, the support box derived
     from it: per axis the source-coordinate range (lo, hi) outside which a
@@ -77,6 +81,14 @@ class ObjectiveState:
     fixed_contours: tuple = ()
     moving_contours: tuple = ()
     mask_boxes: tuple = ()
+    lncc_fixed: tuple | None = dataclass_field(init=False, default=None, repr=False)
+    fixed_mass: np.ndarray | None = dataclass_field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.weights.sim > 0:     # also checks the window
+            object.__setattr__(self, "lncc_fixed", losses._lncc_fixed(self.fixed.data, self.window))
+        if self.fixed_onehot is not None:
+            object.__setattr__(self, "fixed_mass", losses._fixed_mass(self.fixed_onehot.channels))
 
     @property
     def dims(self):
@@ -91,8 +103,6 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     """Precompute the deformation-independent pieces of the objective."""
     if fixed.dims != moving.dims:
         raise DimsMismatchError(f"build_state: fixed {fixed.dims} vs moving {moving.dims}")
-    if weights.sim > 0:
-        losses._check_window(fixed.dims, window)
     if not weights.uses_masks:
         return ObjectiveState(fixed, moving, weights, window, temperature)
     if fixed_onehot is None or moving_onehot is None:
@@ -226,9 +236,14 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     need_mask = wd["seg"] > 0 or wd["prototype"] > 0
     pts = identity_grid(dims) + field.u if (need_moved or need_mask) else None
 
+    def sample(data, points):
+        if with_grad:
+            return sample_volume_with_gradient(data, points)
+        return sample_volume(data, points), None
+
     moved = moved_pos = None
     if need_moved:
-        moved, moved_pos = sample_volume_with_gradient(state.moving.data, pts)
+        moved, moved_pos = sample(state.moving.data, pts)
     d_moved = np.zeros(dims) if (with_grad and need_moved) else None
 
     blocks = []         # (channel, output window, clipped moved values)
@@ -241,13 +256,14 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             window = None if box is None else _sample_window(box, u_min, u_max, dims)
             if window is None:
                 continue
-            value, pos = sample_volume_with_gradient(ch, pts[(slice(None),) + window])
+            value, pos = sample(ch, pts[(slice(None),) + window])
             blocks.append((k, window, np.clip(value, 0.0, 1.0, out=value)))
             block_pos.append(pos)
     d_blocks = [0.0] * len(blocks)
 
     if wd["sim"] > 0:
-        values["sim"], g = losses._lncc(state.fixed.data, moved, state.window, with_grad)
+        values["sim"], g = losses._lncc(state.fixed.data, moved, state.window,
+                                          state.lncc_fixed, with_grad)
         if with_grad:
             d_moved += wd["sim"] * g
 
@@ -257,7 +273,8 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             grad += wd["smooth"] * g
 
     if wd["seg"] > 0:
-        values["seg"], g = losses._dice(state.fixed_onehot.channels, blocks, with_grad)
+        values["seg"], g = losses._dice(state.fixed_onehot.channels, state.fixed_mass,
+                                          blocks, with_grad)
         if with_grad:
             d_blocks = [d + wd["seg"] * gb for d, gb in zip(d_blocks, g)]
 

@@ -29,7 +29,7 @@ whole-grid block (``_whole_blocks``).
 Conventions fixed here and relied on elsewhere:
   * the correlation term is the negative mean of squared window NCC over all
     full windows, so it lives in [-1, 0]; windows with variance below 1e-5 on
-    either side contribute 0;
+    either side contribute 0; the fixed side (``_lncc_fixed``) is per level;
   * smoothness penalizes the displacement u, not the full map p + u(p);
   * Dice averages over classes present on at least one side and skips classes
     empty on both;
@@ -171,9 +171,11 @@ class ContourPointSet:
 
 # ------------------------------------------------------- similarity (LNCC)
 
-def _box_sum(data: np.ndarray, window: int) -> np.ndarray:
-    """Sum over the centered window at every voxel (zero outside the volume)."""
-    return uniform_filter(data, size=window, mode="constant", cval=0.0) * float(window ** 3)
+def _box_sums(stacked: np.ndarray, window: int) -> np.ndarray:
+    """Sum over the centered window at every voxel of each volume in the
+    (C, nx, ny, nz) ``stacked`` (zero outside the volume)."""
+    return uniform_filter(stacked, size=window, mode="constant", cval=0.0,
+                          axes=(1, 2, 3)) * float(window ** 3)
 
 
 def _check_window(dims, window: int) -> None:
@@ -183,40 +185,46 @@ def _check_window(dims, window: int) -> None:
         raise ValueError(f"window {window} exceeds smallest dim of {dims}")
 
 
-def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, with_grad: bool = False):
-    """Correlation value and, with ``with_grad``, d(value)/d(moved).  The
-    backward pass recomputes window sums as box sums rather than caching per
-    window (windows overlap heavily)."""
+def _lncc_fixed(fixed: np.ndarray, window: int):
+    """The fixed image's side of the correlation term, a constant of the
+    level: its window sums s_i, its variance terms b = s_ii - s_i**2/w**3,
+    and which windows clear the variance floor on that side."""
+    _check_window(fixed.shape, window)
     w3 = float(window ** 3)
-    r = window // 2
-    center = tuple(slice(r, n - r) for n in fixed.shape)
-    s_i = _box_sum(fixed, window)[center]
-    s_j = _box_sum(moved, window)[center]
-    s_ii = _box_sum(fixed * fixed, window)[center]
-    s_jj = _box_sum(moved * moved, window)[center]
-    s_ij = _box_sum(fixed * moved, window)[center]
-    a = s_ij - s_i * s_j / w3
+    center = (slice(None),) + (slice(window // 2, -(window // 2)),) * 3
+    s_i, s_ii = _box_sums(np.stack([fixed, fixed * fixed]), window)[center]
     b = s_ii - s_i * s_i / w3
+    return s_i, b, b / w3 >= VARIANCE_EPS
+
+
+def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
+          with_grad: bool = False):
+    """Correlation value and, with ``with_grad``, d(value)/d(moved), given
+    the fixed side's ``_lncc_fixed`` sums.  The three moving-side window sums
+    run as one stacked box filter, and so do the four of the backward pass,
+    which recomputes window sums as box sums rather than caching per window
+    (windows overlap heavily)."""
+    s_i, b, valid_fixed = fixed_sums
+    w3 = float(window ** 3)
+    center = (slice(None),) + (slice(window // 2, -(window // 2)),) * 3
+    s_j, s_jj, s_ij = _box_sums(np.stack([moved, moved * moved, fixed * moved]), window)[center]
+    a = s_ij - s_i * s_j / w3
     c = s_jj - s_j * s_j / w3
-    valid = (b / w3 >= VARIANCE_EPS) & (c / w3 >= VARIANCE_EPS)
+    valid = valid_fixed & (c / w3 >= VARIANCE_EPS)
     ncc2 = np.zeros_like(a)
     np.divide(a * a, b * c, out=ncc2, where=valid)
     count = int(np.prod([n - window + 1 for n in fixed.shape]))
     value = float(-ncc2.sum() / count)
     if not with_grad:
         return value, None
-    alpha = np.zeros_like(a)
-    beta = np.zeros_like(a)
+    full = np.zeros((4,) + fixed.shape)
+    alpha, alpha_i, beta, beta_j = full[center]
     np.divide(2.0 * a, b * c, out=alpha, where=valid)
     np.divide(2.0 * a * a, b * c * c, out=beta, where=valid)
-
-    def box(x):
-        full = np.zeros(fixed.shape)
-        full[center] = x
-        return _box_sum(full, window)
-
-    dsum = (fixed * box(alpha) - box(alpha * (s_i / w3))
-            - moved * box(beta) + box(beta * (s_j / w3)))
+    np.multiply(alpha, s_i / w3, out=alpha_i)
+    np.multiply(beta, s_j / w3, out=beta_j)
+    box_alpha, box_alpha_i, box_beta, box_beta_j = _box_sums(full, window)
+    dsum = fixed * box_alpha - box_alpha_i - moved * box_beta + box_beta_j
     return value, -dsum / count
 
 
@@ -224,45 +232,27 @@ def lncc(fixed: Volume, moved: Volume, window: int = 9) -> float:
     """Negative mean squared local NCC over all full windows; in [-1, 0]."""
     if fixed.dims != moved.dims:
         raise DimsMismatchError(f"lncc: {fixed.dims} vs {moved.dims}")
-    _check_window(fixed.dims, window)
-    return _lncc(fixed.data, moved.data, window)[0]
+    return _lncc(fixed.data, moved.data, window, _lncc_fixed(fixed.data, window))[0]
 
 
 # ---------------------------------------------------------------- smoothness
 
-def _forward_diffs(u: np.ndarray) -> np.ndarray:
-    """Forward differences of (3, nx, ny, nz) along each axis -> (3, 3, ...).
-
-    The trailing border along each axis is zero.
-    """
-    d = np.zeros((3,) + u.shape)
-    for a in range(3):
-        src = [slice(None)] * 4
-        dst = [slice(None)] * 4
-        src[1 + a] = slice(1, None)
-        dst[1 + a] = slice(0, -1)
-        d[a][tuple(dst)] = u[tuple(src)] - u[tuple(dst)]
-    return d
-
-
 def _smoothness(u: np.ndarray, with_grad: bool = False):
-    """Smoothness value and, with ``with_grad``, d(value)/d(u): the adjoint of
-    the forward-difference stencil applied to 2*d/N."""
-    d = _forward_diffs(u)
+    """Smoothness value and, with ``with_grad``, d(value)/d(u).  Per axis
+    the forward differences d = u[hi] - u[lo] add their squares to the
+    value, and the gradient takes 2*d/N off ``lo`` and puts it on ``hi``."""
     n = float(np.prod(u.shape[1:]))
-    value = float((d * d).sum() / n)
-    if not with_grad:
-        return value, None
-    grad = np.zeros(u.shape)
-    for a in range(3):
-        shifted = np.zeros(u.shape)
-        src = [slice(None)] * 4
-        dst = [slice(None)] * 4
-        src[1 + a] = slice(0, -1)
-        dst[1 + a] = slice(1, None)
-        shifted[tuple(dst)] = d[a][tuple(src)]
-        grad += (2.0 / n) * (shifted - d[a])
-    return value, grad
+    total = 0.0
+    grad = np.zeros(u.shape) if with_grad else None
+    for axis in (1, 2, 3):
+        d = np.diff(u, axis=axis)
+        total += (d * d).sum()
+        if with_grad:
+            d *= 2.0 / n
+            g, step = np.swapaxes(grad, 0, axis), np.swapaxes(d, 0, axis)
+            g[:-1] -= step
+            g[1:] += step
+    return float(total / n), grad
 
 
 def smoothness(field: DisplacementField) -> float:
@@ -279,18 +269,23 @@ def _whole_blocks(channels: np.ndarray) -> list:
     return [(k, whole, ch) for k, ch in enumerate(channels)]
 
 
-def _dice(fixed_channels: np.ndarray, blocks, with_grad: bool = False):
+def _fixed_mass(fixed_channels: np.ndarray) -> np.ndarray:
+    """Per-class mass of the fixed mask channels, a constant of the level."""
+    return fixed_channels.reshape(fixed_channels.shape[0], -1).sum(axis=1)
+
+
+def _dice(fixed_channels: np.ndarray, sum_f: np.ndarray, blocks, with_grad: bool = False):
     """Soft Dice loss of the moved mask channels given as ``blocks`` of
-    ``(k, window, values)`` (see the module docstring) and, with
-    ``with_grad``, d(loss)/d(block values): one array per block, on its
-    window, zero on classes absent from both sides."""
+    ``(k, window, values)`` (see the module docstring) against fixed channels
+    of per-class mass ``sum_f`` and, with ``with_grad``, d(loss)/d(block
+    values): one array per block, on its window, zero on classes absent from
+    both sides."""
     k = fixed_channels.shape[0]
     inter = np.zeros(k)
     sum_m = np.zeros(k)
     for i, window, values in blocks:
         inter[i] = (fixed_channels[(i,) + window] * values).sum()
         sum_m[i] = values.sum()
-    sum_f = fixed_channels.reshape(k, -1).sum(axis=1)
     present = (sum_f > PRESENCE_EPS) | (sum_m > PRESENCE_EPS)
     denom = sum_f + sum_m + DICE_EPS
     dice = 2.0 * inter / denom
@@ -317,7 +312,8 @@ def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
         )
     if fixed.dims != moved_soft.dims:
         raise DimsMismatchError(f"dice_loss: {fixed.dims} vs {moved_soft.dims}")
-    return _dice(fixed.channels, _whole_blocks(moved_soft.channels))[0]
+    return _dice(fixed.channels, _fixed_mass(fixed.channels),
+                 _whole_blocks(moved_soft.channels))[0]
 
 
 # --------------------------------------------------------------- prototypes

@@ -4,6 +4,14 @@ A field stores one 3-vector per voxel in voxel units; the map it encodes is
 ``phi(p) = p + u(p)``.  Sampling is trilinear with clamp-to-edge borders,
 consistently in the forward warps and in the analytic gradients built on top
 of them.  Everything here is a pure function over immutable inputs.
+
+Every sampler runs one gather (``_sample``): the flat index of each point's
+lower cell corner is formed once, and the 8 corners are read at fixed
+offsets from it.  Interpolation keeps the ``(1 - f) * a + f * b`` form, so
+a point on the lattice reads its voxel exactly and a zero field warps bit
+for bit.  The spatial derivative reuses the interpolation's intermediates:
+d/dz from the xy-interpolated faces, d/dy from the x-interpolated edges,
+d/dx from the x-differences of the corners.
 """
 
 from __future__ import annotations
@@ -44,40 +52,50 @@ def identity_grid(dims) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"))
 
 
-def _clamped_cell(coord: np.ndarray, n: int):
-    """Clamp to [0, n-1] and split into lower corner index + fraction."""
-    c = np.clip(coord, 0.0, n - 1.0)
-    if n < 2:
-        i0 = np.zeros(c.shape, dtype=np.intp)
-        return i0, i0, np.zeros_like(c)
-    i0 = np.minimum(np.floor(c), n - 2).astype(np.intp)
-    return i0, i0 + 1, c - i0
-
-
-def _corners(data: np.ndarray, cells):
-    (x0, x1, _), (y0, y1, _), (z0, z1, _) = cells
-    return (
-        data[x0, y0, z0], data[x1, y0, z0], data[x0, y1, z0], data[x1, y1, z0],
-        data[x0, y0, z1], data[x1, y0, z1], data[x0, y1, z1], data[x1, y1, z1],
-    )
-
-
-def _interp(corners, fx, fy, fz):
-    c000, c100, c010, c110, c001, c101, c011, c111 = corners
-    c00 = c000 * (1 - fx) + c100 * fx
-    c10 = c010 * (1 - fx) + c110 * fx
-    c01 = c001 * (1 - fx) + c101 * fx
-    c11 = c011 * (1 - fx) + c111 * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    return c0 * (1 - fz) + c1 * fz
+def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
+    """Trilinear sample and, with ``with_grad``, its derivative (see the
+    module docstring).  Corner cijk is offset by i, j, k on x, y, z; an axis
+    with one voxel has offset 0 and fraction 0."""
+    flat = data.ravel()
+    base = np.zeros(points.shape[1:], dtype=np.intp)
+    steps, fracs, inside = [], [], []
+    for a, n in enumerate(data.shape):
+        stride = int(np.prod(data.shape[a + 1:]))
+        c = np.clip(points[a], 0.0, n - 1.0)
+        i0 = c.astype(np.intp)
+        np.minimum(i0, max(n - 2, 0), out=i0)
+        fracs.append(c - i0)
+        if with_grad:
+            inside.append(c == points[a])
+        base += i0 * stride
+        steps.append(stride if n > 1 else 0)
+    sx, sy, sz = steps
+    c000, c100, c010, c110, c001, c101, c011, c111 = (
+        flat.take(base + off) for off in (0, sx, sy, sx + sy, sz, sx + sz, sy + sz, sx + sy + sz))
+    fx, fy, fz = fracs
+    gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
+    c00 = c000 * gx + c100 * fx
+    c10 = c010 * gx + c110 * fx
+    c01 = c001 * gx + c101 * fx
+    c11 = c011 * gx + c111 * fx
+    c0 = c00 * gy + c10 * fy
+    c1 = c01 * gy + c11 * fy
+    value = c0 * gz + c1 * fz
+    if not with_grad:
+        return value
+    grad = np.empty(points.shape)
+    grad[0] = (((c100 - c000) * gy + (c110 - c010) * fy) * gz
+               + ((c101 - c001) * gy + (c111 - c011) * fy) * fz)
+    grad[1] = (c10 - c00) * gz + (c11 - c01) * fz
+    grad[2] = c1 - c0
+    for a in range(3):
+        grad[a] *= inside[a]
+    return value, grad
 
 
 def sample_volume(data: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Trilinear-sample ``data`` at continuous ``points`` shaped (3, ...)."""
-    cells = [_clamped_cell(points[a], data.shape[a]) for a in range(3)]
-    fx, fy, fz = (c[2] for c in cells)
-    return _interp(_corners(data, cells), fx, fy, fz)
+    return _sample(data, points, with_grad=False)
 
 
 def sample_volume_with_gradient(data: np.ndarray, points: np.ndarray):
@@ -86,23 +104,7 @@ def sample_volume_with_gradient(data: np.ndarray, points: np.ndarray):
     The spatial derivative is zeroed wherever the pre-clamp coordinate falls
     outside [0, n-1] on that axis (clamped samples are locally constant).
     """
-    cells = [_clamped_cell(points[a], data.shape[a]) for a in range(3)]
-    fx, fy, fz = (c[2] for c in cells)
-    c000, c100, c010, c110, c001, c101, c011, c111 = _corners(data, cells)
-
-    value = _interp((c000, c100, c010, c110, c001, c101, c011, c111), fx, fy, fz)
-
-    dx = (((c100 - c000) * (1 - fy) + (c110 - c010) * fy) * (1 - fz)
-          + ((c101 - c001) * (1 - fy) + (c111 - c011) * fy) * fz)
-    dy = (((c010 - c000) * (1 - fx) + (c110 - c100) * fx) * (1 - fz)
-          + ((c011 - c001) * (1 - fx) + (c111 - c101) * fx) * fz)
-    dz = (((c001 - c000) * (1 - fx) + (c101 - c100) * fx) * (1 - fy)
-          + ((c011 - c010) * (1 - fx) + (c111 - c110) * fx) * fy)
-    grad = np.stack([dx, dy, dz])
-    for a in range(3):
-        inside = (points[a] >= 0.0) & (points[a] <= data.shape[a] - 1.0)
-        grad[a] *= inside
-    return value, grad
+    return _sample(data, points, with_grad=True)
 
 
 def trilinear_sample(vol: Volume, point) -> float:
@@ -163,43 +165,28 @@ def superpose(base: DisplacementField, delta: DisplacementField) -> Displacement
 
 def central_difference(data: np.ndarray, axis: int) -> np.ndarray:
     """Central differences with one-sided stencils at the ends (unit spacing)."""
-    n = data.shape[axis]
     out = np.zeros_like(data)
-    if n < 2:
+    if data.shape[axis] < 2:
         return out
-    sl = [slice(None)] * data.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
-    out[at(slice(1, n - 1))] = 0.5 * (data[at(slice(2, n))] - data[at(slice(0, n - 2))])
-    out[at(0)] = data[at(1)] - data[at(0)]
-    out[at(n - 1)] = data[at(n - 1)] - data[at(n - 2)]
+    d, o = np.swapaxes(data, 0, axis), np.swapaxes(out, 0, axis)
+    o[1:-1] = 0.5 * (d[2:] - d[:-2])
+    o[0] = d[1] - d[0]
+    o[-1] = d[-1] - d[-2]
     return out
 
 
 def central_difference_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     """Transpose of :func:`central_difference` (needed for exact backprop)."""
-    n = g.shape[axis]
     out = np.zeros_like(g)
-    if n < 2:
+    if g.shape[axis] < 2:
         return out
-    sl = [slice(None)] * g.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
-    if n > 2:
-        out[at(slice(2, n))] += 0.5 * g[at(slice(1, n - 1))]
-        out[at(slice(0, n - 2))] -= 0.5 * g[at(slice(1, n - 1))]
-    out[at(0)] -= g[at(0)]
-    out[at(1)] += g[at(0)]
-    out[at(n - 1)] += g[at(n - 1)]
-    out[at(n - 2)] -= g[at(n - 1)]
+    h, o = np.swapaxes(g, 0, axis), np.swapaxes(out, 0, axis)
+    o[2:] += 0.5 * h[1:-1]
+    o[:-2] -= 0.5 * h[1:-1]
+    o[0] -= h[0]
+    o[1] += h[0]
+    o[-1] += h[-1]
+    o[-2] -= h[-1]
     return out
 
 

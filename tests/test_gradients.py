@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from protoreg import gradients
 from protoreg.gradients import (
     TERM_CHECKS,
     ObjectiveState,
@@ -326,3 +327,48 @@ def test_gradient_finite_everywhere(state):
     _, g = grad_total(state, rand_field(41, scale=3.0))
     assert np.isfinite(g).all()
     assert g.shape == (3,) + DIMS
+
+
+@pytest.mark.parametrize("kind", ["rand", "normal"])
+@pytest.mark.parametrize("which", ["state", "compact"])
+def test_value_only_evaluation_equals_gradient_path(state, which, kind):
+    # the value-only path samples without derivatives through another
+    # sampler entry point; every term value and the total must not move
+    st = state if which == "state" else _compact_state(LossWeights(1, 4, 1, 1, 0.1))
+    if kind == "rand":
+        field = rand_field(61, dims=st.dims)
+    else:
+        field = DisplacementField(st.dims, (1, 1, 1),
+                                  np.random.default_rng(62).normal(0, 1.5, (3,) + st.dims))
+    with_grad, grad = evaluate_objective(st, field, with_grad=True)
+    value_only, none = evaluate_objective(st, field, with_grad=False)
+    assert none is None and grad.any()
+    assert value_only.values == with_grad.values
+    assert value_only.total == with_grad.total
+    for term in TERM_CHECKS:
+        ev = term_evaluator(st, term)
+        assert ev(field, False)[0] == ev(field, True)[0], term
+
+
+def test_sampler_call_shape(state, monkeypatch):
+    # the with-gradient path calls gradients.sample_volume_with_gradient as
+    # (data, points): the moving image itself once, then each mask channel at
+    # a 4-D window of the points; a value-only evaluation never calls it
+    calls = []
+    sample = gradients.sample_volume_with_gradient
+
+    def recorder(data, points):
+        calls.append((data, points))
+        return sample(data, points)
+
+    monkeypatch.setattr(gradients, "sample_volume_with_gradient", recorder)
+    field = rand_field(63)
+    evaluate_objective(state, field)
+    images = [points for data, points in calls if data is state.moving.data]
+    masks = [points for data, points in calls if data is not state.moving.data]
+    assert len(images) == 1 and images[0].shape == (3,) + DIMS
+    assert len(masks) == state.moving_onehot.num_classes
+    assert all(points.ndim == 4 and points.shape[0] == 3 for points in masks)
+    calls.clear()
+    evaluate_objective(state, field, with_grad=False)
+    assert calls == []

@@ -6,6 +6,8 @@ from protoreg.grids import DimsMismatchError, LabelVolume, Volume, one_hot
 from protoreg.warp import (
     DisplacementField,
     jacobian_determinant,
+    sample_volume,
+    sample_volume_with_gradient,
     sdlogj,
     superpose,
     trilinear_sample,
@@ -44,6 +46,52 @@ def test_trilinear_matches_oracle():
     for _ in range(50):
         p = rng.uniform(-0.5, 2.5, size=3)
         assert trilinear_sample(vol, p) == pytest.approx(oracles.trilinear(vol.data, p), abs=1e-12)
+
+
+def off_lattice_points(dims, count, seed):
+    # each coordinate sits 0.1 or more from a lattice plane, inside the grid
+    rng = np.random.default_rng(seed)
+    cells = [rng.integers(0, n - 1, size=count) for n in dims]
+    return np.stack([c + rng.uniform(0.1, 0.9, size=count) for c in cells])
+
+
+def test_sample_derivative_matches_central_differences():
+    data = rand_volume((5, 6, 4), 15).data
+    pts = off_lattice_points(data.shape, 200, 16)
+    value, grad = sample_volume_with_gradient(data, pts)
+    assert np.array_equal(value, sample_volume(data, pts))
+    eps = 1e-6
+    for a in range(3):
+        step = np.zeros((3, 1))
+        step[a] = eps
+        numeric = (sample_volume(data, pts + step) - sample_volume(data, pts - step)) / (2 * eps)
+        assert np.allclose(grad[a], numeric, rtol=0, atol=1e-7)
+
+
+def test_sample_derivative_zero_where_clamped():
+    data = rand_volume((4, 5, 6), 17).data
+    pts = off_lattice_points(data.shape, 60, 18)
+    pts[0, :20] -= 4.0        # below 0 on x
+    pts[0, 20:40] += 4.0      # beyond n - 1 on x
+    value, grad = sample_volume_with_gradient(data, pts)
+    assert np.array_equal(value, sample_volume(data, pts))
+    assert not grad[0, :40].any()
+    assert grad[0, 40:].all()
+    assert grad[1:].all()
+
+
+@pytest.mark.parametrize("dims", [(1, 5, 2), (2, 2, 2)])
+def test_sample_thin_grids_match_oracle(dims):
+    data = rand_volume(dims, 19).data
+    rng = np.random.default_rng(20)
+    pts = np.stack([rng.uniform(-0.7, n - 0.3, size=40) for n in dims])
+    value, grad = sample_volume_with_gradient(data, pts)
+    assert np.array_equal(value, sample_volume(data, pts))
+    assert grad.shape == pts.shape and np.isfinite(grad).all()
+    for i in range(pts.shape[1]):
+        assert value[i] == pytest.approx(oracles.trilinear(data, pts[:, i]), abs=1e-12)
+    if dims[0] == 1:
+        assert not grad[0].any()      # a one-voxel axis has no slope
 
 
 def test_warp_zero_field_identity_bit_exact():
