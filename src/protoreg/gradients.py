@@ -1,8 +1,8 @@
 """The objective's one forward path and its analytic gradient wrt the field.
 
 ``evaluate_objective`` samples the moving image and masks through the field,
-carries the fixed contour points into moving space (``_carried_contours``),
-and scores every term with its function in ``losses``.  Each of those returns
+carries the fixed contour points into moving space (``_carried``), and
+scores every term with its function in ``losses``.  Each of those returns
 the term's value and, with ``with_grad``, its gradient wrt the term's direct
 input (moved intensities, moved mask channels, u, or the carried points);
 this module only chains those gradients through the warp onto u: through the
@@ -10,9 +10,12 @@ spatial derivative of every trilinear sample, and, for the contour points,
 by adding each point's gradient to the voxel it was carried from.  A
 value-only evaluation (``with_grad=False``: ``total_loss``, each level's
 final breakdown, every finite-difference probe) samples through
-``sample_volume`` and takes no spatial derivative.  ``contour_loss`` and
-``chamfer_tie_margin`` use the same contour transport.  The
-finite-difference tools that check all of this live here too.
+``sample_volume`` and takes no spatial derivative.  Every evaluation takes
+all classes in one pass: one sampler call for all mask channels, and the
+contour points of all classes, stacked once per level, carried together
+(``contour_loss`` and ``chamfer_tie_margin`` too); their gradient lands on u
+through ``np.add.at``, as at a coarse level one voxel can be a contour point
+of two classes.  The finite-difference tools live here too.
 
 Each moving mask channel is sampled only on the block of output voxels whose
 sample point can reach the channel's support, which is exact.  A clamped
@@ -23,12 +26,13 @@ value and the spatial derivative are exactly 0 (at a clamped coordinate the
 corner that could be non-zero has weight 0 and the derivative is zeroed).
 The range stays open on a face the support touches (a = 0 or b = n-1),
 because every sample clamped onto that face reads it.  The moved masks are
-never dense: each sampled channel stays a ``(k, window, values)`` block
-(see ``losses``) with its spatial derivative, the Dice and prototype terms
-reduce over the blocks, and each block's mask gradient is chained onto u on
-its window only.  Element by element the arithmetic is that of the dense
-sampling, but the sums run in another order, so the results agree with it
-to rounding (about 1e-16 relative), not bit for bit.
+never dense: the windows are padded to one shape and kept inside the grid
+(``_mask_windows``), which only adds samples that are exactly 0, their
+points are gathered into one (3, K, wx, wy, wz) array, and the moved masks
+stay that stack (see ``losses``) with its spatial derivative.  Element by
+element the arithmetic is that of the dense sampling, but the sums run in
+another order, so the results agree with it to rounding (about 1e-16
+relative), not bit for bit.
 
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
@@ -47,7 +51,7 @@ from scipy.spatial import cKDTree
 from . import losses
 from .grids import DimsMismatchError, OneHotMask, Volume, argmax_labels
 from .losses import LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
-from .warp import DisplacementField, identity_grid, sample_volume, sample_volume_with_gradient
+from .warp import DisplacementField, sample_volume, sample_volume_with_gradient
 
 
 @dataclass(frozen=True)
@@ -55,17 +59,19 @@ class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
     field.  Its fixed-side constants are computed once per level: prototypes,
     hard assignments, the fixed half of the contrast term, both contour
-    sets, and, derived whenever a state is made (``replace`` too), the LNCC
-    window sums ``lncc_fixed`` (when the similarity weight is positive) and
-    the fixed masks' per-class masses ``fixed_mass`` for Dice.
+    sets, and, derived whenever a state is made (``replace`` too), the open
+    voxel-centre ``grid`` (when anything is sampled), the LNCC window sums
+    ``lncc_fixed`` (similarity weight positive), the fixed masks' per-class
+    masses ``fixed_mass`` for Dice and ``contour_pairs`` (contour weight
+    positive; see ``_contour_pairs``).
 
     ``mask_boxes`` holds, per moving mask channel, the support box derived
     from it: per axis the source-coordinate range (lo, hi) outside which a
     sample of the channel and its spatial derivative are exactly 0.  It is
     the non-zero index range [a, b] grown by one voxel, open (-inf or +inf)
-    on a face the support touches; an all-zero channel has None.  Only the
-    output voxels whose sample points can fall inside the box are sampled,
-    and the samples stay that block (see the module docstring).
+    on a face the support touches; an all-zero channel has None.  Each
+    channel is sampled on a window holding every output voxel whose sample
+    point can fall inside its box (see the module docstring).
     """
 
     fixed: Volume
@@ -81,14 +87,21 @@ class ObjectiveState:
     fixed_contours: tuple = ()
     moving_contours: tuple = ()
     mask_boxes: tuple = ()
+    grid: tuple | None = dataclass_field(init=False, default=None, repr=False)
     lncc_fixed: tuple | None = dataclass_field(init=False, default=None, repr=False)
     fixed_mass: np.ndarray | None = dataclass_field(init=False, default=None, repr=False)
+    contour_pairs: tuple | None = dataclass_field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        if self.weights.sim > 0 or self.weights.seg > 0 or self.weights.prototype > 0:
+            object.__setattr__(self, "grid", np.ix_(*map(np.arange, self.dims)))
         if self.weights.sim > 0:     # also checks the window
             object.__setattr__(self, "lncc_fixed", losses._lncc_fixed(self.fixed.data, self.window))
         if self.fixed_onehot is not None:
             object.__setattr__(self, "fixed_mass", losses._fixed_mass(self.fixed_onehot.channels))
+        if self.weights.contour > 0:
+            object.__setattr__(self, "contour_pairs",
+                               _contour_pairs(self.fixed_contours, self.moving_contours))
 
     @property
     def dims(self):
@@ -182,10 +195,33 @@ def _sample_window(box, u_min, u_max, dims):
     return tuple(window)
 
 
-def _carried_contours(fixed_contours, moving_contours, field: DisplacementField):
-    """The contour transport: per class with points on both sides, yield
-    (lattice index of the fixed points, moving points, fixed points carried
-    into moving space).
+def _mask_windows(boxes, u: np.ndarray, dims):
+    """One window per mask channel, all of one shape, per axis the longest
+    ``_sample_window``: each starts at min(start, n - length), inside the
+    grid; a channel without a window gets one at the origin."""
+    u_min, u_max = u.min(axis=(1, 2, 3)), u.max(axis=(1, 2, 3))
+    needed = [None if box is None else _sample_window(box, u_min, u_max, dims) for box in boxes]
+    lengths = [[s.stop - s.start for s in w] for w in needed if w is not None]
+    shape = np.max(lengths, axis=0) if lengths else (1, 1, 1)
+    starts = [(0, 0, 0) if w is None else [s.start for s in w] for w in needed]
+    return tuple(tuple(slice(min(a, n - m), min(a, n - m) + m) for a, n, m in zip(st, dims, shape))
+                 for st in starts)
+
+
+def _contour_pairs(fixed_contours, moving_contours):
+    """The classes with contour points on both sides, numbered 0..P-1:
+    (fixed points (N, 3), their classes, moving points (M, 3), their
+    classes), each stacked over the classes; None without such a class."""
+    moving_by_class = {c.class_label: c.points for c in moving_contours if len(c) > 0}
+    sides = [(cf.points, moving_by_class[cf.class_label]) for cf in fixed_contours
+             if len(cf) > 0 and cf.class_label in moving_by_class]
+    columns = [(f, np.full(len(f), c), m, np.full(len(m), c)) for c, (f, m) in enumerate(sides)]
+    return tuple(map(np.concatenate, zip(*columns))) if sides else None
+
+
+def _carried(pairs, field: DisplacementField):
+    """The contour transport of ``_contour_pairs``: the flat lattice index
+    of the fixed points and the fixed points carried into moving space.
 
     phi(p) = p + u(p) sends output-grid coordinates to moving-image
     coordinates (the pull-back convention of the warps), so the fixed points
@@ -194,25 +230,19 @@ def _carried_contours(fixed_contours, moving_contours, field: DisplacementField)
     so u is indexed at them, and d(carried)/d(u) is the identity at that
     voxel.  Points outside the field's grid raise ``ValueError``.
     """
-    moving_by_class = {c.class_label: c.points for c in moving_contours if len(c) > 0}
-    for cf in fixed_contours:
-        moving_pts = moving_by_class.get(cf.class_label)
-        if moving_pts is None or len(cf) == 0:
-            continue
-        if (cf.points >= field.dims).any():
-            raise ValueError(f"contour points of class {cf.class_label} lie outside "
-                             f"the field's grid {field.dims}")
-        index = tuple(cf.points.T.astype(np.intp))
-        yield index, moving_pts, cf.points + field.u[(slice(None),) + index].T
+    fixed = pairs[0]
+    if (fixed >= field.dims).any():
+        raise ValueError(f"contour points lie outside the field's grid {field.dims}")
+    flat = np.ravel_multi_index(tuple(fixed.T.astype(np.intp)), field.dims)
+    return flat, fixed + field.u.reshape(3, -1)[:, flat].T
 
 
 def contour_loss(moving_contours, fixed_contours, field: DisplacementField) -> float:
     """Per-class Chamfer between the two contour sets under the current map,
     averaged over classes with points on both sides; the fixed points are
-    carried through the field (see ``_carried_contours``)."""
-    transport = _carried_contours(fixed_contours, moving_contours, field)
-    values = [losses._chamfer(carried, moving_pts)[0] for _, moving_pts, carried in transport]
-    return float(np.mean(values)) if values else 0.0
+    carried through the field (see ``_carried``)."""
+    pairs = _contour_pairs(fixed_contours, moving_contours)
+    return 0.0 if pairs is None else losses._class_chamfer(_carried(pairs, field)[1], *pairs[1:])[0]
 
 
 # ------------------------------------------------------------- full objective
@@ -234,7 +264,11 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     need_moved = wd["sim"] > 0 or wd["prototype"] > 0
     need_mask = wd["seg"] > 0 or wd["prototype"] > 0
-    pts = identity_grid(dims) + field.u if (need_moved or need_mask) else None
+    pts = None
+    if need_moved or need_mask:
+        pts = field.u.copy()
+        for p, axis in zip(pts, state.grid):
+            p += axis
 
     def sample(data, points):
         if with_grad:
@@ -246,20 +280,13 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         moved, moved_pos = sample(state.moving.data, pts)
     d_moved = np.zeros(dims) if (with_grad and need_moved) else None
 
-    blocks = []         # (channel, output window, clipped moved values)
-    block_pos = []      # each block's spatial derivative
+    windows = masks = None
     if need_mask:
-        channels = state.moving_onehot.channels
-        u_min = field.u.min(axis=(1, 2, 3))
-        u_max = field.u.max(axis=(1, 2, 3))
-        for k, (ch, box) in enumerate(zip(channels, state.mask_boxes, strict=True)):
-            window = None if box is None else _sample_window(box, u_min, u_max, dims)
-            if window is None:
-                continue
-            value, pos = sample(ch, pts[(slice(None),) + window])
-            blocks.append((k, window, np.clip(value, 0.0, 1.0, out=value)))
-            block_pos.append(pos)
-    d_blocks = [0.0] * len(blocks)
+        windows = _mask_windows(state.mask_boxes, field.u, dims)
+        mask_pts = np.stack([pts[(slice(None),) + window] for window in windows], axis=1)
+        masks, masks_pos = sample(state.moving_onehot.channels, mask_pts)
+        np.clip(masks, 0.0, 1.0, out=masks)
+        d_masks = np.zeros(masks.shape) if with_grad else None
 
     if wd["sim"] > 0:
         values["sim"], g = losses._lncc(state.fixed.data, moved, state.window,
@@ -274,39 +301,31 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     if wd["seg"] > 0:
         values["seg"], g = losses._dice(state.fixed_onehot.channels, state.fixed_mass,
-                                          blocks, with_grad)
+                                          masks, windows, with_grad)
         if with_grad:
-            d_blocks = [d + wd["seg"] * gb for d, gb in zip(d_blocks, g)]
+            d_masks += wd["seg"] * g
 
     if wd["prototype"] > 0:
-        values["prototype"], g, g_blocks = losses._prototype(
-            moved, blocks, state.fixed_assign, state.fixed_protos,
+        values["prototype"], g, g_masks = losses._prototype(
+            moved, windows, masks, state.fixed_assign, state.fixed_protos,
             state.contrast_fixed, state.temperature, proto_mode, with_grad)
         if with_grad:
             d_moved += wd["prototype"] * g
-            if g_blocks is not None:
-                d_blocks = [d + wd["prototype"] * gb for d, gb in zip(d_blocks, g_blocks)]
+            if g_masks is not None:
+                d_masks += wd["prototype"] * g_masks
 
-    if wd["contour"] > 0:
-        class_values = []
-        class_grads = []
-        for index, moving_pts, carried in _carried_contours(
-                state.fixed_contours, state.moving_contours, field):
-            value, g = losses._chamfer(carried, moving_pts, with_grad)
-            class_values.append(value)
-            class_grads.append((index, g))
-        if class_values:
-            values["contour"] = float(np.mean(class_values))
-            if with_grad:
-                scale = wd["contour"] / len(class_values)
-                for index, g in class_grads:
-                    grad[(slice(None),) + index] += scale * g.T
+    pairs = state.contour_pairs
+    if wd["contour"] > 0 and pairs is not None:
+        flat, carried = _carried(pairs, field)
+        values["contour"], g = losses._class_chamfer(carried, *pairs[1:], with_grad)
+        if with_grad:
+            for component, g_c in zip(grad.reshape(3, -1), g.T):
+                np.add.at(component, flat, wd["contour"] * g_c)
 
     if with_grad and need_moved:
         grad += d_moved * moved_pos
-    if with_grad:
-        for (_, window, _), d, pos in zip(blocks, d_blocks, block_pos):
-            grad[(slice(None),) + window] += d * pos
+    if with_grad and need_mask:
+        losses._add_on_windows(grad, windows, d_masks * masks_pos)
 
     breakdown = LossBreakdown.from_terms(values, state.weights)
     return breakdown, grad
@@ -394,16 +413,21 @@ def chamfer_tie_margin(state: ObjectiveState, field: DisplacementField) -> float
     The contour gradient holds the nearest-neighbor assignment fixed, so
     finite-difference probes disagree with it when a probe step crosses a
     tie; callers should resample instances whose margin is below a few probe
-    steps.  Returns +inf when no class has points on both sides.
+    steps.  Each direction is one query over all classes.  Returns +inf
+    without a contour term or when no class has two points on a side.
     """
+    pairs = state.contour_pairs
     margin = np.inf
-    for _, moving_pts, carried in _carried_contours(
-            state.fixed_contours, state.moving_contours, field):
-        if len(moving_pts) > 1:
-            d, _ = cKDTree(moving_pts).query(carried, k=2)
-            margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
-        if len(carried) > 1:
-            d, _ = cKDTree(carried).query(moving_pts, k=2)
+    if pairs is None:
+        return margin
+    _, fixed_class, _, moving_class = pairs
+    a, b = losses._lifted(_carried(pairs, field)[1], *pairs[1:])
+    for query, query_class, tree, tree_class in ((a, fixed_class, b, moving_class),
+                                                 (b, moving_class, a, fixed_class)):
+        # only a class with two points in the tree has a same-class 2nd neighbour
+        two = (np.bincount(tree_class) > 1)[query_class]
+        if two.any():
+            d, _ = cKDTree(tree).query(query[two], k=2)
             margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
     return margin
 

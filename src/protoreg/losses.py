@@ -13,18 +13,21 @@ Each term is one private function that returns its value and, with
 ``_contrast`` and ``_align`` (moved features; ``_align`` also the moved mask
 channels), ``_prototype`` (both halves pulled back through the feature bank
 onto the moved intensities, via ``_features_forward``/``_features_backward``)
-and ``_chamfer`` (the carried contour points).  The public per-term functions
-are value-only views over them.  Nothing here warps or transports:
-``gradients.evaluate_objective`` samples the moving image and masks, carries
-the contour points, and chains these gradients through the warp onto u.
+and ``_class_chamfer`` (the carried contour points of every class).  The
+public per-term functions are value-only views over them.  Nothing here
+warps or transports: ``gradients.evaluate_objective`` samples the moving
+image and masks, carries the contour points, and chains these gradients
+through the warp onto u.
 
-Moved mask channels come as blocks: a list of ``(k, window, values)``, where
-``window`` is a tuple of slices of the grid and ``values`` holds channel k
-on it.  A channel is 0 outside its block and 0 everywhere without one, so
-``_dice``, ``_pool_prototypes`` and ``_align`` reduce over the blocks only,
-and their mask gradients are one array per block, on its window.  The dense
-views (``dice_loss``, ``extract_prototypes``) pass each channel as one
-whole-grid block (``_whole_blocks``).
+Moved mask channels come as one stack: ``values`` (K, wx, wy, wz) and
+``windows``, K tuples of slices of the grid of that shape; channel k is
+``values[k]`` on ``windows[k]`` and 0 elsewhere.  ``_dice`` and ``_align``
+gather what they pair with it on the windows (one slice copy per channel),
+reduce with array operations, and return one mask gradient shaped like
+``values``; windows may overlap, so gradients go back onto the grid by one
+slice-add per channel (``_add_on_windows``).  The dense views pass whole
+channels: ``dice_loss`` with ``windows`` None, ``extract_prototypes`` with a
+broadcast view of the features.
 
 Conventions fixed here and relied on elsewhere:
   * the correlation term is the negative mean of squared window NCC over all
@@ -262,11 +265,11 @@ def smoothness(field: DisplacementField) -> float:
 
 # --------------------------------------------------------------------- Dice
 
-def _whole_blocks(channels: np.ndarray) -> list:
-    """Each of the (K, nx, ny, nz) ``channels`` as one whole-grid block, the
-    block form that ``_dice``, ``_pool_prototypes`` and ``_align`` read."""
-    whole = (slice(None),) * (channels.ndim - 1)
-    return [(k, whole, ch) for k, ch in enumerate(channels)]
+def _add_on_windows(target: np.ndarray, windows, stack: np.ndarray) -> None:
+    """Add ``stack[..., k, :, :, :]`` onto ``target`` on ``windows[k]``."""
+    lead = (slice(None),) * (target.ndim - 3)
+    for k, window in enumerate(windows):
+        target[lead + window] += stack[lead + (k,)]
 
 
 def _fixed_mass(fixed_channels: np.ndarray) -> np.ndarray:
@@ -274,34 +277,26 @@ def _fixed_mass(fixed_channels: np.ndarray) -> np.ndarray:
     return fixed_channels.reshape(fixed_channels.shape[0], -1).sum(axis=1)
 
 
-def _dice(fixed_channels: np.ndarray, sum_f: np.ndarray, blocks, with_grad: bool = False):
-    """Soft Dice loss of the moved mask channels given as ``blocks`` of
-    ``(k, window, values)`` (see the module docstring) against fixed channels
-    of per-class mass ``sum_f`` and, with ``with_grad``, d(loss)/d(block
-    values): one array per block, on its window, zero on classes absent from
-    both sides."""
-    k = fixed_channels.shape[0]
-    inter = np.zeros(k)
-    sum_m = np.zeros(k)
-    for i, window, values in blocks:
-        inter[i] = (fixed_channels[(i,) + window] * values).sum()
-        sum_m[i] = values.sum()
+def _dice(fixed_channels: np.ndarray, sum_f: np.ndarray, values: np.ndarray,
+          windows=None, with_grad: bool = False):
+    """Soft Dice loss of the moved mask stack ``values`` on ``windows`` (None:
+    the whole grid) against fixed channels of per-class mass ``sum_f`` and,
+    with ``with_grad``, d(loss)/d(values), 0 on classes absent on both sides."""
+    fixed = fixed_channels if windows is None else np.stack(
+        [ch[window] for ch, window in zip(fixed_channels, windows)])
+    k = len(values)
+    inter = (fixed * values).reshape(k, -1).sum(axis=1)
+    sum_m = values.reshape(k, -1).sum(axis=1)
     present = (sum_f > PRESENCE_EPS) | (sum_m > PRESENCE_EPS)
     denom = sum_f + sum_m + DICE_EPS
     dice = 2.0 * inter / denom
     value = float(1.0 - dice[present].mean()) if present.any() else 0.0
     if not with_grad:
         return value, None
-    n_present = int(present.sum())
-    grads = []
-    for i, window, values in blocks:
-        if not present[i]:
-            grads.append(np.zeros_like(values))
-            continue
-        b = denom[i]
-        grads.append(-(2.0 * fixed_channels[(i,) + window] / b
-                       - 2.0 * inter[i] / (b * b)) / n_present)
-    return value, grads
+    b = denom[:, None, None, None]
+    grad = -(2.0 * fixed / b - 2.0 * inter[:, None, None, None] / (b * b)) / max(present.sum(), 1)
+    grad[~present] = 0.0
+    return value, grad
 
 
 def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
@@ -312,8 +307,7 @@ def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
         )
     if fixed.dims != moved_soft.dims:
         raise DimsMismatchError(f"dice_loss: {fixed.dims} vs {moved_soft.dims}")
-    return _dice(fixed.channels, _fixed_mass(fixed.channels),
-                 _whole_blocks(moved_soft.channels))[0]
+    return _dice(fixed.channels, _fixed_mass(fixed.channels), moved_soft.channels)[0]
 
 
 # --------------------------------------------------------------- prototypes
@@ -357,27 +351,25 @@ def feature_volume(vol: Volume) -> FeatureVolume:
     return FeatureVolume(vol.dims, vol.spacing, channels)
 
 
-def _pool_prototypes(features: np.ndarray, blocks, k: int) -> tuple[PrototypeSet, np.ndarray]:
-    """Masked average pooling of (C, nx, ny, nz) ``features`` under the K
-    mask channels given as ``blocks`` (see ``_dice``), each on its window
-    only; also returns the per-class mask mass that the pooling divided by."""
-    c = features.shape[0]
-    mass = np.zeros(k)
-    vectors = np.zeros((k, c))
-    for i, window, values in blocks:
-        mass[i] = values.sum()
-        if mass[i] >= PRESENCE_EPS:
-            region = features[(slice(None),) + window]
-            vectors[i] = region.reshape(c, -1) @ values.ravel() / mass[i]
-    return PrototypeSet(vectors, mass >= PRESENCE_EPS), mass
+def _pool_prototypes(region: np.ndarray, values: np.ndarray) -> tuple[PrototypeSet, np.ndarray]:
+    """Masked average pooling: per class k, the (C, K, ...) features
+    ``region[:, k]`` averaged under the mask values ``values[k]`` in one
+    ``einsum``; also returns the per-class mask mass it divided by."""
+    k = len(values)
+    mass = values.reshape(k, -1).sum(axis=1)
+    present = mass >= PRESENCE_EPS
+    vectors = np.divide(np.einsum("ckxyz,kxyz->kc", region, values), mass[:, None],
+                        out=np.zeros((k, region.shape[0])), where=present[:, None])
+    return PrototypeSet(vectors, present), mass
 
 
 def extract_prototypes(features: FeatureVolume, mask: OneHotMask) -> PrototypeSet:
     """Masked average pooling: per class, the mask-weighted mean feature."""
     if features.dims != mask.dims:
         raise DimsMismatchError(f"extract_prototypes: {features.dims} vs {mask.dims}")
-    return _pool_prototypes(features.channels, _whole_blocks(mask.channels),
-                            mask.num_classes)[0]
+    region = np.broadcast_to(features.channels[:, None],
+                             (features.num_channels, mask.num_classes) + features.dims)
+    return _pool_prototypes(region, mask.channels)[0]
 
 
 def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
@@ -431,10 +423,16 @@ def contrast_loss(features: FeatureVolume, mask: OneHotMask, protos: PrototypeSe
     return _contrast(features.channels, argmax_labels(mask).labels, protos, temperature)[0]
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = max(float(np.linalg.norm(a)), NORM_EPS)
-    nb = max(float(np.linalg.norm(b)), NORM_EPS)
-    return float(a @ b) / (na * nb)
+def _alignment(protos_f: PrototypeSet, protos_m: PrototypeSet):
+    """Sum of (1 - cosine) over classes present in both sets, and per class
+    what the gradient reads: cosine, unit vectors, moving norm, presence."""
+    both = protos_f.present & protos_m.present
+    n_f = np.maximum(np.linalg.norm(protos_f.vectors, axis=1), NORM_EPS)
+    n_m = np.maximum(np.linalg.norm(protos_m.vectors, axis=1), NORM_EPS)
+    phat_f = protos_f.vectors / n_f[:, None]
+    phat_m = protos_m.vectors / n_m[:, None]
+    cos = np.einsum("kc,kc->k", phat_f, phat_m)
+    return float((1.0 - cos[both]).sum()), (cos, phat_f, phat_m, n_m, both)
 
 
 def align_loss(protos_f: PrototypeSet, protos_m: PrototypeSet) -> float:
@@ -442,69 +440,55 @@ def align_loss(protos_f: PrototypeSet, protos_m: PrototypeSet) -> float:
     classes are skipped."""
     if protos_f.num_classes != protos_m.num_classes:
         raise ValueError("align_loss: prototype sets cover different class universes")
-    both = protos_f.present & protos_m.present
-    total = 0.0
-    for k in np.flatnonzero(both):
-        total += 1.0 - _cosine(protos_f.vectors[k], protos_m.vectors[k])
-    return float(total)
+    return _alignment(protos_f, protos_m)[0]
 
 
-def _align(protos_f: PrototypeSet, features: np.ndarray, blocks, with_grad: bool = False):
+def _align(protos_f: PrototypeSet, features: np.ndarray, windows, values: np.ndarray,
+           with_grad: bool = False):
     """Alignment of ``protos_f`` with the prototypes pooled from ``features``
-    under the soft mask channels given as ``blocks`` (see ``_dice``).
-    Returns (value, d/d(features), d/d(block values)), the last one array
-    per block on its window; both gradients are None without ``with_grad``."""
-    protos_m, mass = _pool_prototypes(features, blocks, protos_f.num_classes)
-    value = align_loss(protos_f, protos_m)
+    under the moved mask stack ``values`` on ``windows`` (see the module
+    docstring).  Returns (value, d/d(features), d/d(values)); both gradients
+    are None without ``with_grad``."""
+    region = np.stack([features[(slice(None),) + window] for window in windows], axis=1)
+    protos_m, mass = _pool_prototypes(region, values)
+    value, (cos, phat_f, phat_m, n_m, both) = _alignment(protos_f, protos_m)
     if not with_grad:
         return value, None, None
-    both = protos_f.present & protos_m.present
+    # per class, d(value)/d(prototype) divided by the mass it was pooled under
+    g = -np.where((n_m > NORM_EPS)[:, None], phat_f - cos[:, None] * phat_m, phat_f) / n_m[:, None]
+    g = np.divide(g, mass[:, None], out=np.zeros_like(g), where=both[:, None])
     df = np.zeros_like(features)
-    dm = []
-    for k, window, values in blocks:
-        if not both[k]:
-            dm.append(np.zeros_like(values))
-            continue
-        p_m = protos_m.vectors[k]
-        n_m = max(float(np.linalg.norm(p_m)), NORM_EPS)
-        n_f = max(float(np.linalg.norm(protos_f.vectors[k])), NORM_EPS)
-        phat_m = p_m / n_m
-        phat_f = protos_f.vectors[k] / n_f
-        cos = float(phat_f @ phat_m)
-        g = -((phat_f - cos * phat_m) if n_m > NORM_EPS else phat_f) / n_m
-        region = (slice(None),) + window
-        df[region] += np.multiply.outer(g, values) / mass[k]
-        g_f = g @ features[region].reshape(g.size, -1)
-        dm.append((g_f.reshape(values.shape) - float(g @ p_m)) / mass[k])
+    _add_on_windows(df, windows, np.einsum("kc,kxyz->ckxyz", g, values))
+    dm = (np.einsum("kc,ckxyz->kxyz", g, region)
+          - np.einsum("kc,kc->k", g, protos_m.vectors)[:, None, None, None])
     return value, df, dm
 
 
-def _prototype(moved: np.ndarray, blocks, assign: np.ndarray,
+def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.ndarray,
                protos_f: PrototypeSet, contrast_fixed: float, temperature: float,
                mode: str = "both", with_grad: bool = False):
     """The prototype term (see ``prototype_loss``) on the moved image and the
-    moved mask channels given as ``blocks`` (see ``_dice``), given the fixed
-    image's contrast ``contrast_fixed``; ``mode`` keeps only the "contrast"
-    or the "align" half.  Returns (value, d/d(moved), d/d(block values));
-    gradients are None without ``with_grad``, and the block gradients are
-    None for the contrast half alone."""
+    moved mask stack (see the module docstring), given the fixed image's
+    contrast ``contrast_fixed``; ``mode`` keeps only the "contrast" or the
+    "align" half.  Returns (value, d/d(moved), d/d(mask_values)); gradients
+    are None without ``with_grad``, the mask one also for "contrast"."""
     feats, cache = _features_forward(moved)
     value = 0.0
     d_feats = np.zeros_like(feats) if with_grad else None
-    d_blocks = None
+    d_masks = None
     if mode in ("both", "contrast"):
         contrast_moved, g = _contrast(feats, assign, protos_f, temperature, with_grad)
         value += 0.5 * (contrast_moved + contrast_fixed)
         if with_grad:
             d_feats += 0.5 * g
     if mode in ("both", "align"):
-        align, g, d_blocks = _align(protos_f, feats, blocks, with_grad)
+        align, g, d_masks = _align(protos_f, feats, windows, mask_values, with_grad)
         value += align
         if with_grad:
             d_feats += g
     if not with_grad:
         return value, None, None
-    return value, _features_backward(d_feats, cache), d_blocks
+    return value, _features_backward(d_feats, cache), d_masks
 
 
 def prototype_loss(moved_feats: FeatureVolume, fixed_feats: FeatureVolume,
@@ -578,6 +562,32 @@ def _chamfer(a: np.ndarray, b: np.ndarray, with_grad: bool = False):
         return value, None
     grad = 2.0 * (a - b[a_to_b]) / len(a)
     np.add.at(grad, b_to_a, 2.0 * (a[b_to_a] - b) / len(b))
+    return value, grad
+
+
+def _lifted(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: np.ndarray):
+    """``a`` and ``b`` with a 4th coordinate class * gap, the gap wider than
+    the points' diagonal: pairs across classes are then farther apart than
+    any pair within one, whose distances stay the 3-D ones bit for bit."""
+    gap = 2.0 * (max(a.max(), b.max()) - min(a.min(), b.min())) + 1.0
+    return np.column_stack([a, a_class * gap]), np.column_stack([b, b_class * gap])
+
+
+def _class_chamfer(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: np.ndarray,
+                   with_grad: bool = False):
+    """Mean over classes 0..P-1 (``a_class``, ``b_class``; each on both
+    sides) of the Chamfer (``_chamfer``) between the class's points in
+    (N, 3) ``a`` and (M, 3) ``b`` and, with ``with_grad``, d(value)/d(a),
+    from one KD-tree pair over the ``_lifted`` points of every class."""
+    a4, b4 = _lifted(a, a_class, b, b_class)
+    da, a_to_b = cKDTree(b4).query(a4)
+    db, b_to_a = cKDTree(a4).query(b4)
+    n_a, n_b = np.bincount(a_class), np.bincount(b_class)
+    value = float((np.bincount(a_class, da ** 2) / n_a + np.bincount(b_class, db ** 2) / n_b).mean())
+    if not with_grad:
+        return value, None
+    grad = 2.0 * (a - b[a_to_b]) / (len(n_a) * n_a[a_class])[:, None]
+    np.add.at(grad, b_to_a, 2.0 * (a[b_to_a] - b) / (len(n_b) * n_b[b_class])[:, None])
     return value, grad
 
 

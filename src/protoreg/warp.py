@@ -11,7 +11,10 @@ offsets from it.  Interpolation keeps the ``(1 - f) * a + f * b`` form, so
 a point on the lattice reads its voxel exactly and a zero field warps bit
 for bit.  The spatial derivative reuses the interpolation's intermediates:
 d/dz from the xy-interpolated faces, d/dy from the x-interpolated edges,
-d/dx from the x-differences of the corners.
+d/dx from the x-differences of the corners.  With leading batch axes,
+``data`` shaped B + (nx, ny, nz) at points (3,) + B + S samples each
+``data[b]`` at ``points[:, b]`` in the one gather, its flat indices offset
+by b * nx * ny * nz.
 """
 
 from __future__ import annotations
@@ -57,10 +60,13 @@ def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
     module docstring).  Corner cijk is offset by i, j, k on x, y, z; an axis
     with one voxel has offset 0 and fraction 0."""
     flat = data.ravel()
-    base = np.zeros(points.shape[1:], dtype=np.intp)
+    dims, batch = data.shape[-3:], data.shape[:-3]
+    base = np.empty(points.shape[1:], dtype=np.intp)
+    base[...] = np.arange(0, data.size, int(np.prod(dims))).reshape(
+        batch + (1,) * (base.ndim - len(batch)))
     steps, fracs, inside = [], [], []
-    for a, n in enumerate(data.shape):
-        stride = int(np.prod(data.shape[a + 1:]))
+    for a, n in enumerate(dims):
+        stride = int(np.prod(dims[a + 1:]))
         c = np.clip(points[a], 0.0, n - 1.0)
         i0 = c.astype(np.intp)
         np.minimum(i0, max(n - 2, 0), out=i0)
@@ -94,7 +100,7 @@ def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
 
 
 def sample_volume(data: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Trilinear-sample ``data`` at continuous ``points`` shaped (3, ...)."""
+    """Trilinear-sample ``data`` (batch axes first) at ``points`` (3, ...)."""
     return _sample(data, points, with_grad=False)
 
 

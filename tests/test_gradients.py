@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from protoreg import gradients
+from protoreg import gradients, losses
 from protoreg.gradients import (
     TERM_CHECKS,
     ObjectiveState,
@@ -350,10 +350,20 @@ def test_value_only_evaluation_equals_gradient_path(state, which, kind):
         assert ev(field, False)[0] == ev(field, True)[0], term
 
 
-def test_sampler_call_shape(state, monkeypatch):
-    # the with-gradient path calls gradients.sample_volume_with_gradient as
-    # (data, points): the moving image itself once, then each mask channel at
-    # a 4-D window of the points; a value-only evaluation never calls it
+def _twelve_organ_state(weights):
+    # the geometry of test_compact_masks_need_no_dense_channel_array
+    dims, k = (32, 32, 32), 12
+    labels = np.zeros(dims, np.int32)
+    for c in range(k):
+        x, y, z = 3 + 9 * (c % 3), 3 + 9 * (c // 3 % 2), 6 + 12 * (c // 6)
+        labels[x:x + 4, y:y + 4, z:z + 4] = c + 1
+    fixed = one_hot(LabelVolume(dims, (1, 1, 1), labels, k))
+    moving = one_hot(LabelVolume(dims, (1, 1, 1), np.roll(labels, 1, axis=1), k))
+    return build_state(rand_volume(54, dims), rand_volume(55, dims),
+                       weights, fixed, moving, window=3)
+
+
+def _assert_one_sampler_call_per_kind(st, monkeypatch):
     calls = []
     sample = gradients.sample_volume_with_gradient
 
@@ -362,13 +372,82 @@ def test_sampler_call_shape(state, monkeypatch):
         return sample(data, points)
 
     monkeypatch.setattr(gradients, "sample_volume_with_gradient", recorder)
-    field = rand_field(63)
-    evaluate_objective(state, field)
-    images = [points for data, points in calls if data is state.moving.data]
-    masks = [points for data, points in calls if data is not state.moving.data]
-    assert len(images) == 1 and images[0].shape == (3,) + DIMS
-    assert len(masks) == state.moving_onehot.num_classes
-    assert all(points.ndim == 4 and points.shape[0] == 3 for points in masks)
+    field = rand_field(63, dims=st.dims)
+    evaluate_objective(st, field)
+    images = [points for data, points in calls if data is st.moving.data]
+    masks = [points for data, points in calls if data is st.moving_onehot.channels]
+    assert len(calls) == 2
+    assert len(images) == 1 and images[0].shape == (3,) + st.dims
+    assert len(masks) == 1 and masks[0].ndim == 5
+    assert masks[0].shape[:2] == (3, st.moving_onehot.num_classes)
     calls.clear()
-    evaluate_objective(state, field, with_grad=False)
+    evaluate_objective(st, field, with_grad=False)
     assert calls == []
+
+
+def test_sampler_call_shape(state, monkeypatch):
+    # the with-gradient path calls gradients.sample_volume_with_gradient as
+    # (data, points) twice: the moving image itself once, and the mask
+    # channel stack itself once, at (3, K, wx, wy, wz) points; a value-only
+    # evaluation never calls it
+    _assert_one_sampler_call_per_kind(state, monkeypatch)
+
+
+def test_sampler_call_count_does_not_grow_with_classes(monkeypatch):
+    _assert_one_sampler_call_per_kind(
+        _twelve_organ_state(LossWeights(1, 4, 1, 1, 0.1)), monkeypatch)
+
+
+# ------------------------------------------------- contours, all classes at once
+
+def _per_class_contour(state, field):
+    """The contour term class by class: the value as the mean of the
+    exhaustive ``oracles.chamfer``, the gradient as one add per class of
+    ``losses._chamfer``."""
+    moving = {c.class_label: c.points for c in state.moving_contours if len(c) > 0}
+    fixed = [cf for cf in state.fixed_contours if len(cf) > 0 and cf.class_label in moving]
+    values, grad = [], np.zeros((3,) + state.dims)
+    for cf in fixed:
+        index = (slice(None),) + tuple(cf.points.T.astype(np.intp))
+        carried = cf.points + field.u[index].T
+        values.append(oracles.chamfer(carried, moving[cf.class_label]))
+        grad[index] += losses._chamfer(carried, moving[cf.class_label], True)[1].T / len(fixed)
+    return float(np.mean(values)), grad
+
+
+def _assert_contour_matches_per_class(state, field):
+    value, grad = term_evaluator(state, "contour")(field)
+    want_value, want_grad = _per_class_contour(state, field)
+    assert value == pytest.approx(want_value, rel=1e-12)
+    assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+    assert grad.any()
+
+
+def test_contour_classes_batched_match_per_class(state):
+    _assert_contour_matches_per_class(state, tie_free_field(state))
+
+
+def test_contour_gap_follows_the_points_extent(state):
+    # the carried points land ten grid extents away from the moving points,
+    # so a class gap taken from the grid would let classes mix
+    field = tie_free_field(state)
+    shift = 10.0 * max(DIMS) * np.array([1.0, 0.7, 0.4])[:, None, None, None]
+    _assert_contour_matches_per_class(
+        state, DisplacementField(DIMS, (1, 1, 1), field.u + shift))
+
+
+def test_contour_voxel_of_two_classes_gets_both_gradients():
+    # voxel (2, 2, 2) holds 0.5 of each class, so it is a contour point of
+    # both, and the gradients of both classes must land on it
+    labels = np.zeros(DIMS, np.int32)
+    labels[1:3, 1:4, 1:4] = 1
+    labels[3:5, 1:4, 1:4] = 2
+    channels = one_hot(LabelVolume(DIMS, (1, 1, 1), labels, 2)).channels.copy()
+    channels[:, 2, 2, 2] = 0.5
+    fixed = OneHotMask(DIMS, (1, 1, 1), channels)
+    moving = one_hot(LabelVolume(DIMS, (1, 1, 1), np.roll(labels, 1, axis=1), 2))
+    st = build_state(rand_volume(71), rand_volume(72), LossWeights(0, 0, 0, 0, 1),
+                     fixed, moving, window=3, max_points=512)
+    for cf in st.fixed_contours:
+        assert (cf.points == 2.0).all(axis=1).any(), cf.class_label
+    _assert_contour_matches_per_class(st, rand_field(73))

@@ -94,6 +94,24 @@ def test_sample_thin_grids_match_oracle(dims):
         assert not grad[0].any()      # a one-voxel axis has no slope
 
 
+@pytest.mark.parametrize("dims", [(6, 5, 4), (1, 5, 2), (2, 2, 2)])
+def test_batched_sampling_equals_per_channel_calls(dims):
+    # a (K, *dims) stack at (3, K, ...) points reads channel k at points[:, k]
+    k = 4
+    rng = np.random.default_rng(21)
+    stack = rng.normal(size=(k,) + dims)
+    pts = np.stack([rng.uniform(-1.0, n, size=(k, 3, 5)) for n in dims])
+    for a, n in enumerate(dims):      # some coordinates clamp on every axis
+        assert (pts[a] < 0).any() and (pts[a] > n - 1).any()
+    value, grad = sample_volume_with_gradient(stack, pts)
+    assert value.shape == (k, 3, 5) and grad.shape == pts.shape
+    assert np.array_equal(sample_volume(stack, pts), value)
+    for c in range(k):
+        want_value, want_grad = sample_volume_with_gradient(stack[c], pts[:, c])
+        assert np.array_equal(value[c], want_value)
+        assert np.array_equal(grad[:, c], want_grad)
+
+
 def test_warp_zero_field_identity_bit_exact():
     vol = rand_volume((5, 4, 3), 2)
     out = warp_volume(vol, DisplacementField.zeros(vol.dims))
