@@ -1,5 +1,10 @@
 """The objective's one forward path and its analytic gradient wrt the field.
 
+``build_state`` is the one constructor of a level's ``ObjectiveState``: it
+makes each constant of the level once, only for the terms with a positive
+weight, and a state evaluates only the terms it was built for, through
+``evaluate_objective`` or ``term_evaluator``.
+
 ``evaluate_objective`` samples the moving image and masks through the field,
 carries the fixed contour points into moving space (``_carried``), and
 scores every term with its function in ``losses``.  Each of those returns
@@ -57,13 +62,17 @@ from .warp import DisplacementField, sample_volume, sample_volume_with_gradient
 @dataclass(frozen=True)
 class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
-    field.  Its fixed-side constants are computed once per level: prototypes,
-    hard assignments, the fixed half of the contrast term, both contour
-    sets, and, derived whenever a state is made (``replace`` too), the open
-    voxel-centre ``grid`` (when anything is sampled), the LNCC window sums
-    ``lncc_fixed`` (similarity weight positive), the fixed masks' per-class
-    masses ``fixed_mass`` for Dice and ``contour_pairs`` (contour weight
-    positive; see ``_contour_pairs``).
+    field, made only by ``build_state``, which computes each constant once
+    and only for the terms with a positive weight: the open voxel-centre
+    ``grid`` (when anything is sampled), the LNCC window sums ``lncc_fixed``
+    (similarity), the fixed masks' per-class masses ``fixed_mass`` (Dice),
+    the prototypes, hard assignments and fixed half of the contrast term
+    (prototype), the moving masks' ``mask_boxes`` (Dice or prototype) and
+    ``contour_pairs`` (contour; see ``_contour_pairs``).
+
+    A state evaluates only the terms it was built for, so ``replace`` may
+    switch terms off (lower weights) but not on; ``term_evaluator`` rejects a
+    term the state was built without.
 
     ``mask_boxes`` holds, per moving mask channel, the support box derived
     from it: per axis the source-coordinate range (lo, hi) outside which a
@@ -84,24 +93,11 @@ class ObjectiveState:
     fixed_protos: PrototypeSet | None = None
     fixed_assign: np.ndarray | None = None
     contrast_fixed: float = 0.0
-    fixed_contours: tuple = ()
-    moving_contours: tuple = ()
     mask_boxes: tuple = ()
-    grid: tuple | None = dataclass_field(init=False, default=None, repr=False)
-    lncc_fixed: tuple | None = dataclass_field(init=False, default=None, repr=False)
-    fixed_mass: np.ndarray | None = dataclass_field(init=False, default=None, repr=False)
-    contour_pairs: tuple | None = dataclass_field(init=False, default=None, repr=False)
-
-    def __post_init__(self):
-        if self.weights.sim > 0 or self.weights.seg > 0 or self.weights.prototype > 0:
-            object.__setattr__(self, "grid", np.ix_(*map(np.arange, self.dims)))
-        if self.weights.sim > 0:     # also checks the window
-            object.__setattr__(self, "lncc_fixed", losses._lncc_fixed(self.fixed.data, self.window))
-        if self.fixed_onehot is not None:
-            object.__setattr__(self, "fixed_mass", losses._fixed_mass(self.fixed_onehot.channels))
-        if self.weights.contour > 0:
-            object.__setattr__(self, "contour_pairs",
-                               _contour_pairs(self.fixed_contours, self.moving_contours))
+    grid: tuple | None = dataclass_field(default=None, repr=False)
+    lncc_fixed: tuple | None = dataclass_field(default=None, repr=False)
+    fixed_mass: np.ndarray | None = dataclass_field(default=None, repr=False)
+    contour_pairs: tuple | None = dataclass_field(default=None, repr=False)
 
     @property
     def dims(self):
@@ -113,44 +109,39 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
                 moving_onehot: OneHotMask | None = None,
                 window: int = 9, temperature: float = 0.1,
                 max_points: int = 2048, seed: int = 0) -> ObjectiveState:
-    """Precompute the deformation-independent pieces of the objective."""
+    """Precompute the deformation-independent pieces of the objective, each
+    only when a term with a positive weight reads it."""
     if fixed.dims != moving.dims:
         raise DimsMismatchError(f"build_state: fixed {fixed.dims} vs moving {moving.dims}")
-    if not weights.uses_masks:
-        return ObjectiveState(fixed, moving, weights, window, temperature)
-    if fixed_onehot is None or moving_onehot is None:
-        raise ValueError("build_state: mask-dependent weights need both masks")
-    if fixed_onehot.num_classes != moving_onehot.num_classes:
-        raise ValueError("build_state: masks cover different class universes")
+    if weights.uses_masks:
+        if fixed_onehot is None or moving_onehot is None:
+            raise ValueError("build_state: mask-dependent weights need both masks")
+        if fixed_onehot.num_classes != moving_onehot.num_classes:
+            raise ValueError("build_state: masks cover different class universes")
 
-    fixed_protos = fixed_assign = None
-    contrast_fixed = 0.0
+    built = {}
+    if weights.sim > 0 or weights.seg > 0 or weights.prototype > 0:
+        built["grid"] = np.ix_(*map(np.arange, fixed.dims))
+    if weights.sim > 0:     # also checks the window
+        built["lncc_fixed"] = losses._lncc_fixed(fixed.data, window)
+    if weights.seg > 0:
+        built["fixed_mass"] = losses._fixed_mass(fixed_onehot.channels)
+    if weights.seg > 0 or weights.prototype > 0:
+        built["mask_boxes"] = tuple(_support_box(ch) for ch in moving_onehot.channels)
     if weights.prototype > 0:
         fixed_feats = losses.feature_volume(fixed)
-        fixed_protos = losses.extract_prototypes(fixed_feats, fixed_onehot)
-        fixed_assign = argmax_labels(fixed_onehot).labels
-        contrast_fixed = losses._contrast(
-            fixed_feats.channels, fixed_assign, fixed_protos, temperature
+        built["fixed_protos"] = losses.extract_prototypes(fixed_feats, fixed_onehot)
+        built["fixed_assign"] = argmax_labels(fixed_onehot).labels
+        built["contrast_fixed"] = losses._contrast(
+            fixed_feats.channels, built["fixed_assign"], built["fixed_protos"], temperature
         )[0]
-
-    fixed_contours: tuple = ()
-    moving_contours: tuple = ()
     if weights.contour > 0:
-        k = fixed_onehot.num_classes
-        fixed_contours = tuple(
-            losses.extract_contour_points(fixed_onehot, c, max_points, seed)
-            for c in range(1, k + 1)
-        )
-        moving_contours = tuple(
-            losses.extract_contour_points(moving_onehot, c, max_points, seed)
-            for c in range(1, k + 1)
-        )
-    return ObjectiveState(
-        fixed, moving, weights, window, temperature,
-        fixed_onehot, moving_onehot, fixed_protos, fixed_assign,
-        contrast_fixed, fixed_contours, moving_contours,
-        tuple(_support_box(ch) for ch in moving_onehot.channels),
-    )
+        built["contour_pairs"] = _contour_pairs(*(
+            [losses.extract_contour_points(mask, c, max_points, seed)
+             for c in range(1, mask.num_classes + 1)]
+            for mask in (fixed_onehot, moving_onehot)))
+    return ObjectiveState(fixed, moving, weights, window, temperature,
+                          fixed_onehot, moving_onehot, **built)
 
 
 def _support_box(channel: np.ndarray):
@@ -208,12 +199,13 @@ def _mask_windows(boxes, u: np.ndarray, dims):
                  for st in starts)
 
 
-def _contour_pairs(fixed_contours, moving_contours):
+def _contour_pairs(sets_f, sets_m):
     """The classes with contour points on both sides, numbered 0..P-1:
     (fixed points (N, 3), their classes, moving points (M, 3), their
-    classes), each stacked over the classes; None without such a class."""
-    moving_by_class = {c.class_label: c.points for c in moving_contours if len(c) > 0}
-    sides = [(cf.points, moving_by_class[cf.class_label]) for cf in fixed_contours
+    classes), each stacked over the classes of the fixed and moving contour
+    sets ``sets_f`` and ``sets_m``; None without such a class."""
+    moving_by_class = {c.class_label: c.points for c in sets_m if len(c) > 0}
+    sides = [(cf.points, moving_by_class[cf.class_label]) for cf in sets_f
              if len(cf) > 0 and cf.class_label in moving_by_class]
     columns = [(f, np.full(len(f), c), m, np.full(len(m), c)) for c, (f, m) in enumerate(sides)]
     return tuple(map(np.concatenate, zip(*columns))) if sides else None
@@ -237,11 +229,11 @@ def _carried(pairs, field: DisplacementField):
     return flat, fixed + field.u.reshape(3, -1)[:, flat].T
 
 
-def contour_loss(moving_contours, fixed_contours, field: DisplacementField) -> float:
-    """Per-class Chamfer between the two contour sets under the current map,
-    averaged over classes with points on both sides; the fixed points are
-    carried through the field (see ``_carried``)."""
-    pairs = _contour_pairs(fixed_contours, moving_contours)
+def contour_loss(sets_m, sets_f, field: DisplacementField) -> float:
+    """Per-class Chamfer between the moving and fixed contour sets under the
+    current map, averaged over classes with points on both sides; the fixed
+    points are carried through the field (see ``_carried``)."""
+    pairs = _contour_pairs(sets_f, sets_m)
     return 0.0 if pairs is None else losses._class_chamfer(_carried(pairs, field)[1], *pairs[1:])[0]
 
 
@@ -340,26 +332,12 @@ def total_loss(fixed: Volume, moving: Volume, field: DisplacementField,
     """Evaluate every active term at the given field and report the breakdown.
 
     Terms with zero weight are skipped (reported as 0.0); mask-dependent
-    terms require both masks.
+    terms require both masks (``ValueError``), and the volumes and the field
+    must share their dims (``DimsMismatchError``).
     """
-    if fixed.dims != moving.dims or fixed.dims != field.dims:
-        raise DimsMismatchError(
-            f"total_loss: dims differ (fixed {fixed.dims}, moving {moving.dims}, "
-            f"field {field.dims})"
-        )
-    if weights.uses_masks and (fixed_mask is None or moving_mask is None):
-        raise ValueError("total_loss: mask-dependent weights are active but masks are missing")
     state = build_state(fixed, moving, weights, fixed_mask, moving_mask,
                         window=window, temperature=temperature, max_points=max_points, seed=seed)
     return evaluate_objective(state, field, with_grad=False)[0]
-
-
-def grad_total(state: ObjectiveState, field: DisplacementField,
-               weights: LossWeights | None = None):
-    """Weighted objective and its analytic gradient, term by term."""
-    if weights is not None and weights != state.weights:
-        state = replace(state, weights=weights)
-    return evaluate_objective(state, field, with_grad=True)
 
 
 # --------------------------------------------------------- FD verification
@@ -395,17 +373,6 @@ def finite_diff_check(evaluator, field: DisplacementField, probe_count: int = 64
     return max_abs, max_rel
 
 
-def breakdown_evaluator(state: ObjectiveState):
-    """Adapt evaluate_objective to the (field, with_grad) -> (total, grad)
-    shape that finite_diff_check expects."""
-
-    def evaluate(field: DisplacementField, with_grad: bool = True):
-        breakdown, grad = evaluate_objective(state, field, with_grad=with_grad)
-        return breakdown.total, grad
-
-    return evaluate
-
-
 def chamfer_tie_margin(state: ObjectiveState, field: DisplacementField) -> float:
     """Smallest gap between first and second nearest-neighbor distances over
     both Chamfer query directions.
@@ -439,17 +406,18 @@ def term_evaluator(state: ObjectiveState, term: str):
     """Single-term evaluator with unit weight, for per-term gradient checks.
 
     ``term`` names one of: sim, smooth, seg, contrast, align, contour (the
-    two prototype halves are checked independently).
+    two prototype halves are checked independently).  The state must have
+    been built with the term (contrast and align: the prototype term), else
+    ``ValueError``.
     """
     if term not in TERM_CHECKS:
         raise ValueError(f"term must be one of {TERM_CHECKS}, got {term!r}")
-    proto_mode = "both"
-    if term in ("contrast", "align"):
-        proto_mode = term
-        weights = LossWeights(0, 0, 0, 1, 0)
-    else:
-        weights = LossWeights(**{n: 0.0 for n in TERM_NAMES} | {term: 1.0})
-    sub = replace(state, weights=weights)
+    name = "prototype" if term in ("contrast", "align") else term
+    if getattr(state.weights, name) == 0:
+        raise ValueError(f"term_evaluator: the state was built without the {term} term "
+                         f"({name} weight 0)")
+    proto_mode = term if name == "prototype" else "both"
+    sub = replace(state, weights=LossWeights(**{n: float(n == name) for n in TERM_NAMES}))
 
     def evaluate(field: DisplacementField, with_grad: bool = True):
         breakdown, grad = evaluate_objective(sub, field, with_grad=with_grad,

@@ -44,7 +44,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -77,13 +77,7 @@ class LossWeights:
                 raise ValueError(f"LossWeights: {name} must be finite and >= 0, got {w}")
 
     def as_dict(self) -> dict:
-        return {
-            "sim": self.sim,
-            "smooth": self.smooth,
-            "seg": self.seg,
-            "prototype": self.prototype,
-            "contour": self.contour,
-        }
+        return {name: getattr(self, name) for name in TERM_NAMES}
 
     def without_masks(self) -> "LossWeights":
         return LossWeights(self.sim, self.smooth, 0.0, 0.0, 0.0)
@@ -93,7 +87,7 @@ class LossWeights:
         return self.seg > 0 or self.prototype > 0 or self.contour > 0
 
 
-TERM_NAMES = ("sim", "smooth", "seg", "prototype", "contour")
+TERM_NAMES = tuple(f.name for f in fields(LossWeights))   # the five terms, in field order
 
 
 @dataclass(frozen=True)

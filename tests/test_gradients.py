@@ -8,13 +8,10 @@ import oracles
 from protoreg import gradients, losses
 from protoreg.gradients import (
     TERM_CHECKS,
-    ObjectiveState,
-    breakdown_evaluator,
     build_state,
     chamfer_tie_margin,
     evaluate_objective,
     finite_diff_check,
-    grad_total,
     term_evaluator,
 )
 from protoreg.grids import LabelVolume, OneHotMask, Volume, one_hot
@@ -81,6 +78,18 @@ def test_each_term_matches_finite_differences(state, term):
     assert max_rel < 1e-3
 
 
+@pytest.mark.parametrize("term", TERM_CHECKS)
+def test_term_evaluator_rejects_a_term_the_state_was_built_without(term):
+    # a state makes its constants only for its positive weights, so it
+    # cannot answer for a term it was built without
+    name = "prototype" if term in ("contrast", "align") else term
+    weights = LossWeights(**{n: float(n != name) for n in losses.TERM_NAMES})
+    st = build_state(rand_volume(42), rand_volume(43), weights, soft_mask(1), soft_mask(2),
+                     window=3, max_points=64, seed=3)
+    with pytest.raises(ValueError, match=term):
+        term_evaluator(st, term)
+
+
 def test_smoothness_alone_tight():
     st = build_state(rand_volume(1, (5, 5, 5)), rand_volume(2, (5, 5, 5)),
                      LossWeights(0, 1, 0, 0, 0), window=3)
@@ -109,26 +118,34 @@ def test_chamfer_tie_detection_matches_fd_blowup(state):
 
 def test_full_objective_matches_fd(state):
     field = rand_field(21)
-    ev = breakdown_evaluator(state)
+
+    def ev(field, with_grad):
+        breakdown, grad = evaluate_objective(state, field, with_grad=with_grad)
+        return breakdown.total, grad
+
     _, max_rel = finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=17)
     assert max_rel < 1e-3
 
 
+def _grad_at(state, field, weights):
+    return evaluate_objective(dataclasses.replace(state, weights=weights), field)[1]
+
+
 def test_gradient_linear_in_weights(state):
     field = rand_field(23)
-    _, g_all = grad_total(state, field, LossWeights(1, 4, 1, 1, 0.1))
+    g_all = _grad_at(state, field, LossWeights(1, 4, 1, 1, 0.1))
     combo = np.zeros_like(g_all)
     for name, w in (("sim", 1.0), ("smooth", 4.0), ("seg", 1.0),
                     ("prototype", 1.0), ("contour", 0.1)):
         single = LossWeights(**{n: 0.0 for n in ("sim", "smooth", "seg", "prototype", "contour")}
                              | {name: 1.0})
-        _, g = grad_total(state, field, single)
+        g = _grad_at(state, field, single)
         combo += w * g
     assert np.allclose(g_all, combo, atol=1e-10)
 
 
 def test_zero_weights_zero_gradient(state):
-    _, g = grad_total(state, rand_field(29), LossWeights(0, 0, 0, 0, 0))
+    g = _grad_at(state, rand_field(29), LossWeights(0, 0, 0, 0, 0))
     assert not g.any()
 
 
@@ -169,6 +186,13 @@ def _oracle_features(data):
     return np.stack([standardize(data), standardize(np.sqrt(gx ** 2 + gy ** 2 + gz ** 2 + 1e-12))])
 
 
+def _contour_classes(state):
+    """(fixed points, moving points) of each class of ``state.contour_pairs``."""
+    fixed, fixed_class, moving, moving_class = state.contour_pairs
+    return [(fixed[fixed_class == c], moving[moving_class == c])
+            for c in range(fixed_class.max() + 1)]
+
+
 def test_term_values_match_oracle_composition(state):
     field = rand_field(37)
     bd, _ = evaluate_objective(state, field)
@@ -189,14 +213,11 @@ def test_term_values_match_oracle_composition(state):
         + oracles.contrast(feats_f, assign, protos_f, present_f, state.temperature)
     )
 
-    moving_pts = {c.class_label: c.points for c in state.moving_contours if len(c) > 0}
     chamfers = []
-    for cf in state.fixed_contours:
-        if len(cf) == 0 or cf.class_label not in moving_pts:
-            continue
+    for fixed_pts, moving_pts in _contour_classes(state):
         carried = np.array([[p[c] + oracles.trilinear(u[c], p) for c in range(3)]
-                            for p in cf.points])
-        chamfers.append(oracles.chamfer(carried, moving_pts[cf.class_label]))
+                            for p in fixed_pts])
+        chamfers.append(oracles.chamfer(carried, moving_pts))
     assert chamfers
 
     want = {
@@ -324,7 +345,7 @@ def test_compact_masks_need_no_dense_channel_array():
 
 
 def test_gradient_finite_everywhere(state):
-    _, g = grad_total(state, rand_field(41, scale=3.0))
+    _, g = evaluate_objective(state, rand_field(41, scale=3.0))
     assert np.isfinite(g).all()
     assert g.shape == (3,) + DIMS
 
@@ -404,14 +425,13 @@ def _per_class_contour(state, field):
     """The contour term class by class: the value as the mean of the
     exhaustive ``oracles.chamfer``, the gradient as one add per class of
     ``losses._chamfer``."""
-    moving = {c.class_label: c.points for c in state.moving_contours if len(c) > 0}
-    fixed = [cf for cf in state.fixed_contours if len(cf) > 0 and cf.class_label in moving]
+    classes = _contour_classes(state)
     values, grad = [], np.zeros((3,) + state.dims)
-    for cf in fixed:
-        index = (slice(None),) + tuple(cf.points.T.astype(np.intp))
-        carried = cf.points + field.u[index].T
-        values.append(oracles.chamfer(carried, moving[cf.class_label]))
-        grad[index] += losses._chamfer(carried, moving[cf.class_label], True)[1].T / len(fixed)
+    for fixed_pts, moving_pts in classes:
+        index = (slice(None),) + tuple(fixed_pts.T.astype(np.intp))
+        carried = fixed_pts + field.u[index].T
+        values.append(oracles.chamfer(carried, moving_pts))
+        grad[index] += losses._chamfer(carried, moving_pts, True)[1].T / len(classes)
     return float(np.mean(values)), grad
 
 
@@ -448,6 +468,7 @@ def test_contour_voxel_of_two_classes_gets_both_gradients():
     moving = one_hot(LabelVolume(DIMS, (1, 1, 1), np.roll(labels, 1, axis=1), 2))
     st = build_state(rand_volume(71), rand_volume(72), LossWeights(0, 0, 0, 0, 1),
                      fixed, moving, window=3, max_points=512)
-    for cf in st.fixed_contours:
-        assert (cf.points == 2.0).all(axis=1).any(), cf.class_label
+    fixed_pts, fixed_class = st.contour_pairs[:2]
+    for c in range(2):
+        assert (fixed_pts[fixed_class == c] == 2.0).all(axis=1).any(), c
     _assert_contour_matches_per_class(st, rand_field(73))
