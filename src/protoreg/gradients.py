@@ -3,7 +3,8 @@
 ``build_state`` is the one constructor of a level's ``ObjectiveState``: it
 makes each constant of the level once, only for the terms with a positive
 weight, and a state evaluates only the terms it was built for, through
-``evaluate_objective`` or ``term_evaluator``.
+``evaluate_objective`` or ``term_evaluator``; a positive weight on any other
+term raises ``ValueError``.
 
 ``evaluate_objective`` samples the moving image and masks through the field,
 carries the fixed contour points into moving space (``_carried``), and
@@ -34,10 +35,26 @@ because every sample clamped onto that face reads it.  The moved masks are
 never dense: the windows are padded to one shape and kept inside the grid
 (``_mask_windows``), which only adds samples that are exactly 0, their
 points are gathered into one (3, K, wx, wy, wz) array, and the moved masks
-stay that stack (see ``losses``) with its spatial derivative.  Element by
-element the arithmetic is that of the dense sampling, but the sums run in
-another order, so the results agree with it to rounding (about 1e-16
-relative), not bit for bit.
+stay that stack (see ``losses``) with its spatial derivative.
+
+The stored masks are not dense either.  ``build_state`` reads the dense
+channels once and keeps each channel only as a crop (``MaskCrops``): its
+support [a, b] grown by one zero layer below and two above, to
+[a-1, b+2] within the grid, so still open on a face the support touches;
+the crops are padded to one shape and kept inside the grid like the
+windows.  A window's points are shifted by its channel's crop origin and
+sampled from the crop stack in the same one call.  The two layers above
+are what make this exact: a sample at the lattice point b+1 reads the cell
+[b+1, b+2] above it, whose corners are 0, so its derivative is 0; a crop
+ending at b+1 would clamp it into the cell [b, b+1] and give the backward
+difference -m[b] instead.  With those layers every sample reads the same
+corners with the same fractions as on the dense channel (a shift by an
+integer origin is exact in floating point) or reads only zeros, so the
+moved masks and their derivatives are bit for bit the dense ones.  Dice
+reads the fixed channels on the windows from their own crops
+(``_on_windows``).  Element by element the arithmetic is that of the dense
+sampling, but the sums run in another order, so the results agree with a
+whole-grid evaluation to rounding (about 1e-16 relative), not bit for bit.
 
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
@@ -49,6 +66,7 @@ exactly-hard masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -59,20 +77,36 @@ from .losses import LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
 from .warp import DisplacementField, sample_volume, sample_volume_with_gradient
 
 
+class MaskCrops(NamedTuple):
+    """K mask channels kept on their crops: channel k is ``values[k]``
+    placed with its first voxel at grid voxel ``origins[k]``, and 0
+    everywhere else (see the module docstring)."""
+
+    values: np.ndarray          # (K, bx, by, bz)
+    origins: np.ndarray         # (K, 3) integer
+
+
 @dataclass(frozen=True)
 class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
     field, made only by ``build_state``, which computes each constant once
     and only for the terms with a positive weight: the open voxel-centre
     ``grid`` (when anything is sampled), the LNCC window sums ``lncc_fixed``
-    (similarity), the fixed masks' per-class masses ``fixed_mass`` (Dice),
-    the prototypes, hard assignments and fixed half of the contrast term
-    (prototype), the moving masks' ``mask_boxes`` (Dice or prototype) and
-    ``contour_pairs`` (contour; see ``_contour_pairs``).
+    (similarity), the fixed masks' per-class masses ``fixed_mass`` and
+    their ``fixed_crops`` (Dice), the prototypes, hard assignments and fixed
+    half of the contrast term (prototype), the moving masks' ``mask_boxes``
+    and ``moving_crops`` (Dice or prototype) and ``contour_pairs`` (contour;
+    see ``_contour_pairs``).  ``terms`` names the terms it was built for.
+
+    A state holds no dense (K, nx, ny, nz) mask array.  Each mask channel
+    is kept as a crop of one shape (``MaskCrops``): its non-zero index
+    range [a, b] grown to [a-1, b+2] within the grid, one zero layer below
+    and two above, so that a sample at the lattice point b+1 reads the zero
+    cell above it, as on the dense channel (see the module docstring).
 
     A state evaluates only the terms it was built for, so ``replace`` may
-    switch terms off (lower weights) but not on; ``term_evaluator`` rejects a
-    term the state was built without.
+    switch terms off (lower weights) but not on; ``evaluate_objective``
+    rejects a positive weight on a term missing from ``terms``.
 
     ``mask_boxes`` holds, per moving mask channel, the support box derived
     from it: per axis the source-coordinate range (lo, hi) outside which a
@@ -88,12 +122,13 @@ class ObjectiveState:
     weights: LossWeights
     window: int
     temperature: float
-    fixed_onehot: OneHotMask | None = None
-    moving_onehot: OneHotMask | None = None
+    terms: frozenset = frozenset()
     fixed_protos: PrototypeSet | None = None
     fixed_assign: np.ndarray | None = None
     contrast_fixed: float = 0.0
     mask_boxes: tuple = ()
+    moving_crops: MaskCrops | None = dataclass_field(default=None, repr=False)
+    fixed_crops: MaskCrops | None = dataclass_field(default=None, repr=False)
     grid: tuple | None = dataclass_field(default=None, repr=False)
     lncc_fixed: tuple | None = dataclass_field(default=None, repr=False)
     fixed_mass: np.ndarray | None = dataclass_field(default=None, repr=False)
@@ -110,7 +145,8 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
                 window: int = 9, temperature: float = 0.1,
                 max_points: int = 2048, seed: int = 0) -> ObjectiveState:
     """Precompute the deformation-independent pieces of the objective, each
-    only when a term with a positive weight reads it."""
+    only when a term with a positive weight reads it.  The masks are read
+    here and not kept: the state holds their crops."""
     if fixed.dims != moving.dims:
         raise DimsMismatchError(f"build_state: fixed {fixed.dims} vs moving {moving.dims}")
     if weights.uses_masks:
@@ -119,15 +155,19 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
         if fixed_onehot.num_classes != moving_onehot.num_classes:
             raise ValueError("build_state: masks cover different class universes")
 
-    built = {}
+    built = {"terms": frozenset(name for name, w in weights.as_dict().items() if w > 0)}
     if weights.sim > 0 or weights.seg > 0 or weights.prototype > 0:
         built["grid"] = np.ix_(*map(np.arange, fixed.dims))
     if weights.sim > 0:     # also checks the window
         built["lncc_fixed"] = losses._lncc_fixed(fixed.data, window)
     if weights.seg > 0:
         built["fixed_mass"] = losses._fixed_mass(fixed_onehot.channels)
+        built["fixed_crops"] = _crops(fixed_onehot.channels,
+                                      [_support(ch) for ch in fixed_onehot.channels])
     if weights.seg > 0 or weights.prototype > 0:
-        built["mask_boxes"] = tuple(_support_box(ch) for ch in moving_onehot.channels)
+        supports = [_support(ch) for ch in moving_onehot.channels]
+        built["mask_boxes"] = tuple(_support_box(s, fixed.dims) for s in supports)
+        built["moving_crops"] = _crops(moving_onehot.channels, supports)
     if weights.prototype > 0:
         fixed_feats = losses.feature_volume(fixed)
         built["fixed_protos"] = losses.extract_prototypes(fixed_feats, fixed_onehot)
@@ -140,23 +180,55 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
             [losses.extract_contour_points(mask, c, max_points, seed)
              for c in range(1, mask.num_classes + 1)]
             for mask in (fixed_onehot, moving_onehot)))
-    return ObjectiveState(fixed, moving, weights, window, temperature,
-                          fixed_onehot, moving_onehot, **built)
+    return ObjectiveState(fixed, moving, weights, window, temperature, **built)
 
 
-def _support_box(channel: np.ndarray):
-    """Per axis (lo, hi): the non-zero index range [a, b] of ``channel``
-    grown to [a-1, b+1], open on a face the support touches; None when the
-    channel is all zero."""
-    box = []
-    for axis, n in enumerate(channel.shape):
+def _support(channel: np.ndarray):
+    """Per axis the non-zero index range (a, b) of ``channel``; None when
+    the channel is all zero."""
+    support = []
+    for axis in range(3):
         others = tuple(a for a in range(3) if a != axis)
         nonzero = np.flatnonzero(channel.any(axis=others))
         if nonzero.size == 0:
             return None
-        a, b = int(nonzero[0]), int(nonzero[-1])
-        box.append((a - 1.0 if a > 0 else -np.inf, b + 1.0 if b < n - 1 else np.inf))
-    return tuple(box)
+        support.append((int(nonzero[0]), int(nonzero[-1])))
+    return tuple(support)
+
+
+def _support_box(support, dims):
+    """Per axis (lo, hi): the non-zero index range [a, b] grown to
+    [a-1, b+1], open on a face the support touches; None without support."""
+    if support is None:
+        return None
+    return tuple((a - 1.0 if a > 0 else -np.inf, b + 1.0 if b < n - 1 else np.inf)
+                 for (a, b), n in zip(support, dims))
+
+
+def _crops(channels: np.ndarray, supports) -> MaskCrops:
+    """``channels`` on their crops: per axis [a-1, b+2] within the grid,
+    padded to one shape (``_one_shape``); the values are copies."""
+    dims = channels.shape[1:]
+    crops = _one_shape([None if s is None else
+                        tuple(slice(max(a - 1, 0), min(b + 3, n)) for (a, b), n in zip(s, dims))
+                        for s in supports], dims)
+    return MaskCrops(np.stack([ch[crop] for ch, crop in zip(channels, crops)]),
+                     np.array([[s.start for s in crop] for crop in crops], dtype=np.intp))
+
+
+def _on_windows(crops: MaskCrops, windows) -> np.ndarray:
+    """The channels of ``crops`` on ``windows`` (one per channel, all of
+    one shape): (K, wx, wy, wz), 0 where a window leaves its crop."""
+    out = np.zeros((len(windows),) + tuple(s.stop - s.start for s in windows[0]))
+    for k, (window, origin) in enumerate(zip(windows, crops.origins.tolist())):
+        target, source = [], []
+        for s, o, m in zip(window, origin, crops.values.shape[1:]):
+            lo, hi = max(s.start, o), min(s.stop, o + m)
+            target.append(slice(lo - s.start, hi - s.start))
+            source.append(slice(lo - o, hi - o))
+        if all(t.start < t.stop for t in target):
+            out[k][tuple(target)] = crops.values[k][tuple(source)]
+    return out
 
 
 def _sample_window(box, u_min, u_max, dims):
@@ -186,17 +258,24 @@ def _sample_window(box, u_min, u_max, dims):
     return tuple(window)
 
 
-def _mask_windows(boxes, u: np.ndarray, dims):
-    """One window per mask channel, all of one shape, per axis the longest
-    ``_sample_window``: each starts at min(start, n - length), inside the
-    grid; a channel without a window gets one at the origin."""
-    u_min, u_max = u.min(axis=(1, 2, 3)), u.max(axis=(1, 2, 3))
-    needed = [None if box is None else _sample_window(box, u_min, u_max, dims) for box in boxes]
-    lengths = [[s.stop - s.start for s in w] for w in needed if w is not None]
-    shape = np.max(lengths, axis=0) if lengths else (1, 1, 1)
-    starts = [(0, 0, 0) if w is None else [s.start for s in w] for w in needed]
+def _one_shape(blocks, dims):
+    """``blocks`` (per entry a tuple of slices of the grid, or None) padded
+    to one shape, per axis the longest block: each starts at
+    min(start, n - length), inside the grid; None gets a block at the
+    origin."""
+    lengths = [[s.stop - s.start for s in b] for b in blocks if b is not None]
+    shape = np.max(lengths, axis=0).tolist() if lengths else (1, 1, 1)
+    starts = [(0, 0, 0) if b is None else [s.start for s in b] for b in blocks]
     return tuple(tuple(slice(min(a, n - m), min(a, n - m) + m) for a, n, m in zip(st, dims, shape))
                  for st in starts)
+
+
+def _mask_windows(boxes, u: np.ndarray, dims):
+    """One window per mask channel, all of one shape (``_one_shape`` of the
+    ``_sample_window`` of each box)."""
+    u_min, u_max = u.min(axis=(1, 2, 3)), u.max(axis=(1, 2, 3))
+    return _one_shape([None if box is None else _sample_window(box, u_min, u_max, dims)
+                       for box in boxes], dims)
 
 
 def _contour_pairs(sets_f, sets_m):
@@ -244,12 +323,18 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     """Evaluate the weighted objective; optionally also its gradient wrt u.
 
     Term values in the returned breakdown are unweighted; the gradient is of
-    the weighted total.  ``proto_mode`` restricts the prototype term to its
-    "contrast" or "align" half (used by the per-term gradient checks).
+    the weighted total.  A positive weight on a term the state was built
+    without raises ``ValueError``.  ``proto_mode`` restricts the prototype
+    term to its "contrast" or "align" half (used by the per-term gradient
+    checks).
     """
     if field.dims != state.dims:
         raise DimsMismatchError(f"evaluate_objective: field {field.dims} vs state {state.dims}")
     wd = state.weights.as_dict()
+    unbuilt = [name for name, w in wd.items() if w > 0 and name not in state.terms]
+    if unbuilt:
+        raise ValueError(f"evaluate_objective: the state was built without the "
+                         f"{', '.join(unbuilt)} term (weight 0 at build_state)")
     values = {name: 0.0 for name in TERM_NAMES}
     dims = state.dims
     grad = np.zeros((3,) + dims) if with_grad else None
@@ -275,8 +360,10 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     windows = masks = None
     if need_mask:
         windows = _mask_windows(state.mask_boxes, field.u, dims)
+        crops = state.moving_crops
         mask_pts = np.stack([pts[(slice(None),) + window] for window in windows], axis=1)
-        masks, masks_pos = sample(state.moving_onehot.channels, mask_pts)
+        mask_pts -= crops.origins.T[:, :, None, None, None]
+        masks, masks_pos = sample(crops.values, mask_pts)
         np.clip(masks, 0.0, 1.0, out=masks)
         d_masks = np.zeros(masks.shape) if with_grad else None
 
@@ -292,8 +379,8 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             grad += wd["smooth"] * g
 
     if wd["seg"] > 0:
-        values["seg"], g = losses._dice(state.fixed_onehot.channels, state.fixed_mass,
-                                          masks, windows, with_grad)
+        values["seg"], g = losses._dice(_on_windows(state.fixed_crops, windows),
+                                          state.fixed_mass, masks, with_grad)
         if with_grad:
             d_masks += wd["seg"] * g
 
@@ -408,14 +495,11 @@ def term_evaluator(state: ObjectiveState, term: str):
     ``term`` names one of: sim, smooth, seg, contrast, align, contour (the
     two prototype halves are checked independently).  The state must have
     been built with the term (contrast and align: the prototype term), else
-    ``ValueError``.
+    the evaluator raises ``ValueError`` (see ``evaluate_objective``).
     """
     if term not in TERM_CHECKS:
         raise ValueError(f"term must be one of {TERM_CHECKS}, got {term!r}")
     name = "prototype" if term in ("contrast", "align") else term
-    if getattr(state.weights, name) == 0:
-        raise ValueError(f"term_evaluator: the state was built without the {term} term "
-                         f"({name} weight 0)")
     proto_mode = term if name == "prototype" else "both"
     sub = replace(state, weights=LossWeights(**{n: float(n == name) for n in TERM_NAMES}))
 

@@ -21,13 +21,14 @@ through the warp onto u.
 
 Moved mask channels come as one stack: ``values`` (K, wx, wy, wz) and
 ``windows``, K tuples of slices of the grid of that shape; channel k is
-``values[k]`` on ``windows[k]`` and 0 elsewhere.  ``_dice`` and ``_align``
-gather what they pair with it on the windows (one slice copy per channel),
-reduce with array operations, and return one mask gradient shaped like
-``values``; windows may overlap, so gradients go back onto the grid by one
-slice-add per channel (``_add_on_windows``).  The dense views pass whole
-channels: ``dice_loss`` with ``windows`` None, ``extract_prototypes`` with a
-broadcast view of the features.
+``values[k]`` on ``windows[k]`` and 0 elsewhere.  ``_dice`` takes the fixed
+channels on the same windows (``gradients`` reads them from the fixed
+masks' crops) and ``_align`` gathers the features on them (one slice copy
+per channel); both reduce with array operations and return one mask
+gradient shaped like ``values``; windows may overlap, so gradients go back
+onto the grid by one slice-add per channel (``_add_on_windows``).  The
+dense views pass whole channels: ``dice_loss`` the whole grid as the one
+block, ``extract_prototypes`` a broadcast view of the features.
 
 Conventions fixed here and relied on elsewhere:
   * the correlation term is the negative mean of squared window NCC over all
@@ -271,13 +272,11 @@ def _fixed_mass(fixed_channels: np.ndarray) -> np.ndarray:
     return fixed_channels.reshape(fixed_channels.shape[0], -1).sum(axis=1)
 
 
-def _dice(fixed_channels: np.ndarray, sum_f: np.ndarray, values: np.ndarray,
-          windows=None, with_grad: bool = False):
-    """Soft Dice loss of the moved mask stack ``values`` on ``windows`` (None:
-    the whole grid) against fixed channels of per-class mass ``sum_f`` and,
-    with ``with_grad``, d(loss)/d(values), 0 on classes absent on both sides."""
-    fixed = fixed_channels if windows is None else np.stack(
-        [ch[window] for ch, window in zip(fixed_channels, windows)])
+def _dice(fixed: np.ndarray, sum_f: np.ndarray, values: np.ndarray, with_grad: bool = False):
+    """Soft Dice loss of the moved mask stack ``values`` against the fixed
+    channels ``fixed`` on the same blocks (the whole grid, or each channel's
+    window), of per-class mass ``sum_f`` and, with ``with_grad``,
+    d(loss)/d(values), 0 on classes absent on both sides."""
     k = len(values)
     inter = (fixed * values).reshape(k, -1).sum(axis=1)
     sum_m = values.reshape(k, -1).sum(axis=1)

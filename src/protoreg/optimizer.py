@@ -183,8 +183,8 @@ def register_pair(fixed: Volume, moving: Volume,
     fixed_pyr = build_pyramid(fixed, config.levels)
     moving_pyr = build_pyramid(moving, config.levels)
     if use_masks:
-        fixed_mask_pyr = build_pyramid(one_hot(fixed_mask), config.levels)
-        moving_mask_pyr = build_pyramid(one_hot(moving_mask), config.levels)
+        fixed_mask_pyr = list(build_pyramid(one_hot(fixed_mask), config.levels))
+        moving_mask_pyr = list(build_pyramid(one_hot(moving_mask), config.levels))
 
     field = None
     trajectories = []
@@ -209,6 +209,8 @@ def register_pair(fixed: Volume, moving: Volume,
             window=window, temperature=config.temperature,
             max_points=config.max_contour_points, seed=config.seed + level,
         )
+        if use_masks:       # the state keeps the masks' crops, not the dense channels
+            fixed_mask_pyr[level] = moving_mask_pyr[level] = None
 
         base = (DisplacementField.zeros(f_l.dims, f_l.spacing) if field is None
                 else upsample_field(field, f_l.dims))

@@ -43,10 +43,16 @@ def rand_field(seed, scale=0.3, offset=0.13, dims=DIMS):
 
 
 @pytest.fixture(scope="module")
-def state():
+def masks():
+    """The (fixed, moving) masks of the ``state`` fixture."""
+    return soft_mask(1), soft_mask(2)
+
+
+@pytest.fixture(scope="module")
+def state(masks):
     return build_state(
         rand_volume(42), rand_volume(43), LossWeights(1, 4, 1, 1, 0.1),
-        soft_mask(1), soft_mask(2), window=3, temperature=0.1, max_points=64, seed=3,
+        *masks, window=3, temperature=0.1, max_points=64, seed=3,
     )
 
 
@@ -86,8 +92,22 @@ def test_term_evaluator_rejects_a_term_the_state_was_built_without(term):
     weights = LossWeights(**{n: float(n != name) for n in losses.TERM_NAMES})
     st = build_state(rand_volume(42), rand_volume(43), weights, soft_mask(1), soft_mask(2),
                      window=3, max_points=64, seed=3)
-    with pytest.raises(ValueError, match=term):
-        term_evaluator(st, term)
+    with pytest.raises(ValueError, match=name):
+        term_evaluator(st, term)(rand_field(7))
+
+
+@pytest.mark.parametrize("name", ["seg", "contour"])
+def test_reweighting_cannot_switch_on_a_term_the_state_was_built_without(name):
+    # re-weighted past build_state, the contour term would read 0.0 and seg
+    # would find no fixed crops: evaluate_objective checks what was built
+    built = dataclasses.replace(LossWeights(1, 4, 1, 1, 0.1), **{name: 0.0})
+    st = build_state(rand_volume(42), rand_volume(43), built, soft_mask(1), soft_mask(2),
+                     window=3, max_points=64, seed=3)
+    raised = dataclasses.replace(st, weights=dataclasses.replace(built, **{name: 1.0}))
+    for with_grad in (True, False):
+        with pytest.raises(ValueError, match=name):
+            evaluate_objective(raised, rand_field(7), with_grad=with_grad)
+    evaluate_objective(st, rand_field(7))
 
 
 def test_smoothness_alone_tight():
@@ -193,15 +213,15 @@ def _contour_classes(state):
             for c in range(fixed_class.max() + 1)]
 
 
-def test_term_values_match_oracle_composition(state):
+def test_term_values_match_oracle_composition(state, masks):
     field = rand_field(37)
     bd, _ = evaluate_objective(state, field)
     u = field.u
 
     moved = oracles.warp(state.moving.data, u)
-    fixed_ch = state.fixed_onehot.channels
+    fixed_ch = masks[0].channels
     moved_ch = np.stack([np.clip(oracles.warp(ch, u), 0.0, 1.0)
-                         for ch in state.moving_onehot.channels])
+                         for ch in masks[1].channels])
 
     feats_f = _oracle_features(state.fixed.data)
     feats_m = _oracle_features(moved)
@@ -231,7 +251,7 @@ def test_term_values_match_oracle_composition(state):
         assert bd.values[name] == pytest.approx(value, rel=1e-9), name
 
 
-def _compact_state(weights):
+def _compact_masks():
     """Hard masks on (9, 8, 7): class 1 touches the x=0 face, class 2 the
     three far faces, class 3 is interior and class 4 is absent; the moving
     labels are the fixed ones rolled by one voxel on y."""
@@ -242,7 +262,12 @@ def _compact_state(weights):
     labels[3:6, 3:5, 2:4] = 3
     fixed = one_hot(LabelVolume(dims, (1, 1, 1), labels, 4))
     moving = one_hot(LabelVolume(dims, (1, 1, 1), np.roll(labels, 1, axis=1), 4))
-    return build_state(rand_volume(51, dims), rand_volume(52, dims),
+    return fixed, moving
+
+
+def _compact_state(weights):
+    fixed, moving = _compact_masks()
+    return build_state(rand_volume(51, fixed.dims), rand_volume(52, fixed.dims),
                        weights, fixed, moving, window=3)
 
 
@@ -262,11 +287,12 @@ def test_compact_mask_boxes(compact_state):
 
 
 def _assert_seg_matches_dense(state, u):
-    # the blocks sum in another order than the dense oracle, which moves the
-    # result by about 1e-16 relative
+    # ``state`` is built from ``_compact_masks``; the blocks sum in another
+    # order than the dense oracle, which moves the result by about 1e-16
+    # relative
     value, grad = term_evaluator(state, "seg")(DisplacementField(state.dims, (1, 1, 1), u))
-    want_value, want_grad = oracles.dense_seg(
-        state.fixed_onehot.channels, state.moving_onehot.channels, u)
+    fixed, moving = _compact_masks()
+    want_value, want_grad = oracles.dense_seg(fixed.channels, moving.channels, u)
     assert value == pytest.approx(want_value, rel=1e-12)
     assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
     assert grad.any()
@@ -300,6 +326,17 @@ def test_compact_masks_match_dense_sampling(compact_state, shift):
 
 def test_compact_masks_sample_rounded_onto_box_face(compact_state):
     _assert_seg_matches_dense(compact_state, _rounding_field(compact_state.dims))
+
+
+@pytest.mark.parametrize("shift", [(0, 0, 0), (1, 0, 0), (-1, 2, 0), (0, -2, 1)])
+def test_compact_masks_match_dense_sampling_on_the_lattice(compact_state, shift):
+    # every sample sits on a lattice point, where trilinear sampling reads the
+    # cell above it; at b + 1, one voxel past a support [a, b], that cell is
+    # zero, so the crops must hold two zero layers above the support: with
+    # one, the sample would clamp into the cell below and take a backward
+    # difference
+    u = np.zeros((3,) + compact_state.dims) + np.reshape(shift, (3, 1, 1, 1))
+    _assert_seg_matches_dense(compact_state, u)
 
 
 def test_compact_masks_align_matches_whole_grid_blocks():
@@ -371,6 +408,29 @@ def test_value_only_evaluation_equals_gradient_path(state, which, kind):
         assert ev(field, False)[0] == ev(field, True)[0], term
 
 
+def _held_bytes(obj, seen):
+    """Bytes of the distinct arrays reachable from ``obj`` through dataclass
+    fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        new = id(obj) not in seen
+        seen.add(id(obj))
+        return obj.nbytes if new else 0
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif not isinstance(obj, (tuple, list, frozenset)):
+        return 0
+    return sum(_held_bytes(child, seen) for child in obj)
+
+
+def test_state_holds_no_dense_channel_array():
+    # with all five terms the state keeps the masks only on their crops:
+    # everything it holds stays under half of one K x N float64 array
+    st = _twelve_organ_state(LossWeights(1, 4, 1, 1, 0.1))
+    k, n = len(st.mask_boxes), np.prod(st.dims)
+    assert st.moving_crops.values.shape[0] == st.fixed_crops.values.shape[0] == k
+    assert _held_bytes(st, set()) < k * n * 8 / 2
+
+
 def _twelve_organ_state(weights):
     # the geometry of test_compact_masks_need_no_dense_channel_array
     dims, k = (32, 32, 32), 12
@@ -396,11 +456,11 @@ def _assert_one_sampler_call_per_kind(st, monkeypatch):
     field = rand_field(63, dims=st.dims)
     evaluate_objective(st, field)
     images = [points for data, points in calls if data is st.moving.data]
-    masks = [points for data, points in calls if data is st.moving_onehot.channels]
+    masks = [points for data, points in calls if data is st.moving_crops.values]
     assert len(calls) == 2
     assert len(images) == 1 and images[0].shape == (3,) + st.dims
     assert len(masks) == 1 and masks[0].ndim == 5
-    assert masks[0].shape[:2] == (3, st.moving_onehot.num_classes)
+    assert masks[0].shape[:2] == (3, len(st.mask_boxes))
     calls.clear()
     evaluate_objective(st, field, with_grad=False)
     assert calls == []
