@@ -40,7 +40,6 @@ from .warp import (
     trilinear_sample,
     upsample_field,
     warp_labels,
-    warp_onehot,
     warp_volume,
 )
 

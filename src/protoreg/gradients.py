@@ -56,6 +56,14 @@ reads the fixed channels on the windows from their own crops
 sampling, but the sums run in another order, so the results agree with a
 whole-grid evaluation to rounding (about 1e-16 relative), not bit for bit.
 
+An evaluation releases its sample points, those of the whole grid
+(``pts``) and of the mask windows (``mask_pts``), as soon as the moving
+mask channels are sampled, before any term runs; so the terms' temporaries
+sit on top of the samples, their spatial derivatives and the gradient
+accumulators only.  The support helpers
+(``_support``, ``_support_box``, ``_crop``, ``_sample_window``) live in
+``warp``, which scores labels the same way (``warp_labels``).
+
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
 the clamp boundary, Chamfer nearest-neighbor ties, class-presence flips,
@@ -74,7 +82,8 @@ from scipy.spatial import cKDTree
 from . import losses
 from .grids import DimsMismatchError, OneHotMask, Volume, argmax_labels
 from .losses import LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
-from .warp import DisplacementField, sample_volume, sample_volume_with_gradient
+from .warp import (DisplacementField, _crop, _sample_window, _support, _support_box, sample_volume,
+                   sample_volume_with_gradient)
 
 
 class MaskCrops(NamedTuple):
@@ -183,35 +192,11 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     return ObjectiveState(fixed, moving, weights, window, temperature, **built)
 
 
-def _support(channel: np.ndarray):
-    """Per axis the non-zero index range (a, b) of ``channel``; None when
-    the channel is all zero."""
-    support = []
-    for axis in range(3):
-        others = tuple(a for a in range(3) if a != axis)
-        nonzero = np.flatnonzero(channel.any(axis=others))
-        if nonzero.size == 0:
-            return None
-        support.append((int(nonzero[0]), int(nonzero[-1])))
-    return tuple(support)
-
-
-def _support_box(support, dims):
-    """Per axis (lo, hi): the non-zero index range [a, b] grown to
-    [a-1, b+1], open on a face the support touches; None without support."""
-    if support is None:
-        return None
-    return tuple((a - 1.0 if a > 0 else -np.inf, b + 1.0 if b < n - 1 else np.inf)
-                 for (a, b), n in zip(support, dims))
-
-
 def _crops(channels: np.ndarray, supports) -> MaskCrops:
     """``channels`` on their crops: per axis [a-1, b+2] within the grid,
     padded to one shape (``_one_shape``); the values are copies."""
     dims = channels.shape[1:]
-    crops = _one_shape([None if s is None else
-                        tuple(slice(max(a - 1, 0), min(b + 3, n)) for (a, b), n in zip(s, dims))
-                        for s in supports], dims)
+    crops = _one_shape([None if s is None else _crop(s, dims) for s in supports], dims)
     return MaskCrops(np.stack([ch[crop] for ch, crop in zip(channels, crops)]),
                      np.array([[s.start for s in crop] for crop in crops], dtype=np.intp))
 
@@ -231,33 +216,6 @@ def _on_windows(crops: MaskCrops, windows) -> np.ndarray:
     return out
 
 
-def _sample_window(box, u_min, u_max, dims):
-    """Slices of the output block holding every voxel p whose sample point
-    p + u(p) can fall in ``box``, given u_min <= u <= u_max per axis; None
-    when the block is empty.
-
-    On one axis that is [ceil(lo - max u), floor(hi - min u)] within the
-    grid.  Each end is settled by testing p + max u >= lo (p + min u <= hi)
-    in the float arithmetic that forms the sample points, so a point rounded
-    onto a face of the box is kept.
-    """
-    window = []
-    for (lo, hi), lo_u, hi_u, n in zip(box, u_min, u_max, dims):
-        start, stop = 0, n - 1
-        if lo > -np.inf:
-            start = max(0, int(np.ceil(lo - hi_u)) - 1)
-            if start + hi_u < lo:
-                start += 1
-        if hi < np.inf:
-            stop = min(n - 1, int(np.floor(hi - lo_u)) + 1)
-            if stop + lo_u > hi:
-                stop -= 1
-        if start > stop:
-            return None
-        window.append(slice(start, stop + 1))
-    return tuple(window)
-
-
 def _one_shape(blocks, dims):
     """``blocks`` (per entry a tuple of slices of the grid, or None) padded
     to one shape, per axis the longest block: each starts at
@@ -273,7 +231,7 @@ def _one_shape(blocks, dims):
 def _mask_windows(boxes, u: np.ndarray, dims):
     """One window per mask channel, all of one shape (``_one_shape`` of the
     ``_sample_window`` of each box)."""
-    u_min, u_max = u.min(axis=(1, 2, 3)), u.max(axis=(1, 2, 3))
+    u_min, u_max = u.min(axis=(1, 2, 3)).tolist(), u.max(axis=(1, 2, 3)).tolist()
     return _one_shape([None if box is None else _sample_window(box, u_min, u_max, dims)
                        for box in boxes], dims)
 
@@ -341,11 +299,10 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     need_moved = wd["sim"] > 0 or wd["prototype"] > 0
     need_mask = wd["seg"] > 0 or wd["prototype"] > 0
-    pts = None
     if need_moved or need_mask:
         pts = field.u.copy()
-        for p, axis in zip(pts, state.grid):
-            p += axis
+        for a, axis in enumerate(state.grid):
+            pts[a] += axis
 
     def sample(data, points):
         if with_grad:
@@ -366,6 +323,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         masks, masks_pos = sample(crops.values, mask_pts)
         np.clip(masks, 0.0, 1.0, out=masks)
         d_masks = np.zeros(masks.shape) if with_grad else None
+    pts = mask_pts = None       # every sample is taken: free the points for the terms
 
     if wd["sim"] > 0:
         values["sim"], g = losses._lncc(state.fixed.data, moved, state.window,

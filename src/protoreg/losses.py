@@ -192,7 +192,8 @@ def _lncc_fixed(fixed: np.ndarray, window: int):
     center = (slice(None),) + (slice(window // 2, -(window // 2)),) * 3
     s_i, s_ii = _box_sums(np.stack([fixed, fixed * fixed]), window)[center]
     b = s_ii - s_i * s_i / w3
-    return s_i, b, b / w3 >= VARIANCE_EPS
+    # a copy of s_i, so that the state does not hold the whole-grid sums
+    return s_i.copy(), b, b / w3 >= VARIANCE_EPS
 
 
 def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,

@@ -77,6 +77,18 @@ class RegistrationConfig:
         object.__setattr__(self, "iterations", its)
         if self.learning_rate <= 0:
             raise ValueError("RegistrationConfig: learning rate must be > 0")
+        if self.window < 3 or self.window % 2 == 0:
+            raise ValueError(f"RegistrationConfig: window must be odd and >= 3, got {self.window}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"RegistrationConfig: {name} must lie in [0, 1), "
+                                 f"got {getattr(self, name)}")
+        for name in ("adam_eps", "temperature"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"RegistrationConfig: {name} must be > 0, got {getattr(self, name)}")
+        if self.max_contour_points < 1:
+            raise ValueError(f"RegistrationConfig: max_contour_points must be >= 1, "
+                             f"got {self.max_contour_points}")
 
     def to_dict(self) -> dict:
         return {
@@ -149,6 +161,12 @@ def _effective_window(window: int, dims) -> int:
     return w if w >= 3 else 0
 
 
+def _same_spacing(a, b) -> bool:
+    """Equal voxel spacings, to float32 precision: a NIfTI header stores
+    them as float32, the raw format's sidecar as float64."""
+    return np.allclose(a, b, rtol=1e-6, atol=0.0)
+
+
 def register_pair(fixed: Volume, moving: Volume,
                   fixed_mask: LabelVolume | None = None,
                   moving_mask: LabelVolume | None = None,
@@ -157,11 +175,14 @@ def register_pair(fixed: Volume, moving: Volume,
 
     Masks are optional: without them the mask-dependent weights are forced to
     zero (pure intensity mode) with a warning.  When the mask weights are all
-    zero the mask inputs are never read.
+    zero the mask inputs are never read.  The volumes must share dims and
+    voxel spacing, and so must each mask and its volume (``ValueError``).
     """
     config = config or RegistrationConfig()
     if fixed.dims != moving.dims:
         raise ValueError(f"register_pair: fixed {fixed.dims} vs moving {moving.dims}")
+    if not _same_spacing(fixed.spacing, moving.spacing):
+        raise ValueError(f"register_pair: fixed spacing {fixed.spacing} vs moving {moving.spacing}")
 
     weights = config.weights
     unsupervised = False
@@ -174,6 +195,9 @@ def register_pair(fixed: Volume, moving: Volume,
     if use_masks:
         if fixed_mask.dims != fixed.dims or moving_mask.dims != moving.dims:
             raise ValueError("register_pair: mask dims do not match the volumes")
+        if not (_same_spacing(fixed_mask.spacing, fixed.spacing)
+                and _same_spacing(moving_mask.spacing, moving.spacing)):
+            raise ValueError("register_pair: mask spacing does not match the volumes")
         if fixed_mask.num_classes != moving_mask.num_classes:
             raise ValueError(
                 f"register_pair: class universes differ "
@@ -223,6 +247,7 @@ def register_pair(fixed: Volume, moving: Volume,
             _abort_if_nonfinite(breakdown, level, it)
             totals[it] = breakdown.total
             delta, moments = adam_step(delta, grad, moments, config)
+            grad = None     # dead: do not hold it through the next evaluation
 
         field = superpose(base, delta)
         final_breakdown, _ = evaluate_objective(state, field, with_grad=False)

@@ -15,16 +15,35 @@ d/dx from the x-differences of the corners.  With leading batch axes,
 ``data`` shaped B + (nx, ny, nz) at points (3,) + B + S samples each
 ``data[b]`` at ``points[:, b]`` in the one gather, its flat indices offset
 by b * nx * ny * nz.
+
+A sampler's working memory is bounded: the points are taken in blocks of
+``SAMPLE_BLOCK`` in their flat order, so each of the two dozen temporaries
+of the gather and the interpolation holds at most one block, and only the
+outputs (value and derivative) grow with the number of points.  A block may
+start inside a batch entry, so each point's batch offset comes from its own
+flat position.  Every output element is formed by the same operations on
+the same operands whichever block it falls in, and the blocks are written
+into preallocated outputs, so a blocked call is bit for bit the unblocked
+one.  A call of at most one block makes no extra array.
+
+``warp_labels`` scores without a dense K-channel array: each class is
+sampled only where it can be non-zero, from a crop of its indicator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels, halved_dims, one_hot
+from .grids import DimsMismatchError, LabelVolume, Volume, halved_dims
+
+# Points per block of the trilinear sampler: no temporary of a call holds
+# more than this many points (128 kB of float64).  Whole registrations at
+# 32^3 and 48^3 timed blocks of 4,096 to 32,768 points alike, within noise.
+SAMPLE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -57,13 +76,40 @@ def identity_grid(dims) -> np.ndarray:
 
 def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
     """Trilinear sample and, with ``with_grad``, its derivative (see the
-    module docstring).  Corner cijk is offset by i, j, k on x, y, z; an axis
-    with one voxel has offset 0 and fraction 0."""
-    flat = data.ravel()
+    module docstring), ``SAMPLE_BLOCK`` points at a time.  Flat point i of
+    ``points`` samples batch entry i // (points per entry) of ``data``."""
     dims, batch = data.shape[-3:], data.shape[:-3]
-    base = np.empty(points.shape[1:], dtype=np.intp)
-    base[...] = np.arange(0, data.size, int(np.prod(dims))).reshape(
-        batch + (1,) * (base.ndim - len(batch)))
+    flat = data.ravel()
+    voxels = int(np.prod(dims))
+    per_entry = max(int(np.prod(points.shape[1 + len(batch):])), 1)
+    pts = points.reshape(3, -1)
+    count = pts.shape[1]
+    grad = np.empty((3, count)) if with_grad else None
+
+    def offsets(start, stop):
+        base = np.arange(start, stop, dtype=np.intp)
+        base //= per_entry
+        base *= voxels
+        return base
+
+    if count <= SAMPLE_BLOCK:
+        value = _sample_block(flat, dims, pts, offsets(0, count), grad)
+    else:
+        value = np.empty(count)
+        for start in range(0, count, SAMPLE_BLOCK):
+            block = slice(start, min(start + SAMPLE_BLOCK, count))
+            value[block] = _sample_block(flat, dims, pts[:, block],
+                                         offsets(block.start, block.stop),
+                                         None if grad is None else grad[:, block])
+    value = value.reshape(points.shape[1:])
+    return (value, grad.reshape(points.shape)) if with_grad else value
+
+
+def _sample_block(flat, dims, points, base, grad):
+    """The values of ``flat`` at ``points`` (3, m), each point's flat index
+    starting from ``base`` (m,), which is updated in place; with ``grad``
+    (3, m) also fills it with the derivative.  Corner cijk is offset by i,
+    j, k on x, y, z; an axis with one voxel has offset 0 and fraction 0."""
     steps, fracs, inside = [], [], []
     for a, n in enumerate(dims):
         stride = int(np.prod(dims[a + 1:]))
@@ -71,7 +117,7 @@ def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
         i0 = c.astype(np.intp)
         np.minimum(i0, max(n - 2, 0), out=i0)
         fracs.append(c - i0)
-        if with_grad:
+        if grad is not None:
             inside.append(c == points[a])
         base += i0 * stride
         steps.append(stride if n > 1 else 0)
@@ -86,17 +132,14 @@ def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
     c11 = c011 * gx + c111 * fx
     c0 = c00 * gy + c10 * fy
     c1 = c01 * gy + c11 * fy
-    value = c0 * gz + c1 * fz
-    if not with_grad:
-        return value
-    grad = np.empty(points.shape)
-    grad[0] = (((c100 - c000) * gy + (c110 - c010) * fy) * gz
-               + ((c101 - c001) * gy + (c111 - c011) * fy) * fz)
-    grad[1] = (c10 - c00) * gz + (c11 - c01) * fz
-    grad[2] = c1 - c0
-    for a in range(3):
-        grad[a] *= inside[a]
-    return value, grad
+    if grad is not None:
+        grad[0] = (((c100 - c000) * gy + (c110 - c010) * fy) * gz
+                   + ((c101 - c001) * gy + (c111 - c011) * fy) * fz)
+        grad[1] = (c10 - c00) * gz + (c11 - c01) * fz
+        grad[2] = c1 - c0
+        for a in range(3):
+            grad[a] *= inside[a]
+    return c0 * gz + c1 * fz
 
 
 def sample_volume(data: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -127,20 +170,106 @@ def warp_volume(vol: Volume, field: DisplacementField) -> Volume:
     return Volume(vol.dims, vol.spacing, sample_volume(vol.data, pts))
 
 
-def warp_onehot(mask: OneHotMask, field: DisplacementField) -> OneHotMask:
-    """Warp each channel independently; values stay in [0, 1]."""
-    if mask.dims != field.dims:
-        raise DimsMismatchError(f"warp_onehot: mask {mask.dims} vs field {field.dims}")
-    pts = identity_grid(mask.dims) + field.u
-    out = np.stack([sample_volume(mask.channels[k], pts) for k in range(mask.num_classes)])
-    return OneHotMask(mask.dims, mask.spacing, np.clip(out, 0.0, 1.0))
-
-
 def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
-    """Hard-label warp: one-hot, soft warp, then argmax with 0.5 background
-    threshold."""
-    return argmax_labels(warp_onehot(one_hot(labels), field))
+    """Hard-label warp: ``argmax_labels`` of the one-hot channels warped
+    each on its own (clipped to [0, 1]), with the 0.5 background threshold.
 
+    No (K, nx, ny, nz) array is made.  Class c is sampled only on the
+    window of output voxels whose sample point can reach its support box,
+    from a crop of ``labels == c`` (``_crop``), the way the objective
+    samples its mask channels (see ``gradients``), so every value is the
+    dense one bit for bit and every voxel outside the window reads exactly
+    0.  A running maximum taken with a strict ``>`` keeps a tie on the
+    lowest class, as ``argmax`` does.
+    """
+    if labels.dims != field.dims:
+        raise DimsMismatchError(f"warp_labels: labels {labels.dims} vs field {field.dims}")
+    dims, u = labels.dims, field.u
+    u_min, u_max = u.min(axis=(1, 2, 3)).tolist(), u.max(axis=(1, 2, 3)).tolist()
+    best = np.zeros(dims)
+    out = np.zeros(dims, np.int32)
+    for c in range(1, labels.num_classes + 1):
+        indicator = labels.labels == c
+        support = _support(indicator)
+        window = None if support is None else _sample_window(
+            _support_box(support, dims), u_min, u_max, dims)
+        if window is None:
+            continue
+        crop = _crop(support, dims)
+        pts = u[(slice(None),) + window].copy()
+        for p, axis, s in zip(pts, np.ix_(*(np.arange(w.start, w.stop) for w in window)), crop):
+            p += axis
+            p -= s.start
+        values = sample_volume(indicator[crop].astype(np.float64), pts)
+        np.clip(values, 0.0, 1.0, out=values)
+        region = best[window]
+        wins = values > region
+        region[wins] = values[wins]
+        out[window][wins] = c
+    out[best < 0.5] = 0
+    return LabelVolume(dims, labels.spacing, out, labels.num_classes)
+
+
+# ------------------------------------------------- masks on their support
+
+def _support(channel: np.ndarray):
+    """Per axis the non-zero index range (a, b) of ``channel``; None when
+    the channel is all zero."""
+    support = []
+    for axis in range(3):
+        others = tuple(a for a in range(3) if a != axis)
+        nonzero = np.flatnonzero(channel.any(axis=others))
+        if nonzero.size == 0:
+            return None
+        support.append((int(nonzero[0]), int(nonzero[-1])))
+    return tuple(support)
+
+
+def _support_box(support, dims):
+    """Per axis (lo, hi): the non-zero index range [a, b] grown to
+    [a-1, b+1], open on a face the support touches; None without support.
+    Outside it a sample and its spatial derivative are exactly 0."""
+    if support is None:
+        return None
+    return tuple((a - 1.0 if a > 0 else -math.inf, b + 1.0 if b < n - 1 else math.inf)
+                 for (a, b), n in zip(support, dims))
+
+
+def _crop(support, dims):
+    """Slices of the grid on [a-1, b+2] per axis, within the grid: the
+    support with one zero layer below and two above, enough for a sample
+    of the crop to read what the whole channel gives (see ``gradients``)."""
+    return tuple(slice(max(a - 1, 0), min(b + 3, n)) for (a, b), n in zip(support, dims))
+
+
+def _sample_window(box, u_min, u_max, dims):
+    """Slices of the output block holding every voxel p whose sample point
+    p + u(p) can fall in ``box``, given u_min <= u <= u_max per axis (Python
+    floats); None when the block is empty.
+
+    On one axis that is [ceil(lo - max u), floor(hi - min u)] within the
+    grid.  Each end is settled by testing p + max u >= lo (p + min u <= hi)
+    in the float arithmetic that forms the sample points, so a point rounded
+    onto a face of the box is kept.
+    """
+    window = []
+    for (lo, hi), lo_u, hi_u, n in zip(box, u_min, u_max, dims):
+        start, stop = 0, n - 1
+        if lo > -math.inf:
+            start = max(0, math.ceil(lo - hi_u) - 1)
+            if start + hi_u < lo:
+                start += 1
+        if hi < math.inf:
+            stop = min(n - 1, math.floor(hi - lo_u) + 1)
+            if stop + lo_u > hi:
+                stop -= 1
+        if start > stop:
+            return None
+        window.append(slice(start, stop + 1))
+    return tuple(window)
+
+
+# ------------------------------------------------------- field operations
 
 def upsample_field(field: DisplacementField, target_dims) -> DisplacementField:
     """Trilinear-upsample each component onto the ceil-doubled grid, then

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from protoreg.grids import DimsMismatchError, LabelVolume, Volume, one_hot
+from protoreg.grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels, one_hot
 from protoreg.warp import (
+    SAMPLE_BLOCK,
     DisplacementField,
+    identity_grid,
     jacobian_determinant,
     sample_volume,
     sample_volume_with_gradient,
@@ -12,7 +16,7 @@ from protoreg.warp import (
     superpose,
     trilinear_sample,
     upsample_field,
-    warp_onehot,
+    warp_labels,
     warp_volume,
 )
 
@@ -112,6 +116,69 @@ def test_batched_sampling_equals_per_channel_calls(dims):
         assert np.array_equal(grad[:, c], want_grad)
 
 
+B = SAMPLE_BLOCK
+BLOCK_CASES = [
+    (B - 1, ()), (B, ()), (B + 1, ()), (2 * B + 3, ()),
+    (B - 1, (3,)), (B, (4,)), (B + 1, (5,)), (2 * B + 3, (1,)),
+    (2 * B + 2, (2, 5)),
+]
+
+
+@pytest.mark.parametrize("count, batch", BLOCK_CASES,
+                         ids=[f"{c}-batch{'x'.join(map(str, b)) or 'none'}" for c, b in BLOCK_CASES])
+def test_blocked_sampling_equals_per_block_calls(count, batch):
+    # a call over several blocks must give, bit for bit, what separate calls
+    # on each block's points give; with batch axes (5,) and (2, 5), entries
+    # of 3,277 points put a block boundary inside an entry, and (1,) puts
+    # two inside its one entry
+    dims = (5, 6, 7)
+    rng = np.random.default_rng(23)
+    data = rng.normal(size=batch + dims)
+    entries = int(np.prod(batch))
+    per_entry = count // entries
+    pts = np.stack([rng.uniform(-1.0, n, size=batch + (per_entry,)) for n in dims])
+    assert pts[0].size == count
+    value, grad = sample_volume_with_gradient(data, pts)
+    assert value.shape == pts.shape[1:] and grad.shape == pts.shape
+    assert np.array_equal(sample_volume(data, pts), value)
+
+    flat_pts, flat_data = pts.reshape(3, -1), data.reshape((-1,) + dims)
+    want_value, want_grad = [], []
+    for start in range(0, count, B):
+        stop = min(start + B, count)
+        for e in range(start // per_entry, (stop - 1) // per_entry + 1):
+            lo, hi = max(start, e * per_entry), min(stop, (e + 1) * per_entry)
+            v, g = sample_volume_with_gradient(flat_data[e], flat_pts[:, lo:hi])
+            want_value.append(v)
+            want_grad.append(g)
+    assert np.array_equal(value.ravel(), np.concatenate(want_value))
+    assert np.array_equal(grad.reshape(3, -1), np.concatenate(want_grad, axis=1))
+
+    # the oracle at every point within 3 of a block boundary, and a spread
+    check = {i for b in range(0, count + 1, B) for i in range(b - 3, b + 3) if 0 <= i < count}
+    for i in sorted(check | set(range(0, count, 97))):
+        want = oracles.trilinear(flat_data[i // per_entry], flat_pts[:, i])
+        assert value.ravel()[i] == pytest.approx(want, abs=1e-12)
+
+
+def test_sampler_memory_is_bounded_by_the_block():
+    # one 48^3 sample with derivative: the outputs (four values per point)
+    # plus temporaries of at most a few dozen blocks, not of all the points
+    dims = (48, 48, 48)
+    rng = np.random.default_rng(24)
+    data = rng.normal(size=dims)
+    pts = np.stack([rng.uniform(-1.0, n, size=dims) for n in dims])
+    count = pts[0].size
+    tracemalloc.start()
+    try:
+        value, grad = sample_volume_with_gradient(data, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 110_592 and count > 6 * SAMPLE_BLOCK
+    assert peak < (4 * count + 40 * SAMPLE_BLOCK) * 8
+
+
 def test_warp_zero_field_identity_bit_exact():
     vol = rand_volume((5, 4, 3), 2)
     out = warp_volume(vol, DisplacementField.zeros(vol.dims))
@@ -152,33 +219,99 @@ def test_warp_dims_mismatch():
         warp_volume(rand_volume((4, 4, 4)), DisplacementField.zeros((3, 3, 3)))
 
 
-def test_warp_onehot_zero_field():
+def test_warp_labels_zero_field():
     labels = np.zeros((4, 4, 4), np.int32)
     labels[1:3, 1:3, 1:3] = 1
-    oh = one_hot(LabelVolume((4, 4, 4), (1, 1, 1), labels, 1))
-    out = warp_onehot(oh, DisplacementField.zeros((4, 4, 4)))
-    assert np.array_equal(out.channels, oh.channels)
+    lv = LabelVolume((4, 4, 4), (1, 2, 3), labels, 1)
+    out = warp_labels(lv, DisplacementField.zeros((4, 4, 4)))
+    assert np.array_equal(out.labels, labels)
+    assert (out.spacing, out.num_classes) == (lv.spacing, 1)
 
 
-def test_warp_onehot_half_shift_fractional_boundary():
-    labels = np.zeros((5, 3, 3), np.int32)
+def test_warp_labels_half_shift_fractional_boundary():
+    # a half-voxel shift puts 0.5 of class 1 on both faces of its slab,
+    # which reaches the threshold; at x = 2, 0.5 of class 1 ties 0.5 of
+    # class 2 and the lower class wins
+    labels = np.zeros((7, 3, 3), np.int32)
     labels[1:3] = 1
-    oh = one_hot(LabelVolume((5, 3, 3), (1, 1, 1), labels, 1))
-    u = np.zeros((3, 5, 3, 3))
+    labels[3:5] = 2
+    u = np.zeros((3, 7, 3, 3))
     u[0] = 0.5
-    out = warp_onehot(oh, DisplacementField((5, 3, 3), (1, 1, 1), u))
-    assert out.channels[0][0, 1, 1] == pytest.approx(0.5)
-    assert out.channels[0][2, 1, 1] == pytest.approx(0.5)
-    assert 0.0 < out.channels[0][0, 1, 1] < 1.0
+    out = warp_labels(LabelVolume((7, 3, 3), (1, 1, 1), labels, 2),
+                      DisplacementField((7, 3, 3), (1, 1, 1), u))
+    assert out.labels[:, 1, 1].tolist() == [1, 1, 1, 2, 2, 0, 0]
 
 
-def test_warp_onehot_range_for_wild_fields():
-    labels = np.zeros((4, 4, 4), np.int32)
-    labels[::2, 1, 2] = 1
-    oh = one_hot(LabelVolume((4, 4, 4), (1, 1, 1), labels, 1))
-    field = rand_field((4, 4, 4), 50.0, 9)
-    out = warp_onehot(oh, field)
-    assert out.channels.min() >= 0.0 and out.channels.max() <= 1.0
+def dense_warp_labels(labels, u):
+    """The dense composition: every one-hot channel warped over the whole
+    grid, clipped to [0, 1], then ``argmax_labels``."""
+    pts = identity_grid(labels.dims) + u
+    channels = one_hot(labels).channels
+    warped = np.stack([sample_volume(ch, pts) for ch in channels])
+    return argmax_labels(OneHotMask(labels.dims, labels.spacing, np.clip(warped, 0.0, 1.0)))
+
+
+def oracle_warp_labels(labels, u):
+    """Per voxel, the first class of largest ``oracles.warp`` value if it
+    reaches 0.5, else background."""
+    channels = [np.clip(oracles.warp((labels.labels == c).astype(float), u), 0.0, 1.0)
+                for c in range(1, labels.num_classes + 1)]
+    out = np.zeros(labels.dims, np.int32)
+    for idx in np.ndindex(*labels.dims):
+        values = [ch[idx] for ch in channels]
+        if max(values) >= 0.5:
+            out[idx] = values.index(max(values)) + 1
+    return out
+
+
+@pytest.mark.parametrize("kind", ["zero", "shift", "random", "wild"])
+def test_warp_labels_matches_dense_and_oracle(kind):
+    # class 1 touches the x = 0 face, class 2 is inside, class 3 is absent
+    # and class 4 touches the far y and z faces
+    dims = (7, 6, 5)
+    labels = np.zeros(dims, np.int32)
+    labels[0:3, 1:3, 1:4] = 1
+    labels[3:5, 2:4, 1:3] = 2
+    labels[4:7, 4:6, 3:5] = 4
+    lv = LabelVolume(dims, (1, 1, 1), labels, 4)
+    rng = np.random.default_rng(22)
+    u = {"zero": np.zeros((3,) + dims),
+         "shift": np.zeros((3,) + dims) + np.reshape([1.3, -0.6, 0.4], (3, 1, 1, 1)),
+         "random": rng.uniform(-1.2, 1.2, (3,) + dims),
+         "wild": rng.uniform(-50.0, 50.0, (3,) + dims)}[kind]
+    out = warp_labels(lv, DisplacementField(dims, (1, 1, 1), u))
+    assert np.array_equal(out.labels, dense_warp_labels(lv, u).labels)
+    assert np.array_equal(out.labels, oracle_warp_labels(lv, u))
+    assert 3 not in out.labels and out.labels.any()
+    if kind == "zero":
+        assert np.array_equal(out.labels, labels)
+
+
+def test_warp_labels_needs_no_dense_channel_array():
+    # twelve 4^3 organs on 32^3: each class is sampled on its own window,
+    # so scoring never holds a K x N array (the labels' one-hot alone is one)
+    dims, k = (32, 32, 32), 12
+    labels = np.zeros(dims, np.int32)
+    for c in range(k):
+        x, y, z = 3 + 9 * (c % 3), 3 + 9 * (c // 3 % 2), 6 + 12 * (c // 6)
+        labels[x:x + 4, y:y + 4, z:z + 4] = c + 1
+    lv = LabelVolume(dims, (1, 1, 1), labels, k)
+    field = DisplacementField(dims, (1, 1, 1),
+                              np.random.default_rng(25).uniform(-1, 1, (3,) + dims))
+    tracemalloc.start()
+    try:
+        out = warp_labels(lv, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(np.unique(out.labels)) == set(range(k + 1))
+    assert peak < k * np.prod(dims) * 8 / 4
+
+
+def test_warp_labels_dims_mismatch():
+    lv = LabelVolume((4, 4, 4), (1, 1, 1), np.zeros((4, 4, 4), np.int32), 1)
+    with pytest.raises(DimsMismatchError):
+        warp_labels(lv, DisplacementField.zeros((3, 3, 3)))
 
 
 def test_upsample_zero_and_constant():
