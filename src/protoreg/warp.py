@@ -22,9 +22,10 @@ of the gather and the interpolation holds at most one block, and only the
 outputs (value and derivative) grow with the number of points.  A block may
 start inside a batch entry, so each point's batch offset comes from its own
 flat position.  Every output element is formed by the same operations on
-the same operands whichever block it falls in, and the blocks are written
-into preallocated outputs, so a blocked call is bit for bit the unblocked
-one.  A call of at most one block makes no extra array.
+the same operands whichever block it falls in, and each block is written
+into its slice of outputs allocated once per call, so a blocked call is bit
+for bit the unblocked one.  Every call, of one block or many, takes this
+one path and makes no array beyond its outputs and one block's temporaries.
 
 ``warp_labels`` scores without a dense K-channel array: each class is
 sampled only where it can be non-zero, from a crop of its indicator.
@@ -84,32 +85,25 @@ def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
     per_entry = max(int(np.prod(points.shape[1 + len(batch):])), 1)
     pts = points.reshape(3, -1)
     count = pts.shape[1]
+    value = np.empty(count)
     grad = np.empty((3, count)) if with_grad else None
-
-    def offsets(start, stop):
-        base = np.arange(start, stop, dtype=np.intp)
+    for start in range(0, count, SAMPLE_BLOCK):
+        block = slice(start, min(start + SAMPLE_BLOCK, count))
+        base = np.arange(block.start, block.stop, dtype=np.intp)
         base //= per_entry
         base *= voxels
-        return base
-
-    if count <= SAMPLE_BLOCK:
-        value = _sample_block(flat, dims, pts, offsets(0, count), grad)
-    else:
-        value = np.empty(count)
-        for start in range(0, count, SAMPLE_BLOCK):
-            block = slice(start, min(start + SAMPLE_BLOCK, count))
-            value[block] = _sample_block(flat, dims, pts[:, block],
-                                         offsets(block.start, block.stop),
-                                         None if grad is None else grad[:, block])
+        _sample_block(flat, dims, pts[:, block], base, value[block],
+                      None if grad is None else grad[:, block])
     value = value.reshape(points.shape[1:])
     return (value, grad.reshape(points.shape)) if with_grad else value
 
 
-def _sample_block(flat, dims, points, base, grad):
-    """The values of ``flat`` at ``points`` (3, m), each point's flat index
-    starting from ``base`` (m,), which is updated in place; with ``grad``
-    (3, m) also fills it with the derivative.  Corner cijk is offset by i,
-    j, k on x, y, z; an axis with one voxel has offset 0 and fraction 0."""
+def _sample_block(flat, dims, points, base, value, grad):
+    """Fill ``value`` (m,) with the values of ``flat`` at ``points`` (3, m),
+    each point's flat index starting from ``base`` (m,), which is updated in
+    place; with ``grad`` (3, m) also fill it with the derivative.  Corner
+    cijk is offset by i, j, k on x, y, z; an axis with one voxel has offset
+    0 and fraction 0."""
     steps, fracs, inside = [], [], []
     for a, n in enumerate(dims):
         stride = int(np.prod(dims[a + 1:]))
@@ -139,7 +133,7 @@ def _sample_block(flat, dims, points, base, grad):
         grad[2] = c1 - c0
         for a in range(3):
             grad[a] *= inside[a]
-    return c0 * gz + c1 * fz
+    np.add(c0 * gz, c1 * fz, out=value)
 
 
 def sample_volume(data: np.ndarray, points: np.ndarray) -> np.ndarray:
