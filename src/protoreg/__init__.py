@@ -4,6 +4,7 @@ dense displacement field."""
 __version__ = "0.1.0"
 
 from .grids import (
+    ChannelCrop,
     DimsMismatchError,
     LabelVolume,
     OneHotMask,

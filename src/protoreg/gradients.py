@@ -37,8 +37,11 @@ never dense: the windows are padded to one shape and kept inside the grid
 points are gathered into one (3, K, wx, wy, wz) array, and the moved masks
 stay that stack (see ``losses``) with its spatial derivative.
 
-The stored masks are not dense either.  ``build_state`` reads the dense
-channels once and keeps each channel only as a crop (``MaskCrops``): its
+The stored masks are not dense either, nor are the masks ``build_state``
+reads: a ``grids.OneHotMask`` holds each channel on its support box, and
+``build_state`` reads those crops only (masses, boxes, contour points, the
+fixed hard assignment and the fixed prototypes) and never densifies them.
+It keeps each channel as a crop of its own (``MaskCrops``): its
 support [a, b] grown by one zero layer below and two above, to
 [a-1, b+2] within the grid, so still open on a face the support touches;
 the crops are padded to one shape and kept inside the grid like the
@@ -52,17 +55,20 @@ corners with the same fractions as on the dense channel (a shift by an
 integer origin is exact in floating point) or reads only zeros, so the
 moved masks and their derivatives are bit for bit the dense ones.  Dice
 reads the fixed channels on the windows from their own crops
-(``_on_windows``).  Element by element the arithmetic is that of the dense
+(``grids._on_windows``).  Element by element the arithmetic is that of the dense
 sampling, but the sums run in another order, so the results agree with a
 whole-grid evaluation to rounding (about 1e-16 relative), not bit for bit.
 
 An evaluation releases its sample points, those of the whole grid
 (``pts``) and of the mask windows (``mask_pts``), as soon as the moving
 mask channels are sampled, before any term runs; so the terms' temporaries
-sit on top of the samples, their spatial derivatives and the gradient
-accumulators only.  The support helpers
-(``_support``, ``_support_box``, ``_crop``, ``_sample_window``) live in
-``warp``, which scores labels the same way (``warp_labels``).
+sit on top of the samples, their spatial derivatives and the accumulators
+of the moved image's and masks' gradients only.  The gradient wrt u is
+accumulated from the smoothness term on, after the seg and prototype terms,
+which never write it, so it is not live under their temporaries.  The
+support helpers (``_support_box``, ``_crop``, ``_one_shape``,
+``_sample_window``) live in ``warp``, which scores labels the same way
+(``warp_labels``).
 
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
@@ -80,10 +86,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import losses
-from .grids import DimsMismatchError, OneHotMask, Volume, argmax_labels
+from .grids import DimsMismatchError, OneHotMask, Volume, _on_windows, argmax_labels
 from .losses import LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
-from .warp import (DisplacementField, _crop, _sample_window, _support, _support_box, sample_volume,
-                   sample_volume_with_gradient)
+from .warp import (DisplacementField, _crop, _one_shape, _sample_window, _support_box,
+                   sample_volume, sample_volume_with_gradient)
 
 
 class MaskCrops(NamedTuple):
@@ -170,13 +176,12 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     if weights.sim > 0:     # also checks the window
         built["lncc_fixed"] = losses._lncc_fixed(fixed.data, window)
     if weights.seg > 0:
-        built["fixed_mass"] = losses._fixed_mass(fixed_onehot.channels)
-        built["fixed_crops"] = _crops(fixed_onehot.channels,
-                                      [_support(ch) for ch in fixed_onehot.channels])
+        built["fixed_mass"] = losses._fixed_mass(fixed_onehot)
+        built["fixed_crops"] = _crops(fixed_onehot)
     if weights.seg > 0 or weights.prototype > 0:
-        supports = [_support(ch) for ch in moving_onehot.channels]
-        built["mask_boxes"] = tuple(_support_box(s, fixed.dims) for s in supports)
-        built["moving_crops"] = _crops(moving_onehot.channels, supports)
+        built["mask_boxes"] = tuple(None if crop is None else _support_box(crop.support, fixed.dims)
+                                    for crop in moving_onehot.crops)
+        built["moving_crops"] = _crops(moving_onehot)
     if weights.prototype > 0:
         fixed_feats = losses.feature_volume(fixed)
         built["fixed_protos"] = losses.extract_prototypes(fixed_feats, fixed_onehot)
@@ -192,40 +197,13 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     return ObjectiveState(fixed, moving, weights, window, temperature, **built)
 
 
-def _crops(channels: np.ndarray, supports) -> MaskCrops:
-    """``channels`` on their crops: per axis [a-1, b+2] within the grid,
-    padded to one shape (``_one_shape``); the values are copies."""
-    dims = channels.shape[1:]
-    crops = _one_shape([None if s is None else _crop(s, dims) for s in supports], dims)
-    return MaskCrops(np.stack([ch[crop] for ch, crop in zip(channels, crops)]),
+def _crops(mask: OneHotMask) -> MaskCrops:
+    """The channels of ``mask`` on their crops: per axis [a-1, b+2] within
+    the grid, padded to one shape (``_one_shape``)."""
+    crops = _one_shape([None if crop is None else _crop(crop.support, mask.dims)
+                        for crop in mask.crops], mask.dims)
+    return MaskCrops(_on_windows(mask.crops, crops),
                      np.array([[s.start for s in crop] for crop in crops], dtype=np.intp))
-
-
-def _on_windows(crops: MaskCrops, windows) -> np.ndarray:
-    """The channels of ``crops`` on ``windows`` (one per channel, all of
-    one shape): (K, wx, wy, wz), 0 where a window leaves its crop."""
-    out = np.zeros((len(windows),) + tuple(s.stop - s.start for s in windows[0]))
-    for k, (window, origin) in enumerate(zip(windows, crops.origins.tolist())):
-        target, source = [], []
-        for s, o, m in zip(window, origin, crops.values.shape[1:]):
-            lo, hi = max(s.start, o), min(s.stop, o + m)
-            target.append(slice(lo - s.start, hi - s.start))
-            source.append(slice(lo - o, hi - o))
-        if all(t.start < t.stop for t in target):
-            out[k][tuple(target)] = crops.values[k][tuple(source)]
-    return out
-
-
-def _one_shape(blocks, dims):
-    """``blocks`` (per entry a tuple of slices of the grid, or None) padded
-    to one shape, per axis the longest block: each starts at
-    min(start, n - length), inside the grid; None gets a block at the
-    origin."""
-    lengths = [[s.stop - s.start for s in b] for b in blocks if b is not None]
-    shape = np.max(lengths, axis=0).tolist() if lengths else (1, 1, 1)
-    starts = [(0, 0, 0) if b is None else [s.start for s in b] for b in blocks]
-    return tuple(tuple(slice(min(a, n - m), min(a, n - m) + m) for a, n, m in zip(st, dims, shape))
-                 for st in starts)
 
 
 def _mask_windows(boxes, u: np.ndarray, dims):
@@ -295,7 +273,6 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
                          f"{', '.join(unbuilt)} term (weight 0 at build_state)")
     values = {name: 0.0 for name in TERM_NAMES}
     dims = state.dims
-    grad = np.zeros((3,) + dims) if with_grad else None
 
     need_moved = wd["sim"] > 0 or wd["prototype"] > 0
     need_mask = wd["seg"] > 0 or wd["prototype"] > 0
@@ -331,13 +308,9 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         if with_grad:
             d_moved += wd["sim"] * g
 
-    if wd["smooth"] > 0:
-        values["smooth"], g = losses._smoothness(field.u, with_grad)
-        if with_grad:
-            grad += wd["smooth"] * g
-
     if wd["seg"] > 0:
-        values["seg"], g = losses._dice(_on_windows(state.fixed_crops, windows),
+        fixed_crops = zip(state.fixed_crops.origins.tolist(), state.fixed_crops.values)
+        values["seg"], g = losses._dice(_on_windows(fixed_crops, windows),
                                           state.fixed_mass, masks, with_grad)
         if with_grad:
             d_masks += wd["seg"] * g
@@ -350,6 +323,14 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             d_moved += wd["prototype"] * g
             if g_masks is not None:
                 d_masks += wd["prototype"] * g_masks
+
+    # the seg and prototype terms never write the accumulator: it is made
+    # after them, so that it does not sit under their temporaries
+    grad = np.zeros((3,) + dims) if with_grad else None
+    if wd["smooth"] > 0:
+        values["smooth"], g = losses._smoothness(field.u, with_grad)
+        if with_grad:
+            grad += wd["smooth"] * g
 
     pairs = state.contour_pairs
     if wd["contour"] > 0 and pairs is not None:

@@ -26,9 +26,10 @@ channels on the same windows (``gradients`` reads them from the fixed
 masks' crops) and ``_align`` gathers the features on them (one slice copy
 per channel); both reduce with array operations and return one mask
 gradient shaped like ``values``; windows may overlap, so gradients go back
-onto the grid by one slice-add per channel (``_add_on_windows``).  The
-dense views pass whole channels: ``dice_loss`` the whole grid as the one
-block, ``extract_prototypes`` a broadcast view of the features.
+onto the grid by one slice-add per channel (``_add_on_windows``).
+``dice_loss`` passes whole dense channels, the whole grid as the one block;
+``extract_prototypes`` pools each class on its mask crop, and
+``extract_contour_points`` finds a class's boundary on its crop.
 
 Conventions fixed here and relied on elsewhere:
   * the correlation term is the negative mean of squared window NCC over all
@@ -51,8 +52,8 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.spatial import cKDTree
 
-from .grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels
-from .warp import DisplacementField, central_difference, central_difference_adjoint
+from .grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, _on_windows, argmax_labels
+from .warp import DisplacementField, _one_shape, central_difference, central_difference_adjoint
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
 DICE_EPS = 1e-7          # soft Dice denominator guard
@@ -268,9 +269,10 @@ def _add_on_windows(target: np.ndarray, windows, stack: np.ndarray) -> None:
         target[lead + window] += stack[lead + (k,)]
 
 
-def _fixed_mass(fixed_channels: np.ndarray) -> np.ndarray:
-    """Per-class mass of the fixed mask channels, a constant of the level."""
-    return fixed_channels.reshape(fixed_channels.shape[0], -1).sum(axis=1)
+def _fixed_mass(fixed: OneHotMask) -> np.ndarray:
+    """Per-class mass of the fixed mask, summed on its crops; a constant of
+    the level."""
+    return np.array([0.0 if crop is None else crop.values.sum() for crop in fixed.crops])
 
 
 def _dice(fixed: np.ndarray, sum_f: np.ndarray, values: np.ndarray, with_grad: bool = False):
@@ -301,7 +303,7 @@ def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
         )
     if fixed.dims != moved_soft.dims:
         raise DimsMismatchError(f"dice_loss: {fixed.dims} vs {moved_soft.dims}")
-    return _dice(fixed.channels, _fixed_mass(fixed.channels), moved_soft.channels)[0]
+    return _dice(fixed.channels, _fixed_mass(fixed), moved_soft.channels)[0]
 
 
 # --------------------------------------------------------------- prototypes
@@ -358,12 +360,13 @@ def _pool_prototypes(region: np.ndarray, values: np.ndarray) -> tuple[PrototypeS
 
 
 def extract_prototypes(features: FeatureVolume, mask: OneHotMask) -> PrototypeSet:
-    """Masked average pooling: per class, the mask-weighted mean feature."""
+    """Masked average pooling: per class, the mask-weighted mean feature,
+    pooled on the class's crop (padded to one shape, ``_one_shape``)."""
     if features.dims != mask.dims:
         raise DimsMismatchError(f"extract_prototypes: {features.dims} vs {mask.dims}")
-    region = np.broadcast_to(features.channels[:, None],
-                             (features.num_channels, mask.num_classes) + features.dims)
-    return _pool_prototypes(region, mask.channels)[0]
+    windows = _one_shape([None if crop is None else crop.box for crop in mask.crops], mask.dims)
+    region = np.stack([features.channels[(slice(None),) + window] for window in windows], axis=1)
+    return _pool_prototypes(region, _on_windows(mask.crops, windows))[0]
 
 
 def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
@@ -517,27 +520,26 @@ def extract_contour_points(mask, class_label: int, max_points: int = 2048,
     background.  When more than ``max_points`` boundary voxels exist, a
     seeded uniform subsample is taken.
     """
+    origin = (0, 0, 0)
     if isinstance(mask, LabelVolume):
         fg = mask.labels == class_label
     elif isinstance(mask, OneHotMask):
-        fg = mask.channels[class_label - 1] >= 0.5
+        crop = mask.crops[class_label - 1]
+        if crop is None:
+            return ContourPointSet(class_label, np.zeros((0, 3)))
+        origin, fg = crop.origin, crop.values >= 0.5
     else:
         raise TypeError(f"extract_contour_points: unsupported mask type {type(mask).__name__}")
 
-    interior = np.ones_like(fg)
+    # a layer of background around the crop (or the volume) stands for
+    # everything outside it
+    padded = np.pad(fg, 1)
+    interior = fg.copy()
     for a in range(3):
         for off in (-1, 1):
-            neighbor = np.zeros_like(fg)
-            src = [slice(None)] * 3
-            dst = [slice(None)] * 3
-            if off == 1:
-                src[a], dst[a] = slice(1, None), slice(0, -1)
-            else:
-                src[a], dst[a] = slice(0, -1), slice(1, None)
-            neighbor[tuple(dst)] = fg[tuple(src)]
-            interior &= neighbor
+            interior &= np.roll(padded, off, axis=a)[1:-1, 1:-1, 1:-1]
     boundary = fg & ~interior
-    pts = np.argwhere(boundary).astype(np.float64)
+    pts = np.argwhere(boundary).astype(np.float64) + origin
     if pts.shape[0] > max_points:
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(pts.shape[0], size=max_points, replace=False))

@@ -1,9 +1,14 @@
 """Adam on the displacement field and the coarse-to-fine registration driver.
 
-One registration optimizes a fresh field per image pair: the coarsest pyramid
-level starts from zero, every finer level upsamples the previous field and
-optimizes a zero-initialized correction on top of it, with the objective
-always evaluated on the superposition of the two.
+One registration optimizes one field per pyramid level: the coarsest level
+starts from zero, and every finer level starts from the previous level's
+field upsampled onto its grid.  Adam moves that field itself, from fresh
+moments at each level, and the objective is evaluated on it; there is no
+zero-initialized correction and no superposition of two fields.
+
+The masks enter as ``one_hot`` crops of the label maps and are halved on
+their crops (``grids.downsample``); no dense (K, nx, ny, nz) mask array is
+made on the way to a level's ``build_state``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .gradients import build_state, evaluate_objective
-from .grids import LabelVolume, OneHotMask, Volume, build_pyramid, one_hot
+from .grids import LabelVolume, Volume, build_pyramid, one_hot
 from .losses import LossBreakdown, LossWeights, TERM_NAMES
-from .warp import DisplacementField, SdLogJResult, sdlogj, superpose, upsample_field
+from .warp import DisplacementField, SdLogJResult, sdlogj, upsample_field
+# Not called here; kept in this namespace because the benchmark's tracer
+# wraps it by this name.
+from .warp import superpose  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -207,8 +215,8 @@ def register_pair(fixed: Volume, moving: Volume,
     fixed_pyr = build_pyramid(fixed, config.levels)
     moving_pyr = build_pyramid(moving, config.levels)
     if use_masks:
-        fixed_mask_pyr = list(build_pyramid(one_hot(fixed_mask), config.levels))
-        moving_mask_pyr = list(build_pyramid(one_hot(moving_mask), config.levels))
+        fixed_mask_pyr = build_pyramid(one_hot(fixed_mask), config.levels)
+        moving_mask_pyr = build_pyramid(one_hot(moving_mask), config.levels)
 
     field = None
     trajectories = []
@@ -233,26 +241,12 @@ def register_pair(fixed: Volume, moving: Volume,
             window=window, temperature=config.temperature,
             max_points=config.max_contour_points, seed=config.seed + level,
         )
-        if use_masks:       # the state keeps the masks' crops, not the dense channels
-            fixed_mask_pyr[level] = moving_mask_pyr[level] = None
-
-        base = (DisplacementField.zeros(f_l.dims, f_l.spacing) if field is None
-                else upsample_field(field, f_l.dims))
-        delta = DisplacementField.zeros(f_l.dims, f_l.spacing)
-        moments = AdamState.zeros((3,) + f_l.dims)
-        totals = np.empty(config.iterations[config.levels - 1 - level] + 1)
-
-        for it in range(totals.size - 1):
-            breakdown, grad = evaluate_objective(state, superpose(base, delta))
-            _abort_if_nonfinite(breakdown, level, it)
-            totals[it] = breakdown.total
-            delta, moments = adam_step(delta, grad, moments, config)
-            grad = None     # dead: do not hold it through the next evaluation
-
-        field = superpose(base, delta)
-        final_breakdown, _ = evaluate_objective(state, field, with_grad=False)
-        _abort_if_nonfinite(final_breakdown, level, totals.size - 1)
-        totals[-1] = final_breakdown.total
+        # the start field is passed, not kept: the level holds one field
+        field, totals, final_breakdown = _optimize_level(
+            state,
+            (DisplacementField.zeros(f_l.dims, f_l.spacing) if field is None
+             else upsample_field(field, f_l.dims)),
+            config.iterations[config.levels - 1 - level], config, level)
         trajectories.append(totals)
         level_seconds.append(time.perf_counter() - t0)
 
@@ -265,6 +259,26 @@ def register_pair(fixed: Volume, moving: Volume,
         sdlogj=quality,
         unsupervised=unsupervised,
     )
+
+
+def _optimize_level(state, field: DisplacementField, iterations: int,
+                    config: RegistrationConfig, level: int):
+    """``iterations`` Adam steps on ``field`` itself, from fresh moments,
+    against the level's ``state``; returns the field, the totals of every
+    evaluation (the last one value-only, at the returned field) and that
+    last breakdown."""
+    moments = AdamState.zeros((3,) + field.dims)
+    totals = np.empty(iterations + 1)
+    for it in range(iterations):
+        breakdown, grad = evaluate_objective(state, field)
+        _abort_if_nonfinite(breakdown, level, it)
+        totals[it] = breakdown.total
+        field, moments = adam_step(field, grad, moments, config)
+        grad = None     # dead: do not hold it through the next evaluation
+    breakdown, _ = evaluate_objective(state, field, with_grad=False)
+    _abort_if_nonfinite(breakdown, level, iterations)
+    totals[-1] = breakdown.total
+    return field, totals, breakdown
 
 
 def _abort_if_nonfinite(breakdown: LossBreakdown, level: int, iteration: int) -> None:

@@ -28,7 +28,7 @@ for bit the unblocked one.  Every call, of one block or many, takes this
 one path and makes no array beyond its outputs and one block's temporaries.
 
 ``warp_labels`` scores without a dense K-channel array: each class is
-sampled only where it can be non-zero, from a crop of its indicator.
+sampled only where it can be non-zero, from its ``one_hot`` crop.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import DimsMismatchError, LabelVolume, Volume, halved_dims
+from .grids import (ChannelCrop, DimsMismatchError, LabelVolume, OneHotMask, Volume, _on_windows,
+                    argmax_labels, halved_dims, one_hot)
 
 # Points per block of the trilinear sampler: no temporary of a call holds
 # more than this many points (128 kB of float64).  Whole registrations at
@@ -170,54 +171,34 @@ def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
 
     No (K, nx, ny, nz) array is made.  Class c is sampled only on the
     window of output voxels whose sample point can reach its support box,
-    from a crop of ``labels == c`` (``_crop``), the way the objective
+    from its ``one_hot`` crop grown to ``_crop``, the way the objective
     samples its mask channels (see ``gradients``), so every value is the
     dense one bit for bit and every voxel outside the window reads exactly
-    0.  A running maximum taken with a strict ``>`` keeps a tie on the
-    lowest class, as ``argmax`` does.
+    0.  The warped windows are the crops of the mask ``argmax_labels`` reads.
     """
     if labels.dims != field.dims:
         raise DimsMismatchError(f"warp_labels: labels {labels.dims} vs field {field.dims}")
     dims, u = labels.dims, field.u
     u_min, u_max = u.min(axis=(1, 2, 3)).tolist(), u.max(axis=(1, 2, 3)).tolist()
-    best = np.zeros(dims)
-    out = np.zeros(dims, np.int32)
-    for c in range(1, labels.num_classes + 1):
-        indicator = labels.labels == c
-        support = _support(indicator)
-        window = None if support is None else _sample_window(
-            _support_box(support, dims), u_min, u_max, dims)
+    warped = []
+    for crop in one_hot(labels).crops:
+        window = None if crop is None else _sample_window(
+            _support_box(crop.support, dims), u_min, u_max, dims)
         if window is None:
+            warped.append(None)
             continue
-        crop = _crop(support, dims)
+        source = _crop(crop.support, dims)
         pts = u[(slice(None),) + window].copy()
-        for p, axis, s in zip(pts, np.ix_(*(np.arange(w.start, w.stop) for w in window)), crop):
+        for p, axis, s in zip(pts, np.ix_(*(np.arange(w.start, w.stop) for w in window)), source):
             p += axis
             p -= s.start
-        values = sample_volume(indicator[crop].astype(np.float64), pts)
+        values = sample_volume(_on_windows([crop], [source])[0], pts)
         np.clip(values, 0.0, 1.0, out=values)
-        region = best[window]
-        wins = values > region
-        region[wins] = values[wins]
-        out[window][wins] = c
-    out[best < 0.5] = 0
-    return LabelVolume(dims, labels.spacing, out, labels.num_classes)
+        warped.append(ChannelCrop(tuple(w.start for w in window), values))
+    return argmax_labels(OneHotMask(dims, labels.spacing, crops=warped))
 
 
 # ------------------------------------------------- masks on their support
-
-def _support(channel: np.ndarray):
-    """Per axis the non-zero index range (a, b) of ``channel``; None when
-    the channel is all zero."""
-    support = []
-    for axis in range(3):
-        others = tuple(a for a in range(3) if a != axis)
-        nonzero = np.flatnonzero(channel.any(axis=others))
-        if nonzero.size == 0:
-            return None
-        support.append((int(nonzero[0]), int(nonzero[-1])))
-    return tuple(support)
-
 
 def _support_box(support, dims):
     """Per axis (lo, hi): the non-zero index range [a, b] grown to
@@ -234,6 +215,18 @@ def _crop(support, dims):
     support with one zero layer below and two above, enough for a sample
     of the crop to read what the whole channel gives (see ``gradients``)."""
     return tuple(slice(max(a - 1, 0), min(b + 3, n)) for (a, b), n in zip(support, dims))
+
+
+def _one_shape(blocks, dims):
+    """``blocks`` (per entry a tuple of slices of the grid, or None) padded
+    to one shape, per axis the longest block: each starts at
+    min(start, n - length), inside the grid; None gets a block at the
+    origin."""
+    lengths = [[s.stop - s.start for s in b] for b in blocks if b is not None]
+    shape = np.max(lengths, axis=0).tolist() if lengths else (1, 1, 1)
+    starts = [(0, 0, 0) if b is None else [s.start for s in b] for b in blocks]
+    return tuple(tuple(slice(min(a, n - m), min(a, n - m) + m) for a, n, m in zip(st, dims, shape))
+                 for st in starts)
 
 
 def _sample_window(box, u_min, u_max, dims):

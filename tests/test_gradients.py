@@ -381,6 +381,54 @@ def test_compact_masks_need_no_dense_channel_array():
     assert peak < k * np.prod(dims) * 8
 
 
+def _gradient_accumulated_from_the_start(state, field):
+    """``evaluate_objective``'s gradient with its accumulator made before any
+    term runs and the smoothness term added first, the seg and prototype
+    terms running with it live: the same arithmetic in the same order."""
+    wd = state.weights.as_dict()
+    dims = state.dims
+    grad = np.zeros((3,) + dims)
+    pts = field.u.copy()
+    for a, axis in enumerate(state.grid):
+        pts[a] += axis
+    moved, moved_pos = gradients.sample_volume_with_gradient(state.moving.data, pts)
+    d_moved = np.zeros(dims)
+    windows = gradients._mask_windows(state.mask_boxes, field.u, dims)
+    crops = state.moving_crops
+    mask_pts = np.stack([pts[(slice(None),) + window] for window in windows], axis=1)
+    mask_pts -= crops.origins.T[:, :, None, None, None]
+    masks, masks_pos = gradients.sample_volume_with_gradient(crops.values, mask_pts)
+    np.clip(masks, 0.0, 1.0, out=masks)
+    d_masks = np.zeros(masks.shape)
+    d_moved += wd["sim"] * losses._lncc(state.fixed.data, moved, state.window,
+                                        state.lncc_fixed, True)[1]
+    grad += wd["smooth"] * losses._smoothness(field.u, True)[1]
+    fixed_crops = zip(state.fixed_crops.origins.tolist(), state.fixed_crops.values)
+    d_masks += wd["seg"] * losses._dice(gradients._on_windows(fixed_crops, windows),
+                                        state.fixed_mass, masks, True)[1]
+    _, g, g_masks = losses._prototype(moved, windows, masks, state.fixed_assign,
+                                      state.fixed_protos, state.contrast_fixed,
+                                      state.temperature, "both", True)
+    d_moved += wd["prototype"] * g
+    d_masks += wd["prototype"] * g_masks
+    flat, carried = gradients._carried(state.contour_pairs, field)
+    g = losses._class_chamfer(carried, *state.contour_pairs[1:], True)[1]
+    for component, g_c in zip(grad.reshape(3, -1), g.T):
+        np.add.at(component, flat, wd["contour"] * g_c)
+    grad += d_moved * moved_pos
+    losses._add_on_windows(grad, windows, d_masks * masks_pos)
+    return grad
+
+
+@pytest.mark.parametrize("which", ["state", "twelve"])
+def test_gradient_accumulator_made_late_is_bit_identical(state, which):
+    st = state if which == "state" else _twelve_organ_state(LossWeights(1, 4, 1, 1, 0.1))
+    field = rand_field(64, dims=st.dims)
+    _, grad = evaluate_objective(st, field)
+    want = _gradient_accumulated_from_the_start(st, field)
+    assert grad.any() and (grad == want).all()
+
+
 def test_gradient_finite_everywhere(state):
     _, g = evaluate_objective(state, rand_field(41, scale=3.0))
     assert np.isfinite(g).all()

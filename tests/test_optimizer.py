@@ -1,13 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from protoreg import optimizer
+from protoreg.gradients import build_state, evaluate_objective
+from protoreg.grids import OneHotMask, build_pyramid, one_hot
 from protoreg.losses import LossWeights
 from protoreg.metrics import evaluate
-from protoreg.optimizer import NonFiniteLossError, RegistrationConfig, register_pair
-from protoreg.phantom import generate, three_blob_spec
-from protoreg.warp import jacobian_determinant, warp_labels
+from protoreg.optimizer import (AdamState, NonFiniteLossError, RegistrationConfig, adam_step,
+                                register_pair)
+from protoreg.phantom import generate, three_blob_spec, twelve_blob_spec
+from protoreg.warp import (DisplacementField, jacobian_determinant, superpose, upsample_field,
+                           warp_labels)
 
 CONFIG = RegistrationConfig(learning_rate=1e-2, iterations=(10, 10, 10, 10))
 
@@ -124,3 +130,63 @@ def test_register_pair_accepts_spacings_equal_to_float32_precision():
                   dataclasses.replace(pair.moving, spacing=rounded),
                   dataclasses.replace(pair.fixed_labels, spacing=rounded),
                   dataclasses.replace(pair.moving_labels, spacing=spacing), short)
+
+
+@pytest.fixture(scope="module")
+def twelve_organs():
+    return generate(twelve_blob_spec(dims=(32, 32, 32), seed=0))
+
+
+SHORT = RegistrationConfig(learning_rate=1e-2, iterations=(2, 2, 2, 2))
+
+
+def test_register_pair_makes_no_dense_mask_array(twelve_organs, monkeypatch):
+    # the masks go from the label maps to every level's state as crops
+    def dense(self):
+        raise AssertionError("OneHotMask.channels read on the registration path")
+
+    monkeypatch.setattr(OneHotMask, "channels", property(dense))
+    pair = twelve_organs
+    assert pair.fixed_labels.num_classes == 12
+    result = register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels, SHORT)
+    assert result.final_breakdown.values["seg"] > 0
+
+
+def test_register_pair_working_memory_is_bounded(twelve_organs):
+    # twelve organs on 32^3, all five terms: the peak is the finest level's
+    # evaluation and Adam step, about 35 float64 arrays of the grid's size;
+    # a dense mask pyramid, a second field per level or a gradient
+    # accumulator held under the prototype term would each add to it
+    pair = twelve_organs
+    tracemalloc.start()
+    try:
+        register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels, SHORT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * np.prod(pair.fixed.dims) * 8
+
+
+def test_one_field_loop_matches_base_plus_correction():
+    # Adam moving the field itself takes the steps it would take on a
+    # zero-initialized correction on top of the start field: after 20
+    # steps the two fields agree to rounding
+    pair = small_pair(1)
+    fixed, moving = (build_pyramid(v, 2)[1] for v in (pair.fixed, pair.moving))
+    masks = [build_pyramid(one_hot(labels), 2)[1]
+             for labels in (pair.fixed_labels, pair.moving_labels)]
+    state = build_state(fixed, moving, CONFIG.weights, *masks, window=5, max_points=256)
+    coarse = np.random.default_rng(3).uniform(-0.5, 0.5, (3,) + build_pyramid(fixed, 2)[1].dims)
+    start = upsample_field(DisplacementField(coarse.shape[1:], (2, 2, 2), coarse), fixed.dims)
+
+    field, totals, _ = optimizer._optimize_level(state, start, 20, CONFIG, level=1)
+
+    delta = DisplacementField.zeros(fixed.dims, fixed.spacing)
+    moments = AdamState.zeros((3,) + fixed.dims)
+    for _ in range(20):
+        _, grad = evaluate_objective(state, superpose(start, delta))
+        delta, moments = adam_step(delta, grad, moments, CONFIG)
+    want = superpose(start, delta).u
+    assert np.abs(want - start.u).max() > 0.05
+    assert np.abs(field.u - want).max() < 1e-10
+    assert totals.size == 21 and totals[-1] < totals[0]
