@@ -14,14 +14,14 @@ input (moved intensities, moved mask channels, u, or the carried points);
 this module only chains those gradients through the warp onto u: through the
 spatial derivative of every trilinear sample, and, for the contour points,
 by adding each point's gradient to the voxel it was carried from.  A
-value-only evaluation (``with_grad=False``: ``total_loss``, each level's
-final breakdown, every finite-difference probe) samples through
-``sample_volume`` and takes no spatial derivative.  Every evaluation takes
-all classes in one pass: one sampler call for all mask channels, and the
-contour points of all classes, stacked once per level, carried together
-(``contour_loss`` and ``chamfer_tie_margin`` too); their gradient lands on u
-through ``np.add.at``, as at a coarse level one voxel can be a contour point
-of two classes.  The finite-difference tools live here too.
+value-only evaluation (``with_grad=False``: each level's final breakdown,
+every finite-difference probe) samples through ``sample_volume`` and takes
+no spatial derivative.  Every evaluation takes all classes in one pass: one
+sampler call for all mask channels, and the contour points of all classes,
+stacked once per level, carried together (``chamfer_tie_margin`` too);
+their gradient lands on u through ``np.add.at``, as at a coarse level one
+voxel can be a contour point of two classes.  The finite-difference tools
+live here too.
 
 Each moving mask channel is sampled only on the block of output voxels whose
 sample point can reach the channel's support, which is exact.  A clamped
@@ -161,7 +161,10 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
                 max_points: int = 2048, seed: int = 0) -> ObjectiveState:
     """Precompute the deformation-independent pieces of the objective, each
     only when a term with a positive weight reads it.  The masks are read
-    here and not kept: the state holds their crops."""
+    here, only with a positive mask weight, and not kept: the state holds
+    their crops.  Mask-dependent weights need both masks (``ValueError``),
+    over one class universe (``ValueError``) and on the volumes' grid
+    (``DimsMismatchError``)."""
     if fixed.dims != moving.dims:
         raise DimsMismatchError(f"build_state: fixed {fixed.dims} vs moving {moving.dims}")
     if weights.uses_masks:
@@ -169,6 +172,9 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
             raise ValueError("build_state: mask-dependent weights need both masks")
         if fixed_onehot.num_classes != moving_onehot.num_classes:
             raise ValueError("build_state: masks cover different class universes")
+        if fixed_onehot.dims != fixed.dims or moving_onehot.dims != fixed.dims:
+            raise DimsMismatchError(f"build_state: masks {fixed_onehot.dims} and "
+                                    f"{moving_onehot.dims} vs volumes {fixed.dims}")
 
     built = {"terms": frozenset(name for name, w in weights.as_dict().items() if w > 0)}
     if weights.sim > 0 or weights.seg > 0 or weights.prototype > 0:
@@ -183,11 +189,11 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
                                     for crop in moving_onehot.crops)
         built["moving_crops"] = _crops(moving_onehot)
     if weights.prototype > 0:
-        fixed_feats = losses.feature_volume(fixed)
+        fixed_feats = losses._features_forward(fixed.data)[0]
         built["fixed_protos"] = losses.extract_prototypes(fixed_feats, fixed_onehot)
         built["fixed_assign"] = argmax_labels(fixed_onehot).labels
         built["contrast_fixed"] = losses._contrast(
-            fixed_feats.channels, built["fixed_assign"], built["fixed_protos"], temperature
+            fixed_feats, built["fixed_assign"], built["fixed_protos"], temperature
         )[0]
     if weights.contour > 0:
         built["contour_pairs"] = _contour_pairs(*(
@@ -242,14 +248,6 @@ def _carried(pairs, field: DisplacementField):
         raise ValueError(f"contour points lie outside the field's grid {field.dims}")
     flat = np.ravel_multi_index(tuple(fixed.T.astype(np.intp)), field.dims)
     return flat, fixed + field.u.reshape(3, -1)[:, flat].T
-
-
-def contour_loss(sets_m, sets_f, field: DisplacementField) -> float:
-    """Per-class Chamfer between the moving and fixed contour sets under the
-    current map, averaged over classes with points on both sides; the fixed
-    points are carried through the field (see ``_carried``)."""
-    pairs = _contour_pairs(sets_f, sets_m)
-    return 0.0 if pairs is None else losses._class_chamfer(_carried(pairs, field)[1], *pairs[1:])[0]
 
 
 # ------------------------------------------------------------- full objective
@@ -347,23 +345,6 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     breakdown = LossBreakdown.from_terms(values, state.weights)
     return breakdown, grad
-
-
-def total_loss(fixed: Volume, moving: Volume, field: DisplacementField,
-               weights: LossWeights,
-               fixed_mask: OneHotMask | None = None,
-               moving_mask: OneHotMask | None = None,
-               window: int = 9, temperature: float = 0.1,
-               max_points: int = 2048, seed: int = 0) -> LossBreakdown:
-    """Evaluate every active term at the given field and report the breakdown.
-
-    Terms with zero weight are skipped (reported as 0.0); mask-dependent
-    terms require both masks (``ValueError``), and the volumes and the field
-    must share their dims (``DimsMismatchError``).
-    """
-    state = build_state(fixed, moving, weights, fixed_mask, moving_mask,
-                        window=window, temperature=temperature, max_points=max_points, seed=seed)
-    return evaluate_objective(state, field, with_grad=False)[0]
 
 
 # --------------------------------------------------------- FD verification

@@ -1,4 +1,5 @@
-"""Grid containers (volumes, label maps, one-hot masks) and image pyramids.
+"""Grid containers (volumes, label maps, one-hot masks) and image pyramids
+(``build_pyramid``: a tuple of grids, finest first, each halved).
 
 All grids are indexed ``data[x, y, z]`` with ``data.shape == dims``.  The
 serialized layout (see :mod:`protoreg.io`) is x-fastest / z-slowest, which is
@@ -104,8 +105,8 @@ class OneHotMask:
 
     ``OneHotMask(dims, spacing, channels)`` crops dense (K, nx, ny, nz)
     channels; ``OneHotMask(dims, spacing, crops=...)`` takes the crops.
-    ``channels`` densifies on each read, for the dense per-term views and
-    the tests; the registration path never reads it.
+    ``channels`` densifies on each read, as a dense reference for the
+    tests; the registration path never reads it.
     """
 
     dims: tuple[int, int, int]
@@ -189,27 +190,6 @@ def _on_windows(crops, windows) -> np.ndarray:
         if all(t.start < t.stop for t in target):
             out[k][tuple(target)] = crop[1][tuple(source)]
     return out
-
-
-@dataclass(frozen=True)
-class Pyramid:
-    """Multi-resolution stack; levels[0] is full resolution, each level halved."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        if len(self.levels) < 1:
-            raise ValueError("Pyramid: needs at least one level")
-        for coarse, fine in zip(self.levels[1:], self.levels):
-            expect = halved_dims(fine.dims)
-            if coarse.dims != expect:
-                raise ValueError(f"Pyramid: level dims {coarse.dims} != ceil-half {expect}")
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
 
 
 def halved_dims(dims) -> tuple[int, int, int]:
@@ -299,8 +279,9 @@ def downsample(grid):
     raise TypeError(f"downsample: unsupported grid type {type(grid).__name__}")
 
 
-def build_pyramid(grid, levels: int) -> Pyramid:
-    """Repeatedly halve ``grid``; rejects schedules that would shrink any axis
+def build_pyramid(grid, levels: int) -> tuple:
+    """``levels`` grids, ``grid`` first and each next one halved from the one
+    before (``downsample``); rejects schedules that would shrink any axis
     below 2 voxels at the coarsest level."""
     if levels < 1:
         raise ValueError("build_pyramid: levels must be >= 1")
@@ -315,4 +296,4 @@ def build_pyramid(grid, levels: int) -> Pyramid:
     out = [grid]
     for _ in range(levels - 1):
         out.append(downsample(out[-1]))
-    return Pyramid(tuple(out))
+    return tuple(out)

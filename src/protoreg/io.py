@@ -11,6 +11,10 @@ float32/float64, optional gzip.  Dims, pixdim and the intensity scaling
 ``scl_slope * stored + scl_inter`` (applied when the slope is non-zero and
 finite, to images and labels alike) are honored; orientation matrices are
 ignored (a warning is logged when one is present).
+
+Label maps, the raw ``labels`` kind and NIfTI read with ``kind="labels"``,
+must hold integers (after scaling, to within ``LABEL_TOLERANCE``); other
+values raise ``IOFormatError`` rather than being rounded.
 """
 
 from __future__ import annotations
@@ -42,6 +46,19 @@ class UnsupportedDatatypeError(IOFormatError):
 
 class TruncatedPayloadError(IOFormatError):
     pass
+
+
+LABEL_TOLERANCE = 1e-3   # largest distance of a stored label from an integer
+
+
+def _integral_labels(data: np.ndarray, path) -> np.ndarray:
+    """``data`` as int32 labels; a value more than ``LABEL_TOLERANCE`` from
+    an integer, or not finite, raises ``IOFormatError`` (the tolerance
+    admits integers scaled by a float32 ``scl_slope``)."""
+    labels = np.rint(data)
+    if not (np.abs(data - labels) <= LABEL_TOLERANCE).all():
+        raise IOFormatError(f"{path}: non-integral values cannot be labels")
+    return labels.astype(np.int32)
 
 
 # ---------------------------------------------------------------- raw format
@@ -107,7 +124,7 @@ def read_raw(path):
     if kind == "labels":
         labels = flat.reshape(dims, order="F")
         k = int(meta.get("num_classes", labels.max() if labels.size else 0))
-        return LabelVolume(dims, spacing, np.rint(labels).astype(np.int32), k)
+        return LabelVolume(dims, spacing, _integral_labels(labels, raw_path), k)
     if kind == "field":
         u = np.stack([
             flat[c * nvox:(c + 1) * nvox].reshape(dims, order="F") for c in range(3)
@@ -186,7 +203,7 @@ def read_nifti(path, kind: str = "image"):
         data = data * slope + inter
 
     if kind == "labels":
-        labels = np.rint(data).astype(np.int32)
+        labels = _integral_labels(data, path)
         if labels.min() < 0:
             raise IOFormatError(f"{path}: negative values cannot be labels")
         return LabelVolume(dims, spacing, labels, int(labels.max()))

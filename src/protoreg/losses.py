@@ -13,11 +13,15 @@ Each term is one private function that returns its value and, with
 ``_contrast`` and ``_align`` (moved features; ``_align`` also the moved mask
 channels), ``_prototype`` (both halves pulled back through the feature bank
 onto the moved intensities, via ``_features_forward``/``_features_backward``)
-and ``_class_chamfer`` (the carried contour points of every class).  The
-public per-term functions are value-only views over them.  Nothing here
-warps or transports: ``gradients.evaluate_objective`` samples the moving
-image and masks, carries the contour points, and chains these gradients
-through the warp onto u.
+and ``_class_chamfer`` (the carried contour points of every class).  These
+are each term's only forward implementation, and the objective is scored
+only through ``gradients.evaluate_objective`` (one term at a time:
+``gradients.term_evaluator``).  Nothing here warps or transports:
+``evaluate_objective`` samples the moving image and masks, carries the
+contour points, and chains these gradients through the warp onto u.  The
+constants of a level (``_lncc_fixed``, ``_fixed_mass``,
+``extract_prototypes``, ``extract_contour_points``) are made once, by
+``gradients.build_state``.
 
 Moved mask channels come as one stack: ``values`` (K, wx, wy, wz) and
 ``windows``, K tuples of slices of the grid of that shape; channel k is
@@ -27,7 +31,6 @@ masks' crops) and ``_align`` gathers the features on them (one slice copy
 per channel); both reduce with array operations and return one mask
 gradient shaped like ``values``; windows may overlap, so gradients go back
 onto the grid by one slice-add per channel (``_add_on_windows``).
-``dice_loss`` passes whole dense channels, the whole grid as the one block;
 ``extract_prototypes`` pools each class on its mask crop, and
 ``extract_contour_points`` finds a class's boundary on its crop.
 
@@ -52,8 +55,8 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.spatial import cKDTree
 
-from .grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, _on_windows, argmax_labels
-from .warp import DisplacementField, _one_shape, central_difference, central_difference_adjoint
+from .grids import OneHotMask, _on_windows
+from .warp import _one_shape, central_difference, central_difference_adjoint
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
 DICE_EPS = 1e-7          # soft Dice denominator guard
@@ -108,29 +111,6 @@ class LossBreakdown:
 
 
 @dataclass(frozen=True)
-class FeatureVolume:
-    """Per-voxel feature channels, shaped (C, nx, ny, nz)."""
-
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    channels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "channels", np.asarray(self.channels, dtype=np.float64))
-        if self.channels.ndim != 4 or self.channels.shape[1:] != self.dims:
-            raise ValueError(
-                f"FeatureVolume: channels shape {self.channels.shape} vs dims {self.dims}"
-            )
-        if not np.isfinite(self.channels).all():
-            raise ValueError("FeatureVolume: non-finite feature values")
-
-    @property
-    def num_channels(self) -> int:
-        return self.channels.shape[0]
-
-
-@dataclass(frozen=True)
 class PrototypeSet:
     """One feature vector per class; absent classes carry no usable vector."""
 
@@ -142,10 +122,6 @@ class PrototypeSet:
         object.__setattr__(self, "present", np.asarray(self.present, dtype=bool))
         if self.vectors.ndim != 2 or self.present.shape != (self.vectors.shape[0],):
             raise ValueError("PrototypeSet: vectors must be (K, C) with matching present flags")
-
-    @property
-    def num_classes(self) -> int:
-        return self.vectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -228,13 +204,6 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
     return value, -dsum / count
 
 
-def lncc(fixed: Volume, moved: Volume, window: int = 9) -> float:
-    """Negative mean squared local NCC over all full windows; in [-1, 0]."""
-    if fixed.dims != moved.dims:
-        raise DimsMismatchError(f"lncc: {fixed.dims} vs {moved.dims}")
-    return _lncc(fixed.data, moved.data, window, _lncc_fixed(fixed.data, window))[0]
-
-
 # ---------------------------------------------------------------- smoothness
 
 def _smoothness(u: np.ndarray, with_grad: bool = False):
@@ -253,11 +222,6 @@ def _smoothness(u: np.ndarray, with_grad: bool = False):
             g[:-1] -= step
             g[1:] += step
     return float(total / n), grad
-
-
-def smoothness(field: DisplacementField) -> float:
-    """Mean over voxels of the squared forward-difference gradient of u."""
-    return _smoothness(field.u)[0]
 
 
 # --------------------------------------------------------------------- Dice
@@ -295,17 +259,6 @@ def _dice(fixed: np.ndarray, sum_f: np.ndarray, values: np.ndarray, with_grad: b
     return value, grad
 
 
-def dice_loss(fixed: OneHotMask, moved_soft: OneHotMask) -> float:
-    """1 - mean soft Dice over classes present on either side."""
-    if fixed.num_classes != moved_soft.num_classes:
-        raise ValueError(
-            f"dice_loss: class counts differ ({fixed.num_classes} vs {moved_soft.num_classes})"
-        )
-    if fixed.dims != moved_soft.dims:
-        raise DimsMismatchError(f"dice_loss: {fixed.dims} vs {moved_soft.dims}")
-    return _dice(fixed.channels, _fixed_mass(fixed), moved_soft.channels)[0]
-
-
 # --------------------------------------------------------------- prototypes
 
 def _standardize(data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -340,13 +293,6 @@ def _features_backward(dch: np.ndarray, cache: dict) -> np.ndarray:
     return d_data
 
 
-def feature_volume(vol: Volume) -> FeatureVolume:
-    """Fixed 2-channel bank: intensity and central-difference gradient
-    magnitude, each standardized to zero mean / unit variance over the volume."""
-    channels, _ = _features_forward(vol.data)
-    return FeatureVolume(vol.dims, vol.spacing, channels)
-
-
 def _pool_prototypes(region: np.ndarray, values: np.ndarray) -> tuple[PrototypeSet, np.ndarray]:
     """Masked average pooling: per class k, the (C, K, ...) features
     ``region[:, k]`` averaged under the mask values ``values[k]`` in one
@@ -359,13 +305,12 @@ def _pool_prototypes(region: np.ndarray, values: np.ndarray) -> tuple[PrototypeS
     return PrototypeSet(vectors, present), mass
 
 
-def extract_prototypes(features: FeatureVolume, mask: OneHotMask) -> PrototypeSet:
-    """Masked average pooling: per class, the mask-weighted mean feature,
-    pooled on the class's crop (padded to one shape, ``_one_shape``)."""
-    if features.dims != mask.dims:
-        raise DimsMismatchError(f"extract_prototypes: {features.dims} vs {mask.dims}")
+def extract_prototypes(features: np.ndarray, mask: OneHotMask) -> PrototypeSet:
+    """Masked average pooling: per class, the mask-weighted mean of the
+    (C, nx, ny, nz) ``features`` on the grid of ``mask``, pooled on the
+    class's crop (padded to one shape, ``_one_shape``)."""
     windows = _one_shape([None if crop is None else crop.box for crop in mask.crops], mask.dims)
-    region = np.stack([features.channels[(slice(None),) + window] for window in windows], axis=1)
+    region = np.stack([features[(slice(None),) + window] for window in windows], axis=1)
     return _pool_prototypes(region, _on_windows(mask.crops, windows))[0]
 
 
@@ -411,44 +356,22 @@ def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
     return value, grad
 
 
-def contrast_loss(features: FeatureVolume, mask: OneHotMask, protos: PrototypeSet,
-                  temperature: float = 0.1) -> float:
-    """Mean over foreground voxels of -log softmax over cosine similarity to
-    the class prototypes; 0 when fewer than two classes are present."""
-    if features.dims != mask.dims:
-        raise DimsMismatchError(f"contrast_loss: {features.dims} vs {mask.dims}")
-    return _contrast(features.channels, argmax_labels(mask).labels, protos, temperature)[0]
-
-
-def _alignment(protos_f: PrototypeSet, protos_m: PrototypeSet):
-    """Sum of (1 - cosine) over classes present in both sets, and per class
-    what the gradient reads: cosine, unit vectors, moving norm, presence."""
+def _align(protos_f: PrototypeSet, features: np.ndarray, windows, values: np.ndarray,
+           with_grad: bool = False):
+    """Alignment of ``protos_f`` with the prototypes pooled from ``features``
+    under the moved mask stack ``values`` on ``windows`` (see the module
+    docstring): the sum of (1 - cosine) over classes present in both sets.
+    Returns (value, d/d(features), d/d(values)); both gradients are None
+    without ``with_grad``."""
+    region = np.stack([features[(slice(None),) + window] for window in windows], axis=1)
+    protos_m, mass = _pool_prototypes(region, values)
     both = protos_f.present & protos_m.present
     n_f = np.maximum(np.linalg.norm(protos_f.vectors, axis=1), NORM_EPS)
     n_m = np.maximum(np.linalg.norm(protos_m.vectors, axis=1), NORM_EPS)
     phat_f = protos_f.vectors / n_f[:, None]
     phat_m = protos_m.vectors / n_m[:, None]
     cos = np.einsum("kc,kc->k", phat_f, phat_m)
-    return float((1.0 - cos[both]).sum()), (cos, phat_f, phat_m, n_m, both)
-
-
-def align_loss(protos_f: PrototypeSet, protos_m: PrototypeSet) -> float:
-    """Sum of (1 - cosine) over classes present in both sets; one-sided
-    classes are skipped."""
-    if protos_f.num_classes != protos_m.num_classes:
-        raise ValueError("align_loss: prototype sets cover different class universes")
-    return _alignment(protos_f, protos_m)[0]
-
-
-def _align(protos_f: PrototypeSet, features: np.ndarray, windows, values: np.ndarray,
-           with_grad: bool = False):
-    """Alignment of ``protos_f`` with the prototypes pooled from ``features``
-    under the moved mask stack ``values`` on ``windows`` (see the module
-    docstring).  Returns (value, d/d(features), d/d(values)); both gradients
-    are None without ``with_grad``."""
-    region = np.stack([features[(slice(None),) + window] for window in windows], axis=1)
-    protos_m, mass = _pool_prototypes(region, values)
-    value, (cos, phat_f, phat_m, n_m, both) = _alignment(protos_f, protos_m)
+    value = float((1.0 - cos[both]).sum())
     if not with_grad:
         return value, None, None
     # per class, d(value)/d(prototype) divided by the mass it was pooled under
@@ -464,11 +387,13 @@ def _align(protos_f: PrototypeSet, features: np.ndarray, windows, values: np.nda
 def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.ndarray,
                protos_f: PrototypeSet, contrast_fixed: float, temperature: float,
                mode: str = "both", with_grad: bool = False):
-    """The prototype term (see ``prototype_loss``) on the moved image and the
-    moved mask stack (see the module docstring), given the fixed image's
-    contrast ``contrast_fixed``; ``mode`` keeps only the "contrast" or the
-    "align" half.  Returns (value, d/d(moved), d/d(mask_values)); gradients
-    are None without ``with_grad``, the mask one also for "contrast"."""
+    """The prototype term on the moved image and the moved mask stack (see
+    the module docstring): the contrast of the moved features averaged with
+    the fixed image's ``contrast_fixed``, both against the fixed prototypes
+    ``protos_f`` under the fixed hard assignment ``assign``, plus the
+    alignment; ``mode`` keeps only the "contrast" or the "align" half.
+    Returns (value, d/d(moved), d/d(mask_values)); gradients are None
+    without ``with_grad``, the mask one also for "contrast"."""
     feats, cache = _features_forward(moved)
     value = 0.0
     d_feats = np.zeros_like(feats) if with_grad else None
@@ -488,77 +413,35 @@ def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.n
     return value, _features_backward(d_feats, cache), d_masks
 
 
-def prototype_loss(moved_feats: FeatureVolume, fixed_feats: FeatureVolume,
-                   fixed_mask: OneHotMask, moved_mask: OneHotMask,
-                   temperature: float = 0.1) -> float:
-    """Contrast plus alignment.
-
-    The contrast half averages the warped-moving features and the fixed
-    features, both scored against the fixed image's prototypes under the
-    fixed mask's hard assignments (so prototypes and assignments are
-    constants of the deformation).  Alignment compares fixed prototypes with
-    prototypes pooled from the warped moving features under the warped
-    moving mask.
-    """
-    protos_f = extract_prototypes(fixed_feats, fixed_mask)
-    contrast = 0.5 * (
-        contrast_loss(moved_feats, fixed_mask, protos_f, temperature)
-        + contrast_loss(fixed_feats, fixed_mask, protos_f, temperature)
-    )
-    protos_m = extract_prototypes(moved_feats, moved_mask)
-    return contrast + align_loss(protos_f, protos_m)
-
-
 # ------------------------------------------------------------------ contours
 
-def extract_contour_points(mask, class_label: int, max_points: int = 2048,
+def extract_contour_points(mask: OneHotMask, class_label: int, max_points: int = 2048,
                            seed: int = 0) -> ContourPointSet:
-    """Boundary voxels of one class region, optionally subsampled.
+    """Boundary voxels of one class region (channel values >= 0.5),
+    optionally subsampled.
 
     A voxel is a boundary voxel when it is foreground and at least one of its
     six face neighbors is background; neighbors outside the volume count as
     background.  When more than ``max_points`` boundary voxels exist, a
     seeded uniform subsample is taken.
     """
-    origin = (0, 0, 0)
-    if isinstance(mask, LabelVolume):
-        fg = mask.labels == class_label
-    elif isinstance(mask, OneHotMask):
-        crop = mask.crops[class_label - 1]
-        if crop is None:
-            return ContourPointSet(class_label, np.zeros((0, 3)))
-        origin, fg = crop.origin, crop.values >= 0.5
-    else:
-        raise TypeError(f"extract_contour_points: unsupported mask type {type(mask).__name__}")
-
-    # a layer of background around the crop (or the volume) stands for
-    # everything outside it
+    crop = mask.crops[class_label - 1]
+    if crop is None:
+        return ContourPointSet(class_label, np.zeros((0, 3)))
+    fg = crop.values >= 0.5
+    # a layer of background around the crop stands for everything outside it
     padded = np.pad(fg, 1)
     interior = fg.copy()
     for a in range(3):
         for off in (-1, 1):
             interior &= np.roll(padded, off, axis=a)[1:-1, 1:-1, 1:-1]
     boundary = fg & ~interior
-    pts = np.argwhere(boundary).astype(np.float64) + origin
+    pts = np.argwhere(boundary).astype(np.float64) + crop.origin
     if pts.shape[0] > max_points:
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(pts.shape[0], size=max_points, replace=False))
         pts = pts[keep]
     return ContourPointSet(class_label, pts)
-
-
-def _chamfer(a: np.ndarray, b: np.ndarray, with_grad: bool = False):
-    """Chamfer value between (N, 3) ``a`` and (M, 3) ``b`` and, with
-    ``with_grad``, d(value)/d(a) with the nearest-neighbor assignment held
-    fixed."""
-    da, a_to_b = cKDTree(b).query(a)
-    db, b_to_a = cKDTree(a).query(b)
-    value = float((da ** 2).mean() + (db ** 2).mean())
-    if not with_grad:
-        return value, None
-    grad = 2.0 * (a - b[a_to_b]) / len(a)
-    np.add.at(grad, b_to_a, 2.0 * (a[b_to_a] - b) / len(b))
-    return value, grad
 
 
 def _lifted(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: np.ndarray):
@@ -572,9 +455,11 @@ def _lifted(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: np.ndarr
 def _class_chamfer(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: np.ndarray,
                    with_grad: bool = False):
     """Mean over classes 0..P-1 (``a_class``, ``b_class``; each on both
-    sides) of the Chamfer (``_chamfer``) between the class's points in
-    (N, 3) ``a`` and (M, 3) ``b`` and, with ``with_grad``, d(value)/d(a),
-    from one KD-tree pair over the ``_lifted`` points of every class."""
+    sides) of the symmetric Chamfer, the mean squared nearest-neighbour
+    distance from the class's points in (N, 3) ``a`` to those in (M, 3)
+    ``b`` plus the same from ``b`` to ``a``, and, with ``with_grad``,
+    d(value)/d(a) with the nearest-neighbour assignment held fixed; from
+    one KD-tree pair over the ``_lifted`` points of every class."""
     a4, b4 = _lifted(a, a_class, b, b_class)
     da, a_to_b = cKDTree(b4).query(a4)
     db, b_to_a = cKDTree(a4).query(b4)
@@ -585,12 +470,3 @@ def _class_chamfer(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: n
     grad = 2.0 * (a - b[a_to_b]) / (len(n_a) * n_a[a_class])[:, None]
     np.add.at(grad, b_to_a, 2.0 * (a[b_to_a] - b) / (len(n_b) * n_b[b_class])[:, None])
     return value, grad
-
-
-def chamfer(set_m: ContourPointSet | np.ndarray, set_f: ContourPointSet | np.ndarray) -> float:
-    """Symmetric mean squared nearest-neighbor distance between two point sets."""
-    a = set_m.points if isinstance(set_m, ContourPointSet) else np.asarray(set_m, dtype=np.float64)
-    b = set_f.points if isinstance(set_f, ContourPointSet) else np.asarray(set_f, dtype=np.float64)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("chamfer: both point sets must be nonempty")
-    return _chamfer(a, b)[0]

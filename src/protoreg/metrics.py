@@ -77,10 +77,7 @@ def evaluate(fixed_mask: LabelVolume, warped_mask: LabelVolume,
     present = [v for v in per_class if v is not None]
     avg = float(np.mean(present)) if present else math.nan
     std = float(np.std(present)) if present else math.nan
-    if field is not None and min(field.dims) >= 3:
-        quality = sdlogj(field)
-    else:
-        quality = SdLogJResult(0.0, 0)
+    quality = SdLogJResult(0.0, 0) if field is None else sdlogj(field)
     return EvalReport(pair_id, names, per_class, avg, std, quality.value, quality.excluded)
 
 

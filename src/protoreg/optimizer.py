@@ -250,13 +250,12 @@ def register_pair(fixed: Volume, moving: Volume,
         trajectories.append(totals)
         level_seconds.append(time.perf_counter() - t0)
 
-    quality = sdlogj(field) if min(field.dims) >= 3 else SdLogJResult(0.0, 0)
     return RegistrationResult(
         field=field,
         trajectories=tuple(trajectories),
         final_breakdown=final_breakdown,
         level_seconds=tuple(level_seconds),
-        sdlogj=quality,
+        sdlogj=sdlogj(field),
         unsupervised=unsupervised,
     )
 

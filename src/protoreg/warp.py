@@ -151,12 +151,6 @@ def sample_volume_with_gradient(data: np.ndarray, points: np.ndarray):
     return _sample(data, points, with_grad=True)
 
 
-def trilinear_sample(vol: Volume, point) -> float:
-    """Value of ``vol`` at one continuous coordinate (voxel units)."""
-    p = np.asarray(point, dtype=np.float64).reshape(3, 1)
-    return float(sample_volume(vol.data, p)[0])
-
-
 def warp_volume(vol: Volume, field: DisplacementField) -> Volume:
     """Resample: out(p) = vol(p + u(p))."""
     if vol.dims != field.dims:
@@ -338,8 +332,11 @@ def sdlogj(field: DisplacementField, eps: float = 1e-6) -> SdLogJResult:
     """Standard deviation of log det(J(phi)) over voxels with det > eps.
 
     Non-positive (or tiny) determinants are excluded and counted; an
-    all-excluded field reports 0.0.
+    all-excluded field reports 0.0.  A field with an axis under 3 voxels has
+    no Jacobian (``jacobian_determinant``) and reports (0.0, 0).
     """
+    if min(field.dims) < 3:
+        return SdLogJResult(0.0, 0)
     det = jacobian_determinant(field).data
     ok = det > eps
     excluded = int(det.size - ok.sum())

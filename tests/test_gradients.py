@@ -14,7 +14,7 @@ from protoreg.gradients import (
     finite_diff_check,
     term_evaluator,
 )
-from protoreg.grids import LabelVolume, OneHotMask, Volume, one_hot
+from protoreg.grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, one_hot
 from protoreg.losses import LossWeights
 from protoreg.warp import DisplacementField
 
@@ -108,6 +108,18 @@ def test_reweighting_cannot_switch_on_a_term_the_state_was_built_without(name):
         with pytest.raises(ValueError, match=name):
             evaluate_objective(raised, rand_field(7), with_grad=with_grad)
     evaluate_objective(st, rand_field(7))
+
+
+@pytest.mark.parametrize("side", ["fixed", "moving"])
+@pytest.mark.parametrize("weights", [LossWeights(0, 0, 1, 0, 0), LossWeights(0, 0, 0, 1, 0),
+                                     LossWeights(0, 0, 0, 0, 1)], ids=["seg", "prototype", "contour"])
+def test_build_state_rejects_masks_off_the_volumes_grid(weights, side):
+    # 12^3 masks on 8^3 volumes, whichever mask term is on
+    good, bad = soft_mask(1, dims=(8, 8, 8)), soft_mask(2, dims=(12, 12, 12))
+    masks = (bad, good) if side == "fixed" else (good, bad)
+    with pytest.raises(DimsMismatchError, match="masks"):
+        build_state(rand_volume(3, (8, 8, 8)), rand_volume(4, (8, 8, 8)), weights, *masks,
+                    window=3)
 
 
 def test_smoothness_alone_tight():
@@ -532,14 +544,16 @@ def test_sampler_call_count_does_not_grow_with_classes(monkeypatch):
 def _per_class_contour(state, field):
     """The contour term class by class: the value as the mean of the
     exhaustive ``oracles.chamfer``, the gradient as one add per class of
-    ``losses._chamfer``."""
+    ``losses._class_chamfer`` called with that class alone."""
     classes = _contour_classes(state)
     values, grad = [], np.zeros((3,) + state.dims)
     for fixed_pts, moving_pts in classes:
         index = (slice(None),) + tuple(fixed_pts.T.astype(np.intp))
         carried = fixed_pts + field.u[index].T
         values.append(oracles.chamfer(carried, moving_pts))
-        grad[index] += losses._chamfer(carried, moving_pts, True)[1].T / len(classes)
+        one = losses._class_chamfer(carried, np.zeros(len(carried), int),
+                                    moving_pts, np.zeros(len(moving_pts), int), True)[1]
+        grad[index] += one.T / len(classes)
     return float(np.mean(values)), grad
 
 

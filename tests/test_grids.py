@@ -103,13 +103,13 @@ def test_downsample_onehot_goes_soft():
 def test_pyramid_dims_16():
     vol = Volume((16, 16, 16), (1, 1, 1), np.zeros((16, 16, 16)))
     pyr = build_pyramid(vol, 4)
-    assert [lvl.dims for lvl in pyr.levels] == [(16,) * 3, (8,) * 3, (4,) * 3, (2,) * 3]
+    assert [lvl.dims for lvl in pyr] == [(16,) * 3, (8,) * 3, (4,) * 3, (2,) * 3]
 
 
 def test_pyramid_dims_160():
     vol = Volume((160, 160, 160), (2, 2, 2), np.zeros((160,) * 3, dtype=np.float32))
     pyr = build_pyramid(vol, 4)
-    assert [lvl.dims for lvl in pyr.levels] == [(160,) * 3, (80,) * 3, (40,) * 3, (20,) * 3]
+    assert [lvl.dims for lvl in pyr] == [(160,) * 3, (80,) * 3, (40,) * 3, (20,) * 3]
 
 
 def test_pyramid_rejects_too_many_levels():

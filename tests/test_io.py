@@ -6,6 +6,7 @@ import pytest
 
 from protoreg.grids import LabelVolume, Volume
 from protoreg.io import (
+    IOFormatError,
     MalformedHeaderError,
     TruncatedPayloadError,
     UnsupportedDatatypeError,
@@ -39,6 +40,14 @@ def test_raw_roundtrip_labels(tmp_path):
     assert isinstance(back, LabelVolume)
     assert back.num_classes == 3
     assert np.array_equal(back.labels, lv.labels)
+
+
+def test_raw_labels_reject_non_integral_values(tmp_path):
+    write_raw(LabelVolume((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2)), 3), tmp_path / "seg")
+    payload = np.array([0, 1.4, 2.6, 0, 1, 2, 0, 1], dtype="<f4")
+    (tmp_path / "seg.f32raw").write_bytes(payload.tobytes())
+    with pytest.raises(IOFormatError, match="non-integral"):
+        read_raw(tmp_path / "seg")
 
 
 def test_raw_roundtrip_field(tmp_path):
@@ -197,6 +206,22 @@ def test_nifti_labels_kind(tmp_path):
     lv = read_nifti(path, kind="labels")
     assert isinstance(lv, LabelVolume)
     assert lv.num_classes == 2
+
+
+def test_nifti_labels_reject_non_integral_values(tmp_path):
+    data = np.zeros((2, 2, 2))
+    data[1, 0, 0], data[0, 1, 0] = 1.4, 2.6
+    write_nifti(Volume((2, 2, 2), (1, 1, 1), data), tmp_path / "soft.nii")
+    with pytest.raises(IOFormatError, match="non-integral"):
+        read_nifti(tmp_path / "soft.nii", kind="labels")
+
+
+def test_nifti_labels_accept_integers_scaled_by_a_float32_slope(tmp_path):
+    # 10 * float32(0.1) is 1.0000000149: integral to within the tolerance
+    path = tmp_path / "tenths.nii"
+    path.write_bytes(_build_nifti_int16((2, 2, 2), (1, 1, 1), [0, 10, 20, 30] * 2, slope=0.1))
+    lv = read_nifti(path, kind="labels")
+    assert np.array_equal(lv.labels.ravel(order="F"), [0, 1, 2, 3] * 2)
 
 
 def test_nifti_orientation_warning(tmp_path, caplog):

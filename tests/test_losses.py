@@ -2,26 +2,17 @@ import numpy as np
 import pytest
 
 import oracles
-from protoreg.gradients import contour_loss, total_loss
+from protoreg import losses
+from protoreg.gradients import _carried, _contour_pairs, build_state, evaluate_objective
 from protoreg.grids import (
     DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels, one_hot,
 )
 from protoreg.losses import (
     ContourPointSet,
-    FeatureVolume,
-    LossBreakdown,
     LossWeights,
     PrototypeSet,
-    align_loss,
-    chamfer,
-    contrast_loss,
-    dice_loss,
     extract_contour_points,
     extract_prototypes,
-    feature_volume,
-    lncc,
-    prototype_loss,
-    smoothness,
 )
 from protoreg.warp import DisplacementField
 
@@ -36,6 +27,46 @@ def soft_mask(dims, k, seed):
     ch = rng.uniform(0.05, 0.95, size=(k,) + dims)
     ch /= np.maximum(ch.sum(axis=0), 1.0)[None]
     return OneHotMask(dims, (1, 1, 1), ch)
+
+
+def lncc(fixed, moved, window):
+    """The correlation term of two volumes (``losses._lncc``)."""
+    return losses._lncc(fixed.data, moved.data, window,
+                        losses._lncc_fixed(fixed.data, window))[0]
+
+
+def dice(fixed, moved):
+    """The Dice term of two masks on the whole grid (``losses._dice``)."""
+    return losses._dice(fixed.channels, losses._fixed_mass(fixed), moved.channels)[0]
+
+
+def contrast(features, mask, protos, temperature=0.1):
+    """The contrast half on ``mask``'s hard assignment (``losses._contrast``)."""
+    return losses._contrast(features, argmax_labels(mask).labels, protos, temperature)[0]
+
+
+def align(protos_f, protos_m):
+    """The alignment half (``losses._align``) of ``protos_f`` with ``protos_m``:
+    on a (K, 1, 1) grid, the moving features at voxel k are the moving
+    vector of class k, pooled under a one-voxel window holding 1 where the
+    class is present."""
+    k, c = protos_m.vectors.shape
+    features = protos_m.vectors.T.reshape(c, k, 1, 1)
+    windows = [(slice(i, i + 1), slice(0, 1), slice(0, 1)) for i in range(k)]
+    values = protos_m.present.astype(float).reshape(k, 1, 1, 1)
+    return losses._align(protos_f, features, windows, values)[0]
+
+
+def chamfer(a, b):
+    """The symmetric Chamfer of two point sets, as one class of
+    ``losses._class_chamfer``."""
+    return losses._class_chamfer(a, np.zeros(len(a), int), b, np.zeros(len(b), int))[0]
+
+
+def objective(fixed, moving, field, weights, fixed_mask=None, moving_mask=None, **kwargs):
+    """The breakdown of ``evaluate_objective`` at ``field``, value only."""
+    state = build_state(fixed, moving, weights, fixed_mask, moving_mask, **kwargs)
+    return evaluate_objective(state, field, with_grad=False)[0]
 
 
 # ------------------------------------------------------------------- LNCC
@@ -79,27 +110,27 @@ def test_lncc_affine_intensity_invariance():
 
 def test_lncc_validation():
     a = rand_volume((5, 5, 5), 7)
+    sim = LossWeights(1, 0, 0, 0, 0)
     with pytest.raises(DimsMismatchError):
-        lncc(a, rand_volume((4, 5, 5), 8), 3)
+        build_state(a, rand_volume((4, 5, 5), 8), sim, window=3)
     with pytest.raises(ValueError):
-        lncc(a, a, 4)       # even
+        build_state(a, a, sim, window=4)       # even
     with pytest.raises(ValueError):
-        lncc(a, a, 7)       # larger than min dim
+        build_state(a, a, sim, window=7)       # larger than min dim
 
 
 # -------------------------------------------------------------- smoothness
 
 def test_smoothness_zero_and_constant():
-    assert smoothness(DisplacementField.zeros((4, 4, 4))) == 0.0
-    const = DisplacementField((4, 4, 4), (1, 1, 1), np.full((3, 4, 4, 4), 2.0))
-    assert smoothness(const) == 0.0
+    assert losses._smoothness(np.zeros((3, 4, 4, 4)))[0] == 0.0
+    assert losses._smoothness(np.full((3, 4, 4, 4), 2.0))[0] == 0.0
 
 
 def test_smoothness_linear_ramp_hand_enumeration():
     dims = (3, 3, 3)
     u = np.zeros((3,) + dims)
     u[0] = np.arange(3, dtype=float).reshape(3, 1, 1)     # u_x = x
-    got = smoothness(DisplacementField(dims, (1, 1, 1), u))
+    got = losses._smoothness(u)[0]
     # forward diff along x is 1 for x in {0,1}, 0 at the trailing border
     assert got == pytest.approx(18 / 27)
     assert got == pytest.approx(oracles.smoothness(u))
@@ -108,8 +139,7 @@ def test_smoothness_linear_ramp_hand_enumeration():
 def test_smoothness_matches_oracle():
     rng = np.random.default_rng(9)
     u = rng.normal(size=(3, 4, 3, 5))
-    field = DisplacementField((4, 3, 5), (1, 1, 1), u)
-    assert smoothness(field) == pytest.approx(oracles.smoothness(u), rel=1e-12)
+    assert losses._smoothness(u)[0] == pytest.approx(oracles.smoothness(u), rel=1e-12)
 
 
 # -------------------------------------------------------------------- Dice
@@ -123,27 +153,25 @@ def hard_mask(dims, boxes, k):
 
 def test_dice_identical_hard_masks():
     oh = hard_mask((5, 5, 5), [(1, np.s_[1:3, 1:3, 1:3]), (2, np.s_[3:5, 3:5, 3:5])], 2)
-    assert dice_loss(oh, oh) == pytest.approx(0.0, abs=1e-7)
+    assert dice(oh, oh) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_dice_disjoint_single_voxels():
     a = hard_mask((4, 4, 4), [(1, np.s_[0, 0, 0])], 1)
     b = hard_mask((4, 4, 4), [(1, np.s_[3, 3, 3])], 1)
-    assert dice_loss(a, b) == pytest.approx(1.0, abs=1e-6)
+    assert dice(a, b) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_dice_matches_oracle_on_soft_masks():
     a = soft_mask((4, 4, 4), 3, 21)
     b = soft_mask((4, 4, 4), 3, 22)
-    assert dice_loss(a, b) == pytest.approx(
-        oracles.dice_loss(a.channels, b.channels), rel=1e-12
-    )
+    assert dice(a, b) == pytest.approx(oracles.dice_loss(a.channels, b.channels), rel=1e-12)
 
 
 def test_dice_symmetric_and_bounded():
     a = soft_mask((4, 4, 4), 2, 23)
     b = soft_mask((4, 4, 4), 2, 24)
-    ab, ba = dice_loss(a, b), dice_loss(b, a)
+    ab, ba = dice(a, b), dice(b, a)
     assert ab == pytest.approx(ba, rel=1e-12)
     assert 0.0 <= ab <= 1.0
 
@@ -151,24 +179,25 @@ def test_dice_symmetric_and_bounded():
 def test_dice_class_count_mismatch():
     a = soft_mask((4, 4, 4), 2, 25)
     b = soft_mask((4, 4, 4), 3, 26)
-    with pytest.raises(ValueError):
-        dice_loss(a, b)
+    vol = rand_volume((4, 4, 4), 27)
+    with pytest.raises(ValueError, match="class universes"):
+        build_state(vol, vol, LossWeights(0, 0, 1, 0, 0), a, b, window=3)
 
 
 # -------------------------------------------------------------- prototypes
 
 def test_prototype_single_voxel_mask():
     dims = (3, 3, 3)
-    feats = FeatureVolume(dims, (1, 1, 1), np.random.default_rng(30).normal(size=(2,) + dims))
+    feats = np.random.default_rng(30).normal(size=(2,) + dims)
     ch = np.zeros((1,) + dims)
     ch[0, 1, 2, 0] = 1.0
     protos = extract_prototypes(feats, OneHotMask(dims, (1, 1, 1), ch))
-    assert np.allclose(protos.vectors[0], feats.channels[:, 1, 2, 0])
+    assert np.allclose(protos.vectors[0], feats[:, 1, 2, 0])
 
 
 def test_prototype_uniform_features():
     dims = (3, 3, 3)
-    feats = FeatureVolume(dims, (1, 1, 1), np.full((2,) + dims, 4.5))
+    feats = np.full((2,) + dims, 4.5)
     mask = soft_mask(dims, 3, 31)
     protos = extract_prototypes(feats, mask)
     for k in range(3):
@@ -179,17 +208,17 @@ def test_prototype_uniform_features():
 def test_prototype_matches_weighted_mean_oracle():
     dims = (4, 4, 4)
     rng = np.random.default_rng(32)
-    feats = FeatureVolume(dims, (1, 1, 1), rng.normal(size=(3,) + dims))
+    feats = rng.normal(size=(3,) + dims)
     mask = soft_mask(dims, 2, 33)
     protos = extract_prototypes(feats, mask)
-    want, present = oracles.prototypes(feats.channels, mask.channels)
+    want, present = oracles.prototypes(feats, mask.channels)
     assert np.array_equal(protos.present, present)
     assert np.allclose(protos.vectors, want, rtol=1e-12)
 
 
 def test_prototype_absent_class():
     dims = (3, 3, 3)
-    feats = FeatureVolume(dims, (1, 1, 1), np.ones((2,) + dims))
+    feats = np.ones((2,) + dims)
     ch = np.zeros((2,) + dims)
     ch[0, 0, 0, 0] = 1.0
     protos = extract_prototypes(feats, OneHotMask(dims, (1, 1, 1), ch))
@@ -200,12 +229,12 @@ def test_prototype_absent_class():
 
 def test_contrast_single_class_is_zero():
     dims = (3, 3, 3)
-    feats = FeatureVolume(dims, (1, 1, 1), np.random.default_rng(40).normal(size=(2,) + dims))
+    feats = np.random.default_rng(40).normal(size=(2,) + dims)
     ch = np.zeros((1,) + dims)
     ch[0, :2] = 1.0
     mask = OneHotMask(dims, (1, 1, 1), ch)
     protos = extract_prototypes(feats, mask)
-    assert contrast_loss(feats, mask, protos) == 0.0
+    assert contrast(feats, mask, protos) == 0.0
 
 
 def test_contrast_orthogonal_prototypes_closed_form():
@@ -219,22 +248,19 @@ def test_contrast_orthogonal_prototypes_closed_form():
     feats_arr = np.zeros((2,) + dims)
     feats_arr[0, 0] = 1.0     # class-1 voxels -> e_0
     feats_arr[1, 1] = 1.0     # class-2 voxels -> e_1
-    feats = FeatureVolume(dims, (1, 1, 1), feats_arr)
-    protos = extract_prototypes(feats, mask)
+    protos = extract_prototypes(feats_arr, mask)
     want = -np.log(np.e / (np.e + 1.0))
-    assert contrast_loss(feats, mask, protos, temperature=1.0) == pytest.approx(want, rel=1e-9)
+    assert contrast(feats_arr, mask, protos, temperature=1.0) == pytest.approx(want, rel=1e-9)
 
 
 def test_contrast_matches_per_voxel_softmax_oracle():
     dims = (4, 4, 4)
     rng = np.random.default_rng(41)
-    feats = FeatureVolume(dims, (1, 1, 1), rng.normal(size=(2,) + dims))
+    feats = rng.normal(size=(2,) + dims)
     mask = hard_mask(dims, [(1, np.s_[0:2]), (2, np.s_[2:3]), (3, np.s_[3:4])], 3)
     protos = extract_prototypes(feats, mask)
-    got = contrast_loss(feats, mask, protos, temperature=0.1)
-    want = oracles.contrast(
-        feats.channels, argmax_labels(mask).labels, protos.vectors, protos.present, 0.1
-    )
+    got = contrast(feats, mask, protos, temperature=0.1)
+    want = oracles.contrast(feats, argmax_labels(mask).labels, protos.vectors, protos.present, 0.1)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -243,25 +269,23 @@ def test_contrast_invariant_to_per_voxel_positive_scaling():
     rng = np.random.default_rng(42)
     raw = rng.normal(size=(2,) + dims)
     mask = hard_mask(dims, [(1, np.s_[0:2]), (2, np.s_[2:4])], 2)
-    feats = FeatureVolume(dims, (1, 1, 1), raw)
-    protos = extract_prototypes(feats, mask)
-    base = contrast_loss(feats, mask, protos, temperature=0.3)
+    protos = extract_prototypes(raw, mask)
+    base = contrast(raw, mask, protos, temperature=0.3)
     scale = rng.uniform(0.2, 5.0, size=dims)
-    scaled = FeatureVolume(dims, (1, 1, 1), raw * scale[None])
-    assert abs(contrast_loss(scaled, mask, protos, temperature=0.3) - base) < 1e-8
+    assert abs(contrast(raw * scale[None], mask, protos, temperature=0.3) - base) < 1e-8
 
 
 # ------------------------------------------------------------------- align
 
 def test_align_identical_sets():
     protos = PrototypeSet(np.random.default_rng(50).normal(size=(3, 2)), np.ones(3, bool))
-    assert align_loss(protos, protos) == pytest.approx(0.0, abs=1e-9)
+    assert align(protos, protos) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_align_opposite_pair():
     pf = PrototypeSet(np.array([[1.0, 0.0]]), np.ones(1, bool))
     pm = PrototypeSet(np.array([[-1.0, 0.0]]), np.ones(1, bool))
-    assert align_loss(pf, pm) == pytest.approx(2.0)
+    assert align(pf, pm) == pytest.approx(2.0)
 
 
 def test_align_matches_cosine_oracle_and_skips_one_sided():
@@ -272,7 +296,7 @@ def test_align_matches_cosine_oracle_and_skips_one_sided():
     present_m = np.array([True, False, True])
     pf = PrototypeSet(vf, present_f)
     pm = PrototypeSet(vm, present_m)
-    assert align_loss(pf, pm) == pytest.approx(
+    assert align(pf, pm) == pytest.approx(
         oracles.align(vf, present_f, vm, present_m), rel=1e-12
     )
 
@@ -282,22 +306,27 @@ def test_align_per_class_terms_in_range():
     for _ in range(20):
         pf = PrototypeSet(rng.normal(size=(1, 3)), np.ones(1, bool))
         pm = PrototypeSet(rng.normal(size=(1, 3)), np.ones(1, bool))
-        assert 0.0 <= align_loss(pf, pm) <= 2.0
+        assert 0.0 <= align(pf, pm) <= 2.0
 
 
-# -------------------------------------------------------------- prototype_loss
+# ---------------------------------------------------------- prototype term
 
 def test_prototype_loss_composition():
+    # at the zero field the moved image and masks are the moving ones, so
+    # the term is the contrast of both sides' features against the fixed
+    # prototypes, averaged, plus the alignment of the two prototype sets
     dims = (4, 4, 4)
-    moved = feature_volume(rand_volume(dims, 60))
-    fixed = feature_volume(rand_volume(dims, 61))
+    moving, fixed = rand_volume(dims, 60), rand_volume(dims, 61)
     fm = hard_mask(dims, [(1, np.s_[0:2]), (2, np.s_[2:4])], 2)
     mm = soft_mask(dims, 2, 62)
-    got = prototype_loss(moved, fixed, fm, mm, temperature=0.1)
-    protos_f = extract_prototypes(fixed, fm)
+    got = objective(fixed, moving, DisplacementField.zeros(dims), LossWeights(0, 0, 0, 1, 0),
+                    fm, mm, window=3, temperature=0.1).values["prototype"]
+    feats_m = losses._features_forward(moving.data)[0]
+    feats_f = losses._features_forward(fixed.data)[0]
+    protos_f = extract_prototypes(feats_f, fm)
     expected = 0.5 * (
-        contrast_loss(moved, fm, protos_f, 0.1) + contrast_loss(fixed, fm, protos_f, 0.1)
-    ) + align_loss(protos_f, extract_prototypes(moved, mm))
+        contrast(feats_m, fm, protos_f, 0.1) + contrast(feats_f, fm, protos_f, 0.1)
+    ) + align(protos_f, extract_prototypes(feats_m, mm))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -306,7 +335,7 @@ def test_prototype_loss_composition():
 def test_contour_single_voxel():
     labels = np.zeros((5, 5, 5), np.int32)
     labels[2, 3, 1] = 1
-    pts = extract_contour_points(LabelVolume((5, 5, 5), (1, 1, 1), labels, 1), 1)
+    pts = extract_contour_points(one_hot(LabelVolume((5, 5, 5), (1, 1, 1), labels, 1)), 1)
     assert len(pts) == 1
     assert np.array_equal(pts.points[0], [2.0, 3.0, 1.0])
 
@@ -314,7 +343,7 @@ def test_contour_single_voxel():
 def test_contour_solid_cube_26_boundary_points():
     labels = np.zeros((7, 7, 7), np.int32)
     labels[2:5, 2:5, 2:5] = 1
-    pts = extract_contour_points(LabelVolume((7, 7, 7), (1, 1, 1), labels, 1), 1)
+    pts = extract_contour_points(one_hot(LabelVolume((7, 7, 7), (1, 1, 1), labels, 1)), 1)
     assert len(pts) == 26
     assert not any(np.array_equal(p, [3.0, 3.0, 3.0]) for p in pts.points)
 
@@ -322,7 +351,7 @@ def test_contour_solid_cube_26_boundary_points():
 def test_contour_subsample_deterministic():
     labels = np.zeros((10, 10, 10), np.int32)
     labels[1:9, 1:9, 1:9] = 1
-    lv = LabelVolume((10, 10, 10), (1, 1, 1), labels, 1)
+    lv = one_hot(LabelVolume((10, 10, 10), (1, 1, 1), labels, 1))
     a = extract_contour_points(lv, 1, max_points=10, seed=5)
     b = extract_contour_points(lv, 1, max_points=10, seed=5)
     c = extract_contour_points(lv, 1, max_points=10, seed=6)
@@ -333,7 +362,7 @@ def test_contour_subsample_deterministic():
 
 def test_contour_empty_region():
     labels = np.zeros((4, 4, 4), np.int32)
-    pts = extract_contour_points(LabelVolume((4, 4, 4), (1, 1, 1), labels, 0), 1)
+    pts = extract_contour_points(one_hot(LabelVolume((4, 4, 4), (1, 1, 1), labels, 1)), 1)
     assert len(pts) == 0
 
 
@@ -361,9 +390,27 @@ def test_chamfer_symmetric_nonnegative():
     assert chamfer(a, b) > 0.0
 
 
-def test_chamfer_rejects_empty():
-    with pytest.raises(ValueError):
-        chamfer(np.zeros((0, 3)), np.ones((2, 3)))
+def test_contour_term_skips_a_class_empty_on_one_side():
+    # class 2 has contour points on the fixed side only: the term is class
+    # 1's Chamfer alone, and with no class on both sides it is 0
+    dims = (8, 8, 8)
+    labels = np.zeros(dims, np.int32)
+    labels[1:4, 1:4, 1:4] = 1
+    labels[5:7, 5:7, 5:7] = 2
+
+    def mask(keep, shift=0):
+        kept = np.where(np.isin(labels, keep), labels, 0)
+        return one_hot(LabelVolume(dims, (1, 1, 1), np.roll(kept, shift, axis=0), 2))
+
+    def contour(fixed_mask, moving_mask):
+        vol = rand_volume(dims, 73)
+        return objective(vol, vol, DisplacementField.zeros(dims), LossWeights(0, 0, 0, 0, 1),
+                         fixed_mask, moving_mask, window=3).values["contour"]
+
+    fixed, moving = mask([1, 2]), mask([1], shift=1)
+    want = chamfer(extract_contour_points(fixed, 1).points, extract_contour_points(moving, 1).points)
+    assert contour(fixed, moving) == want > 0.0
+    assert contour(mask([1]), mask([2])) == 0.0
 
 
 def test_contour_loss_follows_warp_convention():
@@ -376,9 +423,13 @@ def test_contour_loss_follows_warp_convention():
     u = np.zeros((3,) + dims)
     u[0] = -1.0
     field = DisplacementField(dims, (1, 1, 1), u)
-    assert contour_loss([moving_pts], [fixed_pts], field) == pytest.approx(0.0, abs=1e-12)
-    zero = DisplacementField.zeros(dims)
-    assert contour_loss([moving_pts], [fixed_pts], zero) == pytest.approx(2.0)
+    pairs = _contour_pairs([fixed_pts], [moving_pts])
+
+    def contour(field):
+        return losses._class_chamfer(_carried(pairs, field)[1], *pairs[1:])[0]
+
+    assert contour(field) == pytest.approx(0.0, abs=1e-12)
+    assert contour(DisplacementField.zeros(dims)) == pytest.approx(2.0)
 
 
 def test_contour_points_must_be_voxel_centers():
@@ -391,7 +442,7 @@ def test_contour_loss_rejects_points_outside_the_grid():
     fixed_pts = ContourPointSet(1, np.array([[3.0, 6.0, 3.0]]))
     moving_pts = ContourPointSet(1, np.array([[2.0, 3.0, 3.0]]))
     with pytest.raises(ValueError):
-        contour_loss([moving_pts], [fixed_pts], DisplacementField.zeros((6, 6, 6)))
+        _carried(_contour_pairs([fixed_pts], [moving_pts]), DisplacementField.zeros((6, 6, 6)))
 
 
 # -------------------------------------------------------------------- total
@@ -399,8 +450,7 @@ def test_contour_loss_rejects_points_outside_the_grid():
 def test_total_loss_zero_weights():
     dims = (6, 6, 6)
     fixed, moving = rand_volume(dims, 80), rand_volume(dims, 81)
-    bd = total_loss(fixed, moving, DisplacementField.zeros(dims),
-                    LossWeights(0, 0, 0, 0, 0))
+    bd = objective(fixed, moving, DisplacementField.zeros(dims), LossWeights(0, 0, 0, 0, 0))
     assert bd.total == 0.0
 
 
@@ -416,7 +466,7 @@ def test_total_weighted_sum_exact():
     rng = np.random.default_rng(84)
     field = DisplacementField(dims, (1, 1, 1), rng.uniform(-0.4, 0.4, (3,) + dims))
     weights = LossWeights(1, 4, 1, 1, 0.1)
-    bd = total_loss(fixed, moving, field, weights, fm, mm, window=3, seed=9)
+    bd = objective(fixed, moving, field, weights, fm, mm, window=3, seed=9)
     manual = sum(w * bd.values[name] for name, w in weights.as_dict().items())
     assert bd.total == pytest.approx(manual, rel=1e-12)
     # every term genuinely contributed
@@ -433,13 +483,12 @@ def test_total_identity_pair_only_similarity():
     labels[2:6, 2:6, 2:6] = 1
     mask = one_hot(LabelVolume(dims, (1, 1, 1), labels, 1))
     weights = LossWeights(1, 4, 1, 1, 0.1)
-    bd = total_loss(fixed, moving, DisplacementField.zeros(dims), weights,
-                    mask, mask, window=5, seed=1)
+    bd = objective(fixed, moving, DisplacementField.zeros(dims), weights,
+                   mask, mask, window=5, seed=1)
     assert bd.total == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_total_requires_masks_when_weighted():
     dims = (6, 6, 6)
-    with pytest.raises(ValueError):
-        total_loss(rand_volume(dims, 86), rand_volume(dims, 87),
-                   DisplacementField.zeros(dims), LossWeights(1, 4, 1, 1, 0.1))
+    with pytest.raises(ValueError, match="both masks"):
+        build_state(rand_volume(dims, 86), rand_volume(dims, 87), LossWeights(1, 4, 1, 1, 0.1))

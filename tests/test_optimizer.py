@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from protoreg import optimizer
+import protoreg
+from protoreg import io, metrics, optimizer
 from protoreg.gradients import build_state, evaluate_objective
 from protoreg.grids import OneHotMask, build_pyramid, one_hot
 from protoreg.losses import LossWeights
@@ -190,3 +191,21 @@ def test_one_field_loop_matches_base_plus_correction():
     assert np.abs(want - start.u).max() > 0.05
     assert np.abs(field.u - want).max() < 1e-10
     assert totals.size == 21 and totals[-1] < totals[0]
+
+
+def test_package_root_exports_the_user_surface():
+    assert sorted(protoreg.__all__) == sorted([
+        "register_pair", "RegistrationConfig", "RegistrationResult", "LossWeights",
+        "Volume", "LabelVolume", "DisplacementField", "DimsMismatchError",
+        "read_volume", "write_volume",
+        "warp_volume", "warp_labels", "jacobian_determinant", "sdlogj",
+        "evaluate",
+    ])
+
+
+def test_entry_points_import_from_the_package_root():
+    from protoreg import RegistrationConfig as Config, evaluate as score, read_volume
+    from protoreg import register_pair as register
+    assert (register, Config, read_volume, score) == (
+        register_pair, RegistrationConfig, io.read_volume, metrics.evaluate)
+    assert all(hasattr(protoreg, name) for name in protoreg.__all__)

@@ -14,7 +14,6 @@ from protoreg.warp import (
     sample_volume_with_gradient,
     sdlogj,
     superpose,
-    trilinear_sample,
     upsample_field,
     warp_labels,
     warp_volume,
@@ -32,16 +31,21 @@ def rand_field(dims, scale, seed=0, offset=0.0):
                              rng.uniform(-scale, scale, size=(3,) + dims) + offset)
 
 
+def sample_at(vol, point):
+    """``sample_volume`` of ``vol`` at one point."""
+    return sample_volume(vol.data, np.reshape(point, (3, 1)).astype(float))[0]
+
+
 def test_trilinear_voxel_center():
     vol = rand_volume((3, 3, 3), 1)
-    assert trilinear_sample(vol, (1, 2, 0)) == vol.data[1, 2, 0]
+    assert sample_at(vol, (1, 2, 0)) == vol.data[1, 2, 0]
 
 
 def test_trilinear_midpoint():
     data = np.zeros((2, 2, 2))
     data[1] = 1.0
     vol = Volume((2, 2, 2), (1, 1, 1), data)
-    assert trilinear_sample(vol, (0.5, 0, 0)) == pytest.approx(0.5)
+    assert sample_at(vol, (0.5, 0, 0)) == pytest.approx(0.5)
 
 
 def test_trilinear_matches_oracle():
@@ -49,7 +53,7 @@ def test_trilinear_matches_oracle():
     rng = np.random.default_rng(8)
     for _ in range(50):
         p = rng.uniform(-0.5, 2.5, size=3)
-        assert trilinear_sample(vol, p) == pytest.approx(oracles.trilinear(vol.data, p), abs=1e-12)
+        assert sample_at(vol, p) == pytest.approx(oracles.trilinear(vol.data, p), abs=1e-12)
 
 
 def off_lattice_points(dims, count, seed):
@@ -389,6 +393,14 @@ def test_sdlogj_matches_independent_recount():
     kept = dets[dets > 1e-6]
     assert res.value == pytest.approx(float(np.std(np.log(kept))), abs=1e-12)
     assert res.excluded == int((dets <= 1e-6).sum())
+
+
+def test_sdlogj_reports_zero_on_an_axis_under_3_voxels():
+    # no central-difference Jacobian exists on a 2-voxel axis
+    field = rand_field((2, 4, 4), 0.4, 15)
+    assert sdlogj(field) == (0.0, 0)
+    with pytest.raises(ValueError):
+        jacobian_determinant(field)
 
 
 def test_sdlogj_all_excluded():
