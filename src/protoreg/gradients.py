@@ -61,14 +61,31 @@ whole-grid evaluation to rounding (about 1e-16 relative), not bit for bit.
 
 An evaluation releases its sample points, those of the whole grid
 (``pts``) and of the mask windows (``mask_pts``), as soon as the moving
-mask channels are sampled, before any term runs; so the terms' temporaries
-sit on top of the samples, their spatial derivatives and the accumulators
-of the moved image's and masks' gradients only.  The gradient wrt u is
-accumulated from the smoothness term on, after the seg and prototype terms,
-which never write it, so it is not live under their temporaries.  The
-support helpers (``_support_box``, ``_crop``, ``_one_shape``,
-``_sample_window``) live in ``warp``, which scores labels the same way
-(``warp_labels``).
+mask channels are sampled, before any term runs.  Live through the terms
+are then the moved image and mask stack, their spatial derivatives
+(``moved_pos``, ``masks_pos``) and the accumulators of their gradients
+(``d_moved``, ``d_masks``); each term works in place on top of them:
+
+  * LNCC fills one (3, ...) stack (the moved image, its square, its product
+    with the fixed image), box-filters it in place and frees it before its
+    backward pass, whose (4, ...) stack it also filters in place;
+  * the prototype term writes both feature channels into one (2, ...) array
+    and caches the three central differences and the gradient magnitude;
+    both halves add their feature gradients into one zeroed (2, ...) array,
+    and its backward pass overwrites that array and the cached differences,
+    keeping only the gradient it returns as a new array;
+  * the gradient wrt u is made after the seg and prototype terms, which
+    never write it, so it is not live under their temporaries; smoothness,
+    its first writer, writes straight into it through one buffer of forward
+    differences, and it is then scaled by the weight (w*g is the 0 + w*g of
+    an accumulation);
+  * the chain rule forms d_moved * moved_pos and d_masks * masks_pos in the
+    derivative arrays, which are dead after it.
+
+Each in-place step keeps the operation order of the allocating form, so
+values and gradients are bit for bit that form's.  The support helpers
+(``_support_box``, ``_crop``, ``_one_shape``, ``_sample_window``) live in
+``warp``, which scores labels the same way (``warp_labels``).
 
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
@@ -193,8 +210,7 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
         built["fixed_protos"] = losses.extract_prototypes(fixed_feats, fixed_onehot)
         built["fixed_assign"] = argmax_labels(fixed_onehot).labels
         built["contrast_fixed"] = losses._contrast(
-            fixed_feats, built["fixed_assign"], built["fixed_protos"], temperature
-        )[0]
+            fixed_feats, built["fixed_assign"], built["fixed_protos"], temperature)
     if weights.contour > 0:
         built["contour_pairs"] = _contour_pairs(*(
             [losses.extract_contour_points(mask, c, max_points, seed)
@@ -326,9 +342,10 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     # after them, so that it does not sit under their temporaries
     grad = np.zeros((3,) + dims) if with_grad else None
     if wd["smooth"] > 0:
-        values["smooth"], g = losses._smoothness(field.u, with_grad)
+        # the accumulator's first writer: its gradient goes straight in
+        values["smooth"], _ = losses._smoothness(field.u, with_grad, grad)
         if with_grad:
-            grad += wd["smooth"] * g
+            grad *= wd["smooth"]
 
     pairs = state.contour_pairs
     if wd["contour"] > 0 and pairs is not None:
@@ -338,10 +355,13 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             for component, g_c in zip(grad.reshape(3, -1), g.T):
                 np.add.at(component, flat, wd["contour"] * g_c)
 
+    # the chain rule through the warp, in the spatial derivatives' arrays
     if with_grad and need_moved:
-        grad += d_moved * moved_pos
+        moved_pos *= d_moved
+        grad += moved_pos
     if with_grad and need_mask:
-        losses._add_on_windows(grad, windows, d_masks * masks_pos)
+        masks_pos *= d_masks
+        losses._add_on_windows(grad, windows, masks_pos)
 
     breakdown = LossBreakdown.from_terms(values, state.weights)
     return breakdown, grad

@@ -124,7 +124,13 @@ def read_raw(path):
     if kind == "labels":
         labels = flat.reshape(dims, order="F")
         k = int(meta.get("num_classes", labels.max() if labels.size else 0))
-        return LabelVolume(dims, spacing, _integral_labels(labels, raw_path), k)
+        labels = _integral_labels(labels, raw_path)
+        if labels.min(initial=0) < 0:
+            raise IOFormatError(f"{raw_path}: negative values cannot be labels")
+        if labels.max(initial=0) > k:
+            raise MalformedHeaderError(f"{json_path}: num_classes {k} is below the largest "
+                                       f"stored label {labels.max()}")
+        return LabelVolume(dims, spacing, labels, k)
     if kind == "field":
         u = np.stack([
             flat[c * nvox:(c + 1) * nvox].reshape(dims, order="F") for c in range(3)

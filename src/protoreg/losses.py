@@ -13,9 +13,11 @@ Each term is one private function that returns its value and, with
 ``_contrast`` and ``_align`` (moved features; ``_align`` also the moved mask
 channels), ``_prototype`` (both halves pulled back through the feature bank
 onto the moved intensities, via ``_features_forward``/``_features_backward``)
-and ``_class_chamfer`` (the carried contour points of every class).  These
-are each term's only forward implementation, and the objective is scored
-only through ``gradients.evaluate_objective`` (one term at a time:
+and ``_class_chamfer`` (the carried contour points of every class).  The two
+prototype halves take ``_prototype``'s feature gradient array in place of
+``with_grad`` and add their gradients into it.  These are each term's only
+forward implementation, and the objective is scored only through
+``gradients.evaluate_objective`` (one term at a time:
 ``gradients.term_evaluator``).  Nothing here warps or transports:
 ``evaluate_objective`` samples the moving image and masks, carries the
 contour points, and chains these gradients through the warp onto u.  The
@@ -147,10 +149,13 @@ class ContourPointSet:
 # ------------------------------------------------------- similarity (LNCC)
 
 def _box_sums(stacked: np.ndarray, window: int) -> np.ndarray:
-    """Sum over the centered window at every voxel of each volume in the
-    (C, nx, ny, nz) ``stacked`` (zero outside the volume)."""
-    return uniform_filter(stacked, size=window, mode="constant", cval=0.0,
-                          axes=(1, 2, 3)) * float(window ** 3)
+    """Replace each volume in the (C, nx, ny, nz) ``stacked`` by its sums
+    over the centered window at every voxel (zero outside the volume), in
+    place; returns ``stacked``."""
+    uniform_filter(stacked, size=window, mode="constant", cval=0.0, axes=(1, 2, 3),
+                   output=stacked)
+    stacked *= float(window ** 3)
+    return stacked
 
 
 def _check_window(dims, window: int) -> None:
@@ -179,44 +184,74 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
     the fixed side's ``_lncc_fixed`` sums.  The three moving-side window sums
     run as one stacked box filter, and so do the four of the backward pass,
     which recomputes window sums as box sums rather than caching per window
-    (windows overlap heavily)."""
+    (windows overlap heavily).  Both stacks are filled and filtered in
+    place, and the first is freed before the second is made."""
     s_i, b, valid_fixed = fixed_sums
     w3 = float(window ** 3)
     center = (slice(None),) + (slice(window // 2, -(window // 2)),) * 3
-    s_j, s_jj, s_ij = _box_sums(np.stack([moved, moved * moved, fixed * moved]), window)[center]
+    sums = np.empty((3,) + moved.shape)
+    sums[0] = moved
+    np.multiply(moved, moved, out=sums[1])
+    np.multiply(fixed, moved, out=sums[2])
+    s_j, s_jj, s_ij = _box_sums(sums, window)[center]
     a = s_ij - s_i * s_j / w3
     c = s_jj - s_j * s_j / w3
     valid = valid_fixed & (c / w3 >= VARIANCE_EPS)
+    bc = b * c
     ncc2 = np.zeros_like(a)
-    np.divide(a * a, b * c, out=ncc2, where=valid)
+    np.divide(a * a, bc, out=ncc2, where=valid)
     count = int(np.prod([n - window + 1 for n in fixed.shape]))
     value = float(-ncc2.sum() / count)
     if not with_grad:
         return value, None
+    mean_j = s_j / w3
+    sums = s_j = s_jj = s_ij = ncc2 = None     # dead: free the stack for the backward pass
     full = np.zeros((4,) + fixed.shape)
     alpha, alpha_i, beta, beta_j = full[center]
-    np.divide(2.0 * a, b * c, out=alpha, where=valid)
-    np.divide(2.0 * a * a, b * c * c, out=beta, where=valid)
+    two_a = 2.0 * a
+    np.divide(two_a, bc, out=alpha, where=valid)
+    two_a *= a
+    bc *= c
+    np.divide(two_a, bc, out=beta, where=valid)
     np.multiply(alpha, s_i / w3, out=alpha_i)
-    np.multiply(beta, s_j / w3, out=beta_j)
+    np.multiply(beta, mean_j, out=beta_j)
+    a = c = bc = two_a = mean_j = None
     box_alpha, box_alpha_i, box_beta, box_beta_j = _box_sums(full, window)
-    dsum = fixed * box_alpha - box_alpha_i - moved * box_beta + box_beta_j
-    return value, -dsum / count
+    # fixed * box_alpha - box_alpha_i - moved * box_beta + box_beta_j, negated
+    dsum = fixed * box_alpha
+    dsum -= box_alpha_i
+    box_beta *= moved
+    dsum -= box_beta
+    dsum += box_beta_j
+    np.negative(dsum, out=dsum)
+    dsum /= count
+    return value, dsum
 
 
 # ---------------------------------------------------------------- smoothness
 
-def _smoothness(u: np.ndarray, with_grad: bool = False):
-    """Smoothness value and, with ``with_grad``, d(value)/d(u).  Per axis
-    the forward differences d = u[hi] - u[lo] add their squares to the
-    value, and the gradient takes 2*d/N off ``lo`` and puts it on ``hi``."""
+def _smoothness(u: np.ndarray, with_grad: bool = False, grad: np.ndarray | None = None):
+    """Smoothness value and, with ``with_grad``, d(value)/d(u), added into
+    ``grad`` when given (an evaluation passes its zeroed accumulator) or
+    into a new zero array.  Per axis the forward differences d = u[hi] -
+    u[lo] add their squares to the value, and the gradient takes 2*d/N off
+    ``lo`` and puts it on ``hi``.  The differences and their squares are
+    formed in one buffer shared by the three axes: squared there for the
+    value, then formed again for the gradient."""
     n = float(np.prod(u.shape[1:]))
     total = 0.0
-    grad = np.zeros(u.shape) if with_grad else None
-    for axis in (1, 2, 3):
-        d = np.diff(u, axis=axis)
-        total += (d * d).sum()
+    if with_grad and grad is None:
+        grad = np.zeros(u.shape)
+    shapes = [u.shape[:axis] + (u.shape[axis] - 1,) + u.shape[axis + 1:] for axis in (1, 2, 3)]
+    buf = np.empty(max(int(np.prod(shape)) for shape in shapes))
+    for axis, shape in zip((1, 2, 3), shapes):
+        # np.diff(u, axis=axis), in the buffer
+        d = buf[:int(np.prod(shape))].reshape(shape)
+        hi, lo = np.swapaxes(u, 0, axis)[1:], np.swapaxes(u, 0, axis)[:-1]
+        np.subtract(hi, lo, out=np.swapaxes(d, 0, axis))
+        total += np.multiply(d, d, out=d).sum()
         if with_grad:
+            np.subtract(hi, lo, out=np.swapaxes(d, 0, axis))
             d *= 2.0 / n
             g, step = np.swapaxes(grad, 0, axis), np.swapaxes(d, 0, axis)
             g[:-1] -= step
@@ -261,35 +296,61 @@ def _dice(fixed: np.ndarray, sum_f: np.ndarray, values: np.ndarray, with_grad: b
 
 # --------------------------------------------------------------- prototypes
 
-def _standardize(data: np.ndarray) -> tuple[np.ndarray, float]:
+def _standardize(data: np.ndarray, out: np.ndarray) -> float:
+    """Write (data - mean) / std into the contiguous ``out`` and return the
+    std.  The squared deviations are formed in ``out`` first, in ``data``'s
+    memory order (a volume read from NIfTI is Fortran-ordered), so that
+    their mean sums in the order of ``((data - mu) ** 2).mean()``."""
     mu = data.mean()
-    sigma = np.sqrt(((data - mu) ** 2).mean() + 1e-12)
-    return (data - mu) / sigma, float(sigma)
+    deviations = out.reshape(-1)
+    np.subtract(data.ravel(order="K"), mu, out=deviations)
+    sigma = np.sqrt(np.multiply(deviations, deviations, out=deviations).mean() + 1e-12)
+    np.subtract(data, mu, out=out)
+    out /= sigma
+    return float(sigma)
 
 
 def _features_forward(data: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Compute the 2-channel feature bank plus the intermediates that
-    ``_features_backward`` needs."""
-    ch0, sig0 = _standardize(data)
+    """Compute the 2-channel feature bank, written into one (2, nx, ny, nz)
+    array, plus the intermediates that ``_features_backward`` needs."""
+    feats = np.empty((2,) + data.shape)
+    sig0 = _standardize(data, feats[0])
     grads = [central_difference(data, a) for a in range(3)]
-    gm = np.sqrt(grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2 + 1e-12)
-    ch1, sig1 = _standardize(gm)
-    cache = {"ch0": ch0, "sig0": sig0, "grads": grads, "gm": gm, "ch1": ch1, "sig1": sig1}
-    return np.stack([ch0, ch1]), cache
+    # the squared magnitude, grads[0]**2 + grads[1]**2 + grads[2]**2 + 1e-12,
+    # with the second channel's slot as scratch until it is written
+    gm = grads[0] * grads[0]
+    for g in grads[1:]:
+        gm += np.multiply(g, g, out=feats[1])
+    gm += 1e-12
+    np.sqrt(gm, out=gm)
+    sig1 = _standardize(gm, feats[1])
+    cache = {"feats": feats, "sig0": sig0, "grads": grads, "gm": gm, "sig1": sig1}
+    return feats, cache
 
 
 def _features_backward(dch: np.ndarray, cache: dict) -> np.ndarray:
     """Pull a gradient on the feature channels back onto the raw intensities,
-    through both standardizations and the gradient-magnitude chain."""
+    through both standardizations and the gradient-magnitude chain.  Works
+    in place: ``dch`` and the cached central differences are overwritten,
+    and the returned gradient is the one new array it keeps."""
 
-    def destandardize(g, ch, sig):
-        return (g - g.mean() - ch * (g * ch).mean()) / sig
+    def destandardize(g, ch, sig, out):
+        # (g - g.mean() - ch * (g * ch).mean()) / sig into out, g as scratch
+        g_mean = g.mean()
+        gch_mean = np.multiply(g, ch, out=out).mean()
+        np.subtract(g, g_mean, out=out)
+        out -= np.multiply(ch, gch_mean, out=g)
+        out /= sig
+        return out
 
-    d_data = destandardize(dch[0], cache["ch0"], cache["sig0"])
-    dgm = destandardize(dch[1], cache["ch1"], cache["sig1"])
-    for a in range(3):
-        dga = dgm * cache["grads"][a] / cache["gm"]
-        d_data += central_difference_adjoint(dga, a)
+    ch0, ch1 = cache["feats"]
+    d_data = destandardize(dch[0], ch0, cache["sig0"], np.empty(dch.shape[1:]))
+    dgm = destandardize(dch[1], ch1, cache["sig1"], dch[0])
+    for a, ga in enumerate(cache["grads"]):
+        # d(gm)/d(grads[a]) = grads[a] / gm, onto the cached difference
+        ga *= dgm
+        ga /= cache["gm"]
+        d_data += central_difference_adjoint(ga, a, out=dch[1])
     return d_data
 
 
@@ -315,21 +376,22 @@ def extract_prototypes(features: np.ndarray, mask: OneHotMask) -> PrototypeSet:
 
 
 def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
-              temperature: float, with_grad: bool = False):
-    """Contrast value and, with ``with_grad``, d(value)/d(features).
+              temperature: float, d_features: np.ndarray | None = None,
+              scale: float = 1.0) -> float:
+    """Contrast value; with ``d_features``, also adds ``scale`` times
+    d(value)/d(features) into it, on the assigned voxels only.
 
     The term (and its gradient) is zero when fewer than two classes are
     present or no voxel is assigned to a present class.
     """
-    grad = np.zeros(features.shape) if with_grad else None
     rows = np.flatnonzero(protos.present)
     if rows.size < 2:
-        return 0.0, grad
+        return 0.0
     class_ids = rows + 1
     fg_idx = np.flatnonzero(np.isin(assign.ravel(), class_ids))
     n = fg_idx.size
     if n == 0:
-        return 0.0, grad
+        return 0.0
     c = features.shape[0]
     f = features.reshape(c, -1)[:, fg_idx]                     # (C, N)
     norms = np.maximum(np.linalg.norm(f, axis=0), NORM_EPS)
@@ -338,31 +400,33 @@ def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
     pnorms = np.maximum(np.linalg.norm(p, axis=1), NORM_EPS)
     phat = p / pnorms[:, None]
     cos = phat @ fhat                                          # (P, N)
-    logits = cos / temperature
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    expv = np.exp(shifted)
-    z = expv.sum(axis=0)
+    shifted = cos / temperature                                # the logits, shifted in place
+    shifted -= shifted.max(axis=0, keepdims=True)
     # row index of each voxel's assigned class within the (sorted) present-class list
     pos = np.searchsorted(class_ids, assign.ravel()[fg_idx])
-    value = float(-(shifted[pos, np.arange(n)] - np.log(z)).mean())
-    if not with_grad:
-        return value, None
-    w = expv / z
+    picked = shifted[pos, np.arange(n)]
+    w = np.exp(shifted, out=shifted)
+    z = w.sum(axis=0)
+    value = float(-(picked - np.log(z)).mean())
+    if d_features is None:
+        return value
+    w /= z
     w[pos, np.arange(n)] -= 1.0
-    cterm = (w * cos).sum(axis=0)                              # (N,)
+    cterm = np.multiply(w, cos, out=cos).sum(axis=0)           # (N,)
     normed = norms > NORM_EPS
     df_fg = (phat.T @ w - fhat * (cterm * normed)) / (temperature * norms * n)
-    grad.reshape(c, -1)[:, fg_idx] = df_fg
-    return value, grad
+    d_features.reshape(c, -1)[:, fg_idx] += scale * df_fg
+    return value
 
 
 def _align(protos_f: PrototypeSet, features: np.ndarray, windows, values: np.ndarray,
-           with_grad: bool = False):
+           d_features: np.ndarray | None = None):
     """Alignment of ``protos_f`` with the prototypes pooled from ``features``
     under the moved mask stack ``values`` on ``windows`` (see the module
     docstring): the sum of (1 - cosine) over classes present in both sets.
-    Returns (value, d/d(features), d/d(values)); both gradients are None
-    without ``with_grad``."""
+    Returns (value, d/d(values)); with ``d_features``, also adds
+    d(value)/d(features) into it on the windows, else the mask gradient is
+    None."""
     region = np.stack([features[(slice(None),) + window] for window in windows], axis=1)
     protos_m, mass = _pool_prototypes(region, values)
     both = protos_f.present & protos_m.present
@@ -372,16 +436,16 @@ def _align(protos_f: PrototypeSet, features: np.ndarray, windows, values: np.nda
     phat_m = protos_m.vectors / n_m[:, None]
     cos = np.einsum("kc,kc->k", phat_f, phat_m)
     value = float((1.0 - cos[both]).sum())
-    if not with_grad:
-        return value, None, None
+    if d_features is None:
+        return value, None
     # per class, d(value)/d(prototype) divided by the mass it was pooled under
     g = -np.where((n_m > NORM_EPS)[:, None], phat_f - cos[:, None] * phat_m, phat_f) / n_m[:, None]
     g = np.divide(g, mass[:, None], out=np.zeros_like(g), where=both[:, None])
-    df = np.zeros_like(features)
-    _add_on_windows(df, windows, np.einsum("kc,kxyz->ckxyz", g, values))
+    for k, window in enumerate(windows):       # g ⊗ values, one channel at a time
+        d_features[(slice(None),) + window] += g[k][:, None, None, None] * values[k]
     dm = (np.einsum("kc,ckxyz->kxyz", g, region)
           - np.einsum("kc,kc->k", g, protos_m.vectors)[:, None, None, None])
-    return value, df, dm
+    return value, dm
 
 
 def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.ndarray,
@@ -393,21 +457,21 @@ def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.n
     ``protos_f`` under the fixed hard assignment ``assign``, plus the
     alignment; ``mode`` keeps only the "contrast" or the "align" half.
     Returns (value, d/d(moved), d/d(mask_values)); gradients are None
-    without ``with_grad``, the mask one also for "contrast"."""
+    without ``with_grad``, the mask one also for "contrast".
+
+    Both halves add their feature gradients into one zeroed array, the
+    alignment first: it is the first writer on its windows, so the sum is
+    the one of two separately zeroed gradients, bit for bit."""
     feats, cache = _features_forward(moved)
     value = 0.0
     d_feats = np.zeros_like(feats) if with_grad else None
     d_masks = None
-    if mode in ("both", "contrast"):
-        contrast_moved, g = _contrast(feats, assign, protos_f, temperature, with_grad)
-        value += 0.5 * (contrast_moved + contrast_fixed)
-        if with_grad:
-            d_feats += 0.5 * g
     if mode in ("both", "align"):
-        align, g, d_masks = _align(protos_f, feats, windows, mask_values, with_grad)
+        align, d_masks = _align(protos_f, feats, windows, mask_values, d_feats)
         value += align
-        if with_grad:
-            d_feats += g
+    if mode in ("both", "contrast"):
+        contrast_moved = _contrast(feats, assign, protos_f, temperature, d_feats, scale=0.5)
+        value += 0.5 * (contrast_moved + contrast_fixed)
     if not with_grad:
         return value, None, None
     return value, _features_backward(d_feats, cache), d_masks

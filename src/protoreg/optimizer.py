@@ -4,7 +4,10 @@ One registration optimizes one field per pyramid level: the coarsest level
 starts from zero, and every finer level starts from the previous level's
 field upsampled onto its grid.  Adam moves that field itself, from fresh
 moments at each level, and the objective is evaluated on it; there is no
-zero-initialized correction and no superposition of two fields.
+zero-initialized correction and no superposition of two fields.  Each Adam
+step updates the moments in place and takes the evaluation's gradient, dead
+after the step, as its scratch: the one array it makes is the new u, so
+the field it was given, a level's start field included, is never written.
 
 The masks enter as ``one_hot`` crops of the label maps and are halved on
 their crops (``grids.downsample``); no dense (K, nx, ny, nz) mask array is
@@ -139,13 +142,30 @@ class AdamState:
 
 def adam_step(field: DisplacementField, grad: np.ndarray, moments: AdamState,
               config: RegistrationConfig) -> tuple[DisplacementField, AdamState]:
-    """One bias-corrected Adam update applied component-wise to u."""
+    """One bias-corrected Adam update applied component-wise to u:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, and u - lr*m_hat /
+    (sqrt(v_hat) + eps) with m_hat = m/(1-b1**t), v_hat = v/(1-b2**t).
+
+    Works in place, in that order of operations, so each value is the
+    closed form's bit for bit: the moments' arrays are updated and returned,
+    ``grad`` (dead after the step) is overwritten as scratch, and the one
+    array made is the new u, formed as u - step; the given field is never
+    written."""
     t = moments.t + 1
-    m = config.beta1 * moments.m + (1.0 - config.beta1) * grad
-    v = config.beta2 * moments.v + (1.0 - config.beta2) * grad * grad
-    m_hat = m / (1.0 - config.beta1 ** t)
-    v_hat = v / (1.0 - config.beta2 ** t)
-    u = field.u - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    m, v = moments.m, moments.v
+    u = np.empty_like(field.u)      # scratch until it takes the new u
+    m *= config.beta1
+    m += np.multiply(grad, 1.0 - config.beta1, out=u)
+    v *= config.beta2
+    np.multiply(grad, 1.0 - config.beta2, out=u)
+    v += np.multiply(u, grad, out=u)
+    step = np.divide(v, 1.0 - config.beta2 ** t, out=grad)
+    np.sqrt(step, out=step)
+    step += config.adam_eps
+    np.divide(m, 1.0 - config.beta1 ** t, out=u)
+    u *= config.learning_rate
+    np.divide(u, step, out=step)
+    np.subtract(field.u, step, out=u)
     return DisplacementField(field.dims, field.spacing, u), AdamState(m, v, t)
 
 
@@ -206,11 +226,12 @@ def register_pair(fixed: Volume, moving: Volume,
         if not (_same_spacing(fixed_mask.spacing, fixed.spacing)
                 and _same_spacing(moving_mask.spacing, moving.spacing)):
             raise ValueError("register_pair: mask spacing does not match the volumes")
-        if fixed_mask.num_classes != moving_mask.num_classes:
-            raise ValueError(
-                f"register_pair: class universes differ "
-                f"({fixed_mask.num_classes} vs {moving_mask.num_classes})"
-            )
+        # a label map read from NIfTI counts classes up to its largest label,
+        # so one lacking the top class reads as fewer: take both over the
+        # larger class universe, as metrics.evaluate does
+        k = max(fixed_mask.num_classes, moving_mask.num_classes)
+        fixed_mask, moving_mask = (replace(mask, num_classes=k)
+                                   for mask in (fixed_mask, moving_mask))
 
     fixed_pyr = build_pyramid(fixed, config.levels)
     moving_pyr = build_pyramid(moving, config.levels)

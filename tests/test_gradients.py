@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from protoreg import gradients, losses
+from protoreg import gradients, losses, warp
 from protoreg.gradients import (
     TERM_CHECKS,
     build_state,
@@ -439,6 +439,25 @@ def test_gradient_accumulator_made_late_is_bit_identical(state, which):
     _, grad = evaluate_objective(st, field)
     want = _gradient_accumulated_from_the_start(st, field)
     assert grad.any() and (grad == want).all()
+
+
+def test_evaluation_working_memory_is_bounded(monkeypatch):
+    # all five terms on twelve organs at 32^3; with the sampler's blocks
+    # small, the terms set the peak: the prototype term's feature bank, its
+    # cache and gradient over the samples, their derivatives and the moved
+    # image's gradient, about 16 float64 arrays of the grid's size (23 when
+    # each term made its own zeroed gradient and stacks)
+    monkeypatch.setattr(warp, "SAMPLE_BLOCK", 2048)
+    st = _twelve_organ_state(LossWeights(1, 4, 1, 1, 0.1))
+    field = rand_field(64, dims=st.dims)
+    tracemalloc.start()
+    try:
+        _, grad = evaluate_objective(st, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.any()
+    assert peak < 17 * np.prod(st.dims) * 8
 
 
 def test_gradient_finite_everywhere(state):

@@ -1,4 +1,5 @@
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -47,6 +48,22 @@ def test_raw_labels_reject_non_integral_values(tmp_path):
     payload = np.array([0, 1.4, 2.6, 0, 1, 2, 0, 1], dtype="<f4")
     (tmp_path / "seg.f32raw").write_bytes(payload.tobytes())
     with pytest.raises(IOFormatError, match="non-integral"):
+        read_raw(tmp_path / "seg")
+
+
+def test_raw_labels_reject_a_sidecar_below_the_largest_label(tmp_path):
+    write_raw(LabelVolume((3, 1, 1), (1, 1, 1), [[[0]], [[1]], [[2]]], 2), tmp_path / "seg")
+    sidecar = tmp_path / "seg.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(meta | {"num_classes": 1}))
+    with pytest.raises(MalformedHeaderError, match="num_classes 1"):
+        read_raw(tmp_path / "seg")
+
+
+def test_raw_labels_reject_negative_values(tmp_path):
+    write_raw(LabelVolume((2, 1, 1), (1, 1, 1), np.zeros((2, 1, 1)), 1), tmp_path / "seg")
+    (tmp_path / "seg.f32raw").write_bytes(np.array([0, -1], dtype="<f4").tobytes())
+    with pytest.raises(IOFormatError, match="negative"):
         read_raw(tmp_path / "seg")
 
 

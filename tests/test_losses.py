@@ -42,7 +42,7 @@ def dice(fixed, moved):
 
 def contrast(features, mask, protos, temperature=0.1):
     """The contrast half on ``mask``'s hard assignment (``losses._contrast``)."""
-    return losses._contrast(features, argmax_labels(mask).labels, protos, temperature)[0]
+    return losses._contrast(features, argmax_labels(mask).labels, protos, temperature)
 
 
 def align(protos_f, protos_m):

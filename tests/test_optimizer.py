@@ -133,6 +133,66 @@ def test_register_pair_accepts_spacings_equal_to_float32_precision():
                   dataclasses.replace(pair.moving_labels, spacing=spacing), short)
 
 
+def test_register_pair_takes_label_maps_of_one_anatomy_lacking_the_top_class(tmp_path):
+    # NIfTI gives a label map as many classes as its largest label: a map
+    # holding {1, 2} reads as 2 classes and one holding {1} as 1
+    dims = (8, 8, 8)
+    labels = np.zeros(dims)
+    labels[1:4, 1:7, 1:7] = 1
+    fixed_labels = labels.copy()
+    fixed_labels[5:7, 1:7, 1:7] = 2
+    paths = []
+    for name, data in (("fixed", fixed_labels), ("moving", labels)):
+        paths.append(tmp_path / f"{name}.nii.gz")
+        io.write_volume(protoreg.Volume(dims, (1, 1, 1), data), paths[-1])
+    fixed_mask, moving_mask = (io.read_volume(path, "labels") for path in paths)
+    assert (fixed_mask.num_classes, moving_mask.num_classes) == (2, 1)
+    image = protoreg.Volume(dims, (1, 1, 1), np.random.default_rng(5).uniform(size=dims))
+    config = RegistrationConfig(learning_rate=1e-2, levels=1, iterations=(2,), window=3)
+    result = register_pair(image, image, fixed_mask, moving_mask, config)
+    assert np.isfinite(result.field.u).all()
+    assert result.final_breakdown.values["seg"] > 0
+
+
+def test_adam_step_is_the_closed_form_update():
+    rng = np.random.default_rng(7)
+    dims = (5, 4, 3)
+    config = RegistrationConfig(learning_rate=3e-2, beta1=0.8, beta2=0.99, adam_eps=1e-6)
+    field = DisplacementField(dims, (1, 1, 1), rng.normal(size=(3,) + dims))
+    moments = AdamState(rng.normal(size=(3,) + dims), rng.uniform(size=(3,) + dims), 4)
+    grad = rng.normal(size=(3,) + dims)
+    b1, b2, t = config.beta1, config.beta2, moments.t + 1
+    m = b1 * moments.m + (1.0 - b1) * grad
+    v = b2 * moments.v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    want = field.u - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    start = field.u.copy()
+
+    stepped, after = adam_step(field, grad, moments, config)
+    assert after.t == t
+    assert (after.m == m).all() and (after.v == v).all()
+    assert (stepped.u == want).all()
+    assert (field.u == start).all()          # the given field is never written
+
+
+def test_adam_step_makes_one_field_sized_array():
+    # the moments are updated in place and the gradient is the scratch: the
+    # one array made is the new u (and the field's one-byte finiteness mask)
+    dims = (32, 32, 32)
+    rng = np.random.default_rng(8)
+    field = DisplacementField(dims, (1, 1, 1), rng.normal(size=(3,) + dims))
+    moments = AdamState(rng.normal(size=(3,) + dims), rng.uniform(size=(3,) + dims), 2)
+    grad = rng.normal(size=(3,) + dims)
+    tracemalloc.start()
+    try:
+        adam_step(field, grad, moments, SHORT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < field.u.nbytes * 9 // 8 + 65536
+
+
 @pytest.fixture(scope="module")
 def twelve_organs():
     return generate(twelve_blob_spec(dims=(32, 32, 32), seed=0))
@@ -155,9 +215,9 @@ def test_register_pair_makes_no_dense_mask_array(twelve_organs, monkeypatch):
 
 def test_register_pair_working_memory_is_bounded(twelve_organs):
     # twelve organs on 32^3, all five terms: the peak is the finest level's
-    # evaluation and Adam step, about 35 float64 arrays of the grid's size;
-    # a dense mask pyramid, a second field per level or a gradient
-    # accumulator held under the prototype term would each add to it
+    # evaluation, about 33 float64 arrays of the grid's size; a dense mask
+    # pyramid, a second field per level, a gradient accumulator held under
+    # the prototype term or a term's zeroed gradient would each add to it
     pair = twelve_organs
     tracemalloc.start()
     try:
@@ -165,7 +225,7 @@ def test_register_pair_working_memory_is_bounded(twelve_organs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * np.prod(pair.fixed.dims) * 8
+    assert peak < 34 * np.prod(pair.fixed.dims) * 8
 
 
 def test_one_field_loop_matches_base_plus_correction():
@@ -191,6 +251,17 @@ def test_one_field_loop_matches_base_plus_correction():
     assert np.abs(want - start.u).max() > 0.05
     assert np.abs(field.u - want).max() < 1e-10
     assert totals.size == 21 and totals[-1] < totals[0]
+
+
+def test_optimize_level_leaves_its_start_field_unchanged(twelve_organs):
+    pair = twelve_organs
+    masks = [one_hot(labels) for labels in (pair.fixed_labels, pair.moving_labels)]
+    state = build_state(pair.fixed, pair.moving, CONFIG.weights, *masks)
+    u = np.random.default_rng(9).normal(0, 0.5, (3,) + pair.fixed.dims)
+    start = DisplacementField(pair.fixed.dims, (1, 1, 1), u.copy())
+    field, _, _ = optimizer._optimize_level(state, start, 3, CONFIG, level=0)
+    assert (start.u == u).all()
+    assert not (field.u == u).all()
 
 
 def test_package_root_exports_the_user_surface():
