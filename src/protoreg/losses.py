@@ -242,10 +242,10 @@ def _smoothness(u: np.ndarray, with_grad: bool = False, grad: np.ndarray | None 
     total = 0.0
     if with_grad and grad is None:
         grad = np.zeros(u.shape)
-    shapes = [u.shape[:axis] + (u.shape[axis] - 1,) + u.shape[axis + 1:] for axis in (1, 2, 3)]
-    buf = np.empty(max(int(np.prod(shape)) for shape in shapes))
-    for axis, shape in zip((1, 2, 3), shapes):
+    buf = np.empty(u.size)
+    for axis in (1, 2, 3):
         # np.diff(u, axis=axis), in the buffer
+        shape = u.shape[:axis] + (u.shape[axis] - 1,) + u.shape[axis + 1:]
         d = buf[:int(np.prod(shape))].reshape(shape)
         hi, lo = np.swapaxes(u, 0, axis)[1:], np.swapaxes(u, 0, axis)[:-1]
         np.subtract(hi, lo, out=np.swapaxes(d, 0, axis))
