@@ -376,10 +376,10 @@ def extract_prototypes(features: np.ndarray, mask: OneHotMask) -> PrototypeSet:
 
 
 def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
-              temperature: float, d_features: np.ndarray | None = None,
-              scale: float = 1.0) -> float:
-    """Contrast value; with ``d_features``, also adds ``scale`` times
-    d(value)/d(features) into it, on the assigned voxels only.
+              temperature: float, d_features: np.ndarray | None = None) -> float:
+    """Contrast value; with ``d_features``, also adds half of
+    d(value)/d(features) into it, on the assigned voxels only: the moved
+    contrast enters ``_prototype``'s value with weight 0.5.
 
     The term (and its gradient) is zero when fewer than two classes are
     present or no voxel is assigned to a present class.
@@ -415,7 +415,7 @@ def _contrast(features: np.ndarray, assign: np.ndarray, protos: PrototypeSet,
     cterm = np.multiply(w, cos, out=cos).sum(axis=0)           # (N,)
     normed = norms > NORM_EPS
     df_fg = (phat.T @ w - fhat * (cterm * normed)) / (temperature * norms * n)
-    d_features.reshape(c, -1)[:, fg_idx] += scale * df_fg
+    d_features.reshape(c, -1)[:, fg_idx] += 0.5 * df_fg
     return value
 
 
@@ -470,7 +470,7 @@ def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.n
         align, d_masks = _align(protos_f, feats, windows, mask_values, d_feats)
         value += align
     if mode in ("both", "contrast"):
-        contrast_moved = _contrast(feats, assign, protos_f, temperature, d_feats, scale=0.5)
+        contrast_moved = _contrast(feats, assign, protos_f, temperature, d_feats)
         value += 0.5 * (contrast_moved + contrast_fixed)
     if not with_grad:
         return value, None, None

@@ -291,14 +291,10 @@ def central_difference(data: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def central_difference_adjoint(g: np.ndarray, axis: int,
-                               out: np.ndarray | None = None) -> np.ndarray:
+def central_difference_adjoint(g: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """Transpose of :func:`central_difference` (needed for exact backprop),
-    written into ``out`` when given."""
-    if out is None:
-        out = np.zeros_like(g)
-    else:
-        out[...] = 0.0
+    written into ``out`` (overwritten; ``g``'s shape)."""
+    out[...] = 0.0
     if g.shape[axis] < 2:
         return out
     h, o = np.swapaxes(g, 0, axis), np.swapaxes(out, 0, axis)
