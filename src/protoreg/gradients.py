@@ -18,10 +18,9 @@ value-only evaluation (``with_grad=False``: each level's final breakdown,
 every finite-difference probe) samples through ``sample_volume`` and takes
 no spatial derivative.  Every evaluation takes all classes in one pass: one
 sampler call for all mask channels, and the contour points of all classes,
-stacked once per level, carried together (``chamfer_tie_margin`` too);
-their gradient lands on u through ``np.add.at``, as at a coarse level one
-voxel can be a contour point of two classes.  The finite-difference tools
-live here too.
+stacked once per level, carried together; their gradient lands on u
+through ``np.add.at``, as at a coarse level one voxel can be a contour point
+of two classes.
 
 Each moving mask channel is sampled only on the block of output voxels whose
 sample point can reach the channel's support, which is exact.  A clamped
@@ -100,7 +99,6 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import losses
 from .grids import DimsMismatchError, OneHotMask, Volume, _on_windows, argmax_labels
@@ -365,65 +363,6 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     breakdown = LossBreakdown.from_terms(values, state.weights)
     return breakdown, grad
-
-
-# --------------------------------------------------------- FD verification
-
-def finite_diff_check(evaluator, field: DisplacementField, probe_count: int = 64,
-                      eps: float = 1e-3, seed: int = 0):
-    """Central-difference probe of ``evaluator(field, with_grad) -> (value, grad)``.
-
-    Probes ``probe_count`` random (component, voxel) entries and reports the
-    worst absolute and relative disagreement; the relative denominator is
-    max(|analytic|, |numeric|, 1e-8).  The evaluator must be deterministic,
-    with any subsampling seeds held fixed across probes.
-    """
-    _, grad = evaluator(field, True)
-    flat_grad = grad.ravel()
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(flat_grad.size, size=min(probe_count, flat_grad.size), replace=False)
-
-    def value_at(i, delta):
-        u = field.u.copy()
-        u.ravel()[i] += delta
-        return evaluator(DisplacementField(field.dims, field.spacing, u), False)[0]
-
-    max_abs = 0.0
-    max_rel = 0.0
-    for i in idx:
-        numeric = (value_at(i, eps) - value_at(i, -eps)) / (2.0 * eps)
-        analytic = flat_grad[i]
-        abs_err = abs(numeric - analytic)
-        rel_err = abs_err / max(abs(numeric), abs(analytic), 1e-8)
-        max_abs = max(max_abs, abs_err)
-        max_rel = max(max_rel, rel_err)
-    return max_abs, max_rel
-
-
-def chamfer_tie_margin(state: ObjectiveState, field: DisplacementField) -> float:
-    """Smallest gap between first and second nearest-neighbor distances over
-    both Chamfer query directions.
-
-    The contour gradient holds the nearest-neighbor assignment fixed, so
-    finite-difference probes disagree with it when a probe step crosses a
-    tie; callers should resample instances whose margin is below a few probe
-    steps.  Each direction is one query over all classes.  Returns +inf
-    without a contour term or when no class has two points on a side.
-    """
-    pairs = state.contour_pairs
-    margin = np.inf
-    if pairs is None:
-        return margin
-    _, fixed_class, _, moving_class = pairs
-    a, b = losses._lifted(_carried(pairs, field)[1], *pairs[1:])
-    for query, query_class, tree, tree_class in ((a, fixed_class, b, moving_class),
-                                                 (b, moving_class, a, fixed_class)):
-        # only a class with two points in the tree has a same-class 2nd neighbour
-        two = (np.bincount(tree_class) > 1)[query_class]
-        if two.any():
-            d, _ = cKDTree(tree).query(query[two], k=2)
-            margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
-    return margin
 
 
 TERM_CHECKS = ("sim", "smooth", "seg", "contrast", "align", "contour")

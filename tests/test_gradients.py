@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from protoreg import gradients, losses, warp
+from protoreg import gradients, losses
 from protoreg.gradients import (
     TERM_CHECKS,
     build_state,
-    chamfer_tie_margin,
     evaluate_objective,
-    finite_diff_check,
     term_evaluator,
 )
 from protoreg.grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, one_hot
@@ -62,7 +60,7 @@ def test_quadratic_loss_fd_exact():
         return value, (2.0 * field.u if with_grad else None)
 
     field = rand_field(1, scale=1.0)
-    max_abs, max_rel = finite_diff_check(quad, field, probe_count=32, eps=1e-3, seed=0)
+    max_abs, max_rel = oracles.finite_diff_check(quad, field, probe_count=32, eps=1e-3, seed=0)
     assert max_rel < 1e-9     # FD of a quadratic is exact up to rounding
 
 
@@ -71,7 +69,7 @@ def tie_free_field(state, eps=1e-3, seeds=range(50)):
     clear of the probe step (documented non-smooth points are resampled)."""
     for seed in seeds:
         field = rand_field(seed)
-        if chamfer_tie_margin(state, field) > 10 * eps:
+        if oracles.chamfer_tie_margin(state, field) > 10 * eps:
             return field
     raise AssertionError("no tie-free field found")
 
@@ -80,7 +78,7 @@ def tie_free_field(state, eps=1e-3, seeds=range(50)):
 def test_each_term_matches_finite_differences(state, term):
     field = tie_free_field(state) if term == "contour" else rand_field(7)
     ev = term_evaluator(state, term)
-    _, max_rel = finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=11)
+    _, max_rel = oracles.finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=11)
     assert max_rel < 1e-3
 
 
@@ -126,15 +124,15 @@ def test_smoothness_alone_tight():
     st = build_state(rand_volume(1, (5, 5, 5)), rand_volume(2, (5, 5, 5)),
                      LossWeights(0, 1, 0, 0, 0), window=3)
     ev = term_evaluator(st, "smooth")
-    _, max_rel = finite_diff_check(ev, rand_field(5, dims=(5, 5, 5)),
-                                   probe_count=64, eps=1e-3, seed=3)
+    _, max_rel = oracles.finite_diff_check(ev, rand_field(5, dims=(5, 5, 5)),
+                                           probe_count=64, eps=1e-3, seed=3)
     assert max_rel < 1e-5
 
 
 def test_chamfer_alone_with_fixed_seeds(state):
     ev = term_evaluator(state, "contour")
     field = tie_free_field(state)
-    _, max_rel = finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=13)
+    _, max_rel = oracles.finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=13)
     assert max_rel < 1e-3
 
 
@@ -142,9 +140,9 @@ def test_chamfer_tie_detection_matches_fd_blowup(state):
     # seed 7 is a known near-tie instance: the margin detector flags it and
     # shrinking the probe below the margin restores quadratic convergence
     field = rand_field(7)
-    assert chamfer_tie_margin(state, field) < 1e-2
+    assert oracles.chamfer_tie_margin(state, field) < 1e-2
     ev = term_evaluator(state, "contour")
-    _, max_rel = finite_diff_check(ev, field, probe_count=64, eps=1e-5, seed=11)
+    _, max_rel = oracles.finite_diff_check(ev, field, probe_count=64, eps=1e-5, seed=11)
     assert max_rel < 1e-3
 
 
@@ -155,7 +153,7 @@ def test_full_objective_matches_fd(state):
         breakdown, grad = evaluate_objective(state, field, with_grad=with_grad)
         return breakdown.total, grad
 
-    _, max_rel = finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=17)
+    _, max_rel = oracles.finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=17)
     assert max_rel < 1e-3
 
 
@@ -441,13 +439,14 @@ def test_gradient_accumulator_made_late_is_bit_identical(state, which):
     assert grad.any() and (grad == want).all()
 
 
-def test_evaluation_working_memory_is_bounded(monkeypatch):
-    # all five terms on twelve organs at 32^3; with the sampler's blocks
-    # small, the terms set the peak: the prototype term's feature bank, its
-    # cache and gradient over the samples, their derivatives and the moved
-    # image's gradient, about 16 float64 arrays of the grid's size (23 when
-    # each term made its own zeroed gradient and stacks)
-    monkeypatch.setattr(warp, "SAMPLE_BLOCK", 2048)
+def test_evaluation_working_memory_is_bounded():
+    # all five terms on twelve organs at 32^3, at the shipped block size: the
+    # sampler's workspace is a fraction of one grid array, so the terms set
+    # the peak: the prototype term's feature bank, its cache and gradient
+    # over the samples, their derivatives and the moved image's gradient,
+    # about 16 float64 arrays of the grid's size (23 when each term made its
+    # own zeroed gradient and stacks; 20.7 when the sampler allocated its
+    # temporaries per 16,384-point block)
     st = _twelve_organ_state(LossWeights(1, 4, 1, 1, 0.1))
     field = rand_field(64, dims=st.dims)
     tracemalloc.start()

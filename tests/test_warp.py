@@ -121,10 +121,15 @@ def test_batched_sampling_equals_per_channel_calls(dims):
 
 
 B = SAMPLE_BLOCK
+# one block and a point either side of it, four blocks and a point either
+# side, eight blocks and a short ninth; each count divides by its batch
+# entries, and every block boundary falls inside an entry except with batch
+# axes (4,), whose entries are one block each
 BLOCK_CASES = [
-    (B - 1, ()), (B, ()), (B + 1, ()), (2 * B + 3, ()),
-    (B - 1, (3,)), (B, (4,)), (B + 1, (5,)), (2 * B + 3, (1,)),
-    (2 * B + 2, (2, 5)),
+    (B - 1, ()), (B, ()), (B + 1, ()), (B + 2, (2,)),
+    (4 * B - 1, ()), (4 * B, ()), (4 * B + 1, ()), (8 * B + 3, ()),
+    (4 * B - 1, (3,)), (4 * B, (4,)), (4 * B + 1, (5,)), (8 * B + 3, (1,)),
+    (8 * B + 2, (2, 5)),
 ]
 
 
@@ -132,14 +137,15 @@ BLOCK_CASES = [
                          ids=[f"{c}-batch{'x'.join(map(str, b)) or 'none'}" for c, b in BLOCK_CASES])
 def test_blocked_sampling_equals_per_block_calls(count, batch):
     # a call over several blocks must give, bit for bit, what separate calls
-    # on each block's points give; with batch axes (5,) and (2, 5), entries
-    # of 3,277 points put a block boundary inside an entry, and (1,) puts
-    # two inside its one entry
+    # on each block's points give, whichever entry each block starts in
     dims = (5, 6, 7)
     rng = np.random.default_rng(23)
     data = rng.normal(size=batch + dims)
     entries = int(np.prod(batch))
     per_entry = count // entries
+    assert per_entry * entries == count
+    boundaries = range(B, count, B)
+    assert all(b % per_entry for b in boundaries) == (batch != (4,))
     pts = np.stack([rng.uniform(-1.0, n, size=batch + (per_entry,)) for n in dims])
     assert pts[0].size == count
     value, grad = sample_volume_with_gradient(data, pts)
@@ -166,21 +172,49 @@ def test_blocked_sampling_equals_per_block_calls(count, batch):
 
 
 def test_sampler_memory_is_bounded_by_the_block():
-    # one 48^3 sample with derivative: the outputs (four values per point)
-    # plus temporaries of at most a few dozen blocks, not of all the points
+    # one 48^3 sample with derivative, on C- and Fortran-ordered data: the
+    # outputs (four values per point) plus one workspace of 17.4 rows of a
+    # block (14 float, 3 intp and 3 bool rows) with a margin, and no copy of
+    # the data
     dims = (48, 48, 48)
     rng = np.random.default_rng(24)
     data = rng.normal(size=dims)
     pts = np.stack([rng.uniform(-1.0, n, size=dims) for n in dims])
     count = pts[0].size
-    tracemalloc.start()
-    try:
-        value, grad = sample_volume_with_gradient(data, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert count == 110_592 and count > 6 * SAMPLE_BLOCK
-    assert peak < (4 * count + 40 * SAMPLE_BLOCK) * 8
+    for volume in (data, np.asfortranarray(data)):
+        tracemalloc.start()
+        try:
+            value, grad = sample_volume_with_gradient(volume, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 * count + 19 * SAMPLE_BLOCK) * 8 < (5 * count) * 8
+
+
+@pytest.mark.parametrize("dims", [(6, 5, 4), (1, 5, 2), (7, 1, 3), (4, 6, 1)])
+def test_fortran_ordered_data_samples_like_c_order(dims):
+    # a Fortran-ordered volume is read through its own strides; value and
+    # derivative equal the C-order call's at clamped points, points on the
+    # last lattice plane and on lattice points, over more than one block
+    rng = np.random.default_rng(26)
+    data = rng.normal(size=dims)
+    fortran = np.asfortranarray(data)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    count = SAMPLE_BLOCK + 40
+    pts = np.stack([rng.uniform(-1.5, n + 0.5, size=count) for n in dims])
+    for a, n in enumerate(dims):
+        pts[a, :10] = n - 1.0                              # on the last plane
+        pts[a, 10:20] = rng.integers(0, n, size=10)        # on lattice points
+    pts[:, 20:30] = -rng.uniform(0.1, 2.0, (3, 10))        # clamped below
+    pts[:, 30:40] = np.reshape(dims, (3, 1)) + rng.uniform(0.0, 2.0, (3, 10))  # above
+    value, grad = sample_volume_with_gradient(fortran, pts)
+    want_value, want_grad = sample_volume_with_gradient(data, pts)
+    assert np.array_equal(value, want_value) and np.array_equal(grad, want_grad)
+    assert np.array_equal(sample_volume(fortran, pts), want_value)
+    assert not grad[:, 20:40].any()
+    for i in range(0, count, 61):
+        assert value[i] == pytest.approx(oracles.trilinear(data, pts[:, i]), abs=1e-12)
 
 
 def test_warp_zero_field_identity_bit_exact():
