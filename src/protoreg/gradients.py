@@ -22,57 +22,25 @@ stacked once per level, carried together; their gradient lands on u
 through ``np.add.at``, as at a coarse level one voxel can be a contour point
 of two classes.
 
-Each moving mask channel is sampled only on the block of output voxels whose
-sample point can reach the channel's support, which is exact.  A clamped
-trilinear sample reads the two lattice neighbours of its (clamped)
-coordinate on each axis, so outside the channel's non-zero index range
-[a, b] grown by one voxel to [a-1, b+1], all eight corners are 0 and the
-value and the spatial derivative are exactly 0 (at a clamped coordinate the
-corner that could be non-zero has weight 0 and the derivative is zeroed).
-The range stays open on a face the support touches (a = 0 or b = n-1),
-because every sample clamped onto that face reads it.  The moved masks are
-never dense: the windows are padded to one shape and kept inside the grid
-(``_mask_windows``), which only adds samples that are exactly 0, their
-points are gathered into one (3, K, wx, wy, wz) array, and the moved masks
-stay that stack (see ``losses``) with its spatial derivative.
+The masks are never dense.  ``build_state`` reads a ``grids.OneHotMask``
+only on its crops (masses, contour points, the fixed hard assignment and
+the fixed prototypes) and keeps the moving channels as a ``warp.MaskStack``.
+An evaluation samples them on their windows (``warp.mask_points``; the
+``warp`` module docstring shows that these are the dense samples bit for
+bit) in one sampler call, and the moved masks stay that stack (see
+``losses``) with its spatial derivative.  Dice reads the fixed channels on
+the same windows from their own crops (``grids._on_windows``).  Element by
+element the arithmetic is that of a whole-grid evaluation, but the sums run
+in another order, so the results agree with it to rounding (about 1e-16
+relative), not bit for bit.
 
-The stored masks are not dense either, nor are the masks ``build_state``
-reads: a ``grids.OneHotMask`` holds each channel on its support box, and
-``build_state`` reads those crops only (masses, boxes, contour points, the
-fixed hard assignment and the fixed prototypes) and never densifies them.
-It keeps each channel as a crop of its own (``MaskCrops``): its
-support [a, b] grown by one zero layer below and two above, to
-[a-1, b+2] within the grid, so still open on a face the support touches;
-the crops are padded to one shape and kept inside the grid like the
-windows.  A window's points are shifted by its channel's crop origin and
-sampled from the crop stack in the same one call.  The two layers above
-are what make this exact: a sample at the lattice point b+1 reads the cell
-[b+1, b+2] above it, whose corners are 0, so its derivative is 0; a crop
-ending at b+1 would clamp it into the cell [b, b+1] and give the backward
-difference -m[b] instead.  With those layers every sample reads the same
-corners with the same fractions as on the dense channel (a shift by an
-integer origin is exact in floating point) or reads only zeros, so the
-moved masks and their derivatives are bit for bit the dense ones.  Dice
-reads the fixed channels on the windows from their own crops
-(``grids._on_windows``).  Element by element the arithmetic is that of the dense
-sampling, but the sums run in another order, so the results agree with a
-whole-grid evaluation to rounding (about 1e-16 relative), not bit for bit.
-
-An evaluation releases its sample points, those of the whole grid
-(``pts``) and of the mask windows (``mask_pts``), as soon as the moving
-mask channels are sampled, before any term runs.  Live through the terms
+An evaluation releases the sample points of the image and of the masks as
+soon as each is sampled, before any term runs.  Live through the terms
 are then the moved image and mask stack, their spatial derivatives
 (``moved_pos``, ``masks_pos``) and the accumulators of their gradients
-(``d_moved``, ``d_masks``); each term works in place on top of them:
+(``d_moved``, ``d_masks``).  Each term works in place on top of them (see
+``losses._lncc`` and ``losses._prototype``), and so does this module:
 
-  * LNCC fills one (3, ...) stack (the moved image, its square, its product
-    with the fixed image), box-filters it in place and frees it before its
-    backward pass, whose (4, ...) stack it also filters in place;
-  * the prototype term writes both feature channels into one (2, ...) array
-    and caches the three central differences and the gradient magnitude;
-    both halves add their feature gradients into one zeroed (2, ...) array,
-    and its backward pass overwrites that array and the cached differences,
-    keeping only the gradient it returns as a new array;
   * the gradient wrt u is made after the seg and prototype terms, which
     never write it, so it is not live under their temporaries; smoothness,
     its first writer, writes straight into it through one buffer of forward
@@ -82,9 +50,7 @@ are then the moved image and mask stack, their spatial derivatives
     derivative arrays, which are dead after it.
 
 Each in-place step keeps the operation order of the allocating form, so
-values and gradients are bit for bit that form's.  The support helpers
-(``_support_box``, ``_crop``, ``_one_shape``, ``_sample_window``) live in
-``warp``, which scores labels the same way (``warp_labels``).
+values and gradients are bit for bit that form's.
 
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
@@ -96,24 +62,14 @@ exactly-hard masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import losses
 from .grids import DimsMismatchError, OneHotMask, Volume, _on_windows, argmax_labels
 from .losses import LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
-from .warp import (DisplacementField, _crop, _one_shape, _sample_window, _support_box,
-                   sample_volume, sample_volume_with_gradient)
-
-
-class MaskCrops(NamedTuple):
-    """K mask channels kept on their crops: channel k is ``values[k]``
-    placed with its first voxel at grid voxel ``origins[k]``, and 0
-    everywhere else (see the module docstring)."""
-
-    values: np.ndarray          # (K, bx, by, bz)
-    origins: np.ndarray         # (K, 3) integer
+from .warp import (DisplacementField, MaskStack, mask_points, mask_stack, sample_volume,
+                   sample_volume_with_gradient)
 
 
 @dataclass(frozen=True)
@@ -121,30 +77,18 @@ class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
     field, made only by ``build_state``, which computes each constant once
     and only for the terms with a positive weight: the open voxel-centre
-    ``grid`` (when anything is sampled), the LNCC window sums ``lncc_fixed``
-    (similarity), the fixed masks' per-class masses ``fixed_mass`` and
-    their ``fixed_crops`` (Dice), the prototypes, hard assignments and fixed
-    half of the contrast term (prototype), the moving masks' ``mask_boxes``
-    and ``moving_crops`` (Dice or prototype) and ``contour_pairs`` (contour;
-    see ``_contour_pairs``).  ``terms`` names the terms it was built for.
-
-    A state holds no dense (K, nx, ny, nz) mask array.  Each mask channel
-    is kept as a crop of one shape (``MaskCrops``): its non-zero index
-    range [a, b] grown to [a-1, b+2] within the grid, one zero layer below
-    and two above, so that a sample at the lattice point b+1 reads the zero
-    cell above it, as on the dense channel (see the module docstring).
+    ``grid`` of the image samples (similarity or prototype), the LNCC window
+    sums ``lncc_fixed`` (similarity), the fixed masks' per-class masses
+    ``fixed_mass`` and own crops ``fixed_crops`` (Dice), the prototypes,
+    hard assignments and fixed half of the contrast term (prototype), the
+    moving masks on their crops ``moving_masks`` (a ``warp.MaskStack``; Dice
+    or prototype) and ``contour_pairs`` (contour; see ``_contour_pairs``).
+    ``terms`` names the terms it was built for.  No dense (K, nx, ny, nz)
+    mask array is held.
 
     A state evaluates only the terms it was built for, so ``replace`` may
     switch terms off (lower weights) but not on; ``evaluate_objective``
     rejects a positive weight on a term missing from ``terms``.
-
-    ``mask_boxes`` holds, per moving mask channel, the support box derived
-    from it: per axis the source-coordinate range (lo, hi) outside which a
-    sample of the channel and its spatial derivative are exactly 0.  It is
-    the non-zero index range [a, b] grown by one voxel, open (-inf or +inf)
-    on a face the support touches; an all-zero channel has None.  Each
-    channel is sampled on a window holding every output voxel whose sample
-    point can fall inside its box (see the module docstring).
     """
 
     fixed: Volume
@@ -156,9 +100,8 @@ class ObjectiveState:
     fixed_protos: PrototypeSet | None = None
     fixed_assign: np.ndarray | None = None
     contrast_fixed: float = 0.0
-    mask_boxes: tuple = ()
-    moving_crops: MaskCrops | None = dataclass_field(default=None, repr=False)
-    fixed_crops: MaskCrops | None = dataclass_field(default=None, repr=False)
+    moving_masks: MaskStack | None = dataclass_field(default=None, repr=False)
+    fixed_crops: tuple | None = dataclass_field(default=None, repr=False)
     grid: tuple | None = dataclass_field(default=None, repr=False)
     lncc_fixed: tuple | None = dataclass_field(default=None, repr=False)
     fixed_mass: np.ndarray | None = dataclass_field(default=None, repr=False)
@@ -192,17 +135,15 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
                                     f"{moving_onehot.dims} vs volumes {fixed.dims}")
 
     built = {"terms": frozenset(name for name, w in weights.as_dict().items() if w > 0)}
-    if weights.sim > 0 or weights.seg > 0 or weights.prototype > 0:
+    if weights.sim > 0 or weights.prototype > 0:
         built["grid"] = np.ix_(*map(np.arange, fixed.dims))
     if weights.sim > 0:     # also checks the window
         built["lncc_fixed"] = losses._lncc_fixed(fixed.data, window)
     if weights.seg > 0:
         built["fixed_mass"] = losses._fixed_mass(fixed_onehot)
-        built["fixed_crops"] = _crops(fixed_onehot)
+        built["fixed_crops"] = fixed_onehot.crops
     if weights.seg > 0 or weights.prototype > 0:
-        built["mask_boxes"] = tuple(None if crop is None else _support_box(crop.support, fixed.dims)
-                                    for crop in moving_onehot.crops)
-        built["moving_crops"] = _crops(moving_onehot)
+        built["moving_masks"] = mask_stack(moving_onehot)
     if weights.prototype > 0:
         fixed_feats = losses._features_forward(fixed.data)[0]
         built["fixed_protos"] = losses.extract_prototypes(fixed_feats, fixed_onehot)
@@ -215,23 +156,6 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
              for c in range(1, mask.num_classes + 1)]
             for mask in (fixed_onehot, moving_onehot)))
     return ObjectiveState(fixed, moving, weights, window, temperature, **built)
-
-
-def _crops(mask: OneHotMask) -> MaskCrops:
-    """The channels of ``mask`` on their crops: per axis [a-1, b+2] within
-    the grid, padded to one shape (``_one_shape``)."""
-    crops = _one_shape([None if crop is None else _crop(crop.support, mask.dims)
-                        for crop in mask.crops], mask.dims)
-    return MaskCrops(_on_windows(mask.crops, crops),
-                     np.array([[s.start for s in crop] for crop in crops], dtype=np.intp))
-
-
-def _mask_windows(boxes, u: np.ndarray, dims):
-    """One window per mask channel, all of one shape (``_one_shape`` of the
-    ``_sample_window`` of each box)."""
-    u_min, u_max = u.min(axis=(1, 2, 3)).tolist(), u.max(axis=(1, 2, 3)).tolist()
-    return _one_shape([None if box is None else _sample_window(box, u_min, u_max, dims)
-                       for box in boxes], dims)
 
 
 def _contour_pairs(sets_f, sets_m):
@@ -286,33 +210,30 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     values = {name: 0.0 for name in TERM_NAMES}
     dims = state.dims
 
-    need_moved = wd["sim"] > 0 or wd["prototype"] > 0
-    need_mask = wd["seg"] > 0 or wd["prototype"] > 0
-    if need_moved or need_mask:
-        pts = field.u.copy()
-        for a, axis in enumerate(state.grid):
-            pts[a] += axis
-
     def sample(data, points):
         if with_grad:
             return sample_volume_with_gradient(data, points)
         return sample_volume(data, points), None
 
-    moved = moved_pos = None
+    # each set of sample points is freed once sampled, before any term runs
+    need_moved = wd["sim"] > 0 or wd["prototype"] > 0
+    moved = moved_pos = d_moved = None
     if need_moved:
+        pts = field.u.copy()
+        for a, axis in enumerate(state.grid):
+            pts[a] += axis
         moved, moved_pos = sample(state.moving.data, pts)
-    d_moved = np.zeros(dims) if (with_grad and need_moved) else None
+        pts = None
+        d_moved = np.zeros(dims) if with_grad else None
 
+    need_mask = wd["seg"] > 0 or wd["prototype"] > 0
     windows = masks = None
     if need_mask:
-        windows = _mask_windows(state.mask_boxes, field.u, dims)
-        crops = state.moving_crops
-        mask_pts = np.stack([pts[(slice(None),) + window] for window in windows], axis=1)
-        mask_pts -= crops.origins.T[:, :, None, None, None]
-        masks, masks_pos = sample(crops.values, mask_pts)
+        windows, pts = mask_points(state.moving_masks, field.u)
+        masks, masks_pos = sample(state.moving_masks.values, pts)
+        pts = None
         np.clip(masks, 0.0, 1.0, out=masks)
         d_masks = np.zeros(masks.shape) if with_grad else None
-    pts = mask_pts = None       # every sample is taken: free the points for the terms
 
     if wd["sim"] > 0:
         values["sim"], g = losses._lncc(state.fixed.data, moved, state.window,
@@ -321,8 +242,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
             d_moved += wd["sim"] * g
 
     if wd["seg"] > 0:
-        fixed_crops = zip(state.fixed_crops.origins.tolist(), state.fixed_crops.values)
-        values["seg"], g = losses._dice(_on_windows(fixed_crops, windows),
+        values["seg"], g = losses._dice(_on_windows(state.fixed_crops, windows),
                                           state.fixed_mass, masks, with_grad)
         if with_grad:
             d_masks += wd["seg"] * g

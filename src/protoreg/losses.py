@@ -25,11 +25,12 @@ constants of a level (``_lncc_fixed``, ``_fixed_mass``,
 ``extract_prototypes``, ``extract_contour_points``) are made once, by
 ``gradients.build_state``.
 
-Moved mask channels come as one stack: ``values`` (K, wx, wy, wz) and
-``windows``, K tuples of slices of the grid of that shape; channel k is
-``values[k]`` on ``windows[k]`` and 0 elsewhere.  ``_dice`` takes the fixed
-channels on the same windows (``gradients`` reads them from the fixed
-masks' crops) and ``_align`` gathers the features on them (one slice copy
+Moved mask channels come as one stack, sampled on the windows of
+``warp.mask_points`` (``warp`` says why that is exact): ``values``
+(K, wx, wy, wz) and ``windows``, K tuples of slices of the grid of that
+shape; channel k is ``values[k]`` on ``windows[k]`` and 0 elsewhere.
+``_dice`` takes the fixed channels on the same windows (``gradients`` reads
+them from the fixed masks' crops) and ``_align`` gathers the features on them (one slice copy
 per channel); both reduce with array operations and return one mask
 gradient shaped like ``values``; windows may overlap, so gradients go back
 onto the grid by one slice-add per channel (``_add_on_windows``).

@@ -254,7 +254,6 @@ def register_pair(fixed: Volume, moving: Volume,
             logger.warning("level %d (%s): too small for any LNCC window, similarity off",
                            level, f_l.dims)
             level_weights = replace(level_weights, sim=0.0)
-            window = 3
         state = build_state(
             f_l, m_l, level_weights,
             fixed_mask_pyr[level] if use_masks else None,

@@ -33,8 +33,28 @@ through its own element strides (1, nx, nx * ny); batched and other layouts
 are read through ``data.ravel()``, which copies a layout that is not
 C-contiguous.  ``data`` is read as float64.
 
-``warp_labels`` scores without a dense K-channel array: each class is
-sampled only where it can be non-zero, from its ``one_hot`` crop.
+A mask channel is sampled only on its support, both while the field is
+optimized (``gradients.evaluate_objective``) and when it is scored
+(``warp_labels``): ``mask_stack`` keeps the channels on crops, and
+``mask_points`` gives each channel's window of output voxels and the points
+p + u(p) on it.  This is exact.  A clamped trilinear sample reads the two
+lattice neighbours of its clamped coordinate per axis, so outside its box,
+the channel's non-zero index range [a, b] grown to [a-1, b+1], the value
+and the spatial derivative are exactly 0; the box stays open on a face the
+support touches (a = 0 or b = n-1), which every clamped sample reads.  A
+crop holds [a-1, b+2] within the grid, one zero layer below the support and
+two above: a sample at the lattice point b+1 reads the zero cell [b+1, b+2]
+above it, so its derivative is 0, where a crop ending at b+1 would clamp it
+into [b, b+1] and give the backward difference -m[b].  A window holds every
+voxel whose point can fall in the box; ``_sample_window`` tests its ends in
+the float arithmetic that forms the points, so a point rounded onto a box
+face is kept.  Crops and windows are padded to one shape within the grid
+(``_one_shape``), which only adds samples that are exactly 0 or read the
+whole channel, so all channels take one sampler call.  A point is
+(u + p) - origin; where it can read a non-zero corner it lies above the
+origin, so the integer shift is exact, and every sample reads the same
+corners with the same fractions as on the whole channel, or only zeros:
+the sampled masks and derivatives are the whole channels' bit for bit.
 """
 
 from __future__ import annotations
@@ -215,54 +235,70 @@ def warp_volume(vol: Volume, field: DisplacementField) -> Volume:
 
 def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
     """Hard-label warp: ``argmax_labels`` of the one-hot channels warped
-    each on its own (clipped to [0, 1]), with the 0.5 background threshold.
-
-    No (K, nx, ny, nz) array is made.  Class c is sampled only on the
-    window of output voxels whose sample point can reach its support box,
-    from its ``one_hot`` crop grown to ``_crop``, the way the objective
-    samples its mask channels (see ``gradients``), so every value is the
-    dense one bit for bit and every voxel outside the window reads exactly
-    0.  The warped windows are the crops of the mask ``argmax_labels`` reads.
-    """
+    (clipped to [0, 1]), with the 0.5 background threshold.  The channels
+    are sampled on their windows (see the module docstring), so no
+    (K, nx, ny, nz) array is made: the warped windows are the crops of the
+    mask ``argmax_labels`` reads."""
     if labels.dims != field.dims:
         raise DimsMismatchError(f"warp_labels: labels {labels.dims} vs field {field.dims}")
-    dims, u = labels.dims, field.u
-    u_min, u_max = u.min(axis=(1, 2, 3)).tolist(), u.max(axis=(1, 2, 3)).tolist()
-    warped = []
-    for crop in one_hot(labels).crops:
-        window = None if crop is None else _sample_window(
-            _support_box(crop.support, dims), u_min, u_max, dims)
-        if window is None:
-            warped.append(None)
-            continue
-        source = _crop(crop.support, dims)
-        pts = u[(slice(None),) + window].copy()
-        for p, axis, s in zip(pts, np.ix_(*(np.arange(w.start, w.stop) for w in window)), source):
-            p += axis
-            p -= s.start
-        values = sample_volume(_on_windows([crop], [source])[0], pts)
-        np.clip(values, 0.0, 1.0, out=values)
-        warped.append(ChannelCrop(tuple(w.start for w in window), values))
-    return argmax_labels(OneHotMask(dims, labels.spacing, crops=warped))
+    mask = one_hot(labels)
+    if mask.num_classes == 0:
+        return argmax_labels(mask)
+    stack = mask_stack(mask)
+    windows, points = mask_points(stack, field.u)
+    values = sample_volume(stack.values, points)
+    np.clip(values, 0.0, 1.0, out=values)
+    crops = [ChannelCrop(tuple(s.start for s in window), v) for window, v in zip(windows, values)]
+    return argmax_labels(OneHotMask(labels.dims, labels.spacing, crops=crops))
 
 
 # ------------------------------------------------- masks on their support
 
-def _support_box(support, dims):
-    """Per axis (lo, hi): the non-zero index range [a, b] grown to
-    [a-1, b+1], open on a face the support touches; None without support.
-    Outside it a sample and its spatial derivative are exactly 0."""
-    if support is None:
-        return None
-    return tuple((a - 1.0 if a > 0 else -math.inf, b + 1.0 if b < n - 1 else math.inf)
-                 for (a, b), n in zip(support, dims))
+class MaskStack(NamedTuple):
+    """K mask channels on crops of one shape (see the module docstring):
+    channel k is ``values[k]`` placed with its first voxel at grid voxel
+    ``origins[k]``, and 0 everywhere else; ``boxes[k]`` is its box, per
+    axis the source-coordinate range (lo, hi) outside which its samples are
+    exactly 0, or None for an all-zero channel."""
+
+    values: np.ndarray          # (K, bx, by, bz)
+    origins: np.ndarray         # (K, 3) integer
+    boxes: tuple
 
 
-def _crop(support, dims):
-    """Slices of the grid on [a-1, b+2] per axis, within the grid: the
-    support with one zero layer below and two above, enough for a sample
-    of the crop to read what the whole channel gives (see ``gradients``)."""
-    return tuple(slice(max(a - 1, 0), min(b + 3, n)) for (a, b), n in zip(support, dims))
+def mask_stack(mask: OneHotMask) -> MaskStack:
+    """The channels of ``mask`` on their crops, per axis [a-1, b+2] within
+    the grid padded to one shape, with their boxes, per axis [a-1, b+1]
+    open on a face the support touches."""
+    dims = mask.dims
+    supports = [None if crop is None else crop.support for crop in mask.crops]
+    crops = _one_shape([None if s is None else
+                        tuple(slice(max(a - 1, 0), min(b + 3, n)) for (a, b), n in zip(s, dims))
+                        for s in supports], dims)
+    boxes = tuple(None if s is None else
+                  tuple((a - 1.0 if a > 0 else -math.inf, b + 1.0 if b < n - 1 else math.inf)
+                        for (a, b), n in zip(s, dims))
+                  for s in supports)
+    origins = np.array([[s.start for s in crop] for crop in crops], dtype=np.intp)
+    return MaskStack(_on_windows(mask.crops, crops), origins, boxes)
+
+
+def mask_points(stack: MaskStack, u: np.ndarray):
+    """The windows of ``stack``'s channels under the field ``u`` (K tuples
+    of slices of the grid, of one shape) and the sample points on them,
+    (u + p) - origin in each channel's crop, shaped (3, K, wx, wy, wz)."""
+    dims = u.shape[1:]
+    u_min, u_max = u.min(axis=(1, 2, 3)).tolist(), u.max(axis=(1, 2, 3)).tolist()
+    windows = _one_shape([None if box is None else _sample_window(box, u_min, u_max, dims)
+                          for box in stack.boxes], dims)
+    points = np.stack([u[(slice(None),) + window] for window in windows], axis=1)
+    starts = np.array([[s.start for s in window] for window in windows], dtype=np.intp)
+    for a, p in enumerate(points):
+        shape = [len(windows), 1, 1, 1]
+        shape[1 + a] = -1
+        p += (starts[:, a:a + 1] + np.arange(p.shape[1 + a])).reshape(shape)
+    points -= stack.origins.T[:, :, None, None, None]
+    return windows, points
 
 
 def _one_shape(blocks, dims):

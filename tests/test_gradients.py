@@ -288,7 +288,7 @@ def compact_state():
 
 def test_compact_mask_boxes(compact_state):
     inf = np.inf
-    assert compact_state.mask_boxes == (
+    assert compact_state.moving_masks.boxes == (
         ((-inf, 3.0), (1.0, 5.0), (0.0, 4.0)),
         ((5.0, inf), (-inf, inf), (3.0, inf)),
         ((2.0, 6.0), (3.0, 6.0), (1.0, 4.0)),
@@ -355,8 +355,8 @@ def test_compact_masks_align_matches_whole_grid_blocks():
     # blocks, which must agree to rounding
     state = _compact_state(LossWeights(0, 0, 0, 1, 0))
     whole = ((-np.inf, np.inf),) * 3
-    opened = dataclasses.replace(state, mask_boxes=tuple(
-        None if box is None else whole for box in state.mask_boxes))
+    opened = dataclasses.replace(state, moving_masks=state.moving_masks._replace(boxes=tuple(
+        None if box is None else whole for box in state.moving_masks.boxes)))
     fields = [_shifted_field(shift, state.dims) for shift in COMPACT_SHIFTS]
     for u in fields + [_rounding_field(state.dims)]:
         field = DisplacementField(state.dims, (1, 1, 1), u)
@@ -403,18 +403,14 @@ def _gradient_accumulated_from_the_start(state, field):
         pts[a] += axis
     moved, moved_pos = gradients.sample_volume_with_gradient(state.moving.data, pts)
     d_moved = np.zeros(dims)
-    windows = gradients._mask_windows(state.mask_boxes, field.u, dims)
-    crops = state.moving_crops
-    mask_pts = np.stack([pts[(slice(None),) + window] for window in windows], axis=1)
-    mask_pts -= crops.origins.T[:, :, None, None, None]
-    masks, masks_pos = gradients.sample_volume_with_gradient(crops.values, mask_pts)
+    windows, mask_pts = gradients.mask_points(state.moving_masks, field.u)
+    masks, masks_pos = gradients.sample_volume_with_gradient(state.moving_masks.values, mask_pts)
     np.clip(masks, 0.0, 1.0, out=masks)
     d_masks = np.zeros(masks.shape)
     d_moved += wd["sim"] * losses._lncc(state.fixed.data, moved, state.window,
                                         state.lncc_fixed, True)[1]
     grad += wd["smooth"] * losses._smoothness(field.u, True)[1]
-    fixed_crops = zip(state.fixed_crops.origins.tolist(), state.fixed_crops.values)
-    d_masks += wd["seg"] * losses._dice(gradients._on_windows(fixed_crops, windows),
+    d_masks += wd["seg"] * losses._dice(gradients._on_windows(state.fixed_crops, windows),
                                         state.fixed_mass, masks, True)[1]
     _, g, g_masks = losses._prototype(moved, windows, masks, state.fixed_assign,
                                       state.fixed_protos, state.contrast_fixed,
@@ -504,8 +500,8 @@ def test_state_holds_no_dense_channel_array():
     # with all five terms the state keeps the masks only on their crops:
     # everything it holds stays under half of one K x N float64 array
     st = _twelve_organ_state(LossWeights(1, 4, 1, 1, 0.1))
-    k, n = len(st.mask_boxes), np.prod(st.dims)
-    assert st.moving_crops.values.shape[0] == st.fixed_crops.values.shape[0] == k
+    k, n = len(st.moving_masks.boxes), np.prod(st.dims)
+    assert st.moving_masks.values.shape[0] == len(st.fixed_crops) == k
     assert _held_bytes(st, set()) < k * n * 8 / 2
 
 
@@ -534,11 +530,11 @@ def _assert_one_sampler_call_per_kind(st, monkeypatch):
     field = rand_field(63, dims=st.dims)
     evaluate_objective(st, field)
     images = [points for data, points in calls if data is st.moving.data]
-    masks = [points for data, points in calls if data is st.moving_crops.values]
+    masks = [points for data, points in calls if data is st.moving_masks.values]
     assert len(calls) == 2
     assert len(images) == 1 and images[0].shape == (3,) + st.dims
     assert len(masks) == 1 and masks[0].ndim == 5
-    assert masks[0].shape[:2] == (3, len(st.mask_boxes))
+    assert masks[0].shape[:2] == (3, len(st.moving_masks.boxes))
     calls.clear()
     evaluate_objective(st, field, with_grad=False)
     assert calls == []

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,16 @@ def test_register_pair_aborts_on_a_non_finite_loss():
         register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels, config)
     assert raised.value.terms == ("smooth",)
     assert (raised.value.level, raised.value.iteration) == (3, 1)
+
+
+def test_register_pair_runs_a_level_too_small_for_lncc_without_similarity(caplog):
+    # four levels of (16, 24, 24) end at (2, 3, 3), which holds no 3^3 window
+    pair = generate(three_blob_spec(dims=(16, 24, 24), num_blobs=2, magnitude=1.5, seed=0))
+    with caplog.at_level(logging.WARNING, logger="protoreg.optimizer"):
+        result = register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels,
+                               CONFIG)
+    assert "level 3 ((2, 3, 3)): too small for any LNCC window, similarity off" in caplog.text
+    assert np.isfinite(result.field.u).all() and np.isfinite(result.final_breakdown.total)
 
 
 def test_config_from_dict():

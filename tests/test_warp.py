@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -302,7 +303,7 @@ def oracle_warp_labels(labels, u):
     return out
 
 
-@pytest.mark.parametrize("kind", ["zero", "shift", "random", "wild"])
+@pytest.mark.parametrize("kind", ["zero", "shift", "random", "wild", "rounded"])
 def test_warp_labels_matches_dense_and_oracle(kind):
     # class 1 touches the x = 0 face, class 2 is inside, class 3 is absent
     # and class 4 touches the far y and z faces
@@ -316,7 +317,13 @@ def test_warp_labels_matches_dense_and_oracle(kind):
     u = {"zero": np.zeros((3,) + dims),
          "shift": np.zeros((3,) + dims) + np.reshape([1.3, -0.6, 0.4], (3, 1, 1, 1)),
          "random": rng.uniform(-1.2, 1.2, (3,) + dims),
-         "wild": rng.uniform(-50.0, 50.0, (3,) + dims)}[kind]
+         "wild": rng.uniform(-50.0, 50.0, (3,) + dims),
+         "rounded": np.zeros((3,) + dims) + np.reshape([np.nextafter(2.0, 0.0), 0, 0],
+                                                       (3, 1, 1, 1))}[kind]
+    if kind == "rounded":
+        # class 4's box starts at x = 3; 1 + (2 - 2**-52) rounds to exactly 3,
+        # although ceil(3 - (2 - 2**-52)) = 2 would leave x = 1 out
+        assert 1.0 + u[0].max() == 3.0 and math.ceil(3.0 - u[0].max()) == 2
     out = warp_labels(lv, DisplacementField(dims, (1, 1, 1), u))
     assert np.array_equal(out.labels, dense_warp_labels(lv, u).labels)
     assert np.array_equal(out.labels, oracle_warp_labels(lv, u))
@@ -326,8 +333,9 @@ def test_warp_labels_matches_dense_and_oracle(kind):
 
 
 def test_warp_labels_needs_no_dense_channel_array():
-    # twelve 4^3 organs on 32^3: each class is sampled on its own window,
-    # so scoring never holds a K x N array (the labels' one-hot alone is one)
+    # twelve 4^3 organs on 32^3: the classes are sampled on their windows,
+    # padded to one shape, so scoring never holds a K x N array (the
+    # labels' dense one-hot alone would be one)
     dims, k = (32, 32, 32), 12
     labels = np.zeros(dims, np.int32)
     for c in range(k):
@@ -344,6 +352,12 @@ def test_warp_labels_needs_no_dense_channel_array():
         tracemalloc.stop()
     assert set(np.unique(out.labels)) == set(range(k + 1))
     assert peak < k * np.prod(dims) * 8 / 4
+
+
+def test_warp_labels_without_classes():
+    lv = LabelVolume((4, 4, 4), (1, 1, 1), np.zeros((4, 4, 4), np.int32), 0)
+    out = warp_labels(lv, rand_field((4, 4, 4), 1.0))
+    assert not out.labels.any() and out.num_classes == 0
 
 
 def test_warp_labels_dims_mismatch():
