@@ -1,56 +1,41 @@
 """The objective's one forward path and its analytic gradient wrt the field.
 
-``build_state`` is the one constructor of a level's ``ObjectiveState``: it
-makes each constant of the level once, only for the terms with a positive
-weight, and a state evaluates only the terms it was built for, through
-``evaluate_objective`` or ``term_evaluator``; a positive weight on any other
-term raises ``ValueError``.
+``build_state`` makes a level's ``ObjectiveState``: each constant of the
+level once, only for the terms with a positive weight.  A state evaluates
+only the terms it was built for, through ``evaluate_objective`` or
+``term_evaluator``; a positive weight on any other term raises
+``ValueError``.
 
-``evaluate_objective`` samples the moving image and masks through the field,
-carries the fixed contour points into moving space (``_carried``), and
-scores every term with its function in ``losses``.  Each of those returns
-the term's value and, with ``with_grad``, its gradient wrt the term's direct
-input (moved intensities, moved mask channels, u, or the carried points);
-this module only chains those gradients through the warp onto u: through the
-spatial derivative of every trilinear sample, and, for the contour points,
-by adding each point's gradient to the voxel it was carried from.  A
-value-only evaluation (``with_grad=False``: each level's final breakdown,
-every finite-difference probe) samples through ``sample_volume`` and takes
-no spatial derivative.  Every evaluation takes all classes in one pass: one
-sampler call for all mask channels, and the contour points of all classes,
-stacked once per level, carried together; their gradient lands on u
-through ``np.add.at``, as at a coarse level one voxel can be a contour point
-of two classes.
+``evaluate_objective`` samples the moving image at the points p + u(p)
+(``warp.add_voxel_coords``) and the moving masks on their windows
+(``warp.mask_points``; ``warp`` shows that these are the dense samples bit
+for bit), carries the fixed contour points into moving space
+(``_carried``), and scores every term with its function in ``losses``.
+Each returns the term's value and, with ``with_grad``, its gradient wrt the
+term's direct input (moved intensities, moved mask stack, u, or the
+carried points); this module chains those gradients onto u: through the
+spatial derivative of every trilinear sample, and for the contour points by
+``np.add.at`` onto the voxel each was carried from, as at a coarse level
+one voxel can be a contour point of two classes.  A value-only evaluation
+(``with_grad=False``: each level's final breakdown, every finite-difference
+probe) samples through ``sample_volume`` and takes no spatial derivative.
 
-The masks are never dense.  ``build_state`` reads a ``grids.OneHotMask``
-only on its crops (masses, contour points, the fixed hard assignment and
-the fixed prototypes) and keeps the moving channels as a ``warp.MaskStack``.
-An evaluation samples them on their windows (``warp.mask_points``; the
-``warp`` module docstring shows that these are the dense samples bit for
-bit) in one sampler call, and the moved masks stay that stack (see
-``losses``) with its spatial derivative.  Dice reads the fixed channels on
-the same windows from their own crops (``grids._on_windows``).  Element by
-element the arithmetic is that of a whole-grid evaluation, but the sums run
-in another order, so the results agree with it to rounding (about 1e-16
-relative), not bit for bit.
+The masks are never dense: the state holds the moving channels as a
+``warp.MaskStack`` and the fixed ones as their own crops, which Dice reads
+on the moving windows (``grids._on_windows``).  Element by element the
+arithmetic is that of a whole-grid evaluation, but the sums run in another
+order, so the results agree with it to rounding (about 1e-16 relative), not
+bit for bit.
 
-An evaluation releases the sample points of the image and of the masks as
-soon as each is sampled, before any term runs.  Live through the terms
-are then the moved image and mask stack, their spatial derivatives
-(``moved_pos``, ``masks_pos``) and the accumulators of their gradients
-(``d_moved``, ``d_masks``).  Each term works in place on top of them (see
-``losses._lncc`` and ``losses._prototype``), and so does this module:
-
-  * the gradient wrt u is made after the seg and prototype terms, which
-    never write it, so it is not live under their temporaries; smoothness,
-    its first writer, writes straight into it through one buffer of forward
-    differences, and it is then scaled by the weight (w*g is the 0 + w*g of
-    an accumulation);
-  * the chain rule forms d_moved * moved_pos and d_masks * masks_pos in the
-    derivative arrays, which are dead after it.
-
-Each in-place step keeps the operation order of the allocating form, so
-values and gradients are bit for bit that form's.
+An evaluation frees its sample points once sampled, before any term runs,
+and works in place on what stays live (the moved image and mask stack,
+their spatial derivatives and their gradient accumulators).  The gradient
+wrt u is made after the seg and prototype terms, which never write it;
+smoothness, its first writer, writes straight into it, and it is then
+scaled by the weight (w*g is the 0 + w*g of an accumulation).  The chain
+rule forms d_moved * moved_pos and d_masks * masks_pos in the derivative
+arrays.  Each in-place step keeps the operation order of the allocating
+form, so values and gradients are that form's bit for bit.
 
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
@@ -68,27 +53,22 @@ import numpy as np
 from . import losses
 from .grids import DimsMismatchError, OneHotMask, Volume, _on_windows, argmax_labels
 from .losses import LossBreakdown, LossWeights, PrototypeSet, TERM_NAMES
-from .warp import (DisplacementField, MaskStack, mask_points, mask_stack, sample_volume,
-                   sample_volume_with_gradient)
+from .warp import (DisplacementField, MaskStack, add_voxel_coords, mask_points, mask_stack,
+                   sample_volume, sample_volume_with_gradient)
 
 
 @dataclass(frozen=True)
 class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
-    field, made only by ``build_state``, which computes each constant once
-    and only for the terms with a positive weight: the open voxel-centre
-    ``grid`` of the image samples (similarity or prototype), the LNCC window
-    sums ``lncc_fixed`` (similarity), the fixed masks' per-class masses
-    ``fixed_mass`` and own crops ``fixed_crops`` (Dice), the prototypes,
-    hard assignments and fixed half of the contrast term (prototype), the
-    moving masks on their crops ``moving_masks`` (a ``warp.MaskStack``; Dice
-    or prototype) and ``contour_pairs`` (contour; see ``_contour_pairs``).
-    ``terms`` names the terms it was built for.  No dense (K, nx, ny, nz)
-    mask array is held.
-
-    A state evaluates only the terms it was built for, so ``replace`` may
-    switch terms off (lower weights) but not on; ``evaluate_objective``
-    rejects a positive weight on a term missing from ``terms``.
+    field, made only by ``build_state``, each constant only for the terms
+    with a positive weight: the LNCC window sums ``lncc_fixed``
+    (similarity), the fixed masks' per-class masses ``fixed_mass`` and own
+    crops ``fixed_crops`` (Dice), the fixed prototypes ``fixed_protos``,
+    hard assignment ``fixed_assign`` and ``contrast_fixed`` (prototype),
+    the moving masks ``moving_masks`` (a ``warp.MaskStack``; Dice or
+    prototype) and ``contour_pairs`` (contour; see
+    ``losses._contour_pairs``).  ``terms`` names the terms it was built
+    for, so ``replace`` may switch terms off (lower weights) but not on.
     """
 
     fixed: Volume
@@ -102,7 +82,6 @@ class ObjectiveState:
     contrast_fixed: float = 0.0
     moving_masks: MaskStack | None = dataclass_field(default=None, repr=False)
     fixed_crops: tuple | None = dataclass_field(default=None, repr=False)
-    grid: tuple | None = dataclass_field(default=None, repr=False)
     lncc_fixed: tuple | None = dataclass_field(default=None, repr=False)
     fixed_mass: np.ndarray | None = dataclass_field(default=None, repr=False)
     contour_pairs: tuple | None = dataclass_field(default=None, repr=False)
@@ -120,8 +99,8 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     """Precompute the deformation-independent pieces of the objective, each
     only when a term with a positive weight reads it.  The masks are read
     here, only with a positive mask weight, and not kept: the state holds
-    their crops.  Mask-dependent weights need both masks (``ValueError``),
-    over one class universe (``ValueError``) and on the volumes' grid
+    their crops.  Mask-dependent weights need both masks, over one class
+    universe of at least one class (``ValueError``), on the volumes' grid
     (``DimsMismatchError``)."""
     if fixed.dims != moving.dims:
         raise DimsMismatchError(f"build_state: fixed {fixed.dims} vs moving {moving.dims}")
@@ -130,13 +109,14 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
             raise ValueError("build_state: mask-dependent weights need both masks")
         if fixed_onehot.num_classes != moving_onehot.num_classes:
             raise ValueError("build_state: masks cover different class universes")
+        if fixed_onehot.num_classes == 0:
+            raise ValueError("build_state: mask-dependent weights need a foreground class, "
+                             "and the masks have none")
         if fixed_onehot.dims != fixed.dims or moving_onehot.dims != fixed.dims:
             raise DimsMismatchError(f"build_state: masks {fixed_onehot.dims} and "
                                     f"{moving_onehot.dims} vs volumes {fixed.dims}")
 
     built = {"terms": frozenset(name for name, w in weights.as_dict().items() if w > 0)}
-    if weights.sim > 0 or weights.prototype > 0:
-        built["grid"] = np.ix_(*map(np.arange, fixed.dims))
     if weights.sim > 0:     # also checks the window
         built["lncc_fixed"] = losses._lncc_fixed(fixed.data, window)
     if weights.seg > 0:
@@ -151,35 +131,19 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
         built["contrast_fixed"] = losses._contrast(
             fixed_feats, built["fixed_assign"], built["fixed_protos"], temperature)
     if weights.contour > 0:
-        built["contour_pairs"] = _contour_pairs(*(
-            [losses.extract_contour_points(mask, c, max_points, seed)
-             for c in range(1, mask.num_classes + 1)]
-            for mask in (fixed_onehot, moving_onehot)))
+        built["contour_pairs"] = losses._contour_pairs(fixed_onehot, moving_onehot,
+                                                       max_points, seed)
     return ObjectiveState(fixed, moving, weights, window, temperature, **built)
 
 
-def _contour_pairs(sets_f, sets_m):
-    """The classes with contour points on both sides, numbered 0..P-1:
-    (fixed points (N, 3), their classes, moving points (M, 3), their
-    classes), each stacked over the classes of the fixed and moving contour
-    sets ``sets_f`` and ``sets_m``; None without such a class."""
-    moving_by_class = {c.class_label: c.points for c in sets_m if len(c) > 0}
-    sides = [(cf.points, moving_by_class[cf.class_label]) for cf in sets_f
-             if len(cf) > 0 and cf.class_label in moving_by_class]
-    columns = [(f, np.full(len(f), c), m, np.full(len(m), c)) for c, (f, m) in enumerate(sides)]
-    return tuple(map(np.concatenate, zip(*columns))) if sides else None
-
-
 def _carried(pairs, field: DisplacementField):
-    """The contour transport of ``_contour_pairs``: the flat lattice index
-    of the fixed points and the fixed points carried into moving space.
-
-    phi(p) = p + u(p) sends output-grid coordinates to moving-image
-    coordinates (the pull-back convention of the warps), so the fixed points
-    are the ones carried.  They are voxel centers (``ContourPointSet`` admits
-    no other points), where trilinear sampling of u is a read of one voxel;
-    so u is indexed at them, and d(carried)/d(u) is the identity at that
-    voxel.  Points outside the field's grid raise ``ValueError``.
+    """The flat lattice index of the fixed points of ``pairs`` (see
+    ``losses._contour_pairs``) and those points carried into moving space
+    by phi(p) = p + u(p), the pull-back convention of the warps.  The
+    points are voxels (``argwhere`` plus an integer crop origin), where a
+    trilinear sample of u reads one voxel, so u is indexed at them and
+    d(carried)/d(u) is the identity there.  Points outside the field's grid
+    raise ``ValueError``.
     """
     fixed = pairs[0]
     if (fixed >= field.dims).any():
@@ -219,11 +183,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     need_moved = wd["sim"] > 0 or wd["prototype"] > 0
     moved = moved_pos = d_moved = None
     if need_moved:
-        pts = field.u.copy()
-        for a, axis in enumerate(state.grid):
-            pts[a] += axis
-        moved, moved_pos = sample(state.moving.data, pts)
-        pts = None
+        moved, moved_pos = sample(state.moving.data, add_voxel_coords(field.u.copy()))
         d_moved = np.zeros(dims) if with_grad else None
 
     need_mask = wd["seg"] > 0 or wd["prototype"] > 0

@@ -23,6 +23,10 @@ import numpy as np
 from scipy import ndimage
 
 
+# A voxel whose strongest channel stays below this is background.
+FOREGROUND_THRESHOLD = 0.5
+
+
 class DimsMismatchError(ValueError):
     """Two grids that must share a voxel lattice do not."""
 
@@ -206,18 +210,16 @@ def one_hot(labels: LabelVolume) -> OneHotMask:
     return OneHotMask(labels.dims, labels.spacing, crops=crops)
 
 
-def argmax_labels(mask: OneHotMask, threshold: float = 0.5) -> LabelVolume:
+def argmax_labels(mask: OneHotMask) -> LabelVolume:
     """Invert one_hot: per voxel, the strongest channel wins if it reaches
-    ``threshold`` (> 0), otherwise background; a tie goes to the lowest
-    class, as with ``argmax``.
+    ``FOREGROUND_THRESHOLD``, otherwise background; a tie goes to the
+    lowest class, as with ``argmax``.
 
     A running maximum over each channel's crop, taken with a strict ``>``,
-    so no (K, nx, ny, nz) array is made.  A voxel that reaches a positive
-    threshold lies in the crop of every channel that reaches its maximum,
-    which makes this the dense argmax exactly.
+    so no (K, nx, ny, nz) array is made.  A voxel that reaches the
+    (positive) threshold lies in the crop of every channel that reaches its
+    maximum, which makes this the dense argmax exactly.
     """
-    if not threshold > 0:
-        raise ValueError(f"argmax_labels: threshold must be > 0, got {threshold}")
     best = np.zeros(mask.dims)
     labels = np.zeros(mask.dims, np.int32)
     for c, crop in enumerate(mask.crops, start=1):
@@ -227,7 +229,7 @@ def argmax_labels(mask: OneHotMask, threshold: float = 0.5) -> LabelVolume:
         wins = crop.values > region
         region[wins] = crop.values[wins]
         labels[crop.box][wins] = c
-    labels[best < threshold] = 0
+    labels[best < FOREGROUND_THRESHOLD] = 0
     return LabelVolume(mask.dims, mask.spacing, labels, mask.num_classes)
 
 

@@ -8,34 +8,26 @@ smoothness of the displacement, soft Dice on warped masks, a prototype term
 points.
 
 Each term is one private function that returns its value and, with
-``with_grad``, its gradient with respect to its direct input: ``_lncc``
-(moved intensities), ``_smoothness`` (u), ``_dice`` (moved mask channels),
-``_contrast`` and ``_align`` (moved features; ``_align`` also the moved mask
-channels), ``_prototype`` (both halves pulled back through the feature bank
-onto the moved intensities, via ``_features_forward``/``_features_backward``)
-and ``_class_chamfer`` (the carried contour points of every class).  The two
-prototype halves take ``_prototype``'s feature gradient array in place of
-``with_grad`` and add their gradients into it.  These are each term's only
-forward implementation, and the objective is scored only through
-``gradients.evaluate_objective`` (one term at a time:
-``gradients.term_evaluator``).  Nothing here warps or transports:
-``evaluate_objective`` samples the moving image and masks, carries the
-contour points, and chains these gradients through the warp onto u.  The
-constants of a level (``_lncc_fixed``, ``_fixed_mass``,
-``extract_prototypes``, ``extract_contour_points``) are made once, by
-``gradients.build_state``.
+``with_grad``, its gradient wrt its direct input: ``_lncc`` (moved
+intensities), ``_smoothness`` (u), ``_dice`` (moved mask channels),
+``_prototype`` (its halves ``_contrast`` and ``_align`` pulled back through
+the feature bank onto the moved intensities; ``_align`` also onto the moved
+mask channels) and ``_class_chamfer`` (the carried contour points of every
+class).  Nothing here warps: the objective is scored only through
+``gradients.evaluate_objective``, which samples, carries the contour points
+and chains these gradients onto u.  The constants of a level are made once,
+by ``gradients.build_state``: ``_lncc_fixed``, ``_fixed_mass``,
+``extract_prototypes`` (each class pooled on its mask crop) and
+``_contour_pairs`` (each class's boundary voxels, found on its crop by
+``extract_contour_points``, stacked over the classes found on both sides).
 
 Moved mask channels come as one stack, sampled on the windows of
-``warp.mask_points`` (``warp`` says why that is exact): ``values``
-(K, wx, wy, wz) and ``windows``, K tuples of slices of the grid of that
-shape; channel k is ``values[k]`` on ``windows[k]`` and 0 elsewhere.
-``_dice`` takes the fixed channels on the same windows (``gradients`` reads
-them from the fixed masks' crops) and ``_align`` gathers the features on them (one slice copy
-per channel); both reduce with array operations and return one mask
-gradient shaped like ``values``; windows may overlap, so gradients go back
-onto the grid by one slice-add per channel (``_add_on_windows``).
-``extract_prototypes`` pools each class on its mask crop, and
-``extract_contour_points`` finds a class's boundary on its crop.
+``warp.mask_points``: ``values`` (K, wx, wy, wz) and ``windows``, K tuples
+of slices of the grid of that shape; channel k is ``values[k]`` on
+``windows[k]`` and 0 elsewhere.  ``_dice`` takes the fixed channels on the
+same windows and ``_align`` gathers the features on them; both return one
+mask gradient shaped like ``values``, which goes back onto the grid by one
+slice-add per channel (``_add_on_windows``; windows may overlap).
 
 Conventions fixed here and relied on elsewhere:
   * the correlation term is the negative mean of squared window NCC over all
@@ -45,14 +37,15 @@ Conventions fixed here and relied on elsewhere:
   * Dice averages over classes present on at least one side and skips classes
     empty on both;
   * alignment sums (1 - cosine) over classes present in both prototype sets;
-  * Chamfer is averaged over classes present in both contour collections, and
-    the fixed-side points are carried by the current field into moving space
-    before the nearest-neighbor terms are formed.
+  * Chamfer is averaged over the classes with contour points on both sides,
+    and the fixed-side points are carried by the current field into moving
+    space before the nearest-neighbor terms are formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -113,38 +106,11 @@ class LossBreakdown:
         return cls(dict(values), weights, float(total))
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
+class PrototypeSet(NamedTuple):
     """One feature vector per class; absent classes carry no usable vector."""
 
-    vectors: np.ndarray        # (K, C)
+    vectors: np.ndarray        # (K, C) float64
     present: np.ndarray        # (K,) bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=np.float64))
-        object.__setattr__(self, "present", np.asarray(self.present, dtype=bool))
-        if self.vectors.ndim != 2 or self.present.shape != (self.vectors.shape[0],):
-            raise ValueError("PrototypeSet: vectors must be (K, C) with matching present flags")
-
-
-@dataclass(frozen=True)
-class ContourPointSet:
-    """Sampled boundary points of one class region, at voxel centers: every
-    coordinate is a non-negative integer, so the contour transport reads the
-    field at these points straight off the lattice."""
-
-    class_label: int
-    points: np.ndarray         # (N, 3)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if not ((pts >= 0) & (pts == np.floor(pts))).all():
-            raise ValueError("ContourPointSet: points must be voxel centers "
-                             "(non-negative integer coordinates)")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self):
-        return self.points.shape[0]
 
 
 # ------------------------------------------------------- similarity (LNCC)
@@ -481,9 +447,9 @@ def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.n
 # ------------------------------------------------------------------ contours
 
 def extract_contour_points(mask: OneHotMask, class_label: int, max_points: int = 2048,
-                           seed: int = 0) -> ContourPointSet:
-    """Boundary voxels of one class region (channel values >= 0.5),
-    optionally subsampled.
+                           seed: int = 0) -> np.ndarray:
+    """Boundary voxels of one class region (channel values >= 0.5), as
+    (N, 3) grid coordinates, optionally subsampled.
 
     A voxel is a boundary voxel when it is foreground and at least one of its
     six face neighbors is background; neighbors outside the volume count as
@@ -492,7 +458,7 @@ def extract_contour_points(mask: OneHotMask, class_label: int, max_points: int =
     """
     crop = mask.crops[class_label - 1]
     if crop is None:
-        return ContourPointSet(class_label, np.zeros((0, 3)))
+        return np.zeros((0, 3))
     fg = crop.values >= 0.5
     # a layer of background around the crop stands for everything outside it
     padded = np.pad(fg, 1)
@@ -506,7 +472,21 @@ def extract_contour_points(mask: OneHotMask, class_label: int, max_points: int =
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(pts.shape[0], size=max_points, replace=False))
         pts = pts[keep]
-    return ContourPointSet(class_label, pts)
+    return pts
+
+
+def _contour_pairs(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: int):
+    """The contour term's constant of a level: the classes with boundary
+    points on both sides, numbered 0..P-1, as (fixed points (N, 3), their
+    classes, moving points (M, 3), their classes); None without such a
+    class."""
+    columns = []
+    for c in range(1, fixed.num_classes + 1):
+        f, m = (extract_contour_points(mask, c, max_points, seed) for mask in (fixed, moving))
+        if len(f) and len(m):
+            p = len(columns)
+            columns.append((f, np.full(len(f), p), m, np.full(len(m), p)))
+    return tuple(map(np.concatenate, zip(*columns))) if columns else None
 
 
 def _lifted(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: np.ndarray):

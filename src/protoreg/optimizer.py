@@ -101,21 +101,6 @@ class RegistrationConfig:
             raise ValueError(f"RegistrationConfig: max_contour_points must be >= 1, "
                              f"got {self.max_contour_points}")
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "iterations": list(self.iterations),
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "weights": list(self.weights.as_dict().values()),
-            "window": self.window,
-            "max_contour_points": self.max_contour_points,
-            "temperature": self.temperature,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "RegistrationConfig":
         d = dict(d)
@@ -213,11 +198,13 @@ def register_pair(fixed: Volume, moving: Volume,
         raise ValueError(f"register_pair: fixed spacing {fixed.spacing} vs moving {moving.spacing}")
 
     weights = config.weights
-    unsupervised = False
-    if weights.uses_masks and (fixed_mask is None or moving_mask is None):
+    # no foreground class on either map leaves the mask terms nothing to read
+    unsupervised = weights.uses_masks and (
+        fixed_mask is None or moving_mask is None
+        or max(fixed_mask.num_classes, moving_mask.num_classes) == 0)
+    if unsupervised:
         logger.warning("unsupervised mode: mask weights (seg, prototype, contour) disabled")
         weights = weights.without_masks()
-        unsupervised = True
     use_masks = weights.uses_masks
 
     if use_masks:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .grids import LabelVolume, Volume
-from .warp import DisplacementField, identity_grid, sample_volume
+from .warp import DisplacementField, sample_volume
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def _invert_map(u: np.ndarray, iterations: int = 30) -> np.ndarray:
 
     Converges for the smooth fields produced here (displacement gradients
     well below 1)."""
-    grid = identity_grid(u.shape[1:])
+    grid = np.indices(u.shape[1:], dtype=np.float64)
     psi = grid.copy()
     for _ in range(iterations):
         disp = np.stack([sample_volume(u[c], psi) for c in range(3)])
@@ -227,8 +227,8 @@ def generate(spec: PhantomSpec) -> PhantomPair:
 
     waves = _texture_waves(spec, rng)
     u = _truth_field(spec, rng)
-    grid = identity_grid(spec.dims)
-    fixed_int, fixed_lab = _render(grid, blobs, contrasts, spec.falloff, waves)
+    fixed_int, fixed_lab = _render(np.indices(spec.dims, dtype=np.float64), blobs, contrasts,
+                                   spec.falloff, waves)
     psi = _invert_map(u)
     moving_int, moving_lab = _render(psi, blobs, contrasts, spec.falloff, waves)
 

@@ -1,9 +1,11 @@
 """Spatial transformation of volumes and masks by dense displacement fields.
 
 A field stores one 3-vector per voxel in voxel units; the map it encodes is
-``phi(p) = p + u(p)``.  Sampling is trilinear with clamp-to-edge borders,
-consistently in the forward warps and in the analytic gradients built on top
-of them.  Everything here is a pure function over immutable inputs.
+``phi(p) = p + u(p)``, and every sample point is formed as u + p by
+``add_voxel_coords``, on the whole grid or on windows of it.  Sampling is
+trilinear with clamp-to-edge borders, consistently in the forward warps and
+in the analytic gradients built on top of them.  Everything here is a pure
+function over immutable inputs.
 
 Every sampler runs one gather (``_sample``): the flat index of each point's
 lower cell corner is formed once, and the 8 corners are read at fixed
@@ -76,6 +78,9 @@ from .grids import (ChannelCrop, DimsMismatchError, LabelVolume, OneHotMask, Vol
 # points alike, within noise.
 SAMPLE_BLOCK = 4096
 
+# Jacobian determinants at or below this are excluded from SDlogJ.
+DET_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class DisplacementField:
@@ -97,12 +102,6 @@ class DisplacementField:
     @classmethod
     def zeros(cls, dims, spacing=(1.0, 1.0, 1.0)):
         return cls(tuple(dims), spacing, np.zeros((3,) + tuple(dims)))
-
-
-def identity_grid(dims) -> np.ndarray:
-    """Voxel-center coordinates, shaped (3, nx, ny, nz)."""
-    axes = [np.arange(n, dtype=np.float64) for n in dims]
-    return np.stack(np.meshgrid(*axes, indexing="ij"))
 
 
 def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
@@ -225,20 +224,30 @@ def sample_volume_with_gradient(data: np.ndarray, points: np.ndarray):
     return _sample(data, points, with_grad=True)
 
 
+def add_voxel_coords(points: np.ndarray, starts=(0, 0, 0)) -> np.ndarray:
+    """Add to ``points`` (3, ..., wx, wy, wz), which holds u on blocks of the
+    grid whose first voxels are ``starts`` (..., 3), the coordinates of each
+    block's voxels p, in place, so that it holds the sample points u + p;
+    returns it."""
+    starts = np.asarray(starts)
+    for a, p in enumerate(points):
+        coords = np.arange(p.shape[a - 3]).reshape([-1 if b == a else 1 for b in range(3)])
+        p += starts[..., a, None, None, None] + coords
+    return points
+
+
 def warp_volume(vol: Volume, field: DisplacementField) -> Volume:
     """Resample: out(p) = vol(p + u(p))."""
     if vol.dims != field.dims:
         raise DimsMismatchError(f"warp_volume: volume {vol.dims} vs field {field.dims}")
-    pts = identity_grid(vol.dims) + field.u
-    return Volume(vol.dims, vol.spacing, sample_volume(vol.data, pts))
+    return Volume(vol.dims, vol.spacing, sample_volume(vol.data, add_voxel_coords(field.u.copy())))
 
 
 def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
     """Hard-label warp: ``argmax_labels`` of the one-hot channels warped
-    (clipped to [0, 1]), with the 0.5 background threshold.  The channels
-    are sampled on their windows (see the module docstring), so no
-    (K, nx, ny, nz) array is made: the warped windows are the crops of the
-    mask ``argmax_labels`` reads."""
+    (clipped to [0, 1]).  The channels are sampled on their windows (see
+    the module docstring), so no (K, nx, ny, nz) array is made: the warped
+    windows are the crops of the mask ``argmax_labels`` reads."""
     if labels.dims != field.dims:
         raise DimsMismatchError(f"warp_labels: labels {labels.dims} vs field {field.dims}")
     mask = one_hot(labels)
@@ -291,12 +300,10 @@ def mask_points(stack: MaskStack, u: np.ndarray):
     u_min, u_max = u.min(axis=(1, 2, 3)).tolist(), u.max(axis=(1, 2, 3)).tolist()
     windows = _one_shape([None if box is None else _sample_window(box, u_min, u_max, dims)
                           for box in stack.boxes], dims)
-    points = np.stack([u[(slice(None),) + window] for window in windows], axis=1)
-    starts = np.array([[s.start for s in window] for window in windows], dtype=np.intp)
-    for a, p in enumerate(points):
-        shape = [len(windows), 1, 1, 1]
-        shape[1 + a] = -1
-        p += (starts[:, a:a + 1] + np.arange(p.shape[1 + a])).reshape(shape)
+    points = np.empty((3, len(windows)) + tuple(s.stop - s.start for s in windows[0]))
+    for k, window in enumerate(windows):
+        points[:, k] = u[(slice(None),) + window]
+    add_voxel_coords(points, [[s.start for s in window] for window in windows])
     points -= stack.origins.T[:, :, None, None, None]
     return windows, points
 
@@ -354,8 +361,7 @@ def upsample_field(field: DisplacementField, target_dims) -> DisplacementField:
         raise DimsMismatchError(
             f"upsample_field: target {target_dims} does not ceil-halve to {field.dims}"
         )
-    fine = identity_grid(target_dims)
-    coarse_pts = (fine - 0.5) / 2.0
+    coarse_pts = (np.indices(target_dims, dtype=np.float64) - 0.5) / 2.0
     u = np.stack([sample_volume(field.u[c], coarse_pts) for c in range(3)]) * 2.0
     return DisplacementField(target_dims, tuple(s / 2 for s in field.spacing), u)
 
@@ -419,8 +425,9 @@ class SdLogJResult(NamedTuple):
     excluded: int
 
 
-def sdlogj(field: DisplacementField, eps: float = 1e-6) -> SdLogJResult:
-    """Standard deviation of log det(J(phi)) over voxels with det > eps.
+def sdlogj(field: DisplacementField) -> SdLogJResult:
+    """Standard deviation of log det(J(phi)) over voxels with det >
+    ``DET_EPS``.
 
     Non-positive (or tiny) determinants are excluded and counted; an
     all-excluded field reports 0.0.  A field with an axis under 3 voxels has
@@ -429,7 +436,7 @@ def sdlogj(field: DisplacementField, eps: float = 1e-6) -> SdLogJResult:
     if min(field.dims) < 3:
         return SdLogJResult(0.0, 0)
     det = jacobian_determinant(field).data
-    ok = det > eps
+    ok = det > DET_EPS
     excluded = int(det.size - ok.sum())
     if not ok.any():
         return SdLogJResult(0.0, excluded)

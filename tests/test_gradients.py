@@ -398,9 +398,7 @@ def _gradient_accumulated_from_the_start(state, field):
     wd = state.weights.as_dict()
     dims = state.dims
     grad = np.zeros((3,) + dims)
-    pts = field.u.copy()
-    for a, axis in enumerate(state.grid):
-        pts[a] += axis
+    pts = np.indices(dims) + field.u
     moved, moved_pos = gradients.sample_volume_with_gradient(state.moving.data, pts)
     d_moved = np.zeros(dims)
     windows, mask_pts = gradients.mask_points(state.moving_masks, field.u)

@@ -232,14 +232,6 @@ def test_argmax_labels_matches_dense_argmax_with_ties():
     ties = (channels == channels.max(axis=0)).sum(axis=0) > 1
     assert (ties & (want > 0)).sum() > 20 and (channels.max(axis=0) == 0.5).sum() > 20
     assert np.array_equal(argmax_labels(mask).labels, want)
-    assert np.array_equal(argmax_labels(mask, 0.25).labels,
-                          np.where(channels.max(axis=0) >= 0.25, channels.argmax(axis=0) + 1, 0))
-
-
-@pytest.mark.parametrize("threshold", [0.0, -0.5])
-def test_argmax_labels_rejects_a_threshold_that_is_not_positive(threshold):
-    with pytest.raises(ValueError, match="threshold"):
-        argmax_labels(one_hot(make_labels(np.ones((2, 2, 2), np.int32), 1)), threshold)
 
 
 def test_argmax_labels_needs_no_dense_channel_array():
@@ -254,7 +246,7 @@ def test_argmax_labels_needs_no_dense_channel_array():
     dims = mask.dims
     tracemalloc.start()
     try:
-        out = argmax_labels(mask, threshold=0.1)
+        out = argmax_labels(mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,17 +3,11 @@ import pytest
 
 import oracles
 from protoreg import losses
-from protoreg.gradients import _carried, _contour_pairs, build_state, evaluate_objective
+from protoreg.gradients import _carried, build_state, evaluate_objective
 from protoreg.grids import (
     DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels, one_hot,
 )
-from protoreg.losses import (
-    ContourPointSet,
-    LossWeights,
-    PrototypeSet,
-    extract_contour_points,
-    extract_prototypes,
-)
+from protoreg.losses import LossWeights, PrototypeSet, extract_contour_points, extract_prototypes
 from protoreg.warp import DisplacementField
 
 
@@ -184,6 +178,14 @@ def test_dice_class_count_mismatch():
         build_state(vol, vol, LossWeights(0, 0, 1, 0, 0), a, b, window=3)
 
 
+@pytest.mark.parametrize("weights", [LossWeights(0, 0, 1, 0, 0), LossWeights(0, 0, 0, 0, 1)])
+def test_build_state_rejects_masks_without_a_foreground_class(weights):
+    vol = rand_volume((4, 4, 4), 28)
+    empty = OneHotMask((4, 4, 4), (1, 1, 1), np.zeros((0, 4, 4, 4)))
+    with pytest.raises(ValueError, match="foreground class"):
+        build_state(vol, vol, weights, empty, empty, window=3)
+
+
 # -------------------------------------------------------------- prototypes
 
 def test_prototype_single_voxel_mask():
@@ -337,7 +339,7 @@ def test_contour_single_voxel():
     labels[2, 3, 1] = 1
     pts = extract_contour_points(one_hot(LabelVolume((5, 5, 5), (1, 1, 1), labels, 1)), 1)
     assert len(pts) == 1
-    assert np.array_equal(pts.points[0], [2.0, 3.0, 1.0])
+    assert np.array_equal(pts[0], [2.0, 3.0, 1.0])
 
 
 def test_contour_solid_cube_26_boundary_points():
@@ -345,7 +347,7 @@ def test_contour_solid_cube_26_boundary_points():
     labels[2:5, 2:5, 2:5] = 1
     pts = extract_contour_points(one_hot(LabelVolume((7, 7, 7), (1, 1, 1), labels, 1)), 1)
     assert len(pts) == 26
-    assert not any(np.array_equal(p, [3.0, 3.0, 3.0]) for p in pts.points)
+    assert not any(np.array_equal(p, [3.0, 3.0, 3.0]) for p in pts)
 
 
 def test_contour_subsample_deterministic():
@@ -356,14 +358,14 @@ def test_contour_subsample_deterministic():
     b = extract_contour_points(lv, 1, max_points=10, seed=5)
     c = extract_contour_points(lv, 1, max_points=10, seed=6)
     assert len(a) == 10
-    assert np.array_equal(a.points, b.points)
-    assert not np.array_equal(a.points, c.points)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_contour_empty_region():
     labels = np.zeros((4, 4, 4), np.int32)
     pts = extract_contour_points(one_hot(LabelVolume((4, 4, 4), (1, 1, 1), labels, 1)), 1)
-    assert len(pts) == 0
+    assert pts.shape == (0, 3)
 
 
 def test_chamfer_identical_sets_zero():
@@ -408,7 +410,7 @@ def test_contour_term_skips_a_class_empty_on_one_side():
                          fixed_mask, moving_mask, window=3).values["contour"]
 
     fixed, moving = mask([1, 2]), mask([1], shift=1)
-    want = chamfer(extract_contour_points(fixed, 1).points, extract_contour_points(moving, 1).points)
+    want = chamfer(extract_contour_points(fixed, 1), extract_contour_points(moving, 1))
     assert contour(fixed, moving) == want > 0.0
     assert contour(mask([1]), mask([2])) == 0.0
 
@@ -418,12 +420,11 @@ def test_contour_loss_follows_warp_convention():
     # aligns a moving boundary at x=2 with a fixed boundary at x=3 is u = -1
     # (the same field warp_volume needs to move that content)
     dims = (6, 6, 6)
-    fixed_pts = ContourPointSet(1, np.array([[3.0, 3.0, 3.0]]))
-    moving_pts = ContourPointSet(1, np.array([[2.0, 3.0, 3.0]]))
     u = np.zeros((3,) + dims)
     u[0] = -1.0
     field = DisplacementField(dims, (1, 1, 1), u)
-    pairs = _contour_pairs([fixed_pts], [moving_pts])
+    pairs = (np.array([[3.0, 3.0, 3.0]]), np.zeros(1, int), np.array([[2.0, 3.0, 3.0]]),
+             np.zeros(1, int))
 
     def contour(field):
         return losses._class_chamfer(_carried(pairs, field)[1], *pairs[1:])[0]
@@ -432,17 +433,11 @@ def test_contour_loss_follows_warp_convention():
     assert contour(DisplacementField.zeros(dims)) == pytest.approx(2.0)
 
 
-def test_contour_points_must_be_voxel_centers():
-    for bad in ([[1.5, 2.0, 3.0]], [[-1.0, 2.0, 3.0]]):
-        with pytest.raises(ValueError):
-            ContourPointSet(1, np.array(bad))
-
-
 def test_contour_loss_rejects_points_outside_the_grid():
-    fixed_pts = ContourPointSet(1, np.array([[3.0, 6.0, 3.0]]))
-    moving_pts = ContourPointSet(1, np.array([[2.0, 3.0, 3.0]]))
+    pairs = (np.array([[3.0, 6.0, 3.0]]), np.zeros(1, int), np.array([[2.0, 3.0, 3.0]]),
+             np.zeros(1, int))
     with pytest.raises(ValueError):
-        _carried(_contour_pairs([fixed_pts], [moving_pts]), DisplacementField.zeros((6, 6, 6)))
+        _carried(pairs, DisplacementField.zeros((6, 6, 6)))
 
 
 # -------------------------------------------------------------------- total

@@ -8,7 +8,7 @@ import pytest
 import protoreg
 from protoreg import io, metrics, optimizer
 from protoreg.gradients import build_state, evaluate_objective
-from protoreg.grids import OneHotMask, build_pyramid, one_hot
+from protoreg.grids import LabelVolume, OneHotMask, build_pyramid, one_hot
 from protoreg.losses import LossWeights
 from protoreg.metrics import evaluate
 from protoreg.optimizer import (AdamState, NonFiniteLossError, RegistrationConfig, adam_step,
@@ -72,7 +72,10 @@ def test_config_from_dict():
     config = RegistrationConfig(levels=3, iterations=(7, 5, 3), learning_rate=1e-2,
                                 weights=LossWeights(1, 2, 0, 0.5, 0.1), window=5,
                                 max_contour_points=128, temperature=0.2, seed=4)
-    assert RegistrationConfig.from_dict(config.to_dict()) == config
+    assert RegistrationConfig.from_dict({
+        "levels": 3, "iterations": [7, 5, 3], "learning_rate": 1e-2,
+        "weights": [1, 2, 0, 0.5, 0.1], "window": 5, "max_contour_points": 128,
+        "temperature": 0.2, "seed": 4}) == config
     # the shape the benchmark's workloads pass: list weights, list iterations
     benchmark = {"levels": 4, "learning_rate": 1e-2, "beta1": 0.9, "beta2": 0.999,
                  "adam_eps": 1e-8, "weights": [1.0, 4.0, 1.0, 1.0, 0.1], "window": 9,
@@ -163,6 +166,18 @@ def test_register_pair_takes_label_maps_of_one_anatomy_lacking_the_top_class(tmp
     result = register_pair(image, image, fixed_mask, moving_mask, config)
     assert np.isfinite(result.field.u).all()
     assert result.final_breakdown.values["seg"] > 0
+
+
+def test_register_pair_without_a_foreground_class_registers_on_intensity(caplog):
+    # two all-background label maps leave the mask terms nothing to read
+    pair = small_pair(0)
+    empty = LabelVolume(pair.fixed.dims, (1, 1, 1), np.zeros(pair.fixed.dims, np.int32), 0)
+    with caplog.at_level(logging.WARNING, logger="protoreg.optimizer"):
+        result = register_pair(pair.fixed, pair.moving, empty, empty, CONFIG)
+    assert "unsupervised mode" in caplog.text and result.unsupervised
+    assert not any(result.final_breakdown.weights.as_dict()[name] for name in
+                   ("seg", "prototype", "contour"))
+    assert np.isfinite(result.field.u).all()
 
 
 def test_adam_step_is_the_closed_form_update():

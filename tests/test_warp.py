@@ -9,7 +9,7 @@ from protoreg.grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, a
 from protoreg.warp import (
     SAMPLE_BLOCK,
     DisplacementField,
-    identity_grid,
+    add_voxel_coords,
     jacobian_determinant,
     sample_volume,
     sample_volume_with_gradient,
@@ -253,6 +253,24 @@ def test_warp_linearity_in_volume():
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+@pytest.mark.parametrize("window", [(slice(0, 5), slice(0, 5), slice(0, 4)),
+                                    (slice(1, 4), slice(0, 5), slice(2, 3))])
+def test_add_voxel_coords_makes_p_plus_u_on_a_window(window):
+    dims = (5, 5, 4)
+    u = rand_field(dims, 0.7, 12).u
+    block = (slice(None),) + window
+    want = np.indices(dims)[block] + u[block]
+    points = u[block].copy()
+    assert add_voxel_coords(points, [s.start for s in window]) is points
+    assert np.array_equal(points, want)
+    # a stack of windows of one shape, each with its own start
+    other = (slice(None),) + tuple(slice(0, s.stop - s.start) for s in window)
+    stack = np.stack([u[block], u[other]], axis=1)
+    add_voxel_coords(stack, [[s.start for s in window], [0, 0, 0]])
+    assert np.array_equal(stack[:, 0], want)
+    assert np.array_equal(stack[:, 1], np.indices(dims)[other] + u[other])
+
+
 def test_warp_dims_mismatch():
     with pytest.raises(DimsMismatchError):
         warp_volume(rand_volume((4, 4, 4)), DisplacementField.zeros((3, 3, 3)))
@@ -284,7 +302,7 @@ def test_warp_labels_half_shift_fractional_boundary():
 def dense_warp_labels(labels, u):
     """The dense composition: every one-hot channel warped over the whole
     grid, clipped to [0, 1], then ``argmax_labels``."""
-    pts = identity_grid(labels.dims) + u
+    pts = np.indices(labels.dims, dtype=np.float64) + u
     channels = one_hot(labels).channels
     warped = np.stack([sample_volume(ch, pts) for ch in channels])
     return argmax_labels(OneHotMask(labels.dims, labels.spacing, np.clip(warped, 0.0, 1.0)))
