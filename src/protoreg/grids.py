@@ -6,12 +6,13 @@ serialized layout (see :mod:`protoreg.io`) is x-fastest / z-slowest, which is
 Fortran order for arrays shaped this way.  Instances are treated as immutable
 after construction and are safe to share across threads.
 
-A one-hot mask is crop-backed: each channel is held only on its support box
-(``ChannelCrop``), and nothing here makes a (K, nx, ny, nz) array except the
-``OneHotMask.channels`` view.  ``one_hot`` takes the boxes from the label
-map (``ndimage.find_objects``), ``downsample`` halves each crop on the
-whole grid's cells, so a coarse crop is the dense pyramid's crop bit for
-bit, and ``argmax_labels`` keeps a running maximum over the crops.
+A one-hot mask is crop-backed: each channel is held only on a box
+(``ChannelCrop``), and nothing here makes a (K, nx, ny, nz) array.
+``one_hot`` and ``downsample`` trim each crop to its channel's support:
+``one_hot`` takes the boxes from the label map (``ndimage.find_objects``),
+and ``downsample`` halves each crop on the whole grid's cells, so a coarse
+crop is the dense pyramid's crop bit for bit.  ``argmax_labels`` keeps a
+running maximum over the crops.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class LabelVolume:
 
 
 class ChannelCrop(NamedTuple):
-    """One mask channel on its support box: ``values`` placed with its first
-    voxel at grid voxel ``origin``, and 0 everywhere else."""
+    """One mask channel on a box: ``values`` placed with its first voxel at
+    grid voxel ``origin``, and 0 everywhere else."""
 
     origin: tuple
     values: np.ndarray      # (bx, by, bz)
@@ -96,85 +97,24 @@ class ChannelCrop(NamedTuple):
         return tuple((o, o + m - 1) for o, m in zip(self.origin, self.values.shape))
 
 
-@dataclass(frozen=True, init=False)
-class OneHotMask:
+class OneHotMask(NamedTuple):
     """Per-class soft channels in [0, 1]; background has no channel.
 
     Channel k-1 corresponds to label k.  Hard masks are {0, 1} valued;
     downsampled and warped masks become soft.  Each channel is kept only on
-    its support box (``crops``: a ``ChannelCrop`` per channel, None for an
-    all-zero one); every crop is trimmed to the channel's non-zero index
-    range, so the boxes are the channels' supports.  No (K, nx, ny, nz)
-    array is held.
-
-    ``OneHotMask(dims, spacing, channels)`` crops dense (K, nx, ny, nz)
-    channels; ``OneHotMask(dims, spacing, crops=...)`` takes the crops.
-    ``channels`` densifies on each read, as a dense reference for the
-    tests; the registration path never reads it.
+    a crop (``crops``: a ``ChannelCrop`` per channel, None for an all-zero
+    one) that contains the channel's support, and is the support itself
+    when ``one_hot`` or ``downsample`` made it.  No (K, nx, ny, nz) array is
+    held.
     """
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
+    dims: tuple
+    spacing: tuple
     crops: tuple
-
-    def __init__(self, dims, spacing, channels=None, *, crops=None):
-        dims = tuple(int(d) for d in dims)
-        if (channels is None) == (crops is None):
-            raise TypeError("OneHotMask: pass either channels or crops")
-        if channels is not None:
-            channels = np.asarray(channels, dtype=np.float64)
-            if channels.ndim != 4 or channels.shape[1:] != dims:
-                raise ValueError(
-                    f"OneHotMask: channels shape {channels.shape} incompatible with dims {dims}"
-                )
-            crops = [ChannelCrop((0, 0, 0), ch) for ch in channels]
-        crops = tuple(None if crop is None else _trimmed(crop, dims) for crop in crops)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
-        object.__setattr__(self, "crops", crops)
 
     @property
     def num_classes(self) -> int:
         return len(self.crops)
-
-    @property
-    def channels(self) -> np.ndarray:
-        """The dense (K, nx, ny, nz) channels, made anew on each read."""
-        out = np.zeros((self.num_classes,) + self.dims)
-        for channel, crop in zip(out, self.crops):
-            if crop is not None:
-                channel[crop.box] = crop.values
-        return out
-
-
-def _support(values: np.ndarray):
-    """Per axis the non-zero index range (a, b) of a 3-D array; None when
-    it is all zero."""
-    support = []
-    for axis in range(3):
-        others = tuple(a for a in range(3) if a != axis)
-        nonzero = np.flatnonzero(values.any(axis=others))
-        if nonzero.size == 0:
-            return None
-        support.append((int(nonzero[0]), int(nonzero[-1])))
-    return tuple(support)
-
-
-def _trimmed(crop, dims) -> ChannelCrop | None:
-    """A float64 copy of ``crop`` (an (origin, values) pair) trimmed to its
-    non-zero index range; None when it is all zero.  Raises ``ValueError``
-    for a crop that leaves the grid or a value outside [0, 1]."""
-    origin, values = tuple(int(o) for o in crop[0]), np.asarray(crop[1])
-    if values.ndim != 3 or any(o < 0 or o + m > n for o, m, n in zip(origin, values.shape, dims)):
-        raise ValueError(f"OneHotMask: crop of shape {values.shape} at {origin} "
-                         f"leaves the grid {dims}")
-    support = _support(values)
-    if support is None:
-        return None
-    values = values[tuple(slice(a, b + 1) for a, b in support)].astype(np.float64)
-    if values.min() < -1e-9 or values.max() > 1 + 1e-9:
-        raise ValueError("OneHotMask: channel values must lie in [0, 1]")
-    return ChannelCrop(tuple(o + a for o, (a, _) in zip(origin, support)), values)
 
 
 def _on_windows(crops, windows) -> np.ndarray:
@@ -204,10 +144,11 @@ def one_hot(labels: LabelVolume) -> OneHotMask:
     """Label k as the hard channel k-1, each cropped to the label's box
     (``ndimage.find_objects``); no (K, nx, ny, nz) array is made."""
     boxes = ndimage.find_objects(labels.labels, max_label=labels.num_classes)
-    crops = [None if box is None else
-             ChannelCrop(tuple(s.start for s in box), labels.labels[box] == c)
-             for c, box in enumerate(boxes, start=1)]
-    return OneHotMask(labels.dims, labels.spacing, crops=crops)
+    crops = tuple(None if box is None else
+                  ChannelCrop(tuple(s.start for s in box),
+                              (labels.labels[box] == c).astype(np.float64))
+                  for c, box in enumerate(boxes, start=1))
+    return OneHotMask(labels.dims, labels.spacing, crops)
 
 
 def argmax_labels(mask: OneHotMask) -> LabelVolume:
@@ -257,7 +198,9 @@ def downsample(grid):
     the crop is grown to start at an even index and to end at an even index
     or the grid's end, with zeros, so its cells are the whole grid's cells
     and each coarse value is formed by the same operations as on the dense
-    channel, bit for bit.
+    channel, bit for bit.  Each coarse slab of a crop trimmed to its
+    support averages a slab that holds a non-zero, so the coarse crop is
+    trimmed too.
     """
     spacing = tuple(s * 2 if d >= 2 else s for s, d in zip(grid.spacing, grid.dims))
     if isinstance(grid, Volume):
@@ -276,8 +219,8 @@ def downsample(grid):
             cells = _on_windows([crop], [tuple(map(slice, start, stop))])[0]
             for ax in range(3):
                 cells = _box_mean_axis(cells, ax)
-            crops.append(ChannelCrop(tuple(a // 2 for a in start), np.clip(cells, 0.0, 1.0)))
-        return OneHotMask(halved_dims(grid.dims), spacing, crops=crops)
+            crops.append(ChannelCrop(tuple(a // 2 for a in start), cells))
+        return OneHotMask(halved_dims(grid.dims), spacing, tuple(crops))
     raise TypeError(f"downsample: unsupported grid type {type(grid).__name__}")
 
 

@@ -53,12 +53,15 @@ LABEL_TOLERANCE = 1e-3   # largest distance of a stored label from an integer
 
 def _integral_labels(data: np.ndarray, path) -> np.ndarray:
     """``data`` as int32 labels; a value more than ``LABEL_TOLERANCE`` from
-    an integer, or not finite, raises ``IOFormatError`` (the tolerance
-    admits integers scaled by a float32 ``scl_slope``)."""
+    an integer, not finite or negative raises ``IOFormatError`` (the
+    tolerance admits integers scaled by a float32 ``scl_slope``)."""
     labels = np.rint(data)
     if not (np.abs(data - labels) <= LABEL_TOLERANCE).all():
         raise IOFormatError(f"{path}: non-integral values cannot be labels")
-    return labels.astype(np.int32)
+    labels = labels.astype(np.int32)
+    if labels.min(initial=0) < 0:
+        raise IOFormatError(f"{path}: negative values cannot be labels")
+    return labels
 
 
 # ---------------------------------------------------------------- raw format
@@ -125,8 +128,6 @@ def read_raw(path):
         labels = flat.reshape(dims, order="F")
         k = int(meta.get("num_classes", labels.max() if labels.size else 0))
         labels = _integral_labels(labels, raw_path)
-        if labels.min(initial=0) < 0:
-            raise IOFormatError(f"{raw_path}: negative values cannot be labels")
         if labels.max(initial=0) > k:
             raise MalformedHeaderError(f"{json_path}: num_classes {k} is below the largest "
                                        f"stored label {labels.max()}")
@@ -171,7 +172,10 @@ def read_nifti(path, kind: str = "image"):
     dim = struct.unpack_from("<8h", blob, 40)
     if not 1 <= dim[0] <= 3:
         raise MalformedHeaderError(f"{path}: only 3D images supported, dim[0]={dim[0]}")
-    dims = tuple(max(1, dim[i]) for i in (1, 2, 3))
+    # NIfTI-1 ignores the entries past dim[0]
+    dims = tuple(dim[i] if i <= dim[0] else 1 for i in (1, 2, 3))
+    if min(dims) < 1:
+        raise MalformedHeaderError(f"{path}: dim[1..{dim[0]}] = {dim[1:dim[0] + 1]} must be >= 1")
 
     datatype, bitpix = struct.unpack_from("<2h", blob, 70)
     if datatype not in _NIFTI_DTYPES:
@@ -210,8 +214,6 @@ def read_nifti(path, kind: str = "image"):
 
     if kind == "labels":
         labels = _integral_labels(data, path)
-        if labels.min() < 0:
-            raise IOFormatError(f"{path}: negative values cannot be labels")
         return LabelVolume(dims, spacing, labels, int(labels.max()))
     return Volume(dims, spacing, data)
 

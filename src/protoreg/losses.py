@@ -51,7 +51,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.spatial import cKDTree
 
-from .grids import OneHotMask, _on_windows
+from .grids import FOREGROUND_THRESHOLD, OneHotMask, _on_windows
 from .warp import _one_shape, central_difference, central_difference_adjoint
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
@@ -448,8 +448,9 @@ def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.n
 
 def extract_contour_points(mask: OneHotMask, class_label: int, max_points: int = 2048,
                            seed: int = 0) -> np.ndarray:
-    """Boundary voxels of one class region (channel values >= 0.5), as
-    (N, 3) grid coordinates, optionally subsampled.
+    """Boundary voxels of one class region (channel values at or above
+    ``FOREGROUND_THRESHOLD``), as (N, 3) grid coordinates, optionally
+    subsampled.
 
     A voxel is a boundary voxel when it is foreground and at least one of its
     six face neighbors is background; neighbors outside the volume count as
@@ -459,7 +460,7 @@ def extract_contour_points(mask: OneHotMask, class_label: int, max_points: int =
     crop = mask.crops[class_label - 1]
     if crop is None:
         return np.zeros((0, 3))
-    fg = crop.values >= 0.5
+    fg = crop.values >= FOREGROUND_THRESHOLD
     # a layer of background around the crop stands for everything outside it
     padded = np.pad(fg, 1)
     interior = fg.copy()

@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import (ChannelCrop, DimsMismatchError, LabelVolume, OneHotMask, Volume, _on_windows,
-                    argmax_labels, halved_dims, one_hot)
+                    _validate_grid, argmax_labels, halved_dims, one_hot)
 
 # Points per block of the trilinear sampler.  A call's workspace holds 17.4
 # rows of a block, 0.57 MB at 4,096 points, under one 48^3 grid array.  One
@@ -96,6 +96,7 @@ class DisplacementField:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
         if self.u.shape != (3,) + self.dims:
             raise ValueError(f"DisplacementField: u shape {self.u.shape} != (3, *{self.dims})")
+        _validate_grid(self.dims, self.spacing, self.u[0], "DisplacementField")
         if not np.isfinite(self.u).all():
             raise ValueError("DisplacementField: non-finite displacement values")
 
@@ -247,7 +248,8 @@ def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
     """Hard-label warp: ``argmax_labels`` of the one-hot channels warped
     (clipped to [0, 1]).  The channels are sampled on their windows (see
     the module docstring), so no (K, nx, ny, nz) array is made: the warped
-    windows are the crops of the mask ``argmax_labels`` reads."""
+    windows are the crops of the mask ``argmax_labels`` reads, untrimmed,
+    as each contains its channel's support."""
     if labels.dims != field.dims:
         raise DimsMismatchError(f"warp_labels: labels {labels.dims} vs field {field.dims}")
     mask = one_hot(labels)
@@ -257,8 +259,8 @@ def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
     windows, points = mask_points(stack, field.u)
     values = sample_volume(stack.values, points)
     np.clip(values, 0.0, 1.0, out=values)
-    crops = [ChannelCrop(tuple(s.start for s in window), v) for window, v in zip(windows, values)]
-    return argmax_labels(OneHotMask(labels.dims, labels.spacing, crops=crops))
+    crops = tuple(ChannelCrop(tuple(s.start for s in w), v) for w, v in zip(windows, values))
+    return argmax_labels(OneHotMask(labels.dims, labels.spacing, crops))
 
 
 # ------------------------------------------------- masks on their support

@@ -4,7 +4,9 @@ finite-difference tools of the gradient checks.
 Every oracle except ``dense_seg`` is written as plain loops over
 voxels/windows/points, sharing no code with the package's vectorized paths;
 ``dense_seg`` is plain numpy and shares only the trilinear sampler
-(``sample_volume_with_gradient``) with the package.
+(``sample_volume_with_gradient``) with the package.  ``mask_from_channels``
+and ``dense_channels`` convert between dense (K, nx, ny, nz) channels and
+the package's crop-backed ``OneHotMask``.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from protoreg import gradients, losses
+from protoreg.grids import ChannelCrop, OneHotMask
 from protoreg.warp import DisplacementField, sample_volume_with_gradient
 
 
@@ -207,6 +210,34 @@ def dense_seg(fixed_ch, moving_ch, u, eps=1e-7, presence=1e-7):
         d_moved = -(2.0 * fixed_ch[i] / b - 2.0 * inter[i] / (b * b)) / n_present
         grad += d_moved * samples[i][1]
     return value, grad
+
+
+# ------------------------------------------------------------- dense masks
+
+def mask_from_channels(dims, spacing, channels) -> OneHotMask:
+    """The mask of dense (K, nx, ny, nz) ``channels``, each cropped to its
+    non-zero index range, or None when it is all zero."""
+    dims = tuple(int(d) for d in dims)
+    channels = np.asarray(channels, dtype=np.float64)
+    assert channels.ndim == 4 and channels.shape[1:] == dims, (channels.shape, dims)
+    crops = []
+    for channel in channels:
+        nonzero = np.argwhere(channel)
+        if len(nonzero) == 0:
+            crops.append(None)
+            continue
+        lo, hi = nonzero.min(axis=0), nonzero.max(axis=0) + 1
+        crops.append(ChannelCrop(tuple(lo.tolist()), channel[tuple(map(slice, lo, hi))].copy()))
+    return OneHotMask(dims, tuple(float(s) for s in spacing), tuple(crops))
+
+
+def dense_channels(mask: OneHotMask) -> np.ndarray:
+    """The dense (K, nx, ny, nz) channels of ``mask``."""
+    out = np.zeros((mask.num_classes,) + mask.dims)
+    for channel, crop in zip(out, mask.crops):
+        if crop is not None:
+            channel[crop.box] = crop.values
+    return out
 
 
 # --------------------------------------------------------- FD verification

@@ -12,7 +12,7 @@ from protoreg.gradients import (
     evaluate_objective,
     term_evaluator,
 )
-from protoreg.grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, one_hot
+from protoreg.grids import DimsMismatchError, LabelVolume, Volume, one_hot
 from protoreg.losses import LossWeights
 from protoreg.warp import DisplacementField
 
@@ -28,7 +28,7 @@ def soft_mask(seed, k=3, dims=DIMS):
     rng = np.random.default_rng(seed)
     ch = rng.uniform(0.05, 0.95, size=(k,) + dims)
     ch /= np.maximum(ch.sum(axis=0), 1.0)[None]
-    return OneHotMask(dims, (1, 1, 1), ch)
+    return oracles.mask_from_channels(dims, (1, 1, 1), ch)
 
 
 def rand_field(seed, scale=0.3, offset=0.13, dims=DIMS):
@@ -229,9 +229,9 @@ def test_term_values_match_oracle_composition(state, masks):
     u = field.u
 
     moved = oracles.warp(state.moving.data, u)
-    fixed_ch = masks[0].channels
+    fixed_ch = oracles.dense_channels(masks[0])
     moved_ch = np.stack([np.clip(oracles.warp(ch, u), 0.0, 1.0)
-                         for ch in masks[1].channels])
+                         for ch in oracles.dense_channels(masks[1])])
 
     feats_f = _oracle_features(state.fixed.data)
     feats_m = _oracle_features(moved)
@@ -301,8 +301,8 @@ def _assert_seg_matches_dense(state, u):
     # order than the dense oracle, which moves the result by about 1e-16
     # relative
     value, grad = term_evaluator(state, "seg")(DisplacementField(state.dims, (1, 1, 1), u))
-    fixed, moving = _compact_masks()
-    want_value, want_grad = oracles.dense_seg(fixed.channels, moving.channels, u)
+    fixed, moving = (oracles.dense_channels(mask) for mask in _compact_masks())
+    want_value, want_grad = oracles.dense_seg(fixed, moving, u)
     assert value == pytest.approx(want_value, rel=1e-12)
     assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
     assert grad.any()
@@ -596,9 +596,9 @@ def test_contour_voxel_of_two_classes_gets_both_gradients():
     labels = np.zeros(DIMS, np.int32)
     labels[1:3, 1:4, 1:4] = 1
     labels[3:5, 1:4, 1:4] = 2
-    channels = one_hot(LabelVolume(DIMS, (1, 1, 1), labels, 2)).channels.copy()
+    channels = oracles.dense_channels(one_hot(LabelVolume(DIMS, (1, 1, 1), labels, 2)))
     channels[:, 2, 2, 2] = 0.5
-    fixed = OneHotMask(DIMS, (1, 1, 1), channels)
+    fixed = oracles.mask_from_channels(DIMS, (1, 1, 1), channels)
     moving = one_hot(LabelVolume(DIMS, (1, 1, 1), np.roll(labels, 1, axis=1), 2))
     st = build_state(rand_volume(71), rand_volume(72), LossWeights(0, 0, 0, 0, 1),
                      fixed, moving, window=3, max_points=512)

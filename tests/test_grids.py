@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from protoreg.grids import (
-    ChannelCrop,
     LabelVolume,
-    OneHotMask,
     Volume,
     argmax_labels,
     build_pyramid,
@@ -24,26 +23,26 @@ def test_one_hot_all_background():
     lv = make_labels(np.zeros((3, 3, 3), np.int32), 2)
     oh = one_hot(lv)
     assert oh.num_classes == 2
-    assert not oh.channels.any()
+    assert not oracles.dense_channels(oh).any()
 
 
 def test_one_hot_single_voxel():
     labels = np.zeros((3, 3, 3), np.int32)
     labels[1, 2, 0] = 2
-    oh = one_hot(make_labels(labels, 3))
-    assert oh.channels[1].sum() == 1.0
-    assert oh.channels[1][1, 2, 0] == 1.0
-    assert not oh.channels[0].any() and not oh.channels[2].any()
+    channels = oracles.dense_channels(one_hot(make_labels(labels, 3)))
+    assert channels[1].sum() == 1.0
+    assert channels[1][1, 2, 0] == 1.0
+    assert not channels[0].any() and not channels[2].any()
 
 
 def test_one_hot_channel_sums_match_foreground():
     rng = np.random.default_rng(3)
     labels = rng.integers(0, 4, size=(4, 4, 4))
-    oh = one_hot(make_labels(labels, 3))
+    channels = oracles.dense_channels(one_hot(make_labels(labels, 3)))
     # oracle: enumerate voxels directly
     for idx in np.ndindex(4, 4, 4):
         expected = 1.0 if labels[idx] > 0 else 0.0
-        assert oh.channels[(slice(None),) + idx].sum() == expected
+        assert channels[(slice(None),) + idx].sum() == expected
 
 
 def test_one_hot_argmax_roundtrip():
@@ -97,7 +96,7 @@ def test_downsample_onehot_goes_soft():
     oh = one_hot(make_labels(labels, 1))
     down = downsample(oh)
     assert down.dims == (2, 2, 2)
-    assert down.channels[0][0, 0, 0] == pytest.approx(1 / 8)
+    assert oracles.dense_channels(down)[0][0, 0, 0] == pytest.approx(1 / 8)
 
 
 def test_pyramid_dims_16():
@@ -140,38 +139,6 @@ def test_label_volume_range_check():
         make_labels(np.full((2, 2, 2), 5, np.int32), 3)
 
 
-def test_onehot_range_check():
-    with pytest.raises(ValueError):
-        OneHotMask((2, 2, 2), (1, 1, 1), np.full((1, 2, 2, 2), 1.5))
-
-
-def test_onehot_crop_must_lie_in_the_grid():
-    with pytest.raises(ValueError, match="leaves the grid"):
-        OneHotMask((4, 4, 4), (1, 1, 1), crops=[ChannelCrop((3, 0, 0), np.ones((2, 1, 1)))])
-    with pytest.raises(ValueError, match="leaves the grid"):
-        OneHotMask((4, 4, 4), (1, 1, 1), crops=[ChannelCrop((-1, 0, 0), np.ones((1, 1, 1)))])
-    with pytest.raises(ValueError):
-        OneHotMask((4, 4, 4), (1, 1, 1), crops=[ChannelCrop((0, 0, 0), np.full((1, 1, 1), 1.5))])
-
-
-def test_onehot_keeps_each_channel_on_its_support():
-    rng = np.random.default_rng(5)
-    channels = np.zeros((3, 6, 5, 4))
-    channels[0, 1:3, 2:5, 0:2] = rng.uniform(0.1, 1.0, (2, 3, 2))
-    channels[0, 2, 3, 1] = 0.0                  # a zero inside the support stays
-    channels[2, 5, 4, 3] = 0.5                  # one voxel in the far corner
-    mask = OneHotMask(channels.shape[1:], (1, 1, 1), channels)
-    assert mask.crops[0].origin == (1, 2, 0) and mask.crops[0].values.shape == (2, 3, 2)
-    assert mask.crops[1] is None
-    assert mask.crops[2].support == ((5, 5), (4, 4), (3, 3))
-    assert np.array_equal(mask.channels, channels)
-    # a crop given with zero borders is trimmed to the same support
-    padded = OneHotMask(mask.dims, (1, 1, 1), crops=[
-        ChannelCrop((0, 0, 0), channels[0]), None, ChannelCrop((4, 3, 2), channels[2, 4:, 3:, 2:])])
-    assert [c and c.origin for c in padded.crops] == [c and c.origin for c in mask.crops]
-    assert np.array_equal(padded.channels, channels)
-
-
 def test_one_hot_crops_are_the_label_boxes():
     labels = np.zeros((7, 6, 5), np.int32)
     labels[2:5, 0:2, 4] = 1
@@ -195,7 +162,7 @@ def test_crop_pyramid_equals_dense_pyramid_bit_for_bit(dims):
     # classes: on the x = 0 face, on the three far faces, one voxel at odd
     # indices, absent, and one spanning z whole; each halving starts its
     # crop at an even index, so the crops must be the dense channels' crops
-    # exactly, the dense channels halved as volumes and clipped to [0, 1]
+    # exactly, the dense channels halved as volumes
     labels = np.zeros(dims, np.int32)
     labels[0:3, 2:5, :2] = 1
     labels[-3:, -2:, -1:] = 2
@@ -206,13 +173,13 @@ def test_crop_pyramid_equals_dense_pyramid_bit_for_bit(dims):
     for c in range(1, 6):
         dense = _halvings(Volume(dims, spacing, (labels == c).astype(np.float64)), 3)
         for mask, volume in zip(masks, dense):
-            want = np.clip(volume.data, 0.0, 1.0)
+            want = volume.data
             assert mask.dims == volume.dims and mask.spacing == volume.spacing
             crop = mask.crops[c - 1]
             if crop is None:
                 assert c == 4 and not want.any()
                 continue
-            assert np.array_equal(mask.channels[c - 1], want), (c, mask.dims)
+            assert np.array_equal(oracles.dense_channels(mask)[c - 1], want), (c, mask.dims)
             # the crop is the support: every face of its box holds a non-zero
             nonzero = np.argwhere(want)
             assert crop.support == tuple(zip(nonzero.min(axis=0), nonzero.max(axis=0)))
@@ -227,7 +194,7 @@ def test_argmax_labels_matches_dense_argmax_with_ties():
     channels[:, :2] = 0.0
     channels[1, 3:6, 2:5, 1:4] = 0.0
     channels[:, 4, 4, 4] = 0.5
-    mask = OneHotMask(dims, (1, 1, 1), channels)
+    mask = oracles.mask_from_channels(dims, (1, 1, 1), channels)
     want = np.where(channels.max(axis=0) >= 0.5, channels.argmax(axis=0) + 1, 0)
     ties = (channels == channels.max(axis=0)).sum(axis=0) > 1
     assert (ties & (want > 0)).sum() > 20 and (channels.max(axis=0) == 0.5).sum() > 20

@@ -77,6 +77,14 @@ def test_raw_roundtrip_field(tmp_path):
     assert np.array_equal(back.u, field.u)
 
 
+def test_raw_field_rejects_a_non_positive_spacing(tmp_path):
+    write_raw(DisplacementField.zeros((2, 2, 2)), tmp_path / "field")
+    meta = json.loads((tmp_path / "field.json").read_text())
+    (tmp_path / "field.json").write_text(json.dumps(meta | {"spacing": [0, 0, -2]}))
+    with pytest.raises(ValueError, match="spacing"):
+        read_raw(tmp_path / "field")
+
+
 def test_raw_payload_layout_is_x_fastest(tmp_path):
     data = np.arange(8, dtype=np.float64).reshape(2, 2, 2)
     write_raw(Volume((2, 2, 2), (1, 1, 1), data), tmp_path / "v")
@@ -197,6 +205,24 @@ def test_nifti_truncated_payload(tmp_path):
         read_nifti(path)
 
 
+def test_nifti_rejects_a_non_positive_dim(tmp_path):
+    path = tmp_path / "negative_dim.nii"
+    path.write_bytes(_build_nifti_int16((-4, 3, 2), (1, 1, 1), range(24)))
+    with pytest.raises(MalformedHeaderError, match="dim"):
+        read_nifti(path)
+
+
+def test_nifti_ignores_dims_past_dim0(tmp_path):
+    # dim[0] = 2 with a stale dim[3] = 2: a 4 x 3 image, one slice deep
+    blob = bytearray(_build_nifti_int16((4, 3, 2), (1, 1, 1), range(24)))
+    struct.pack_into("<h", blob, 40, 2)
+    path = tmp_path / "2d.nii"
+    path.write_bytes(bytes(blob))
+    vol = read_nifti(path)
+    assert vol.dims == (4, 3, 1)
+    assert np.array_equal(vol.data[:, :, 0], np.arange(12.0).reshape((4, 3), order="F"))
+
+
 def test_nifti_write_read_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     data = rng.normal(size=(3, 4, 5)).astype(np.float32).astype(np.float64)
@@ -231,6 +257,13 @@ def test_nifti_labels_reject_non_integral_values(tmp_path):
     write_nifti(Volume((2, 2, 2), (1, 1, 1), data), tmp_path / "soft.nii")
     with pytest.raises(IOFormatError, match="non-integral"):
         read_nifti(tmp_path / "soft.nii", kind="labels")
+
+
+def test_nifti_labels_reject_negative_values(tmp_path):
+    path = tmp_path / "negative.nii"
+    path.write_bytes(_build_nifti_int16((2, 2, 2), (1, 1, 1), [0, -1] * 4))
+    with pytest.raises(IOFormatError, match="negative"):
+        read_nifti(path, kind="labels")
 
 
 def test_nifti_labels_accept_integers_scaled_by_a_float32_slope(tmp_path):

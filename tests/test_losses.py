@@ -5,7 +5,7 @@ import oracles
 from protoreg import losses
 from protoreg.gradients import _carried, build_state, evaluate_objective
 from protoreg.grids import (
-    DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels, one_hot,
+    DimsMismatchError, LabelVolume, Volume, argmax_labels, one_hot,
 )
 from protoreg.losses import LossWeights, PrototypeSet, extract_contour_points, extract_prototypes
 from protoreg.warp import DisplacementField
@@ -20,7 +20,7 @@ def soft_mask(dims, k, seed):
     rng = np.random.default_rng(seed)
     ch = rng.uniform(0.05, 0.95, size=(k,) + dims)
     ch /= np.maximum(ch.sum(axis=0), 1.0)[None]
-    return OneHotMask(dims, (1, 1, 1), ch)
+    return oracles.mask_from_channels(dims, (1, 1, 1), ch)
 
 
 def lncc(fixed, moved, window):
@@ -31,7 +31,8 @@ def lncc(fixed, moved, window):
 
 def dice(fixed, moved):
     """The Dice term of two masks on the whole grid (``losses._dice``)."""
-    return losses._dice(fixed.channels, losses._fixed_mass(fixed), moved.channels)[0]
+    return losses._dice(oracles.dense_channels(fixed), losses._fixed_mass(fixed),
+                        oracles.dense_channels(moved))[0]
 
 
 def contrast(features, mask, protos, temperature=0.1):
@@ -159,7 +160,8 @@ def test_dice_disjoint_single_voxels():
 def test_dice_matches_oracle_on_soft_masks():
     a = soft_mask((4, 4, 4), 3, 21)
     b = soft_mask((4, 4, 4), 3, 22)
-    assert dice(a, b) == pytest.approx(oracles.dice_loss(a.channels, b.channels), rel=1e-12)
+    want = oracles.dice_loss(oracles.dense_channels(a), oracles.dense_channels(b))
+    assert dice(a, b) == pytest.approx(want, rel=1e-12)
 
 
 def test_dice_symmetric_and_bounded():
@@ -181,7 +183,7 @@ def test_dice_class_count_mismatch():
 @pytest.mark.parametrize("weights", [LossWeights(0, 0, 1, 0, 0), LossWeights(0, 0, 0, 0, 1)])
 def test_build_state_rejects_masks_without_a_foreground_class(weights):
     vol = rand_volume((4, 4, 4), 28)
-    empty = OneHotMask((4, 4, 4), (1, 1, 1), np.zeros((0, 4, 4, 4)))
+    empty = oracles.mask_from_channels((4, 4, 4), (1, 1, 1), np.zeros((0, 4, 4, 4)))
     with pytest.raises(ValueError, match="foreground class"):
         build_state(vol, vol, weights, empty, empty, window=3)
 
@@ -193,7 +195,7 @@ def test_prototype_single_voxel_mask():
     feats = np.random.default_rng(30).normal(size=(2,) + dims)
     ch = np.zeros((1,) + dims)
     ch[0, 1, 2, 0] = 1.0
-    protos = extract_prototypes(feats, OneHotMask(dims, (1, 1, 1), ch))
+    protos = extract_prototypes(feats, oracles.mask_from_channels(dims, (1, 1, 1), ch))
     assert np.allclose(protos.vectors[0], feats[:, 1, 2, 0])
 
 
@@ -213,7 +215,7 @@ def test_prototype_matches_weighted_mean_oracle():
     feats = rng.normal(size=(3,) + dims)
     mask = soft_mask(dims, 2, 33)
     protos = extract_prototypes(feats, mask)
-    want, present = oracles.prototypes(feats, mask.channels)
+    want, present = oracles.prototypes(feats, oracles.dense_channels(mask))
     assert np.array_equal(protos.present, present)
     assert np.allclose(protos.vectors, want, rtol=1e-12)
 
@@ -223,7 +225,7 @@ def test_prototype_absent_class():
     feats = np.ones((2,) + dims)
     ch = np.zeros((2,) + dims)
     ch[0, 0, 0, 0] = 1.0
-    protos = extract_prototypes(feats, OneHotMask(dims, (1, 1, 1), ch))
+    protos = extract_prototypes(feats, oracles.mask_from_channels(dims, (1, 1, 1), ch))
     assert protos.present[0] and not protos.present[1]
 
 
@@ -234,7 +236,7 @@ def test_contrast_single_class_is_zero():
     feats = np.random.default_rng(40).normal(size=(2,) + dims)
     ch = np.zeros((1,) + dims)
     ch[0, :2] = 1.0
-    mask = OneHotMask(dims, (1, 1, 1), ch)
+    mask = oracles.mask_from_channels(dims, (1, 1, 1), ch)
     protos = extract_prototypes(feats, mask)
     assert contrast(feats, mask, protos) == 0.0
 
@@ -246,7 +248,7 @@ def test_contrast_orthogonal_prototypes_closed_form():
     ch = np.zeros((2,) + dims)
     ch[0, 0] = 1.0
     ch[1, 1] = 1.0
-    mask = OneHotMask(dims, (1, 1, 1), ch)
+    mask = oracles.mask_from_channels(dims, (1, 1, 1), ch)
     feats_arr = np.zeros((2,) + dims)
     feats_arr[0, 0] = 1.0     # class-1 voxels -> e_0
     feats_arr[1, 1] = 1.0     # class-2 voxels -> e_1

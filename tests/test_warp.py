@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from protoreg.grids import DimsMismatchError, LabelVolume, OneHotMask, Volume, argmax_labels, one_hot
+from protoreg.grids import DimsMismatchError, LabelVolume, Volume, argmax_labels, one_hot
 from protoreg.warp import (
     SAMPLE_BLOCK,
     DisplacementField,
@@ -35,6 +35,15 @@ def rand_field(dims, scale, seed=0, offset=0.0):
 def sample_at(vol, point):
     """``sample_volume`` of ``vol`` at one point."""
     return sample_volume(vol.data, np.reshape(point, (3, 1)).astype(float))[0]
+
+
+def test_displacement_field_checks_dims_and_spacing_like_volume():
+    with pytest.raises(ValueError, match="spacing"):
+        DisplacementField((2, 2, 2), (0, -1, 0), np.zeros((3, 2, 2, 2)))
+    with pytest.raises(ValueError, match="dims"):
+        DisplacementField((0, 2, 2), (1, 1, 1), np.zeros((3, 0, 2, 2)))
+    with pytest.raises(ValueError, match="dims"):
+        DisplacementField((2, 2), (1, 1, 1), np.zeros((3, 2, 2)))
 
 
 def test_trilinear_voxel_center():
@@ -303,9 +312,10 @@ def dense_warp_labels(labels, u):
     """The dense composition: every one-hot channel warped over the whole
     grid, clipped to [0, 1], then ``argmax_labels``."""
     pts = np.indices(labels.dims, dtype=np.float64) + u
-    channels = one_hot(labels).channels
+    channels = oracles.dense_channels(one_hot(labels))
     warped = np.stack([sample_volume(ch, pts) for ch in channels])
-    return argmax_labels(OneHotMask(labels.dims, labels.spacing, np.clip(warped, 0.0, 1.0)))
+    return argmax_labels(oracles.mask_from_channels(labels.dims, labels.spacing,
+                                                    np.clip(warped, 0.0, 1.0)))
 
 
 def oracle_warp_labels(labels, u):
