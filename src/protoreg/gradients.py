@@ -221,7 +221,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     grad = np.zeros((3,) + dims) if with_grad else None
     if wd["smooth"] > 0:
         # the accumulator's first writer: its gradient goes straight in
-        values["smooth"], _ = losses._smoothness(field.u, with_grad, grad)
+        values["smooth"], _ = losses._smoothness(field.u, grad)
         if with_grad:
             grad *= wd["smooth"]
 

@@ -1,10 +1,11 @@
 """Grid containers (volumes, label maps, one-hot masks) and image pyramids
 (``build_pyramid``: a tuple of grids, finest first, each halved).
 
-All grids are indexed ``data[x, y, z]`` with ``data.shape == dims``.  The
-serialized layout (see :mod:`protoreg.io`) is x-fastest / z-slowest, which is
-Fortran order for arrays shaped this way.  Instances are treated as immutable
-after construction and are safe to share across threads.
+All grids are indexed ``data[x, y, z]`` with ``data.shape == dims`` on
+C-ordered arrays: each constructor takes its array with
+``np.ascontiguousarray``, so no code past it sees another layout.  The
+serialized layout (:mod:`protoreg.io`) is x-fastest / z-slowest.  Grids are
+immutable after construction and safe to share across threads.
 
 A one-hot mask is crop-backed: each channel is held only on a box
 (``ChannelCrop``), and nothing here makes a (K, nx, ny, nz) array.
@@ -32,13 +33,13 @@ class DimsMismatchError(ValueError):
     """Two grids that must share a voxel lattice do not."""
 
 
-def _validate_grid(dims, spacing, data, name):
+def _validate_grid(dims, spacing, shape, name):
     if len(dims) != 3 or any(int(d) < 1 for d in dims):
         raise ValueError(f"{name}: dims must be three counts >= 1, got {dims}")
-    if len(spacing) != 3 or any(float(s) <= 0 for s in spacing):
-        raise ValueError(f"{name}: spacing must be three positive lengths, got {spacing}")
-    if data.shape != tuple(dims):
-        raise ValueError(f"{name}: data shape {data.shape} != dims {tuple(dims)}")
+    if len(spacing) != 3 or not all(0.0 < float(s) < np.inf for s in spacing):
+        raise ValueError(f"{name}: spacing must be three finite positive lengths, got {spacing}")
+    if shape != tuple(dims):
+        raise ValueError(f"{name}: data shape {shape} != dims {tuple(dims)}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ class Volume:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
-        _validate_grid(self.dims, self.spacing, self.data, "Volume")
+        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float64))
+        _validate_grid(self.dims, self.spacing, self.data.shape, "Volume")
         if not np.isfinite(self.data).all():
             raise ValueError("Volume: data contains non-finite values")
 
@@ -70,9 +71,9 @@ class LabelVolume:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int32))
+        object.__setattr__(self, "labels", np.ascontiguousarray(self.labels, dtype=np.int32))
         object.__setattr__(self, "num_classes", int(self.num_classes))
-        _validate_grid(self.dims, self.spacing, self.labels, "LabelVolume")
+        _validate_grid(self.dims, self.spacing, self.labels.shape, "LabelVolume")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) > self.num_classes:
             raise ValueError(
                 f"LabelVolume: labels must lie in [0, {self.num_classes}], "

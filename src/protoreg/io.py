@@ -4,7 +4,8 @@ Raw format: ``<name>.f32raw`` holds a little-endian float32 payload in
 x-fastest/z-slowest order; ``<name>.json`` is a sidecar with
 ``{dims, spacing, kind, num_classes}``.  Displacement fields store the three
 components consecutively, each in the same layout, with ``kind: "field"``
-and ``units: "voxels"``.
+and ``units: "voxels"``.  A read converts an x-fastest payload to the C order
+that grids hold (:mod:`protoreg.grids`) in its float64 conversion.
 
 NIfTI-1 subset: 348-byte header, magic "n+1"/"ni1", datatypes uint8/int16/
 float32/float64, optional gzip.  Dims, pixdim and the intensity scaling
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import LabelVolume, Volume
+from .grids import LabelVolume, Volume, _validate_grid
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +111,7 @@ def read_raw(path):
         dims = tuple(int(d) for d in meta["dims"])
         spacing = tuple(float(s) for s in meta["spacing"])
         kind = meta["kind"]
+        _validate_grid(dims, spacing, dims, "sidecar")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedHeaderError(f"bad sidecar {json_path}: {exc}") from exc
 
@@ -120,23 +122,22 @@ def read_raw(path):
         raise TruncatedPayloadError(
             f"{raw_path}: expected {4 * nvox * n_channels} bytes, found {len(blob)}"
         )
-    flat = np.frombuffer(blob, dtype="<f4", count=nvox * n_channels).astype(np.float64)
+    # channel after channel, each x-fastest: Fortran order on dims + (channels,)
+    data = (np.frombuffer(blob, dtype="<f4", count=nvox * n_channels)
+            .reshape(dims + (n_channels,), order="F").transpose(3, 0, 1, 2)
+            .astype(np.float64, order="C"))
 
     if kind == "volume":
-        return Volume(dims, spacing, flat.reshape(dims, order="F"))
+        return Volume(dims, spacing, data[0])
     if kind == "labels":
-        labels = flat.reshape(dims, order="F")
-        k = int(meta.get("num_classes", labels.max() if labels.size else 0))
-        labels = _integral_labels(labels, raw_path)
+        k = int(meta.get("num_classes", data.max()))
+        labels = _integral_labels(data[0], raw_path)
         if labels.max(initial=0) > k:
             raise MalformedHeaderError(f"{json_path}: num_classes {k} is below the largest "
                                        f"stored label {labels.max()}")
         return LabelVolume(dims, spacing, labels, k)
     if kind == "field":
-        u = np.stack([
-            flat[c * nvox:(c + 1) * nvox].reshape(dims, order="F") for c in range(3)
-        ])
-        return DisplacementField(dims, spacing, u)
+        return DisplacementField(dims, spacing, data)
     raise MalformedHeaderError(f"{json_path}: unknown kind {kind!r}")
 
 
@@ -186,9 +187,9 @@ def read_nifti(path, kind: str = "image"):
         raise MalformedHeaderError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
 
     pixdim = struct.unpack_from("<8f", blob, 76)
-    spacing = tuple(p if p > 0 else 1.0 for p in pixdim[1:4])
-    if any(p <= 0 for p in pixdim[1:4]):
-        logger.warning("%s: non-positive pixdim entries replaced by 1.0", path)
+    spacing = tuple(p if 0 < p < np.inf else 1.0 for p in pixdim[1:4])
+    if spacing != pixdim[1:4]:
+        logger.warning("%s: non-positive or non-finite pixdim entries replaced by 1.0", path)
 
     vox_offset = int(struct.unpack_from("<f", blob, 108)[0])
     if vox_offset < _HDR_SIZE:
@@ -208,7 +209,7 @@ def read_nifti(path, kind: str = "image"):
             f"{path}: payload holds {len(payload)} bytes, need {nvox * dtype.itemsize}"
         )
     data = np.frombuffer(payload, dtype=dtype, count=nvox).reshape(dims, order="F")
-    data = data.astype(np.float64)
+    data = data.astype(np.float64, order="C")
     if scaled:
         data = data * slope + inter
 

@@ -7,13 +7,13 @@ smoothness of the displacement, soft Dice on warped masks, a prototype term
 2-channel feature bank), and a symmetric Chamfer loss between mask contour
 points.
 
-Each term is one private function that returns its value and, with
-``with_grad``, its gradient wrt its direct input: ``_lncc`` (moved
-intensities), ``_smoothness`` (u), ``_dice`` (moved mask channels),
-``_prototype`` (its halves ``_contrast`` and ``_align`` pulled back through
-the feature bank onto the moved intensities; ``_align`` also onto the moved
-mask channels) and ``_class_chamfer`` (the carried contour points of every
-class).  Nothing here warps: the objective is scored only through
+Each term is one private function that returns its value and, when asked,
+its gradient wrt its direct input: ``_lncc`` (moved intensities),
+``_smoothness`` (u), ``_dice`` (moved mask channels), ``_prototype`` (its
+halves ``_contrast`` and ``_align`` pulled back through the feature bank
+onto the moved intensities; ``_align`` also onto the moved mask channels)
+and ``_class_chamfer`` (the carried contour points of every class).
+Nothing here warps: the objective is scored only through
 ``gradients.evaluate_objective``, which samples, carries the contour points
 and chains these gradients onto u.  The constants of a level are made once,
 by ``gradients.build_state``: ``_lncc_fixed``, ``_fixed_mass``,
@@ -197,18 +197,16 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
 
 # ---------------------------------------------------------------- smoothness
 
-def _smoothness(u: np.ndarray, with_grad: bool = False, grad: np.ndarray | None = None):
-    """Smoothness value and, with ``with_grad``, d(value)/d(u), added into
-    ``grad`` when given (an evaluation passes its zeroed accumulator) or
-    into a new zero array.  Per axis the forward differences d = u[hi] -
-    u[lo] add their squares to the value, and the gradient takes 2*d/N off
-    ``lo`` and puts it on ``hi``.  The differences and their squares are
-    formed in one buffer shared by the three axes: squared there for the
-    value, then formed again for the gradient."""
+def _smoothness(u: np.ndarray, grad: np.ndarray | None = None):
+    """Smoothness value and, when given the array ``grad`` (an evaluation
+    passes its zeroed accumulator), d(value)/d(u) added into it.  Per axis
+    the forward differences d = u[hi] - u[lo] add their squares to the
+    value, and the gradient takes 2*d/N off ``lo`` and puts it on ``hi``.
+    The differences and their squares are formed in one buffer shared by
+    the three axes: squared there for the value, then formed again for the
+    gradient."""
     n = float(np.prod(u.shape[1:]))
     total = 0.0
-    if with_grad and grad is None:
-        grad = np.zeros(u.shape)
     buf = np.empty(u.size)
     for axis in (1, 2, 3):
         # np.diff(u, axis=axis), in the buffer
@@ -217,7 +215,7 @@ def _smoothness(u: np.ndarray, with_grad: bool = False, grad: np.ndarray | None 
         hi, lo = np.swapaxes(u, 0, axis)[1:], np.swapaxes(u, 0, axis)[:-1]
         np.subtract(hi, lo, out=np.swapaxes(d, 0, axis))
         total += np.multiply(d, d, out=d).sum()
-        if with_grad:
+        if grad is not None:
             np.subtract(hi, lo, out=np.swapaxes(d, 0, axis))
             d *= 2.0 / n
             g, step = np.swapaxes(grad, 0, axis), np.swapaxes(d, 0, axis)
@@ -264,14 +262,11 @@ def _dice(fixed: np.ndarray, sum_f: np.ndarray, values: np.ndarray, with_grad: b
 # --------------------------------------------------------------- prototypes
 
 def _standardize(data: np.ndarray, out: np.ndarray) -> float:
-    """Write (data - mean) / std into the contiguous ``out`` and return the
-    std.  The squared deviations are formed in ``out`` first, in ``data``'s
-    memory order (a volume read from NIfTI is Fortran-ordered), so that
-    their mean sums in the order of ``((data - mu) ** 2).mean()``."""
+    """Write (data - mean) / std into ``out`` and return the std; the squared
+    deviations are formed in ``out`` first."""
     mu = data.mean()
-    deviations = out.reshape(-1)
-    np.subtract(data.ravel(order="K"), mu, out=deviations)
-    sigma = np.sqrt(np.multiply(deviations, deviations, out=deviations).mean() + 1e-12)
+    np.subtract(data, mu, out=out)
+    sigma = np.sqrt(np.multiply(out, out, out=out).mean() + 1e-12)
     np.subtract(data, mu, out=out)
     out /= sigma
     return float(sigma)

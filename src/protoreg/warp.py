@@ -18,9 +18,10 @@ d/dx from the x-differences of the corners.  With leading batch axes,
 ``data[b]`` at ``points[:, b]`` in the one gather, its flat indices offset
 by b * nx * ny * nz.
 
-A sampler call allocates only its outputs (value and derivative) and one
-workspace: 14 float64, 3 intp and 3 bool rows of ``SAMPLE_BLOCK`` points.
-The points are taken in blocks in their flat order, and each block is
+A sampler call on a grid's array (C-ordered float64) allocates only its
+outputs (value and derivative) and one workspace: 14 float64, 3 intp and 3
+bool rows of ``SAMPLE_BLOCK`` points; ``data.ravel()`` copies any other
+array.  The points are taken in blocks in their flat order, and each block is
 computed in that workspace in place, through ``out=``: the corners are read
 by ``np.take`` straight into their rows, the edges and faces overwrite the
 corners they were made from, and the derivative's rows serve as scratch
@@ -30,10 +31,6 @@ keep the order of operations of the interpolation and derivative formulas
 above, and every output element is formed by the same operations on the
 same operands whichever block it falls in, so a blocked call is bit for bit
 the unblocked one.
-A 3-D Fortran-ordered ``data`` (every NIfTI input) is read where it lies,
-through its own element strides (1, nx, nx * ny); batched and other layouts
-are read through ``data.ravel()``, which copies a layout that is not
-C-contiguous.  ``data`` is read as float64.
 
 A mask channel is sampled only on its support, both while the field is
 optimized (``gradients.evaluate_objective``) and when it is scored
@@ -93,10 +90,10 @@ class DisplacementField:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
+        object.__setattr__(self, "u", np.ascontiguousarray(self.u, dtype=np.float64))
         if self.u.shape != (3,) + self.dims:
             raise ValueError(f"DisplacementField: u shape {self.u.shape} != (3, *{self.dims})")
-        _validate_grid(self.dims, self.spacing, self.u[0], "DisplacementField")
+        _validate_grid(self.dims, self.spacing, self.u.shape[1:], "DisplacementField")
         if not np.isfinite(self.u).all():
             raise ValueError("DisplacementField: non-finite displacement values")
 
@@ -110,11 +107,7 @@ def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
     module docstring), ``SAMPLE_BLOCK`` points at a time.  Flat point i of
     ``points`` samples batch entry i // (points per entry) of ``data``."""
     data = np.asarray(data, dtype=np.float64)
-    dims, batch = data.shape[-3:], data.shape[:-3]
-    if batch or not data.flags.f_contiguous:
-        flat, strides = data.ravel(), (dims[1] * dims[2], dims[2], 1)
-    else:                                 # read in place, through its own strides
-        flat, strides = data.ravel(order="K"), (1, dims[0], dims[0] * dims[1])
+    dims, batch, flat = data.shape[-3:], data.shape[:-3], data.ravel()
     voxels = math.prod(dims)
     per_entry = max(math.prod(points.shape[1 + len(batch):]), 1)
     pts = points.reshape(3, -1)
@@ -133,14 +126,14 @@ def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
         np.add(ramp[:m], start, out=base)
         base //= per_entry
         base *= voxels
-        _sample_block(flat, dims, strides, pts[:, start:stop], base, cell, work[:, :m],
+        _sample_block(flat, dims, pts[:, start:stop], base, cell, work[:, :m],
                       value[start:stop], None if grad is None else grad[:, start:stop],
                       None if outside is None else outside[:, :m])
     value = value.reshape(points.shape[1:])
     return (value, grad.reshape(points.shape)) if with_grad else value
 
 
-def _sample_block(flat, dims, strides, points, base, cell, work, value, grad, outside):
+def _sample_block(flat, dims, points, base, cell, work, value, grad, outside):
     """Fill ``value`` (m,) with the values of ``flat`` at ``points`` (3, m),
     each point's flat index starting from ``base`` (m,); with ``grad``
     (3, m) also fill it with the derivative.  Every step is computed in
@@ -149,6 +142,7 @@ def _sample_block(flat, dims, strides, points, base, cell, work, value, grad, ou
     they are written.  Corner cijk is offset by i, j, k on x, y, z; an axis
     with one voxel has offset 0 and fraction 0."""
     fracs, comps, corners = work[0:3], work[3:6], work[6:14]
+    strides = (dims[1] * dims[2], dims[2], 1)
     for a, (n, stride) in enumerate(zip(dims, strides)):
         c = fracs[a]
         np.clip(points[a], 0.0, n - 1.0, out=c)

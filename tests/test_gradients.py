@@ -14,6 +14,7 @@ from protoreg.gradients import (
 )
 from protoreg.grids import DimsMismatchError, LabelVolume, Volume, one_hot
 from protoreg.losses import LossWeights
+from protoreg.phantom import generate, three_blob_spec
 from protoreg.warp import DisplacementField
 
 DIMS = (6, 6, 6)
@@ -407,7 +408,7 @@ def _gradient_accumulated_from_the_start(state, field):
     d_masks = np.zeros(masks.shape)
     d_moved += wd["sim"] * losses._lncc(state.fixed.data, moved, state.window,
                                         state.lncc_fixed, True)[1]
-    grad += wd["smooth"] * losses._smoothness(field.u, True)[1]
+    grad += wd["smooth"] * losses._smoothness(field.u, np.zeros(field.u.shape))[1]
     d_masks += wd["seg"] * losses._dice(gradients._on_windows(state.fixed_crops, windows),
                                         state.fixed_mass, masks, True)[1]
     _, g, g_masks = losses._prototype(moved, windows, masks, state.fixed_assign,
@@ -606,3 +607,23 @@ def test_contour_voxel_of_two_classes_gets_both_gradients():
     for c in range(2):
         assert (fixed_pts[fixed_class == c] == 2.0).all(axis=1).any(), c
     _assert_contour_matches_per_class(st, rand_field(73))
+
+
+def test_objective_does_not_depend_on_the_volumes_memory_layout():
+    # volumes built from Fortran-ordered arrays (the layout of a NIfTI
+    # payload) are held C-ordered, so value and gradient equal the C-order
+    # inputs' bit for bit
+    pair = generate(three_blob_spec(dims=(20, 20, 20), num_blobs=2, magnitude=1.5, seed=1))
+    field = DisplacementField(pair.truth.dims, pair.truth.spacing, 0.5 * pair.truth.u)
+
+    def evaluate(layout):
+        fixed, moving = (Volume(v.dims, v.spacing, layout(v.data))
+                         for v in (pair.fixed, pair.moving))
+        st = build_state(fixed, moving, LossWeights(1, 4, 1, 1, 0.1),
+                         one_hot(pair.fixed_labels), one_hot(pair.moving_labels),
+                         window=5, max_points=256)
+        return evaluate_objective(st, field)
+
+    want, want_grad = evaluate(np.ascontiguousarray)
+    got, got_grad = evaluate(np.asfortranarray)
+    assert got == want and np.array_equal(got_grad, want_grad)

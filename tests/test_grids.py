@@ -12,6 +12,7 @@ from protoreg.grids import (
     downsample,
     one_hot,
 )
+from protoreg.warp import DisplacementField
 
 
 def make_labels(data, k):
@@ -126,17 +127,32 @@ def test_pyramid_ceil_halving_invariant():
 def test_volume_validation():
     with pytest.raises(ValueError):
         Volume((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
-        Volume((2, 2, 2), (1, 0, 1), np.zeros((2, 2, 2)))
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="spacing"):
+            Volume((2, 2, 2), (1, bad, 1), np.zeros((2, 2, 2)))
     bad = np.zeros((2, 2, 2))
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         Volume((2, 2, 2), (1, 1, 1), bad)
 
 
+def test_grids_hold_c_ordered_arrays():
+    # a C-ordered array of the grid's dtype is kept; any other is copied to C order
+    data = np.arange(24.0).reshape(2, 3, 4)
+    assert Volume(data.shape, (1, 1, 1), data).data is data
+    fortran, field = np.asfortranarray(data), np.stack([data] * 3)
+    arrays = [Volume(data.shape, (1, 1, 1), fortran).data,
+              LabelVolume(data.shape, (1, 1, 1), fortran % 3, 2).labels,
+              DisplacementField(data.shape, (1, 1, 1), np.asfortranarray(field)).u]
+    for array, want in zip(arrays, (data, data % 3, field)):
+        assert array.flags.c_contiguous and np.array_equal(array, want)
+
+
 def test_label_volume_range_check():
     with pytest.raises(ValueError):
         make_labels(np.full((2, 2, 2), 5, np.int32), 3)
+    with pytest.raises(ValueError, match="spacing"):
+        LabelVolume((2, 2, 2), (1, 1, np.nan), np.zeros((2, 2, 2)), 1)
 
 
 def test_one_hot_crops_are_the_label_boxes():

@@ -81,8 +81,35 @@ def test_raw_field_rejects_a_non_positive_spacing(tmp_path):
     write_raw(DisplacementField.zeros((2, 2, 2)), tmp_path / "field")
     meta = json.loads((tmp_path / "field.json").read_text())
     (tmp_path / "field.json").write_text(json.dumps(meta | {"spacing": [0, 0, -2]}))
-    with pytest.raises(ValueError, match="spacing"):
+    with pytest.raises(MalformedHeaderError, match="spacing"):
         read_raw(tmp_path / "field")
+
+
+@pytest.mark.parametrize("geometry", [{"dims": [-4, 3, 2]}, {"dims": [0, 3, 2]},
+                                      {"dims": [4, 3]}, {"spacing": [0, 1, 1]},
+                                      {"spacing": [1, float("nan"), 1]}],
+                         ids=["negative_dim", "zero_dim", "two_dims", "zero_spacing",
+                              "nan_spacing"])
+def test_raw_rejects_a_malformed_sidecar_geometry(tmp_path, geometry):
+    write_raw(Volume((4, 3, 2), (1, 1, 1), np.zeros((4, 3, 2))), tmp_path / "v")
+    meta = json.loads((tmp_path / "v.json").read_text())
+    (tmp_path / "v.json").write_text(json.dumps(meta | geometry))
+    with pytest.raises(MalformedHeaderError, match="dims" if "dims" in geometry else "spacing"):
+        read_raw(tmp_path / "v")
+
+
+def test_reads_return_c_ordered_arrays(tmp_path):
+    # the payloads are x-fastest; every read is held in C order
+    data = np.arange(24.0).reshape(4, 3, 2)
+    write_raw(Volume(data.shape, (1, 1, 1), data), tmp_path / "v")
+    write_raw(LabelVolume(data.shape, (1, 1, 1), data % 3, 2), tmp_path / "seg")
+    write_raw(DisplacementField(data.shape, (1, 1, 1), np.stack([data] * 3)), tmp_path / "u")
+    write_nifti(Volume(data.shape, (1, 1, 1), data), tmp_path / "v.nii")
+    arrays = [read_raw(tmp_path / "v").data, read_raw(tmp_path / "seg").labels,
+              read_raw(tmp_path / "u").u, read_nifti(tmp_path / "v.nii").data,
+              read_nifti(tmp_path / "v.nii", kind="labels").labels]
+    for array, want in zip(arrays, [data, data % 3, np.stack([data] * 3), data, data]):
+        assert array.flags.c_contiguous and np.array_equal(array, want)
 
 
 def test_raw_payload_layout_is_x_fastest(tmp_path):
@@ -284,6 +311,17 @@ def test_nifti_orientation_warning(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="protoreg.io"):
         read_nifti(path)
     assert any("orientation" in rec.message for rec in caplog.records)
+
+
+def test_nifti_replaces_an_infinite_pixdim(tmp_path, caplog):
+    # like a non-positive one: a grid's spacing must be finite
+    path = tmp_path / "inf_pixdim.nii"
+    path.write_bytes(_build_nifti_int16((2, 2, 2), (1.5, np.inf, 2.0), [0] * 8))
+    import logging
+
+    with caplog.at_level(logging.WARNING, logger="protoreg.io"):
+        assert read_nifti(path).spacing == (1.5, 1.0, 2.0)
+    assert any("pixdim" in rec.message for rec in caplog.records)
 
 
 def test_read_volume_unknown_extension(tmp_path):

@@ -38,8 +38,9 @@ def sample_at(vol, point):
 
 
 def test_displacement_field_checks_dims_and_spacing_like_volume():
-    with pytest.raises(ValueError, match="spacing"):
-        DisplacementField((2, 2, 2), (0, -1, 0), np.zeros((3, 2, 2, 2)))
+    for spacing in ((0, -1, 0), (1, np.inf, 1), (np.nan, 1, 1)):
+        with pytest.raises(ValueError, match="spacing"):
+            DisplacementField((2, 2, 2), spacing, np.zeros((3, 2, 2, 2)))
     with pytest.raises(ValueError, match="dims"):
         DisplacementField((0, 2, 2), (1, 1, 1), np.zeros((3, 0, 2, 2)))
     with pytest.raises(ValueError, match="dims"):
@@ -182,7 +183,7 @@ def test_blocked_sampling_equals_per_block_calls(count, batch):
 
 
 def test_sampler_memory_is_bounded_by_the_block():
-    # one 48^3 sample with derivative, on C- and Fortran-ordered data: the
+    # one 48^3 sample with derivative on a grid's (C-ordered) data: the
     # outputs (four values per point) plus one workspace of 17.4 rows of a
     # block (14 float, 3 intp and 3 bool rows) with a margin, and no copy of
     # the data
@@ -192,21 +193,21 @@ def test_sampler_memory_is_bounded_by_the_block():
     pts = np.stack([rng.uniform(-1.0, n, size=dims) for n in dims])
     count = pts[0].size
     assert count == 110_592 and count > 6 * SAMPLE_BLOCK
-    for volume in (data, np.asfortranarray(data)):
-        tracemalloc.start()
-        try:
-            value, grad = sample_volume_with_gradient(volume, pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (4 * count + 19 * SAMPLE_BLOCK) * 8 < (5 * count) * 8
+    tracemalloc.start()
+    try:
+        value, grad = sample_volume_with_gradient(data, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * count + 19 * SAMPLE_BLOCK) * 8 < (5 * count) * 8
 
 
 @pytest.mark.parametrize("dims", [(6, 5, 4), (1, 5, 2), (7, 1, 3), (4, 6, 1)])
 def test_fortran_ordered_data_samples_like_c_order(dims):
-    # a Fortran-ordered volume is read through its own strides; value and
-    # derivative equal the C-order call's at clamped points, points on the
-    # last lattice plane and on lattice points, over more than one block
+    # a Fortran-ordered array is copied into C order (``data.ravel()``);
+    # value and derivative equal the C-order call's at clamped points,
+    # points on the last lattice plane and on lattice points, over more
+    # than one block
     rng = np.random.default_rng(26)
     data = rng.normal(size=dims)
     fortran = np.asfortranarray(data)
