@@ -7,16 +7,16 @@ only the terms it was built for, through ``evaluate_objective`` or
 ``ValueError``.
 
 ``evaluate_objective`` samples the moving image at the points p + u(p)
-(``warp.add_voxel_coords``) and the moving masks on their windows
+(``warp.add_voxel_coords``), the moving masks on their windows
 (``warp.mask_points``; ``warp`` shows that these are the dense samples bit
-for bit), carries the fixed contour points into moving space
-(``_carried``), and scores every term with its function in ``losses``.
-Each returns the term's value and, with ``with_grad``, its gradient wrt the
-term's direct input (moved intensities, moved mask stack, u, or the
-carried points); this module chains those gradients onto u: through the
-spatial derivative of every trilinear sample, and for the contour points by
-``np.add.at`` onto the voxel each was carried from, as at a coarse level
-one voxel can be a contour point of two classes.  A value-only evaluation
+for bit) and the contour term's moving distance maps at its band points
+p + u(p), all classes in one call at (3, P, n) points, and scores every
+term with its function in ``losses``.  Each returns the term's value and,
+with ``with_grad``, its gradient wrt the term's direct input (moved
+intensities, moved mask stack, u, or sampled maps); this module chains
+those gradients onto u through the spatial derivative of every trilinear
+sample, for the contour term by one fancy-index add per class, as a
+class's band points are distinct voxels.  A value-only evaluation
 (``with_grad=False``: each level's final breakdown, every finite-difference
 probe) samples through ``sample_volume`` and takes no spatial derivative.
 
@@ -27,9 +27,9 @@ arithmetic is that of a whole-grid evaluation, but the sums run in another
 order, so the results agree with it to rounding (about 1e-16 relative), not
 bit for bit.
 
-An evaluation frees its sample points once sampled, before any term runs,
-and works in place on what stays live (the moved image and mask stack,
-their spatial derivatives and their gradient accumulators).  The gradient
+An evaluation frees the image and mask sample points once sampled, before
+any term runs, and works in place on what stays live (the moved image and
+mask stack, their spatial derivatives and their gradient accumulators).  The gradient
 wrt u is made after the seg and prototype terms, which never write it;
 smoothness, its first writer, writes straight into it, and it is then
 scaled by the weight (w*g is the 0 + w*g of an accumulation).  The chain
@@ -39,9 +39,8 @@ form, so values and gradients are that form's bit for bit.
 
 All accumulation is float64.  Known non-smooth points, excluded from
 finite-difference verification: sample positions crossing lattice planes or
-the clamp boundary, Chamfer nearest-neighbor ties, class-presence flips,
-degenerate correlation windows, and the kink of the soft Dice term at
-exactly-hard masks.
+the clamp boundary, class-presence flips, degenerate correlation windows,
+and the kink of the soft Dice term at exactly-hard masks.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ class ObjectiveState:
     crops ``fixed_crops`` (Dice), the fixed prototypes ``fixed_protos``,
     hard assignment ``fixed_assign`` and ``contrast_fixed`` (prototype),
     the moving masks ``moving_masks`` (a ``warp.MaskStack``; Dice or
-    prototype) and ``contour_pairs`` (contour; see
-    ``losses._contour_pairs``).  ``terms`` names the terms it was built
+    prototype) and ``contour_band`` (contour; see
+    ``losses._contour_band``).  ``terms`` names the terms it was built
     for, so ``replace`` may switch terms off (lower weights) but not on.
     """
 
@@ -84,7 +83,7 @@ class ObjectiveState:
     fixed_crops: tuple | None = dataclass_field(default=None, repr=False)
     lncc_fixed: tuple | None = dataclass_field(default=None, repr=False)
     fixed_mass: np.ndarray | None = dataclass_field(default=None, repr=False)
-    contour_pairs: tuple | None = dataclass_field(default=None, repr=False)
+    contour_band: losses.ContourBand | None = dataclass_field(default=None, repr=False)
 
     @property
     def dims(self):
@@ -131,25 +130,9 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
         built["contrast_fixed"] = losses._contrast(
             fixed_feats, built["fixed_assign"], built["fixed_protos"], temperature)
     if weights.contour > 0:
-        built["contour_pairs"] = losses._contour_pairs(fixed_onehot, moving_onehot,
-                                                       max_points, seed)
+        built["contour_band"] = losses._contour_band(fixed_onehot, moving_onehot,
+                                                     max_points, seed)
     return ObjectiveState(fixed, moving, weights, window, temperature, **built)
-
-
-def _carried(pairs, field: DisplacementField):
-    """The flat lattice index of the fixed points of ``pairs`` (see
-    ``losses._contour_pairs``) and those points carried into moving space
-    by phi(p) = p + u(p), the pull-back convention of the warps.  The
-    points are voxels (``argwhere`` plus an integer crop origin), where a
-    trilinear sample of u reads one voxel, so u is indexed at them and
-    d(carried)/d(u) is the identity there.  Points outside the field's grid
-    raise ``ValueError``.
-    """
-    fixed = pairs[0]
-    if (fixed >= field.dims).any():
-        raise ValueError(f"contour points lie outside the field's grid {field.dims}")
-    flat = np.ravel_multi_index(tuple(fixed.T.astype(np.intp)), field.dims)
-    return flat, fixed + field.u.reshape(3, -1)[:, flat].T
 
 
 # ------------------------------------------------------------- full objective
@@ -225,13 +208,18 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         if with_grad:
             grad *= wd["smooth"]
 
-    pairs = state.contour_pairs
-    if wd["contour"] > 0 and pairs is not None:
-        flat, carried = _carried(pairs, field)
-        values["contour"], g = losses._class_chamfer(carried, *pairs[1:], with_grad)
+    band = state.contour_band
+    if wd["contour"] > 0 and band is not None:
+        # the band points p + u(p), in their maps' boxes: (3, P, n)
+        pts = field.u.reshape(3, -1)[:, band.index]
+        pts += np.unravel_index(band.index, dims) - band.origins.T[:, :, None]
+        sampled, sampled_pos = sample(band.maps, pts)
+        values["contour"], g = losses._contour(band, sampled, with_grad)
         if with_grad:
-            for component, g_c in zip(grad.reshape(3, -1), g.T):
-                np.add.at(component, flat, wd["contour"] * g_c)
+            sampled_pos *= wd["contour"] * g
+            # band points are distinct within a class: one add per class
+            for k, count in enumerate(band.counts):
+                grad.reshape(3, -1)[:, band.index[k, :count]] += sampled_pos[:, k, :count]
 
     # the chain rule through the warp, in the spatial derivatives' arrays
     if with_grad and need_moved:

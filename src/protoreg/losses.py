@@ -4,22 +4,33 @@ Five terms are combined into the optimized total: windowed normalized
 cross-correlation of intensities (negated so lower is better), diffusion
 smoothness of the displacement, soft Dice on warped masks, a prototype term
 (voxel-to-prototype contrast plus cross-image prototype alignment on a fixed
-2-channel feature bank), and a symmetric Chamfer loss between mask contour
-points.
+2-channel feature bank), and a contour term on signed distance maps.
 
 Each term is one private function that returns its value and, when asked,
 its gradient wrt its direct input: ``_lncc`` (moved intensities),
 ``_smoothness`` (u), ``_dice`` (moved mask channels), ``_prototype`` (its
 halves ``_contrast`` and ``_align`` pulled back through the feature bank
 onto the moved intensities; ``_align`` also onto the moved mask channels)
-and ``_class_chamfer`` (the carried contour points of every class).
+and ``_contour`` (the moving distance maps sampled at the band points).
 Nothing here warps: the objective is scored only through
-``gradients.evaluate_objective``, which samples, carries the contour points
-and chains these gradients onto u.  The constants of a level are made once,
-by ``gradients.build_state``: ``_lncc_fixed``, ``_fixed_mass``,
+``gradients.evaluate_objective``, which samples and chains these gradients
+onto u.  The constants of a level are made once, by
+``gradients.build_state``: ``_lncc_fixed``, ``_fixed_mass``,
 ``extract_prototypes`` (each class pooled on its mask crop) and
-``_contour_pairs`` (each class's boundary voxels, found on its crop by
-``extract_contour_points``, stacked over the classes found on both sides).
+``_contour_band``.
+
+The contour term is chamfer matching on a distance transform (Borgefors,
+1988) as a boundary loss on signed distance maps (Kervadec et al., 2019).
+Per class with a non-empty hard mask (channel >= ``FOREGROUND_THRESHOLD``)
+on both sides, S_f and S_m are the signed Euclidean distance maps of the
+fixed and moving masks, positive outside; beyond the grid is background.
+The term is the class mean of the mean, over the fixed band points p with
+|S_f(p)| <= ``CONTOUR_BAND``, of (S_m(p + u(p)) - S_f(p))**2.  Per class,
+``_contour_band`` keeps the band points as flat grid indices with their
+S_f, and S_m on a box holding the fixed band's box and the moving mask,
+both grown by the band and one voxel (no (K, nx, ny, nz) array).  Within
+its box a map is the whole grid's; outside it the sampler clamps, so the
+value is held and its derivative is 0.
 
 Moved mask channels come as one stack, sampled on the windows of
 ``warp.mask_points``: ``values`` (K, wx, wy, wz) and ``windows``, K tuples
@@ -37,9 +48,8 @@ Conventions fixed here and relied on elsewhere:
   * Dice averages over classes present on at least one side and skips classes
     empty on both;
   * alignment sums (1 - cosine) over classes present in both prototype sets;
-  * Chamfer is averaged over the classes with contour points on both sides,
-    and the fixed-side points are carried by the current field into moving
-    space before the nearest-neighbor terms are formed.
+  * the contour term is averaged over the classes with a hard mask on both
+    sides, and is 0 without such a class.
 """
 
 from __future__ import annotations
@@ -48,8 +58,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import uniform_filter
-from scipy.spatial import cKDTree
+from scipy.ndimage import distance_transform_edt, uniform_filter
 
 from .grids import FOREGROUND_THRESHOLD, OneHotMask, _on_windows
 from .warp import _one_shape, central_difference, central_difference_adjoint
@@ -58,6 +67,7 @@ VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
 DICE_EPS = 1e-7          # soft Dice denominator guard
 PRESENCE_EPS = 1e-7      # minimum mask mass for a class to count as present
 NORM_EPS = 1e-8          # cosine-similarity norm guard
+CONTOUR_BAND = 3.0       # half-width of the contour term's band around each boundary, voxels
 
 
 # ------------------------------------------------------------------- types
@@ -441,73 +451,69 @@ def _prototype(moved: np.ndarray, windows, mask_values: np.ndarray, assign: np.n
 
 # ------------------------------------------------------------------ contours
 
-def extract_contour_points(mask: OneHotMask, class_label: int, max_points: int = 2048,
-                           seed: int = 0) -> np.ndarray:
-    """Boundary voxels of one class region (channel values at or above
-    ``FOREGROUND_THRESHOLD``), as (N, 3) grid coordinates, optionally
-    subsampled.
+class ContourBand(NamedTuple):
+    """The contour term's constants of a level, for the P classes on both
+    sides, each padded to n band points by repeating its last."""
 
-    A voxel is a boundary voxel when it is foreground and at least one of its
-    six face neighbors is background; neighbors outside the volume count as
-    background.  When more than ``max_points`` boundary voxels exist, a
-    seeded uniform subsample is taken.
-    """
-    crop = mask.crops[class_label - 1]
-    if crop is None:
-        return np.zeros((0, 3))
-    fg = crop.values >= FOREGROUND_THRESHOLD
-    # a layer of background around the crop stands for everything outside it
-    padded = np.pad(fg, 1)
-    interior = fg.copy()
-    for a in range(3):
-        for off in (-1, 1):
-            interior &= np.roll(padded, off, axis=a)[1:-1, 1:-1, 1:-1]
-    boundary = fg & ~interior
-    pts = np.argwhere(boundary).astype(np.float64) + crop.origin
-    if pts.shape[0] > max_points:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(pts.shape[0], size=max_points, replace=False))
-        pts = pts[keep]
-    return pts
+    index: np.ndarray       # (P, n) flat grid index of each fixed band point
+    target: np.ndarray      # (P, n) S_f there
+    counts: np.ndarray      # (P,) real band points per class
+    maps: np.ndarray        # (P, bx, by, bz) S_m, each on its box
+    origins: np.ndarray     # (P, 3) each box's first voxel
 
 
-def _contour_pairs(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: int):
-    """The contour term's constant of a level: the classes with boundary
-    points on both sides, numbered 0..P-1, as (fixed points (N, 3), their
-    classes, moving points (M, 3), their classes); None without such a
-    class."""
-    columns = []
-    for c in range(1, fixed.num_classes + 1):
-        f, m = (extract_contour_points(mask, c, max_points, seed) for mask in (fixed, moving))
-        if len(f) and len(m):
-            p = len(columns)
-            columns.append((f, np.full(len(f), p), m, np.full(len(m), p)))
-    return tuple(map(np.concatenate, zip(*columns))) if columns else None
+def _signed_distance(crop, box) -> np.ndarray:
+    """S of the crop's hard mask on ``box``, which holds the crop grown by
+    one voxel; a layer of background stands for everything past the box."""
+    fg = np.pad(_on_windows([crop], [box])[0] >= FOREGROUND_THRESHOLD, 1)
+    return (distance_transform_edt(~fg) - distance_transform_edt(fg))[1:-1, 1:-1, 1:-1]
 
 
-def _lifted(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: np.ndarray):
-    """``a`` and ``b`` with a 4th coordinate class * gap, the gap wider than
-    the points' diagonal: pairs across classes are then farther apart than
-    any pair within one, whose distances stay the 3-D ones bit for bit."""
-    gap = 2.0 * (max(a.max(), b.max()) - min(a.min(), b.min())) + 1.0
-    return np.column_stack([a, a_class * gap]), np.column_stack([b, b_class * gap])
+def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: int):
+    """The contour term's ``ContourBand`` (see the module docstring), or
+    None without a class on both sides; a class with more than
+    ``max_points`` band points keeps a uniform subsample seeded by
+    ``seed``."""
+    dims, by = fixed.dims, int(CONTOUR_BAND) + 1
+
+    def grown(crop):
+        return tuple(slice(max(o - by, 0), min(o + m + by, n))
+                     for o, m, n in zip(crop.origin, crop.values.shape, dims))
+
+    classes = [(f, m) for f, m in zip(fixed.crops, moving.crops)
+               if f is not None and m is not None
+               and (f.values >= FOREGROUND_THRESHOLD).any()
+               and (m.values >= FOREGROUND_THRESHOLD).any()]
+    if not classes:
+        return None
+    index, target = [], []
+    for f, _ in classes:
+        box = grown(f)
+        s_f = _signed_distance(f, box)
+        local = np.argwhere(np.abs(s_f) <= CONTOUR_BAND)
+        if len(local) > max_points:
+            rng = np.random.default_rng(seed)
+            local = local[np.sort(rng.choice(len(local), size=max_points, replace=False))]
+        index.append(np.ravel_multi_index(tuple((local + [s.start for s in box]).T), dims))
+        target.append(s_f[tuple(local.T)])
+    counts = np.array([len(i) for i in index])
+    n = counts.max()
+    boxes = _one_shape([tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
+                              for a, b in zip(grown(f), grown(m))) for f, m in classes], dims)
+    return ContourBand(np.stack([np.pad(i, (0, n - len(i)), "edge") for i in index]),
+                       np.stack([np.pad(t, (0, n - len(t)), "edge") for t in target]), counts,
+                       np.stack([_signed_distance(m, box) for (_, m), box in zip(classes, boxes)]),
+                       np.array([[s.start for s in box] for box in boxes]))
 
 
-def _class_chamfer(a: np.ndarray, a_class: np.ndarray, b: np.ndarray, b_class: np.ndarray,
-                   with_grad: bool = False):
-    """Mean over classes 0..P-1 (``a_class``, ``b_class``; each on both
-    sides) of the symmetric Chamfer, the mean squared nearest-neighbour
-    distance from the class's points in (N, 3) ``a`` to those in (M, 3)
-    ``b`` plus the same from ``b`` to ``a``, and, with ``with_grad``,
-    d(value)/d(a) with the nearest-neighbour assignment held fixed; from
-    one KD-tree pair over the ``_lifted`` points of every class."""
-    a4, b4 = _lifted(a, a_class, b, b_class)
-    da, a_to_b = cKDTree(b4).query(a4)
-    db, b_to_a = cKDTree(a4).query(b4)
-    n_a, n_b = np.bincount(a_class), np.bincount(b_class)
-    value = float((np.bincount(a_class, da ** 2) / n_a + np.bincount(b_class, db ** 2) / n_b).mean())
+def _contour(band: ContourBand, sampled: np.ndarray, with_grad: bool = False):
+    """Contour value from S_m sampled at the carried band points,
+    ``sampled`` (P, n), and with ``with_grad`` d(value)/d(sampled), 0 on
+    the padding."""
+    residual = sampled - band.target
+    residual *= np.arange(sampled.shape[1]) < band.counts[:, None]
+    value = float(((residual * residual).sum(axis=1) / band.counts).mean())
     if not with_grad:
         return value, None
-    grad = 2.0 * (a - b[a_to_b]) / (len(n_a) * n_a[a_class])[:, None]
-    np.add.at(grad, b_to_a, 2.0 * (a[b_to_a] - b) / (len(n_b) * n_b[b_class])[:, None])
-    return value, grad
+    residual *= (2.0 / (len(band.counts) * band.counts))[:, None]
+    return value, residual

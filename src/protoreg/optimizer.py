@@ -65,7 +65,7 @@ class RegistrationConfig:
     adam_eps: float = 1e-8
     weights: LossWeights = dataclass_field(default_factory=LossWeights)
     window: int = 9
-    max_contour_points: int = 2048
+    max_contour_points: int = 2048          # most contour band points per class
     temperature: float = 0.1
     seed: int = 0
 
@@ -86,27 +86,30 @@ class RegistrationConfig:
         if any(i < 1 for i in its):
             raise ValueError("RegistrationConfig: iterations must be >= 1")
         object.__setattr__(self, "iterations", its)
-        if self.learning_rate <= 0:
-            raise ValueError("RegistrationConfig: learning rate must be > 0")
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"RegistrationConfig: window must be odd and >= 3, got {self.window}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"RegistrationConfig: {name} must lie in [0, 1), "
                                  f"got {getattr(self, name)}")
-        for name in ("adam_eps", "temperature"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"RegistrationConfig: {name} must be > 0, got {getattr(self, name)}")
-        if self.max_contour_points < 1:
-            raise ValueError(f"RegistrationConfig: max_contour_points must be >= 1, "
-                             f"got {self.max_contour_points}")
+        for name in ("learning_rate", "adam_eps", "temperature"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"RegistrationConfig: {name} must be finite and > 0, got {value}")
+        points = self.max_contour_points
+        if not isinstance(points, (int, np.integer)) or points < 1:
+            raise ValueError(f"RegistrationConfig: max_contour_points must be an integer >= 1, "
+                             f"got {points}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegistrationConfig":
         d = dict(d)
         if "weights" in d:
             w = d["weights"]
-            d["weights"] = LossWeights(*w) if not isinstance(w, dict) else LossWeights(**w)
+            if not isinstance(w, dict) and len(w) != len(TERM_NAMES):
+                raise ValueError(f"RegistrationConfig: weights needs one value per term "
+                                 f"{TERM_NAMES}, got {len(w)}")
+            d["weights"] = LossWeights(**w) if isinstance(w, dict) else LossWeights(*w)
         if "iterations" in d and d["iterations"] is not None:
             d["iterations"] = tuple(d["iterations"])
         return cls(**d)

@@ -2,19 +2,17 @@
 finite-difference tools of the gradient checks.
 
 Every oracle except ``dense_seg`` is written as plain loops over
-voxels/windows/points, sharing no code with the package's vectorized paths;
-``dense_seg`` is plain numpy and shares only the trilinear sampler
-(``sample_volume_with_gradient``) with the package.  ``mask_from_channels``
-and ``dense_channels`` convert between dense (K, nx, ny, nz) channels and
-the package's crop-backed ``OneHotMask``.
+voxels/windows/points, or as brute-force numpy, sharing no code with the
+package's vectorized paths; ``dense_seg`` is plain numpy and shares only
+the trilinear sampler (``sample_volume_with_gradient``) with the package.
+``mask_from_channels`` and ``dense_channels`` convert between dense
+(K, nx, ny, nz) channels and the package's crop-backed ``OneHotMask``.
 """
 
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from protoreg import gradients, losses
 from protoreg.grids import ChannelCrop, OneHotMask
 from protoreg.warp import DisplacementField, sample_volume_with_gradient
 
@@ -41,6 +39,25 @@ def trilinear(data, point):
                 zi = min(z0 + dz, nz - 1)
                 total += w * data[xi, yi, zi]
     return total
+
+
+def trilinear_gradient(data, point):
+    """d/d(point) of ``trilinear``, from the derivatives of its corner
+    weights; 0 on an axis where the point lies outside the grid."""
+    dims = data.shape
+    c = [min(max(point[a], 0.0), n - 1.0) for a, n in enumerate(dims)]
+    lo = [min(int(math.floor(c[a])), max(n - 2, 0)) for a, n in enumerate(dims)]
+    f = [c[a] - lo[a] for a in range(3)]
+    grad = [0.0, 0.0, 0.0]
+    for corner in np.ndindex(2, 2, 2):
+        value = data[tuple(min(lo[a] + corner[a], dims[a] - 1) for a in range(3))]
+        weights = [f[a] if corner[a] else 1 - f[a] for a in range(3)]
+        for a in range(3):
+            slope = 1.0 if corner[a] else -1.0
+            others = math.prod(weights[b] for b in range(3) if b != a)
+            grad[a] += slope * others * value
+    return np.array([0.0 if not 0.0 <= point[a] <= n - 1.0 else grad[a]
+                     for a, n in enumerate(dims)])
 
 
 def warp(data, u):
@@ -164,15 +181,42 @@ def align(protos_f, present_f, protos_m, present_m, norm_eps=1e-8):
     return total
 
 
-def chamfer(a, b):
-    """O(n*m) exhaustive symmetric mean squared nearest-neighbor distance."""
-    d_ab = 0.0
-    for p in a:
-        d_ab += min(((p - q) ** 2).sum() for q in b)
-    d_ba = 0.0
-    for q in b:
-        d_ba += min(((q - p) ** 2).sum() for p in a)
-    return d_ab / len(a) + d_ba / len(b)
+def signed_distance(channel):
+    """Brute-force signed Euclidean distance map of the hard mask
+    ``channel >= 0.5``, positive outside: each voxel's distance to the
+    nearest voxel on the other side, with a layer of background around the
+    grid standing for everything beyond it."""
+    fg = np.pad(channel >= 0.5, 1)
+    coords = np.indices(fg.shape).reshape(3, -1).T
+    inside, outside = coords[fg.ravel()], coords[~fg.ravel()]
+    out = np.empty(channel.shape)
+    for p in np.ndindex(*channel.shape):
+        q = np.array(p) + 1
+        other = outside if fg[tuple(q)] else inside
+        d = np.sqrt(((other - q) ** 2).sum(axis=1).min())
+        out[p] = -d if fg[tuple(q)] else d
+    return out
+
+
+def contour(fixed_ch, moving_ch, u, points=None, band=3.0):
+    """Value and gradient wrt u of the contour term on whole-grid maps,
+    sampled by ``trilinear``: per class with a hard mask on both sides, the
+    mean over its points p of (S_m(p + u(p)) - S_f(p))**2, then the class
+    mean.  ``points`` gives each such class's voxels, (n, 3); by default
+    every voxel with |S_f| <= ``band``."""
+    classes = [k for k in range(len(fixed_ch))
+               if (fixed_ch[k] >= 0.5).any() and (moving_ch[k] >= 0.5).any()]
+    value, grad = 0.0, np.zeros(u.shape)
+    for i, k in enumerate(classes):
+        s_f, s_m = signed_distance(fixed_ch[k]), signed_distance(moving_ch[k])
+        pts = np.argwhere(np.abs(s_f) <= band) if points is None else points[i]
+        for p in pts:
+            at = (slice(None),) + tuple(p)
+            q = p + u[at]
+            r = trilinear(s_m, q) - s_f[tuple(p)]
+            value += r * r / (len(pts) * len(classes))
+            grad[at] += 2.0 * r * trilinear_gradient(s_m, q) / (len(pts) * len(classes))
+    return value, grad
 
 
 def jacobian_dets(u):
@@ -271,29 +315,3 @@ def finite_diff_check(evaluator, field: DisplacementField, probe_count: int = 64
         max_abs = max(max_abs, abs_err)
         max_rel = max(max_rel, rel_err)
     return max_abs, max_rel
-
-
-def chamfer_tie_margin(state: gradients.ObjectiveState, field: DisplacementField) -> float:
-    """Smallest gap between first and second nearest-neighbor distances over
-    both Chamfer query directions.
-
-    The contour gradient holds the nearest-neighbor assignment fixed, so
-    finite-difference probes disagree with it when a probe step crosses a
-    tie; callers should resample instances whose margin is below a few probe
-    steps.  Each direction is one query over all classes.  Returns +inf
-    without a contour term or when no class has two points on a side.
-    """
-    pairs = state.contour_pairs
-    margin = np.inf
-    if pairs is None:
-        return margin
-    _, fixed_class, _, moving_class = pairs
-    a, b = losses._lifted(gradients._carried(pairs, field)[1], *pairs[1:])
-    for query, query_class, tree, tree_class in ((a, fixed_class, b, moving_class),
-                                                 (b, moving_class, a, fixed_class)):
-        # only a class with two points in the tree has a same-class 2nd neighbour
-        two = (np.bincount(tree_class) > 1)[query_class]
-        if two.any():
-            d, _ = cKDTree(tree).query(query[two], k=2)
-            margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
-    return margin

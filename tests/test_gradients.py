@@ -65,21 +65,10 @@ def test_quadratic_loss_fd_exact():
     assert max_rel < 1e-9     # FD of a quadratic is exact up to rounding
 
 
-def tie_free_field(state, eps=1e-3, seeds=range(50)):
-    """First seeded random field whose Chamfer nearest-neighbor margins stay
-    clear of the probe step (documented non-smooth points are resampled)."""
-    for seed in seeds:
-        field = rand_field(seed)
-        if oracles.chamfer_tie_margin(state, field) > 10 * eps:
-            return field
-    raise AssertionError("no tie-free field found")
-
-
 @pytest.mark.parametrize("term", TERM_CHECKS)
 def test_each_term_matches_finite_differences(state, term):
-    field = tie_free_field(state) if term == "contour" else rand_field(7)
     ev = term_evaluator(state, term)
-    _, max_rel = oracles.finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=11)
+    _, max_rel = oracles.finite_diff_check(ev, rand_field(7), probe_count=64, eps=1e-3, seed=11)
     assert max_rel < 1e-3
 
 
@@ -128,23 +117,6 @@ def test_smoothness_alone_tight():
     _, max_rel = oracles.finite_diff_check(ev, rand_field(5, dims=(5, 5, 5)),
                                            probe_count=64, eps=1e-3, seed=3)
     assert max_rel < 1e-5
-
-
-def test_chamfer_alone_with_fixed_seeds(state):
-    ev = term_evaluator(state, "contour")
-    field = tie_free_field(state)
-    _, max_rel = oracles.finite_diff_check(ev, field, probe_count=64, eps=1e-3, seed=13)
-    assert max_rel < 1e-3
-
-
-def test_chamfer_tie_detection_matches_fd_blowup(state):
-    # seed 7 is a known near-tie instance: the margin detector flags it and
-    # shrinking the probe below the margin restores quadratic convergence
-    field = rand_field(7)
-    assert oracles.chamfer_tie_margin(state, field) < 1e-2
-    ev = term_evaluator(state, "contour")
-    _, max_rel = oracles.finite_diff_check(ev, field, probe_count=64, eps=1e-5, seed=11)
-    assert max_rel < 1e-3
 
 
 def test_full_objective_matches_fd(state):
@@ -217,11 +189,11 @@ def _oracle_features(data):
     return np.stack([standardize(data), standardize(np.sqrt(gx ** 2 + gy ** 2 + gz ** 2 + 1e-12))])
 
 
-def _contour_classes(state):
-    """(fixed points, moving points) of each class of ``state.contour_pairs``."""
-    fixed, fixed_class, moving, moving_class = state.contour_pairs
-    return [(fixed[fixed_class == c], moving[moving_class == c])
-            for c in range(fixed_class.max() + 1)]
+def _band_voxels(state):
+    """The voxels of each class's band points in ``state.contour_band``, (n, 3)."""
+    band = state.contour_band
+    return [np.column_stack(np.unravel_index(index[:count], state.dims))
+            for index, count in zip(band.index, band.counts)]
 
 
 def test_term_values_match_oracle_composition(state, masks):
@@ -244,19 +216,16 @@ def test_term_values_match_oracle_composition(state, masks):
         + oracles.contrast(feats_f, assign, protos_f, present_f, state.temperature)
     )
 
-    chamfers = []
-    for fixed_pts, moving_pts in _contour_classes(state):
-        carried = np.array([[p[c] + oracles.trilinear(u[c], p) for c in range(3)]
-                            for p in fixed_pts])
-        chamfers.append(oracles.chamfer(carried, moving_pts))
-    assert chamfers
+    moving_ch = oracles.dense_channels(masks[1])
+    contour = oracles.contour(fixed_ch, moving_ch, u, _band_voxels(state))[0]
+    assert contour > 0.0
 
     want = {
         "sim": oracles.lncc(state.fixed.data, moved, state.window),
         "smooth": oracles.smoothness(u),
         "seg": oracles.dice_loss(fixed_ch, moved_ch),
         "prototype": contrast + oracles.align(protos_f, present_f, protos_m, present_m),
-        "contour": sum(chamfers) / len(chamfers),
+        "contour": contour,
     }
     for name, value in want.items():
         assert bd.values[name] == pytest.approx(value, rel=1e-9), name
@@ -416,10 +385,13 @@ def _gradient_accumulated_from_the_start(state, field):
                                       state.temperature, "both", True)
     d_moved += wd["prototype"] * g
     d_masks += wd["prototype"] * g_masks
-    flat, carried = gradients._carried(state.contour_pairs, field)
-    g = losses._class_chamfer(carried, *state.contour_pairs[1:], True)[1]
-    for component, g_c in zip(grad.reshape(3, -1), g.T):
-        np.add.at(component, flat, wd["contour"] * g_c)
+    band = state.contour_band
+    coords = np.unravel_index(band.index, dims) - band.origins.T[:, :, None]
+    sampled, sampled_pos = gradients.sample_volume_with_gradient(
+        band.maps, field.u.reshape(3, -1)[:, band.index] + coords)
+    g = sampled_pos * (wd["contour"] * losses._contour(band, sampled, True)[1])
+    for k, count in enumerate(band.counts):
+        grad.reshape(3, -1)[:, band.index[k, :count]] += g[:, k, :count]
     grad += d_moved * moved_pos
     losses._add_on_windows(grad, windows, d_masks * masks_pos)
     return grad
@@ -530,10 +502,12 @@ def _assert_one_sampler_call_per_kind(st, monkeypatch):
     evaluate_objective(st, field)
     images = [points for data, points in calls if data is st.moving.data]
     masks = [points for data, points in calls if data is st.moving_masks.values]
-    assert len(calls) == 2
+    maps = [points for data, points in calls if data is st.contour_band.maps]
+    assert len(calls) == 3
     assert len(images) == 1 and images[0].shape == (3,) + st.dims
     assert len(masks) == 1 and masks[0].ndim == 5
     assert masks[0].shape[:2] == (3, len(st.moving_masks.boxes))
+    assert len(maps) == 1 and maps[0].shape == (3,) + st.contour_band.index.shape
     calls.clear()
     evaluate_objective(st, field, with_grad=False)
     assert calls == []
@@ -541,9 +515,10 @@ def _assert_one_sampler_call_per_kind(st, monkeypatch):
 
 def test_sampler_call_shape(state, monkeypatch):
     # the with-gradient path calls gradients.sample_volume_with_gradient as
-    # (data, points) twice: the moving image itself once, and the mask
-    # channel stack itself once, at (3, K, wx, wy, wz) points; a value-only
-    # evaluation never calls it
+    # (data, points) three times: the moving image itself once, the mask
+    # channel stack itself once, at (3, K, wx, wy, wz) points, and the
+    # contour term's distance maps once, at (3, P, n) band points; a
+    # value-only evaluation never calls it
     _assert_one_sampler_call_per_kind(state, monkeypatch)
 
 
@@ -554,46 +529,53 @@ def test_sampler_call_count_does_not_grow_with_classes(monkeypatch):
 
 # ------------------------------------------------- contours, all classes at once
 
-def _per_class_contour(state, field):
-    """The contour term class by class: the value as the mean of the
-    exhaustive ``oracles.chamfer``, the gradient as one add per class of
-    ``losses._class_chamfer`` called with that class alone."""
-    classes = _contour_classes(state)
-    values, grad = [], np.zeros((3,) + state.dims)
-    for fixed_pts, moving_pts in classes:
-        index = (slice(None),) + tuple(fixed_pts.T.astype(np.intp))
-        carried = fixed_pts + field.u[index].T
-        values.append(oracles.chamfer(carried, moving_pts))
-        one = losses._class_chamfer(carried, np.zeros(len(carried), int),
-                                    moving_pts, np.zeros(len(moving_pts), int), True)[1]
-        grad[index] += one.T / len(classes)
-    return float(np.mean(values)), grad
-
-
-def _assert_contour_matches_per_class(state, field):
+def _assert_contour_matches_dense(state, fixed, moving, field):
+    # the state samples every class's map on its box in one call; the
+    # oracle samples whole-grid maps of its own, class by class
     value, grad = term_evaluator(state, "contour")(field)
-    want_value, want_grad = _per_class_contour(state, field)
+    want_value, want_grad = oracles.contour(oracles.dense_channels(fixed),
+                                            oracles.dense_channels(moving), field.u)
     assert value == pytest.approx(want_value, rel=1e-12)
     assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
     assert grad.any()
 
 
-def test_contour_classes_batched_match_per_class(state):
-    _assert_contour_matches_per_class(state, tie_free_field(state))
+def _contour_state(fixed, moving):
+    return build_state(rand_volume(71, fixed.dims), rand_volume(72, fixed.dims),
+                       LossWeights(0, 0, 0, 0, 1), fixed, moving, window=3, max_points=10 ** 6)
 
 
-def test_contour_gap_follows_the_points_extent(state):
-    # the carried points land ten grid extents away from the moving points,
-    # so a class gap taken from the grid would let classes mix
-    field = tie_free_field(state)
-    shift = 10.0 * max(DIMS) * np.array([1.0, 0.7, 0.4])[:, None, None, None]
-    _assert_contour_matches_per_class(
-        state, DisplacementField(DIMS, (1, 1, 1), field.u + shift))
+def test_contour_classes_batched_match_per_class(masks):
+    _assert_contour_matches_dense(_contour_state(*masks), *masks, rand_field(73))
+
+
+def _face_and_odd_masks(dims):
+    """Class 1 touches the x=0 face, class 2 the three far faces, class 3 is
+    interior; the moving labels are the fixed ones rolled by one voxel on y."""
+    nx, ny, nz = dims
+    labels = np.zeros(dims, np.int32)
+    labels[0:3, 1:4, 1:4] = 1
+    labels[nx - 3:, ny - 3:, nz - 3:] = 2
+    labels[3:6, 4:7, 2:4] = 3
+    return tuple(one_hot(LabelVolume(dims, (1, 1, 1), np.roll(labels, shift, axis=1), 3))
+                 for shift in (0, 1))
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (9, 12, 7), (20, 16, 12)],
+                         ids=["face-8x8x8", "odd-9x12x7", "boxes-20x16x12"])
+def test_contour_on_faces_and_odd_grids_matches_oracle_and_fd(dims):
+    masks = _face_and_odd_masks(dims)
+    state = _contour_state(*masks)
+    field = rand_field(74, dims=dims)
+    _assert_contour_matches_dense(state, *masks, field)
+    _, max_rel = oracles.finite_diff_check(term_evaluator(state, "contour"), field,
+                                           probe_count=64, eps=1e-3, seed=15)
+    assert max_rel < 1e-3
 
 
 def test_contour_voxel_of_two_classes_gets_both_gradients():
-    # voxel (2, 2, 2) holds 0.5 of each class, so it is a contour point of
-    # both, and the gradients of both classes must land on it
+    # voxel (2, 2, 2) holds 0.5 of each class, so it is in both hard masks
+    # and both bands, and the gradients of both classes must land on it
     labels = np.zeros(DIMS, np.int32)
     labels[1:3, 1:4, 1:4] = 1
     labels[3:5, 1:4, 1:4] = 2
@@ -601,12 +583,11 @@ def test_contour_voxel_of_two_classes_gets_both_gradients():
     channels[:, 2, 2, 2] = 0.5
     fixed = oracles.mask_from_channels(DIMS, (1, 1, 1), channels)
     moving = one_hot(LabelVolume(DIMS, (1, 1, 1), np.roll(labels, 1, axis=1), 2))
-    st = build_state(rand_volume(71), rand_volume(72), LossWeights(0, 0, 0, 0, 1),
-                     fixed, moving, window=3, max_points=512)
-    fixed_pts, fixed_class = st.contour_pairs[:2]
-    for c in range(2):
-        assert (fixed_pts[fixed_class == c] == 2.0).all(axis=1).any(), c
-    _assert_contour_matches_per_class(st, rand_field(73))
+    st = _contour_state(fixed, moving)
+    voxel = np.ravel_multi_index((2, 2, 2), DIMS)
+    for index, count in zip(st.contour_band.index, st.contour_band.counts):
+        assert voxel in index[:count]
+    _assert_contour_matches_dense(st, fixed, moving, rand_field(73))
 
 
 def test_objective_does_not_depend_on_the_volumes_memory_layout():

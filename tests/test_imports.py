@@ -1,10 +1,15 @@
-"""Every name a ``protoreg`` module imports is used in it.
+"""Every name a ``protoreg`` module imports is used in it, and a
+registration loads no module it does not need.
 
-The package root is left out: it imports names to re-export them.  An
-import line marked ``# noqa: F401`` is kept on purpose and is left out too.
+The package root is left out of the first check: it imports names to
+re-export them.  An import line marked ``# noqa: F401`` is kept on purpose
+and is left out too.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +44,28 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+REGISTER_16 = """
+import sys
+import protoreg
+from protoreg.phantom import generate, three_blob_spec
+pair = generate(three_blob_spec(dims=(16, 16, 16), num_blobs=1, magnitude=1.0, seed=0))
+config = protoreg.RegistrationConfig(levels=2, iterations=(3, 3), window=5, learning_rate=1e-2)
+result = protoreg.register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels,
+                                config)
+assert all(value != 0.0 for value in result.final_breakdown.values.values())
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_a_registration_loads_no_scipy_spatial():
+    # scipy.spatial costs about 12 MB of resident memory and 70 ms of import
+    # time in a process; the contour term samples distance maps instead of
+    # querying KD-trees, so a registration with all five terms needs none
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", REGISTER_16], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -3,11 +3,11 @@ import pytest
 
 import oracles
 from protoreg import losses
-from protoreg.gradients import _carried, build_state, evaluate_objective
+from protoreg.gradients import build_state, evaluate_objective
 from protoreg.grids import (
     DimsMismatchError, LabelVolume, Volume, argmax_labels, one_hot,
 )
-from protoreg.losses import LossWeights, PrototypeSet, extract_contour_points, extract_prototypes
+from protoreg.losses import LossWeights, PrototypeSet, extract_prototypes
 from protoreg.warp import DisplacementField
 
 
@@ -50,12 +50,6 @@ def align(protos_f, protos_m):
     windows = [(slice(i, i + 1), slice(0, 1), slice(0, 1)) for i in range(k)]
     values = protos_m.present.astype(float).reshape(k, 1, 1, 1)
     return losses._align(protos_f, features, windows, values)[0]
-
-
-def chamfer(a, b):
-    """The symmetric Chamfer of two point sets, as one class of
-    ``losses._class_chamfer``."""
-    return losses._class_chamfer(a, np.zeros(len(a), int), b, np.zeros(len(b), int))[0]
 
 
 def objective(fixed, moving, field, weights, fixed_mask=None, moving_mask=None, **kwargs):
@@ -336,67 +330,55 @@ def test_prototype_loss_composition():
 
 # ----------------------------------------------------------------- contours
 
+def contour_state(fixed_mask, moving_mask, max_points=2048, seed=0):
+    """A state with the contour term alone."""
+    vol = rand_volume(fixed_mask.dims, 73)
+    return build_state(vol, vol, LossWeights(0, 0, 0, 0, 1), fixed_mask, moving_mask,
+                       window=3, max_points=max_points, seed=seed)
+
+
+def contour(fixed_mask, moving_mask, u=None):
+    """The contour term of the two masks at the field ``u`` (default 0)."""
+    dims = fixed_mask.dims
+    field = DisplacementField(dims, (1, 1, 1), np.zeros((3,) + dims) if u is None else u)
+    return evaluate_objective(contour_state(fixed_mask, moving_mask), field,
+                              with_grad=False)[0].values["contour"]
+
+
 def test_contour_single_voxel():
-    labels = np.zeros((5, 5, 5), np.int32)
-    labels[2, 3, 1] = 1
-    pts = extract_contour_points(one_hot(LabelVolume((5, 5, 5), (1, 1, 1), labels, 1)), 1)
-    assert len(pts) == 1
-    assert np.array_equal(pts[0], [2.0, 3.0, 1.0])
-
-
-def test_contour_solid_cube_26_boundary_points():
-    labels = np.zeros((7, 7, 7), np.int32)
-    labels[2:5, 2:5, 2:5] = 1
-    pts = extract_contour_points(one_hot(LabelVolume((7, 7, 7), (1, 1, 1), labels, 1)), 1)
-    assert len(pts) == 26
-    assert not any(np.array_equal(p, [3.0, 3.0, 3.0]) for p in pts)
+    # the band of one voxel: the voxel itself, at S_f = -1, and the 122
+    # voxels within distance 3 of it, at their distance
+    labels = np.zeros((9, 9, 9), np.int32)
+    labels[4, 4, 4] = 1
+    mask = one_hot(LabelVolume((9, 9, 9), (1, 1, 1), labels, 1))
+    band = contour_state(mask, mask).contour_band
+    assert band.counts.tolist() == [123]
+    offsets = np.column_stack(np.unravel_index(band.index[0], (9, 9, 9))) - 4
+    distance = np.sqrt((offsets ** 2).sum(axis=1))
+    assert np.array_equal(band.target[0], np.where(distance == 0, -1.0, distance))
 
 
 def test_contour_subsample_deterministic():
     labels = np.zeros((10, 10, 10), np.int32)
     labels[1:9, 1:9, 1:9] = 1
     lv = one_hot(LabelVolume((10, 10, 10), (1, 1, 1), labels, 1))
-    a = extract_contour_points(lv, 1, max_points=10, seed=5)
-    b = extract_contour_points(lv, 1, max_points=10, seed=5)
-    c = extract_contour_points(lv, 1, max_points=10, seed=6)
-    assert len(a) == 10
+    a, b, c = (contour_state(lv, lv, max_points=10, seed=seed).contour_band.index
+               for seed in (5, 5, 6))
+    assert a.shape == (1, 10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_contour_empty_region():
     labels = np.zeros((4, 4, 4), np.int32)
-    pts = extract_contour_points(one_hot(LabelVolume((4, 4, 4), (1, 1, 1), labels, 1)), 1)
-    assert pts.shape == (0, 3)
-
-
-def test_chamfer_identical_sets_zero():
-    pts = np.random.default_rng(70).uniform(0, 5, size=(15, 3))
-    assert chamfer(pts, pts.copy()) == 0.0
-
-
-def test_chamfer_two_point_closed_form():
-    assert chamfer(np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])) == pytest.approx(2.0)
-
-
-def test_chamfer_matches_exhaustive_oracle():
-    rng = np.random.default_rng(71)
-    a = rng.uniform(0, 8, size=(20, 3))
-    b = rng.uniform(0, 8, size=(20, 3))
-    assert chamfer(a, b) == pytest.approx(oracles.chamfer(a, b), rel=1e-12)
-
-
-def test_chamfer_symmetric_nonnegative():
-    rng = np.random.default_rng(72)
-    a = rng.uniform(0, 4, size=(12, 3))
-    b = rng.uniform(0, 4, size=(9, 3))
-    assert chamfer(a, b) == pytest.approx(chamfer(b, a), rel=1e-12)
-    assert chamfer(a, b) > 0.0
+    mask = one_hot(LabelVolume((4, 4, 4), (1, 1, 1), labels, 1))
+    assert contour_state(mask, mask).contour_band is None
+    assert contour(mask, mask) == 0.0
 
 
 def test_contour_term_skips_a_class_empty_on_one_side():
-    # class 2 has contour points on the fixed side only: the term is class
-    # 1's Chamfer alone, and with no class on both sides it is 0
+    # class 2 has a mask on the fixed side only: the term is class 1's
+    # alone, and with no class on both sides it is 0
     dims = (8, 8, 8)
     labels = np.zeros(dims, np.int32)
     labels[1:4, 1:4, 1:4] = 1
@@ -406,40 +388,25 @@ def test_contour_term_skips_a_class_empty_on_one_side():
         kept = np.where(np.isin(labels, keep), labels, 0)
         return one_hot(LabelVolume(dims, (1, 1, 1), np.roll(kept, shift, axis=0), 2))
 
-    def contour(fixed_mask, moving_mask):
-        vol = rand_volume(dims, 73)
-        return objective(vol, vol, DisplacementField.zeros(dims), LossWeights(0, 0, 0, 0, 1),
-                         fixed_mask, moving_mask, window=3).values["contour"]
-
-    fixed, moving = mask([1, 2]), mask([1], shift=1)
-    want = chamfer(extract_contour_points(fixed, 1), extract_contour_points(moving, 1))
-    assert contour(fixed, moving) == want > 0.0
+    moving = mask([1], shift=1)
+    assert contour(mask([1, 2]), moving) == contour(mask([1]), moving) > 0.0
     assert contour(mask([1]), mask([2])) == 0.0
 
 
 def test_contour_loss_follows_warp_convention():
-    # phi(p) = p + u(p) maps output coords to moving coords; the field that
-    # aligns a moving boundary at x=2 with a fixed boundary at x=3 is u = -1
-    # (the same field warp_volume needs to move that content)
-    dims = (6, 6, 6)
+    # phi(p) = p + u(p) maps output coords to moving coords: the moving cube
+    # is the fixed one shifted by +1 on x, so u = +1 aligns them exactly
+    # (the same field warp_volume needs to move that content), while u = 0
+    # leaves every band point one voxel off and u = -1 two
+    dims = (10, 10, 10)
+    labels = np.zeros(dims, np.int32)
+    labels[3:6, 3:6, 3:6] = 1
+    fixed = one_hot(LabelVolume(dims, (1, 1, 1), labels, 1))
+    moving = one_hot(LabelVolume(dims, (1, 1, 1), np.roll(labels, 1, axis=0), 1))
     u = np.zeros((3,) + dims)
-    u[0] = -1.0
-    field = DisplacementField(dims, (1, 1, 1), u)
-    pairs = (np.array([[3.0, 3.0, 3.0]]), np.zeros(1, int), np.array([[2.0, 3.0, 3.0]]),
-             np.zeros(1, int))
-
-    def contour(field):
-        return losses._class_chamfer(_carried(pairs, field)[1], *pairs[1:])[0]
-
-    assert contour(field) == pytest.approx(0.0, abs=1e-12)
-    assert contour(DisplacementField.zeros(dims)) == pytest.approx(2.0)
-
-
-def test_contour_loss_rejects_points_outside_the_grid():
-    pairs = (np.array([[3.0, 6.0, 3.0]]), np.zeros(1, int), np.array([[2.0, 3.0, 3.0]]),
-             np.zeros(1, int))
-    with pytest.raises(ValueError):
-        _carried(pairs, DisplacementField.zeros((6, 6, 6)))
+    u[0] = 1.0
+    assert contour(fixed, moving, u) == 0.0
+    assert contour(fixed, moving, -u) > contour(fixed, moving) > 0.0
 
 
 # -------------------------------------------------------------------- total

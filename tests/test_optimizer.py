@@ -116,6 +116,25 @@ def test_config_rejects_no_contour_points(points):
     assert RegistrationConfig(max_contour_points=1).max_contour_points == 1
 
 
+@pytest.mark.parametrize("points", [2.5, 2048.0])
+def test_config_rejects_a_contour_point_count_that_is_not_an_integer(points):
+    with pytest.raises(ValueError, match="max_contour_points"):
+        RegistrationConfig(max_contour_points=points)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_config_rejects_a_learning_rate_that_is_not_finite(rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        RegistrationConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("weights", [[1, 4], [1, 4, 1, 1, 0.1, 2]])
+def test_config_from_dict_rejects_a_weight_list_of_another_length(weights):
+    # a short list would leave the other terms at their defaults unseen
+    with pytest.raises(ValueError, match="weights"):
+        RegistrationConfig.from_dict({"weights": weights})
+
+
 def test_register_pair_rejects_a_moving_spacing_unlike_the_fixed():
     pair = small_pair(0)
     moving = dataclasses.replace(pair.moving, spacing=(1.0, 1.0, 5.0))
