@@ -10,10 +10,12 @@ immutable after construction and safe to share across threads.
 A one-hot mask is crop-backed: each channel is held only on a box
 (``ChannelCrop``), and nothing here makes a (K, nx, ny, nz) array.
 ``one_hot`` and ``downsample`` trim each crop to its channel's support:
-``one_hot`` takes the boxes from the label map (``ndimage.find_objects``),
-and ``downsample`` halves each crop on the whole grid's cells, so a coarse
-crop is the dense pyramid's crop bit for bit.  ``argmax_labels`` keeps a
-running maximum over the crops.
+``one_hot`` takes the boxes from the label map (``_label_boxes``: per axis,
+one ``bincount`` of (class, slab) pairs over the foreground voxels gives
+each class's first and last slab, the boxes ``ndimage.find_objects``
+returns), and ``downsample`` halves each crop on the whole grid's cells,
+so a coarse crop is the dense pyramid's crop bit for bit.
+``argmax_labels`` keeps a running maximum over the crops.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 
 # A voxel whose strongest channel stays below this is background.
@@ -141,10 +142,27 @@ def halved_dims(dims) -> tuple[int, int, int]:
     return tuple(-(-int(d) // 2) for d in dims)
 
 
+def _label_boxes(labels: np.ndarray, num_classes: int) -> list:
+    """Per class 1..``num_classes`` the box of its voxels, a tuple of slices
+    (``ndimage.find_objects``'s boxes), or None for an absent class.  One
+    ``bincount`` per axis over the foreground voxels marks the slabs that
+    hold each class; a box runs from its first marked slab to its last."""
+    flat = np.flatnonzero(labels != 0)      # 7x faster than on the int32 labels
+    classes = labels.ravel()[flat].astype(np.intp)
+    spans = []
+    for n, coord in zip(labels.shape, np.unravel_index(flat, labels.shape)):
+        seen = np.bincount(classes * n + coord, minlength=(num_classes + 1) * n)
+        seen = seen.reshape(num_classes + 1, n)[1:] > 0
+        spans.append((seen.argmax(axis=1), n - seen[:, ::-1].argmax(axis=1)))
+    present = seen.any(axis=1)
+    return [tuple(slice(int(lo[c]), int(hi[c])) for lo, hi in spans) if present[c] else None
+            for c in range(num_classes)]
+
+
 def one_hot(labels: LabelVolume) -> OneHotMask:
     """Label k as the hard channel k-1, each cropped to the label's box
-    (``ndimage.find_objects``); no (K, nx, ny, nz) array is made."""
-    boxes = ndimage.find_objects(labels.labels, max_label=labels.num_classes)
+    (``_label_boxes``); no (K, nx, ny, nz) array is made."""
+    boxes = _label_boxes(labels.labels, labels.num_classes)
     crops = tuple(None if box is None else
                   ChannelCrop(tuple(s.start for s in box),
                               (labels.labels[box] == c).astype(np.float64))

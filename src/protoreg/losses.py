@@ -32,6 +32,18 @@ both grown by the band and one voxel (no (K, nx, ny, nz) array).  Within
 its box a map is the whole grid's; outside it the sampler clamps, so the
 value is held and its derivative is 0.
 
+Everything here runs on numpy alone.  The correlation term's window sums
+are band products: per axis, a 0/1 matrix of shape (n, n - w + 1) sums
+each full window (``_window_sums``), and the same matrices spread
+per-window values back onto the voxels (``_window_spread``, the exact
+adjoint); each product is one slab, small enough for one BLAS thread.
+The distance maps come from an exact separable squared Euclidean distance
+transform in integer arithmetic (``_squared_distance``): a scan for the
+nearest feature along x, then g[i] = min_j f[j] + (i - j)**2 along y and
+z, by offsets d until d*d reaches the largest g.  Squared distances are
+integers, so every step is exact, and one square root per map gives the
+float64 that ``scipy.ndimage.distance_transform_edt`` gives, bit for bit.
+
 Moved mask channels come as one stack, sampled on the windows of
 ``warp.mask_points``: ``values`` (K, wx, wy, wz) and ``windows``, K tuples
 of slices of the grid of that shape; channel k is ``values[k]`` on
@@ -58,7 +70,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt, uniform_filter
 
 from .grids import FOREGROUND_THRESHOLD, OneHotMask, _on_windows
 from .warp import _one_shape, central_difference, central_difference_adjoint
@@ -125,14 +136,38 @@ class PrototypeSet(NamedTuple):
 
 # ------------------------------------------------------- similarity (LNCC)
 
-def _box_sums(stacked: np.ndarray, window: int) -> np.ndarray:
-    """Replace each volume in the (C, nx, ny, nz) ``stacked`` by its sums
-    over the centered window at every voxel (zero outside the volume), in
-    place; returns ``stacked``."""
-    uniform_filter(stacked, size=window, mode="constant", cval=0.0, axes=(1, 2, 3),
-                   output=stacked)
-    stacked *= float(window ** 3)
-    return stacked
+def _band(n: int, window: int) -> np.ndarray:
+    """The (n, n - window + 1) 0/1 matrix whose column j holds ones on rows
+    j .. j + window - 1: a product with it sums each full window of an axis."""
+    offset = np.arange(n)[:, None] - np.arange(n - window + 1)
+    return ((offset >= 0) & (offset < window)).astype(np.float64)
+
+
+def _window_sums(stacked: np.ndarray, window: int) -> np.ndarray:
+    """(C, nx, ny, nz) -> (C, mx, my, mz), m = n - window + 1: each volume's
+    sums over its full windows, one band product per axis (x, z, then y).
+    Each BLAS product is one slab, (m, n) @ (n, n) at most, which BLAS runs
+    on one thread; one product per axis over a whole volume would start its
+    helper threads, which cost more CPU time than they save."""
+    bx, by, bz = (_band(n, window) for n in stacked.shape[1:])
+    out = np.empty((len(stacked), bx.shape[1], by.shape[1], bz.shape[1]))
+    for volume, sums in zip(stacked, out):
+        partial = np.matmul(bx.T, volume.transpose(1, 0, 2))     # (ny, mx, nz)
+        partial = partial @ bz                                    # (ny, mx, mz)
+        np.matmul(by.T, partial.transpose(1, 0, 2), out=sums)    # (mx, my, mz)
+    return out
+
+
+def _window_spread(sums: np.ndarray, dims, window: int) -> np.ndarray:
+    """The exact adjoint of ``_window_sums``: (C, mx, my, mz) ->
+    (C, nx, ny, nz), each window's value added onto every voxel of it."""
+    bx, by, bz = (_band(n, window) for n in dims)
+    out = np.empty((len(sums),) + tuple(dims))
+    for window_sums, spread in zip(sums, out):
+        partial = np.matmul(bx, window_sums.transpose(1, 0, 2))  # (my, nx, mz)
+        partial = partial @ bz.T                                  # (my, nx, nz)
+        np.matmul(by, partial.transpose(1, 0, 2), out=spread)    # (nx, ny, nz)
+    return out
 
 
 def _check_window(dims, window: int) -> None:
@@ -148,58 +183,55 @@ def _lncc_fixed(fixed: np.ndarray, window: int):
     and which windows clear the variance floor on that side."""
     _check_window(fixed.shape, window)
     w3 = float(window ** 3)
-    center = (slice(None),) + (slice(window // 2, -(window // 2)),) * 3
-    s_i, s_ii = _box_sums(np.stack([fixed, fixed * fixed]), window)[center]
-    b = s_ii - s_i * s_i / w3
-    # a copy of s_i, so that the state does not hold the whole-grid sums
-    return s_i.copy(), b, b / w3 >= VARIANCE_EPS
+    s_i, b = _window_sums(np.stack([fixed, fixed * fixed]), window)
+    b -= s_i * s_i / w3
+    return s_i, b, b / w3 >= VARIANCE_EPS
 
 
 def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
           with_grad: bool = False):
     """Correlation value and, with ``with_grad``, d(value)/d(moved), given
-    the fixed side's ``_lncc_fixed`` sums.  The three moving-side window sums
-    run as one stacked box filter, and so do the four of the backward pass,
-    which recomputes window sums as box sums rather than caching per window
-    (windows overlap heavily).  Both stacks are filled and filtered in
-    place, and the first is freed before the second is made."""
+    the fixed side's ``_lncc_fixed`` sums.  The three moving-side window
+    sums are one stacked ``_window_sums``.  The backward pass spreads three
+    per-window coefficient stacks back onto the voxels with one
+    ``_window_spread`` (its adjoint) rather than caching per window
+    (windows overlap heavily): d/d(moved) = -(fixed * S(alpha) - moved *
+    S(beta) + S(beta * mean_j - alpha * mean_i)) / count."""
     s_i, b, valid_fixed = fixed_sums
     w3 = float(window ** 3)
-    center = (slice(None),) + (slice(window // 2, -(window // 2)),) * 3
     sums = np.empty((3,) + moved.shape)
     sums[0] = moved
     np.multiply(moved, moved, out=sums[1])
     np.multiply(fixed, moved, out=sums[2])
-    s_j, s_jj, s_ij = _box_sums(sums, window)[center]
+    s_j, s_jj, s_ij = _window_sums(sums, window)
+    sums = None
     a = s_ij - s_i * s_j / w3
     c = s_jj - s_j * s_j / w3
     valid = valid_fixed & (c / w3 >= VARIANCE_EPS)
     bc = b * c
     ncc2 = np.zeros_like(a)
     np.divide(a * a, bc, out=ncc2, where=valid)
-    count = int(np.prod([n - window + 1 for n in fixed.shape]))
+    count = a.size
     value = float(-ncc2.sum() / count)
     if not with_grad:
         return value, None
-    mean_j = s_j / w3
-    sums = s_j = s_jj = s_ij = ncc2 = None     # dead: free the stack for the backward pass
-    full = np.zeros((4,) + fixed.shape)
-    alpha, alpha_i, beta, beta_j = full[center]
+    coef = np.zeros((3,) + a.shape)
+    alpha, beta, shift = coef
     two_a = 2.0 * a
     np.divide(two_a, bc, out=alpha, where=valid)
     two_a *= a
     bc *= c
     np.divide(two_a, bc, out=beta, where=valid)
-    np.multiply(alpha, s_i / w3, out=alpha_i)
-    np.multiply(beta, mean_j, out=beta_j)
-    a = c = bc = two_a = mean_j = None
-    box_alpha, box_alpha_i, box_beta, box_beta_j = _box_sums(full, window)
-    # fixed * box_alpha - box_alpha_i - moved * box_beta + box_beta_j, negated
-    dsum = fixed * box_alpha
-    dsum -= box_alpha_i
-    box_beta *= moved
-    dsum -= box_beta
-    dsum += box_beta_j
+    # beta * mean_j - alpha * mean_i
+    np.multiply(beta, s_j / w3, out=shift)
+    shift -= alpha * (s_i / w3)
+    a = c = bc = two_a = s_j = s_jj = s_ij = ncc2 = None
+    dsum, spread_beta, spread_shift = _window_spread(coef, fixed.shape, window)
+    # -(fixed * S(alpha) - moved * S(beta) + S(shift)) / count, in place
+    dsum *= fixed
+    spread_beta *= moved
+    dsum -= spread_beta
+    dsum += spread_shift
     np.negative(dsum, out=dsum)
     dsum /= count
     return value, dsum
@@ -462,18 +494,77 @@ class ContourBand(NamedTuple):
     origins: np.ndarray     # (P, 3) each box's first voxel
 
 
-def _signed_distance(crop, box) -> np.ndarray:
-    """S of the crop's hard mask on ``box``, which holds the crop grown by
-    one voxel; a layer of background stands for everything past the box."""
-    fg = np.pad(_on_windows([crop], [box])[0] >= FOREGROUND_THRESHOLD, 1)
-    return (distance_transform_edt(~fg) - distance_transform_edt(fg))[1:-1, 1:-1, 1:-1]
+def _parabola_pass(f: np.ndarray, unreached: int) -> np.ndarray:
+    """g[i] = min_j f[j] + (i - j)**2 along axis 1 of the C-ordered integer
+    ``f``, where an entry equal to ``unreached`` (above every squared
+    distance of the box) stands for "no feature yet".  Offset d = 1, 2, ...
+    lowers g by f[i + d] + d*d and f[i - d] + d*d, until d*d reaches the
+    largest g: no farther offset can lower it.  A line of unreached entries
+    stays so; it holds 0 while the offsets run, so that it does not keep
+    them running."""
+    lost = f.min(axis=1, keepdims=True) == unreached
+    g = f * ~lost
+    scratch = np.empty_like(f)
+    n = f.shape[1]
+    for d in range(1, n):
+        if d * d >= g.max():
+            break
+        candidate = np.add(f[:, d:], d * d, out=scratch[:, :n - d])
+        np.minimum(g[:, :-d], candidate, out=g[:, :-d])
+        candidate = np.add(f[:, :-d], d * d, out=scratch[:, :n - d])
+        np.minimum(g[:, d:], candidate, out=g[:, d:])
+    g += lost * np.int32(unreached)
+    return g
+
+
+def _squared_distance(features: np.ndarray) -> np.ndarray:
+    """Per channel of the (C, nx, ny, nz) bool ``features``, each holding a
+    True voxel, the squared Euclidean distance of every voxel to the nearest
+    True one, as integers.  Separable: along x a scan for the nearest
+    feature on each line, then ``_parabola_pass`` along y and along z, each
+    on a copy that puts its axis first for contiguous slabs."""
+    _, nx, ny, nz = features.shape
+    # no value passes (2 * big)**2: int32 is exact while nx + ny + nz < 23,000
+    big = nx + ny + nz
+    unreached = big * big
+    index = np.arange(nx, dtype=np.int32).reshape(1, nx, 1, 1)
+    before = np.where(features, index, np.int32(-big))
+    np.maximum.accumulate(before, axis=1, out=before)
+    after = np.where(features, index, np.int32(nx + big))
+    after = np.minimum.accumulate(after[:, ::-1], axis=1)[:, ::-1]
+    np.subtract(index, before, out=before)
+    after -= index
+    sq = np.minimum(before, after, out=before)
+    np.multiply(sq, sq, out=sq)
+    np.minimum(sq, unreached, out=sq)
+    before = after = None
+    sq = _parabola_pass(np.ascontiguousarray(sq.transpose(0, 2, 1, 3)), unreached)  # (c, y, x, z)
+    sq = _parabola_pass(np.ascontiguousarray(sq.transpose(0, 3, 1, 2)), unreached)  # (c, z, y, x)
+    return sq.transpose(0, 3, 2, 1)
+
+
+def _signed_distance(crops, boxes) -> np.ndarray:
+    """S of each crop's hard mask on its box: (C, bx, by, bz) for C crops on
+    ``boxes`` of one shape, each holding its crop grown by one voxel; a
+    layer of background stands for everything past a box.  The distances
+    to the masks and to their complements are one stacked
+    ``_squared_distance`` and one square root."""
+    fg = np.pad(_on_windows(crops, boxes) >= FOREGROUND_THRESHOLD, [(0, 0)] + [(1, 1)] * 3)
+    root = np.sqrt(_squared_distance(np.concatenate([fg, ~fg])), order="C")
+    return (root[:len(fg)] - root[len(fg):])[:, 1:-1, 1:-1, 1:-1]
 
 
 def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: int):
     """The contour term's ``ContourBand`` (see the module docstring), or
     None without a class on both sides; a class with more than
     ``max_points`` band points keeps a uniform subsample seeded by
-    ``seed``."""
+    ``seed``.
+
+    All maps of the level are one ``_signed_distance`` call.  S_f is made
+    on its class's S_m box, which holds the fixed mask grown by the band
+    and one voxel: there it is the whole grid's map, and every band point
+    lies in it, so the band points, their order and their S_f are those of
+    any such box."""
     dims, by = fixed.dims, int(CONTOUR_BAND) + 1
 
     def grown(crop):
@@ -486,10 +577,12 @@ def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: 
                and (m.values >= FOREGROUND_THRESHOLD).any()]
     if not classes:
         return None
+    boxes = _one_shape([tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
+                              for a, b in zip(grown(f), grown(m))) for f, m in classes], dims)
+    p = len(classes)
+    maps = _signed_distance([f for f, _ in classes] + [m for _, m in classes], boxes + boxes)
     index, target = [], []
-    for f, _ in classes:
-        box = grown(f)
-        s_f = _signed_distance(f, box)
+    for s_f, box in zip(maps[:p], boxes):
         local = np.argwhere(np.abs(s_f) <= CONTOUR_BAND)
         if len(local) > max_points:
             rng = np.random.default_rng(seed)
@@ -498,11 +591,9 @@ def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: 
         target.append(s_f[tuple(local.T)])
     counts = np.array([len(i) for i in index])
     n = counts.max()
-    boxes = _one_shape([tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
-                              for a, b in zip(grown(f), grown(m))) for f, m in classes], dims)
     return ContourBand(np.stack([np.pad(i, (0, n - len(i)), "edge") for i in index]),
                        np.stack([np.pad(t, (0, n - len(t)), "edge") for t in target]), counts,
-                       np.stack([_signed_distance(m, box) for (_, m), box in zip(classes, boxes)]),
+                       maps[p:].copy(),      # a copy: the state holds no fixed map
                        np.array([[s.start for s in box] for box in boxes]))
 
 

@@ -55,6 +55,10 @@ def default_iterations(levels: int) -> tuple:
     return base[:levels]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class RegistrationConfig:
     levels: int = 4
@@ -70,8 +74,9 @@ class RegistrationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("RegistrationConfig: levels must be >= 1")
+        if not _is_integer(self.levels) or self.levels < 1:
+            raise ValueError(f"RegistrationConfig: levels must be an integer >= 1, "
+                             f"got {self.levels}")
         its = self.iterations
         if its is None:
             its = default_iterations(self.levels)
@@ -86,8 +91,9 @@ class RegistrationConfig:
         if any(i < 1 for i in its):
             raise ValueError("RegistrationConfig: iterations must be >= 1")
         object.__setattr__(self, "iterations", its)
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError(f"RegistrationConfig: window must be odd and >= 3, got {self.window}")
+        if not _is_integer(self.window) or self.window < 3 or self.window % 2 == 0:
+            raise ValueError(f"RegistrationConfig: window must be an odd integer >= 3, "
+                             f"got {self.window}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"RegistrationConfig: {name} must lie in [0, 1), "
@@ -97,7 +103,7 @@ class RegistrationConfig:
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"RegistrationConfig: {name} must be finite and > 0, got {value}")
         points = self.max_contour_points
-        if not isinstance(points, (int, np.integer)) or points < 1:
+        if not _is_integer(points) or points < 1:
             raise ValueError(f"RegistrationConfig: max_contour_points must be an integer >= 1, "
                              f"got {points}")
 

@@ -1,0 +1,66 @@
+"""Register one pair with all five terms on numpy alone, and fail if any
+``scipy`` module was loaded on the way.
+
+    PYTHONPATH=src python tests/register_numpy_only.py            # two shifted spheres
+    PYTHONPATH=src python tests/register_numpy_only.py DIRECTORY  # the pair in DIRECTORY
+
+Without an argument the pair is built here with numpy: two spheres of two
+classes, shifted by a voxel and a half between the images.  With one, the
+images and label maps are read through ``protoreg.io`` from the files
+``FILES`` names in DIRECTORY.  Needs numpy and ``protoreg`` only, so it
+runs where scipy is not installed.
+"""
+
+import sys
+
+import numpy as np
+
+import protoreg
+from protoreg import io
+
+FILES = {"fixed": "fixed.nii.gz", "moving": "moving.nii.gz",
+         "fixed_labels": "fixed_labels.f32raw", "moving_labels": "moving_labels.f32raw"}
+DIMS = (20, 20, 20)
+SHIFT = 1.5          # voxels along x, moving against fixed
+
+
+def spheres(dims=DIMS, shift=0.0):
+    """An image of two blurred-edged spheres of intensities 1 and 0.6 and
+    its label map (classes 1 and 2), both moved by ``shift`` along x."""
+    coords = np.indices(dims, dtype=np.float64)
+    coords[0] -= shift
+    image, labels = np.zeros(dims), np.zeros(dims, np.int32)
+    for label, (center, radius, intensity) in enumerate(
+            [((8.0, 9.0, 10.0), 5.0, 1.0), ((13.0, 12.0, 9.0), 3.0, 0.6)], start=1):
+        distance = np.sqrt(sum((c - o) ** 2 for c, o in zip(coords, center)))
+        image += intensity / (1.0 + np.exp(2.0 * (distance - radius)))
+        labels[distance <= radius] = label
+    return (protoreg.Volume(dims, (1, 1, 1), image),
+            protoreg.LabelVolume(dims, (1, 1, 1), labels, 2))
+
+
+def built_pair() -> dict:
+    (fixed, fixed_labels), (moving, moving_labels) = spheres(), spheres(shift=SHIFT)
+    return {"fixed": fixed, "moving": moving,
+            "fixed_labels": fixed_labels, "moving_labels": moving_labels}
+
+
+def read_pair(directory: str) -> dict:
+    return {name: io.read_volume(f"{directory}/{fname}") for name, fname in FILES.items()}
+
+
+def main(argv) -> None:
+    pair = read_pair(argv[0]) if argv else built_pair()
+    config = protoreg.RegistrationConfig(levels=2, iterations=(4, 4), window=5,
+                                         learning_rate=1e-2)
+    result = protoreg.register_pair(pair["fixed"], pair["moving"], pair["fixed_labels"],
+                                    pair["moving_labels"], config)
+    values = result.final_breakdown.values
+    assert all(np.isfinite(v) and v != 0.0 for v in values.values()), values
+    loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+    assert not loaded, f"a registration loaded {len(loaded)} scipy modules: {loaded[:4]} ..."
+    print("registered with", ", ".join(sorted(values)), "and no scipy module")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

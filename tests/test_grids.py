@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import oracles
 from protoreg.grids import (
@@ -164,6 +165,28 @@ def test_one_hot_crops_are_the_label_boxes():
     assert oh.crops[1] is None
     assert oh.crops[2].origin == (6, 5, 0) and oh.crops[2].values.shape == (1, 1, 1)
     assert all(c is None or c.values.dtype == np.float64 for c in oh.crops)
+
+
+@pytest.mark.parametrize("num_classes", [4, 7])
+@pytest.mark.parametrize("dims", [(9, 12, 7), (1, 6, 5), (16, 16, 16)])
+def test_one_hot_crops_equal_find_objects_crops(dims, num_classes):
+    # class 2 absent, class 1 on the x = 0 face, class 4 on the three far
+    # faces, class 3 scattered; 7 classes leave 5..7 absent above the
+    # largest label
+    rng = np.random.default_rng(sum(dims) + num_classes)
+    labels = np.where(rng.random(dims) < 0.2, 3, 0).astype(np.int32)
+    labels[0, : dims[1] // 2, 1:] = 1
+    labels[-1, -1, :] = 4
+    labels[:, -1, -1] = 4
+    boxes = ndimage.find_objects(labels, max_label=num_classes)
+    oh = one_hot(make_labels(labels, num_classes))
+    assert len(oh.crops) == len(boxes) == num_classes
+    for c, (crop, box) in enumerate(zip(oh.crops, boxes), start=1):
+        if box is None:
+            assert crop is None
+        else:
+            assert crop.box == box
+            assert np.array_equal(crop.values, (labels[box] == c).astype(np.float64))
 
 
 def _halvings(grid, times):

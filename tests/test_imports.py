@@ -1,5 +1,6 @@
 """Every name a ``protoreg`` module imports is used in it, and a
-registration loads no module it does not need.
+registration loads no module it does not need: no ``scipy`` module at all
+(only ``protoreg.phantom`` imports scipy).
 
 The package root is left out of the first check: it imports names to
 re-export them.  An import line marked ``# noqa: F401`` is kept on purpose
@@ -14,7 +15,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "protoreg"
+import register_numpy_only
+from protoreg import io
+from protoreg.phantom import generate, three_blob_spec
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "protoreg"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -69,3 +75,36 @@ def test_a_registration_loads_no_scipy_spatial():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def imports_scipy(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                 else [])
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            return True
+    return False
+
+
+def test_only_the_phantom_module_imports_scipy():
+    assert imports_scipy("import numpy\nfrom scipy.ndimage import label\n")
+    assert not imports_scipy("import scipyx\nfrom .scipy import f\n")
+    modules = sorted(path.name for path in SRC.glob("*.py"))
+    assert [m for m in modules if imports_scipy((SRC / m).read_text())] == ["phantom.py"]
+
+
+def test_a_registration_read_from_disk_loads_no_scipy(tmp_path):
+    # numpy + scipy.ndimage take about twice the resident memory of numpy
+    # alone; the phantom is written here, and a fresh interpreter reads it
+    # back and registers it with all five terms (the script the numpy-only
+    # CI job runs without a directory, where scipy is not installed)
+    pair = generate(three_blob_spec(dims=(16, 16, 16), num_blobs=1, magnitude=1.0, seed=3))
+    for name, fname in register_numpy_only.FILES.items():
+        io.write_volume(getattr(pair, name), tmp_path / fname)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, register_numpy_only.__file__, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "no scipy module" in proc.stdout

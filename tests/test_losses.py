@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import oracles
 from protoreg import losses
 from protoreg.gradients import build_state, evaluate_objective
 from protoreg.grids import (
-    DimsMismatchError, LabelVolume, Volume, argmax_labels, one_hot,
+    ChannelCrop, DimsMismatchError, LabelVolume, Volume, argmax_labels, one_hot,
 )
 from protoreg.losses import LossWeights, PrototypeSet, extract_prototypes
 from protoreg.warp import DisplacementField
@@ -456,3 +459,102 @@ def test_total_requires_masks_when_weighted():
     dims = (6, 6, 6)
     with pytest.raises(ValueError, match="both masks"):
         build_state(rand_volume(dims, 86), rand_volume(dims, 87), LossWeights(1, 4, 1, 1, 0.1))
+
+
+# ------------------------------------------- numpy kernels against oracles
+# scipy is the oracle of the distance maps here only: the package computes
+# them, and the LNCC window sums, with numpy alone.
+
+def brute_window_sums(stacked, window):
+    out = np.zeros((len(stacked),) + tuple(n - window + 1 for n in stacked.shape[1:]))
+    for i, j, k in np.ndindex(*out.shape[1:]):
+        out[:, i, j, k] = stacked[:, i:i + window, j:j + window, k:k + window].sum(axis=(1, 2, 3))
+    return out
+
+
+def brute_window_spread(sums, dims, window):
+    out = np.zeros((len(sums),) + dims)
+    for i, j, k in np.ndindex(*sums.shape[1:]):
+        out[:, i:i + window, j:j + window, k:k + window] += sums[:, i, j, k, None, None, None]
+    return out
+
+
+@pytest.mark.parametrize("dims,window", [((9, 7, 11), 3), ((9, 7, 11), 5), ((9, 7, 11), 7),
+                                         ((5, 12, 6), 5), ((8, 8, 8), 3)])
+def test_window_sums_and_spread_match_brute_force_and_are_adjoint(dims, window):
+    # window == smallest dim (7 of (9, 7, 11), 5 of (5, 12, 6)) leaves one
+    # full window on that axis
+    rng = np.random.default_rng(sum(dims) + window)
+    x = rng.uniform(0.5, 1.5, (3,) + dims)
+    v = rng.uniform(0.5, 1.5, (3,) + tuple(n - window + 1 for n in dims))
+    sums = losses._window_sums(x, window)
+    spread = losses._window_spread(v, dims, window)
+    np.testing.assert_allclose(sums, brute_window_sums(x, window), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(spread, brute_window_spread(v, dims, window), rtol=1e-12, atol=0)
+    assert (sums * v).sum() == pytest.approx((x * spread).sum(), rel=1e-12)
+
+
+def scipy_signed_distance(values):
+    fg = np.pad(values >= 0.5, 1)
+    return (ndimage.distance_transform_edt(~fg)
+            - ndimage.distance_transform_edt(fg))[1:-1, 1:-1, 1:-1]
+
+
+def ball(dims, radius):
+    centered = np.indices(dims) - (np.reshape(dims, (3, 1, 1, 1)) - 1) / 2
+    return ((centered ** 2).sum(axis=0) <= radius ** 2).astype(np.float64)
+
+
+def random_mask(dims, fraction, seed):
+    return (np.random.default_rng(seed).random(dims) < fraction).astype(np.float64)
+
+
+def single_voxel(dims, at):
+    values = np.zeros(dims)
+    values[at] = 1.0
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    random_mask((9, 12, 7), 0.1, 0), random_mask((9, 12, 7), 0.6, 1),
+    random_mask((13, 5, 10), 0.02, 2), np.ones((6, 4, 5)),        # on every face of the box
+    single_voxel((9, 12, 7), (0, 11, 3)), single_voxel((1, 1, 1), (0, 0, 0)),
+    ball((11, 9, 14), 3.5), ball((41, 43, 40), 9.0),                # 40^3 and up: early exit
+], ids=["rand-9x12x7", "dense-9x12x7", "sparse-13x5x10", "full-6x4x5", "voxel-on-face",
+        "voxel-1x1x1", "ball-11x9x14", "ball-41x43x40"])
+def test_signed_distance_equals_scipy_edt_bit_for_bit(values):
+    box = tuple(slice(0, n) for n in values.shape)
+    got = losses._signed_distance([ChannelCrop((0, 0, 0), values)], [box])
+    assert np.array_equal(got, scipy_signed_distance(values)[None])
+
+
+def test_signed_distances_of_crops_inside_their_boxes_equal_scipy_edt():
+    # several crops on boxes of one shape, as ``_contour_band`` stacks them
+    crops = [ChannelCrop((2, 3, 0), random_mask((5, 6, 4), 0.3, 3)),
+             ChannelCrop((0, 0, 0), single_voxel((1, 1, 1), (0, 0, 0))),
+             ChannelCrop((4, 8, 2), ball((4, 4, 5), 1.5))]
+    boxes = [(slice(1, 9), slice(2, 12), slice(0, 7)), (slice(0, 8), slice(0, 10), slice(0, 7)),
+             (slice(1, 9), slice(2, 12), slice(0, 7))]
+    got = losses._signed_distance(crops, boxes)
+    for k, (crop, box) in enumerate(zip(crops, boxes)):
+        dense = np.zeros((8, 10, 7))
+        dense[tuple(slice(o - b.start, o - b.start + m)
+                    for o, b, m in zip(crop.origin, box, crop.values.shape))] = crop.values
+        assert np.array_equal(got[k], scipy_signed_distance(dense))
+
+
+def test_signed_distance_memory_is_a_few_boxes():
+    # the working arrays of a 64^3 box are int32 stacks of both sides plus
+    # the float64 roots; they peak near 4.8 box-sized int64 arrays, bounded
+    # at 6 here.  A brute-force (..., n, n) temporary would be far larger:
+    # one row of distances per voxel, about 100 MB per call at 96^3.
+    n = 64
+    crop = ChannelCrop((1, 1, 1), ball((n - 2,) * 3, 20.0))
+    box = (slice(0, n),) * 3
+    tracemalloc.start()
+    try:
+        losses._signed_distance([crop], [box])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n ** 3 * 8

@@ -94,6 +94,23 @@ def test_config_rejects_a_window_that_is_even_or_below_3(window):
     assert RegistrationConfig(window=3).window == 3
 
 
+@pytest.mark.parametrize("window", [5.0, 9.5, np.float64(7.0)])
+def test_config_rejects_a_window_that_is_not_an_integer(window):
+    # a float window used to construct and then fail in the LNCC slicing
+    with pytest.raises(ValueError, match="window"):
+        RegistrationConfig(window=window)
+    assert RegistrationConfig(window=np.int64(5)).window == 5
+
+
+@pytest.mark.parametrize("levels", [2.5, 2.0, np.float32(3.0)])
+def test_config_rejects_levels_that_are_not_an_integer(levels):
+    # a float count used to pass ``levels < 1`` and then fail in
+    # ``default_iterations``
+    with pytest.raises(ValueError, match="levels"):
+        RegistrationConfig(levels=levels)
+    assert RegistrationConfig(levels=np.int32(2)).levels == 2
+
+
 @pytest.mark.parametrize("name", ["beta1", "beta2"])
 @pytest.mark.parametrize("value", [1.0, 1.5, -0.1])
 def test_config_rejects_an_adam_beta_outside_0_1(name, value):
