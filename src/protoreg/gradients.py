@@ -24,8 +24,8 @@ The masks are never dense: the state holds the moving channels as a
 ``warp.MaskStack`` and the fixed ones as their own crops, which Dice reads
 on the moving windows (``grids._on_windows``).  Element by element the
 arithmetic is that of a whole-grid evaluation, but the sums run in another
-order, so the results agree with it to rounding (about 1e-16 relative), not
-bit for bit.
+order, so the results agree with it to rounding (about 1e-16 relative in
+float64), not bit for bit.
 
 An evaluation frees the image and mask sample points once sampled, before
 any term runs, and works in place on what stays live (the moved image and
@@ -37,10 +37,14 @@ rule forms d_moved * moved_pos and d_masks * masks_pos in the derivative
 arrays.  Each in-place step keeps the operation order of the allocating
 form, so values and gradients are that form's bit for bit.
 
-All accumulation is float64.  Known non-smooth points, excluded from
-finite-difference verification: sample positions crossing lattice planes or
-the clamp boundary, class-presence flips, degenerate correlation windows,
-and the kink of the soft Dice term at exactly-hard masks.
+An evaluation computes in the dtype of its arrays (see ``grids``): a state
+built from float32 volumes and masks, evaluated at a float32 field, runs in
+float32 from the sample points to the gradient, and a float64 one in
+float64, which is where the finite-difference checks run.  Known non-smooth
+points, excluded from finite-difference verification: sample positions
+crossing lattice planes or the clamp boundary, class-presence flips,
+degenerate correlation windows, and the kink of the soft Dice term at
+exactly-hard masks.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     if weights.contour > 0:
         built["contour_band"] = losses._contour_band(fixed_onehot, moving_onehot,
                                                      max_points, seed)
-    return ObjectiveState(fixed, moving, weights, window, temperature, **built)
+    return ObjectiveState(fixed, moving, weights, window, float(temperature), **built)
 
 
 # ------------------------------------------------------------- full objective
@@ -167,7 +171,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     moved = moved_pos = d_moved = None
     if need_moved:
         moved, moved_pos = sample(state.moving.data, add_voxel_coords(field.u.copy()))
-        d_moved = np.zeros(dims) if with_grad else None
+        d_moved = np.zeros_like(moved) if with_grad else None
 
     need_mask = wd["seg"] > 0 or wd["prototype"] > 0
     windows = masks = None
@@ -176,7 +180,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         masks, masks_pos = sample(state.moving_masks.values, pts)
         pts = None
         np.clip(masks, 0.0, 1.0, out=masks)
-        d_masks = np.zeros(masks.shape) if with_grad else None
+        d_masks = np.zeros_like(masks) if with_grad else None
 
     if wd["sim"] > 0:
         values["sim"], g = losses._lncc(state.fixed.data, moved, state.window,
@@ -201,7 +205,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
 
     # the seg and prototype terms never write the accumulator: it is made
     # after them, so that it does not sit under their temporaries
-    grad = np.zeros((3,) + dims) if with_grad else None
+    grad = np.zeros_like(field.u) if with_grad else None
     if wd["smooth"] > 0:
         # the accumulator's first writer: its gradient goes straight in
         values["smooth"], _ = losses._smoothness(field.u, grad)
@@ -212,7 +216,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     if wd["contour"] > 0 and band is not None:
         # the band points p + u(p), in their maps' boxes: (3, P, n)
         pts = field.u.reshape(3, -1)[:, band.index]
-        pts += np.unravel_index(band.index, dims) - band.origins.T[:, :, None]
+        pts += (np.unravel_index(band.index, dims) - band.origins.T[:, :, None]).astype(pts.dtype)
         sampled, sampled_pos = sample(band.maps, pts)
         values["contour"], g = losses._contour(band, sampled, with_grad)
         if with_grad:

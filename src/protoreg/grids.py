@@ -7,6 +7,14 @@ C-ordered arrays: each constructor takes its array with
 serialized layout (:mod:`protoreg.io`) is x-fastest / z-slowest.  Grids are
 immutable after construction and safe to share across threads.
 
+Two float dtypes are held (``float_dtype``): ``Volume`` and
+``warp.DisplacementField`` keep a float32 array as float32 and cast every
+other dtype to float64, and a one-hot crop keeps the dtype it was made in
+(``one_hot`` makes float64).  Everything computed from grids runs in their
+dtype: float32 only when every array it reads is float32, float64
+otherwise, with the same operations in both.  ``downsample`` averages in
+the grid's dtype and ``_on_windows`` places crops in theirs.
+
 A one-hot mask is crop-backed: each channel is held only on a box
 (``ChannelCrop``), and nothing here makes a (K, nx, ny, nz) array.
 ``one_hot`` and ``downsample`` trim each crop to its channel's support:
@@ -34,6 +42,25 @@ class DimsMismatchError(ValueError):
     """Two grids that must share a voxel lattice do not."""
 
 
+def float_dtype(*arrays) -> type:
+    """float32 when every one of ``arrays`` is float32, float64 otherwise."""
+    return np.float32 if all(a.dtype == np.float32 for a in arrays) else np.float64
+
+
+def float_array(data) -> np.ndarray:
+    """``data`` as a C-ordered array of its ``float_dtype``; an array that
+    already is one is returned as it is."""
+    data = np.asarray(data)
+    return np.ascontiguousarray(data, dtype=float_dtype(data))
+
+
+def _crops_dtype(crops) -> type:
+    """``float_dtype`` of the values of ``crops`` ((origin, values) pairs or
+    None); float64 when every crop is None."""
+    values = [crop[1] for crop in crops if crop is not None]
+    return float_dtype(*values) if values else np.float64
+
+
 def _validate_grid(dims, spacing, shape, name):
     if len(dims) != 3 or any(int(d) < 1 for d in dims):
         raise ValueError(f"{name}: dims must be three counts >= 1, got {dims}")
@@ -54,7 +81,7 @@ class Volume:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float64))
+        object.__setattr__(self, "data", float_array(self.data))
         _validate_grid(self.dims, self.spacing, self.data.shape, "Volume")
         if not np.isfinite(self.data).all():
             raise ValueError("Volume: data contains non-finite values")
@@ -122,9 +149,10 @@ class OneHotMask(NamedTuple):
 def _on_windows(crops, windows) -> np.ndarray:
     """Mask channels on ``windows`` (one tuple of slices of the grid per
     channel, all of one shape): (K, wx, wy, wz), 0 where a window leaves its
-    channel's crop.  ``crops`` yields per channel an (origin, values) pair,
-    or None for an all-zero channel."""
-    out = np.zeros((len(windows),) + tuple(s.stop - s.start for s in windows[0]))
+    channel's crop, in the crops' dtype.  ``crops`` holds per channel an
+    (origin, values) pair, or None for an all-zero channel."""
+    out = np.zeros((len(windows),) + tuple(s.stop - s.start for s in windows[0]),
+                   _crops_dtype(crops))
     for k, (window, crop) in enumerate(zip(windows, crops)):
         if crop is None:
             continue
@@ -180,7 +208,7 @@ def argmax_labels(mask: OneHotMask) -> LabelVolume:
     (positive) threshold lies in the crop of every channel that reaches its
     maximum, which makes this the dense argmax exactly.
     """
-    best = np.zeros(mask.dims)
+    best = np.zeros(mask.dims, _crops_dtype(mask.crops))
     labels = np.zeros(mask.dims, np.int32)
     for c, crop in enumerate(mask.crops, start=1):
         if crop is None:
@@ -201,7 +229,7 @@ def _box_mean_axis(data: np.ndarray, axis: int) -> np.ndarray:
         return data
     idx = np.arange(0, n, 2)
     sums = np.add.reduceat(data, idx, axis=axis)
-    counts = np.full(len(idx), 2.0)
+    counts = np.full(len(idx), 2.0, dtype=data.dtype)
     if n % 2 == 1:
         counts[-1] = 1.0
     shape = [1] * data.ndim

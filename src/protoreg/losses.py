@@ -42,7 +42,16 @@ transform in integer arithmetic (``_squared_distance``): a scan for the
 nearest feature along x, then g[i] = min_j f[j] + (i - j)**2 along y and
 z, by offsets d until d*d reaches the largest g.  Squared distances are
 integers, so every step is exact, and one square root per map gives the
-float64 that ``scipy.ndimage.distance_transform_edt`` gives, bit for bit.
+float64 that ``scipy.ndimage.distance_transform_edt`` gives, bit for bit;
+float32 masks take that map cast to float32.
+
+Every term computes in the dtype of the arrays it is given (see
+``grids``): float32 arrays give float32 arrays throughout, and float64 ones
+run the same operations in float64.  Scalars that enter array arithmetic
+are Python floats, which take the arrays' dtype under every NumPy
+promotion rule, where a NumPy float64 scalar would promote a float32 array
+under NEP 50 (NumPy >= 2).  Reductions run in the arrays' dtype, and term
+values are reported as Python floats.
 
 Moved mask channels come as one stack, sampled on the windows of
 ``warp.mask_points``: ``values`` (K, wx, wy, wz) and ``windows``, K tuples
@@ -66,12 +75,13 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .grids import FOREGROUND_THRESHOLD, OneHotMask, _on_windows
+from .grids import FOREGROUND_THRESHOLD, OneHotMask, _crops_dtype, _on_windows
 from .warp import _one_shape, central_difference, central_difference_adjoint
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
@@ -97,6 +107,7 @@ class LossWeights:
         for name, w in self.as_dict().items():
             if not np.isfinite(w) or w < 0:
                 raise ValueError(f"LossWeights: {name} must be finite and >= 0, got {w}")
+            object.__setattr__(self, name, float(w))    # a Python float: see the module docstring
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in TERM_NAMES}
@@ -130,17 +141,18 @@ class LossBreakdown:
 class PrototypeSet(NamedTuple):
     """One feature vector per class; absent classes carry no usable vector."""
 
-    vectors: np.ndarray        # (K, C) float64
+    vectors: np.ndarray        # (K, C), in the features' dtype
     present: np.ndarray        # (K,) bool
 
 
 # ------------------------------------------------------- similarity (LNCC)
 
-def _band(n: int, window: int) -> np.ndarray:
-    """The (n, n - window + 1) 0/1 matrix whose column j holds ones on rows
-    j .. j + window - 1: a product with it sums each full window of an axis."""
+def _band(n: int, window: int, dtype) -> np.ndarray:
+    """The (n, n - window + 1) 0/1 matrix of ``dtype`` whose column j holds
+    ones on rows j .. j + window - 1: a product with it sums each full window
+    of an axis."""
     offset = np.arange(n)[:, None] - np.arange(n - window + 1)
-    return ((offset >= 0) & (offset < window)).astype(np.float64)
+    return ((offset >= 0) & (offset < window)).astype(dtype)
 
 
 def _window_sums(stacked: np.ndarray, window: int) -> np.ndarray:
@@ -149,8 +161,8 @@ def _window_sums(stacked: np.ndarray, window: int) -> np.ndarray:
     Each BLAS product is one slab, (m, n) @ (n, n) at most, which BLAS runs
     on one thread; one product per axis over a whole volume would start its
     helper threads, which cost more CPU time than they save."""
-    bx, by, bz = (_band(n, window) for n in stacked.shape[1:])
-    out = np.empty((len(stacked), bx.shape[1], by.shape[1], bz.shape[1]))
+    bx, by, bz = (_band(n, window, stacked.dtype) for n in stacked.shape[1:])
+    out = np.empty((len(stacked), bx.shape[1], by.shape[1], bz.shape[1]), stacked.dtype)
     for volume, sums in zip(stacked, out):
         partial = np.matmul(bx.T, volume.transpose(1, 0, 2))     # (ny, mx, nz)
         partial = partial @ bz                                    # (ny, mx, mz)
@@ -161,8 +173,8 @@ def _window_sums(stacked: np.ndarray, window: int) -> np.ndarray:
 def _window_spread(sums: np.ndarray, dims, window: int) -> np.ndarray:
     """The exact adjoint of ``_window_sums``: (C, mx, my, mz) ->
     (C, nx, ny, nz), each window's value added onto every voxel of it."""
-    bx, by, bz = (_band(n, window) for n in dims)
-    out = np.empty((len(sums),) + tuple(dims))
+    bx, by, bz = (_band(n, window, sums.dtype) for n in dims)
+    out = np.empty((len(sums),) + tuple(dims), sums.dtype)
     for window_sums, spread in zip(sums, out):
         partial = np.matmul(bx, window_sums.transpose(1, 0, 2))  # (my, nx, mz)
         partial = partial @ bz.T                                  # (my, nx, nz)
@@ -196,10 +208,14 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
     per-window coefficient stacks back onto the voxels with one
     ``_window_spread`` (its adjoint) rather than caching per window
     (windows overlap heavily): d/d(moved) = -(fixed * S(alpha) - moved *
-    S(beta) + S(beta * mean_j - alpha * mean_i)) / count."""
+    S(beta) + S(beta * mean_j - alpha * mean_i)) / count.
+
+    Each quotient is a plain division by a denominator set to 1 outside the
+    valid windows, then multiplied by ``valid``: it is 0 there, and no
+    division by 0 happens."""
     s_i, b, valid_fixed = fixed_sums
     w3 = float(window ** 3)
-    sums = np.empty((3,) + moved.shape)
+    sums = np.empty((3,) + moved.shape, moved.dtype)
     sums[0] = moved
     np.multiply(moved, moved, out=sums[1])
     np.multiply(fixed, moved, out=sums[2])
@@ -208,20 +224,30 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
     a = s_ij - s_i * s_j / w3
     c = s_jj - s_j * s_j / w3
     valid = valid_fixed & (c / w3 >= VARIANCE_EPS)
-    bc = b * c
-    ncc2 = np.zeros_like(a)
-    np.divide(a * a, bc, out=ncc2, where=valid)
+    invalid = ~valid
+
+    def guarded(denominator):       # 1 outside the valid windows, in place
+        denominator *= valid
+        denominator += invalid
+        return denominator
+
+    bc = guarded(b * c)
+    ncc2 = np.multiply(a, a)
+    ncc2 /= bc
+    ncc2 *= valid
     count = a.size
-    value = float(-ncc2.sum() / count)
+    value = -float(ncc2.sum()) / count
     if not with_grad:
         return value, None
-    coef = np.zeros((3,) + a.shape)
+    coef = np.empty((3,) + a.shape, a.dtype)
     alpha, beta, shift = coef
     two_a = 2.0 * a
-    np.divide(two_a, bc, out=alpha, where=valid)
+    np.divide(two_a, bc, out=alpha)
+    alpha *= valid
     two_a *= a
     bc *= c
-    np.divide(two_a, bc, out=beta, where=valid)
+    np.divide(two_a, guarded(bc), out=beta)
+    beta *= valid
     # beta * mean_j - alpha * mean_i
     np.multiply(beta, s_j / w3, out=shift)
     shift -= alpha * (s_i / w3)
@@ -244,25 +270,33 @@ def _smoothness(u: np.ndarray, grad: np.ndarray | None = None):
     passes its zeroed accumulator), d(value)/d(u) added into it.  Per axis
     the forward differences d = u[hi] - u[lo] add their squares to the
     value, and the gradient takes 2*d/N off ``lo`` and puts it on ``hi``.
-    The differences and their squares are formed in one buffer shared by
-    the three axes: squared there for the value, then formed again for the
-    gradient."""
+
+    Per axis, with s its stride in the flattened u, the differences are one
+    contiguous ``flat[s:] - flat[:-s]`` over all three components, in a
+    buffer shared by the axes; an entry that wraps past the axis's end is
+    zeroed before the gradient takes it, with two contiguous shifted slices.
+    The value sums the squares of the other entries, written to a
+    contiguous array in the order of ``np.diff(u, axis)``, so that the sum
+    runs in the same order as over that array."""
     n = float(np.prod(u.shape[1:]))
     total = 0.0
-    buf = np.empty(u.size)
-    for axis in (1, 2, 3):
-        # np.diff(u, axis=axis), in the buffer
-        shape = u.shape[:axis] + (u.shape[axis] - 1,) + u.shape[axis + 1:]
-        d = buf[:int(np.prod(shape))].reshape(shape)
-        hi, lo = np.swapaxes(u, 0, axis)[1:], np.swapaxes(u, 0, axis)[:-1]
-        np.subtract(hi, lo, out=np.swapaxes(d, 0, axis))
-        total += np.multiply(d, d, out=d).sum()
+    flat, size = u.reshape(-1), u.size
+    diffs = np.empty(size, u.dtype)
+    squares = np.empty(size, u.dtype)
+    grid = diffs.reshape(u.shape)
+    for axis, s in zip((1, 2, 3), (u.shape[2] * u.shape[3], u.shape[3], 1)):
+        d = diffs[:size - s]
+        np.subtract(flat[s:], flat[:-s], out=d)
+        lead = (slice(None),) * axis
+        inner = grid[lead + (slice(None, -1),)]                   # np.diff(u, axis=axis)
+        sq = squares[:inner.size].reshape(inner.shape)
+        total += float(np.multiply(inner, inner, out=sq).sum())
         if grad is not None:
-            np.subtract(hi, lo, out=np.swapaxes(d, 0, axis))
+            grid[lead + (-1,)] = 0.0                              # the wrapped entries
             d *= 2.0 / n
-            g, step = np.swapaxes(grad, 0, axis), np.swapaxes(d, 0, axis)
-            g[:-1] -= step
-            g[1:] += step
+            g = grad.reshape(-1)
+            g[:-s] -= d
+            g[s:] += d
     return float(total / n), grad
 
 
@@ -277,8 +311,9 @@ def _add_on_windows(target: np.ndarray, windows, stack: np.ndarray) -> None:
 
 def _fixed_mass(fixed: OneHotMask) -> np.ndarray:
     """Per-class mass of the fixed mask, summed on its crops; a constant of
-    the level."""
-    return np.array([0.0 if crop is None else crop.values.sum() for crop in fixed.crops])
+    the level, in the crops' dtype."""
+    return np.array([0.0 if crop is None else crop.values.sum() for crop in fixed.crops],
+                    _crops_dtype(fixed.crops))
 
 
 def _dice(fixed: np.ndarray, sum_f: np.ndarray, values: np.ndarray, with_grad: bool = False):
@@ -292,11 +327,12 @@ def _dice(fixed: np.ndarray, sum_f: np.ndarray, values: np.ndarray, with_grad: b
     present = (sum_f > PRESENCE_EPS) | (sum_m > PRESENCE_EPS)
     denom = sum_f + sum_m + DICE_EPS
     dice = 2.0 * inter / denom
-    value = float(1.0 - dice[present].mean()) if present.any() else 0.0
+    value = 1.0 - float(dice[present].mean()) if present.any() else 0.0
     if not with_grad:
         return value, None
     b = denom[:, None, None, None]
-    grad = -(2.0 * fixed / b - 2.0 * inter[:, None, None, None] / (b * b)) / max(present.sum(), 1)
+    grad = (-(2.0 * fixed / b - 2.0 * inter[:, None, None, None] / (b * b))
+            / max(int(present.sum()), 1))
     grad[~present] = 0.0
     return value, grad
 
@@ -306,18 +342,18 @@ def _dice(fixed: np.ndarray, sum_f: np.ndarray, values: np.ndarray, with_grad: b
 def _standardize(data: np.ndarray, out: np.ndarray) -> float:
     """Write (data - mean) / std into ``out`` and return the std; the squared
     deviations are formed in ``out`` first."""
-    mu = data.mean()
+    mu = float(data.mean())
     np.subtract(data, mu, out=out)
-    sigma = np.sqrt(np.multiply(out, out, out=out).mean() + 1e-12)
+    sigma = math.sqrt(float(np.multiply(out, out, out=out).mean()) + 1e-12)
     np.subtract(data, mu, out=out)
     out /= sigma
-    return float(sigma)
+    return sigma
 
 
 def _features_forward(data: np.ndarray) -> tuple[np.ndarray, dict]:
     """Compute the 2-channel feature bank, written into one (2, nx, ny, nz)
     array, plus the intermediates that ``_features_backward`` needs."""
-    feats = np.empty((2,) + data.shape)
+    feats = np.empty((2,) + data.shape, data.dtype)
     sig0 = _standardize(data, feats[0])
     grads = [central_difference(data, a) for a in range(3)]
     # the squared magnitude, grads[0]**2 + grads[1]**2 + grads[2]**2 + 1e-12,
@@ -348,7 +384,7 @@ def _features_backward(dch: np.ndarray, cache: dict) -> np.ndarray:
         return out
 
     ch0, ch1 = cache["feats"]
-    d_data = destandardize(dch[0], ch0, cache["sig0"], np.empty(dch.shape[1:]))
+    d_data = destandardize(dch[0], ch0, cache["sig0"], np.empty(dch.shape[1:], dch.dtype))
     dgm = destandardize(dch[1], ch1, cache["sig1"], dch[0])
     for a, ga in enumerate(cache["grads"]):
         # d(gm)/d(grads[a]) = grads[a] / gm, onto the cached difference
@@ -366,7 +402,8 @@ def _pool_prototypes(region: np.ndarray, values: np.ndarray) -> tuple[PrototypeS
     mass = values.reshape(k, -1).sum(axis=1)
     present = mass >= PRESENCE_EPS
     vectors = np.divide(np.einsum("ckxyz,kxyz->kc", region, values), mass[:, None],
-                        out=np.zeros((k, region.shape[0])), where=present[:, None])
+                        out=np.zeros((k, region.shape[0]), np.result_type(region, values)),
+                        where=present[:, None])
     return PrototypeSet(vectors, present), mass
 
 
@@ -548,10 +585,12 @@ def _signed_distance(crops, boxes) -> np.ndarray:
     ``boxes`` of one shape, each holding its crop grown by one voxel; a
     layer of background stands for everything past a box.  The distances
     to the masks and to their complements are one stacked
-    ``_squared_distance`` and one square root."""
+    ``_squared_distance`` and one square root, in float64; S is then cast
+    to the crops' dtype."""
     fg = np.pad(_on_windows(crops, boxes) >= FOREGROUND_THRESHOLD, [(0, 0)] + [(1, 1)] * 3)
     root = np.sqrt(_squared_distance(np.concatenate([fg, ~fg])), order="C")
-    return (root[:len(fg)] - root[len(fg):])[:, 1:-1, 1:-1, 1:-1]
+    signed = (root[:len(fg)] - root[len(fg):])[:, 1:-1, 1:-1, 1:-1]
+    return signed.astype(_crops_dtype(crops), copy=False)
 
 
 def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: int):
@@ -600,11 +639,12 @@ def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: 
 def _contour(band: ContourBand, sampled: np.ndarray, with_grad: bool = False):
     """Contour value from S_m sampled at the carried band points,
     ``sampled`` (P, n), and with ``with_grad`` d(value)/d(sampled), 0 on
-    the padding."""
+    the padding.  The per-class scales are formed in ``sampled``'s dtype."""
+    counts = band.counts.astype(sampled.dtype)
     residual = sampled - band.target
     residual *= np.arange(sampled.shape[1]) < band.counts[:, None]
-    value = float(((residual * residual).sum(axis=1) / band.counts).mean())
+    value = float(((residual * residual).sum(axis=1) / counts).mean())
     if not with_grad:
         return value, None
-    residual *= (2.0 / (len(band.counts) * band.counts))[:, None]
+    residual *= (2.0 / (len(counts) * counts))[:, None]
     return value, residual

@@ -12,6 +12,19 @@ the field it was given, a level's start field included, is never written.
 The masks enter as ``one_hot`` crops of the label maps and are halved on
 their crops (``grids.downsample``); no dense (K, nx, ny, nz) mask array is
 made on the way to a level's ``build_state``.
+
+``register_pair`` optimizes in float32: the pyramids are built in float64
+as before, and each level's images and mask crops are cast to float32
+(``_cast``) before its ``build_state``, so the level's constants, the
+field, Adam's moments and every array of an evaluation are float32, which
+halves the registration's working memory and the bytes each pass over the
+grid moves.  The field is cast to float64 once, at the end, so the
+returned ``RegistrationResult`` holds a float64 field.  ``adam_step`` and
+the objective compute in the dtype of the arrays they are given, so a
+float64 field and state still run in float64.  A learning rate beyond
+float32's range (``_working_dtype``) keeps the whole registration in
+float64: float32 cannot hold it, and its first step would overflow the
+field instead of the objective.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .gradients import build_state, evaluate_objective
-from .grids import LabelVolume, Volume, build_pyramid, one_hot
+from .grids import LabelVolume, OneHotMask, Volume, build_pyramid, one_hot
 from .losses import LossBreakdown, LossWeights, TERM_NAMES
 from .warp import DisplacementField, SdLogJResult, sdlogj, upsample_field
 # Not called here; kept in this namespace because the benchmark's tracer
@@ -81,7 +94,11 @@ class RegistrationConfig:
         if its is None:
             its = default_iterations(self.levels)
         else:
-            its = tuple(int(i) for i in np.atleast_1d(its))
+            its = tuple(its) if np.iterable(its) else (its,)
+            if not all(_is_integer(i) for i in its):
+                raise ValueError(f"RegistrationConfig: iteration counts must be integers, "
+                                 f"got {self.iterations}")
+            its = tuple(int(i) for i in its)
             if len(its) == 1:
                 its = its * self.levels
             if len(its) != self.levels:
@@ -102,6 +119,10 @@ class RegistrationConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"RegistrationConfig: {name} must be finite and > 0, got {value}")
+        # Python floats, which take a float32 array's dtype under every NumPy
+        # promotion rule
+        for name in ("learning_rate", "beta1", "beta2", "adam_eps", "temperature"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         points = self.max_contour_points
         if not _is_integer(points) or points < 1:
             raise ValueError(f"RegistrationConfig: max_contour_points must be an integer >= 1, "
@@ -130,8 +151,9 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, shape) -> "AdamState":
-        return cls(np.zeros(shape), np.zeros(shape), 0)
+    def zeros_like(cls, u: np.ndarray) -> "AdamState":
+        """Zero moments of ``u``'s shape and dtype."""
+        return cls(np.zeros_like(u), np.zeros_like(u), 0)
 
 
 def adam_step(field: DisplacementField, grad: np.ndarray, moments: AdamState,
@@ -143,8 +165,8 @@ def adam_step(field: DisplacementField, grad: np.ndarray, moments: AdamState,
     Works in place, in that order of operations, so each value is the
     closed form's bit for bit: the moments' arrays are updated and returned,
     ``grad`` (dead after the step) is overwritten as scratch, and the one
-    array made is the new u, formed as u - step; the given field is never
-    written."""
+    array made is the new u, formed as u - step, in u's dtype; the given
+    field is never written."""
     t = moments.t + 1
     m, v = moments.m, moments.v
     u = np.empty_like(field.u)      # scratch until it takes the new u
@@ -199,6 +221,8 @@ def register_pair(fixed: Volume, moving: Volume,
     zero (pure intensity mode) with a warning.  When the mask weights are all
     zero the mask inputs are never read.  The volumes must share dims and
     voxel spacing, and so must each mask and its volume (``ValueError``).
+    The optimization runs in float32 (see the module docstring); the
+    returned field is float64.
     """
     config = config or RegistrationConfig()
     if fixed.dims != moving.dims:
@@ -235,6 +259,7 @@ def register_pair(fixed: Volume, moving: Volume,
         fixed_mask_pyr = build_pyramid(one_hot(fixed_mask), config.levels)
         moving_mask_pyr = build_pyramid(one_hot(moving_mask), config.levels)
 
+    dtype = _working_dtype(config)
     field = None
     trajectories = []
     level_seconds = []
@@ -243,7 +268,6 @@ def register_pair(fixed: Volume, moving: Volume,
     for level in range(config.levels - 1, -1, -1):      # coarse -> fine
         t0 = time.perf_counter()
         f_l = fixed_pyr[level]
-        m_l = moving_pyr[level]
         level_weights = weights
         window = _effective_window(config.window, f_l.dims)
         if window == 0 and level_weights.sim > 0:
@@ -251,21 +275,23 @@ def register_pair(fixed: Volume, moving: Volume,
                            level, f_l.dims)
             level_weights = replace(level_weights, sim=0.0)
         state = build_state(
-            f_l, m_l, level_weights,
-            fixed_mask_pyr[level] if use_masks else None,
-            moving_mask_pyr[level] if use_masks else None,
+            _cast(f_l, dtype), _cast(moving_pyr[level], dtype), level_weights,
+            _cast(fixed_mask_pyr[level], dtype) if use_masks else None,
+            _cast(moving_mask_pyr[level], dtype) if use_masks else None,
             window=window, temperature=config.temperature,
             max_points=config.max_contour_points, seed=config.seed + level,
         )
         # the start field is passed, not kept: the level holds one field
         field, totals, final_breakdown = _optimize_level(
             state,
-            (DisplacementField.zeros(f_l.dims, f_l.spacing) if field is None
-             else upsample_field(field, f_l.dims)),
+            (DisplacementField(f_l.dims, f_l.spacing, np.zeros((3,) + f_l.dims, dtype))
+             if field is None else upsample_field(field, f_l.dims)),
             config.iterations[config.levels - 1 - level], config, level)
+        state = None        # dead: the next level, and sdlogj, do not run under it
         trajectories.append(totals)
         level_seconds.append(time.perf_counter() - t0)
 
+    field = DisplacementField(field.dims, field.spacing, field.u.astype(np.float64))
     return RegistrationResult(
         field=field,
         trajectories=tuple(trajectories),
@@ -276,13 +302,28 @@ def register_pair(fixed: Volume, moving: Volume,
     )
 
 
+def _working_dtype(config: RegistrationConfig) -> type:
+    """The dtype ``register_pair`` optimizes in: float32, or float64 for a
+    learning rate beyond float32's range."""
+    return np.float32 if config.learning_rate <= np.finfo(np.float32).max else np.float64
+
+
+def _cast(grid, dtype):
+    """A ``Volume`` or the crops of a ``OneHotMask`` in ``dtype``."""
+    if isinstance(grid, Volume):
+        return Volume(grid.dims, grid.spacing, grid.data.astype(dtype, copy=False))
+    return OneHotMask(grid.dims, grid.spacing, tuple(
+        None if crop is None else crop._replace(values=crop.values.astype(dtype, copy=False))
+        for crop in grid.crops))
+
+
 def _optimize_level(state, field: DisplacementField, iterations: int,
                     config: RegistrationConfig, level: int):
     """``iterations`` Adam steps on ``field`` itself, from fresh moments,
     against the level's ``state``; returns the field, the totals of every
     evaluation (the last one value-only, at the returned field) and that
     last breakdown."""
-    moments = AdamState.zeros((3,) + field.dims)
+    moments = AdamState.zeros_like(field.u)
     totals = np.empty(iterations + 1)
     for it in range(iterations):
         breakdown, grad = evaluate_objective(state, field)

@@ -5,7 +5,9 @@ A field stores one 3-vector per voxel in voxel units; the map it encodes is
 ``add_voxel_coords``, on the whole grid or on windows of it.  Sampling is
 trilinear with clamp-to-edge borders, consistently in the forward warps and
 in the analytic gradients built on top of them.  Everything here is a pure
-function over immutable inputs.
+function over immutable inputs, and computes in the dtype of the arrays it
+is given (``grids.float_dtype``): a sampler call runs in float32 when both
+the data and the points are float32, in float64 otherwise.
 
 Every sampler runs one gather (``_sample``): the flat index of each point's
 lower cell corner is formed once, and the 8 corners are read at fixed
@@ -18,19 +20,20 @@ d/dx from the x-differences of the corners.  With leading batch axes,
 ``data[b]`` at ``points[:, b]`` in the one gather, its flat indices offset
 by b * nx * ny * nz.
 
-A sampler call on a grid's array (C-ordered float64) allocates only its
-outputs (value and derivative) and one workspace: 14 float64, 3 intp and 3
-bool rows of ``SAMPLE_BLOCK`` points; ``data.ravel()`` copies any other
-array.  The points are taken in blocks in their flat order, and each block is
-computed in that workspace in place, through ``out=``: the corners are read
-by ``np.take`` straight into their rows, the edges and faces overwrite the
-corners they were made from, and the derivative's rows serve as scratch
-until they are written.  A block may start inside a batch entry, so each
-point's batch offset comes from its own flat position.  The in-place steps
-keep the order of operations of the interpolation and derivative formulas
-above, and every output element is formed by the same operations on the
-same operands whichever block it falls in, so a blocked call is bit for bit
-the unblocked one.
+A sampler call on a grid's array (C-ordered, of the call's dtype)
+allocates only its outputs (value and derivative) and one workspace: 14
+rows of the call's dtype, 3 intp and 3 bool rows of ``SAMPLE_BLOCK``
+points; ``data.ravel()`` copies any other array.  The points are taken in
+blocks in their flat order, and each block is computed in that workspace
+in place, through ``out=``: the corners are read by ``np.take`` straight
+into their rows, the edges and faces overwrite the corners they were made
+from, and the derivative's rows serve as scratch until they are written.
+A block may start inside a batch entry, so each point's batch offset comes
+from its own flat position.  The in-place steps keep the order of
+operations of the interpolation and derivative formulas above, and every
+output element is formed by the same operations on the same operands
+whichever block it falls in, so a blocked call is bit for bit the
+unblocked one.
 
 A mask channel is sampled only on its support, both while the field is
 optimized (``gradients.evaluate_objective``) and when it is scored
@@ -46,14 +49,17 @@ two above: a sample at the lattice point b+1 reads the zero cell [b+1, b+2]
 above it, so its derivative is 0, where a crop ending at b+1 would clamp it
 into [b, b+1] and give the backward difference -m[b].  A window holds every
 voxel whose point can fall in the box; ``_sample_window`` tests its ends in
-the float arithmetic that forms the points, so a point rounded onto a box
-face is kept.  Crops and windows are padded to one shape within the grid
+the float arithmetic that forms the points, in the points' dtype, so a point
+rounded onto a box face is kept.  Crops and windows are padded to one shape within the grid
 (``_one_shape``), which only adds samples that are exactly 0 or read the
 whole channel, so all channels take one sampler call.  A point is
 (u + p) - origin; where it can read a non-zero corner it lies above the
 origin, so the integer shift is exact, and every sample reads the same
 corners with the same fractions as on the whole channel, or only zeros:
 the sampled masks and derivatives are the whole channels' bit for bit.
+Each step holds in any binary float dtype, so in float32 as in float64:
+the coordinates and shifts are integers, exact in either, and each point is
+rounded once, from u + p, in the points' dtype.
 """
 
 from __future__ import annotations
@@ -65,10 +71,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import (ChannelCrop, DimsMismatchError, LabelVolume, OneHotMask, Volume, _on_windows,
-                    _validate_grid, argmax_labels, halved_dims, one_hot)
+                    _validate_grid, argmax_labels, float_array, float_dtype, halved_dims,
+                    one_hot)
 
-# Points per block of the trilinear sampler.  A call's workspace holds 17.4
-# rows of a block, 0.57 MB at 4,096 points, under one 48^3 grid array.  One
+# Points per block of the trilinear sampler.  A float64 call's workspace
+# holds 17.4 float64 rows of a block, 0.57 MB at 4,096 points, under one 48^3
+# grid array (a float32 call's, 0.34 MB).  One
 # whole-grid call with derivative at 48^3 takes 14 ms against 19 ms with
 # 16,384-point blocks of allocated temporaries (process time, median of 15,
 # 2-core host); whole 48^3 registrations timed blocks of 4,096 to 16,384
@@ -81,7 +89,8 @@ DET_EPS = 1e-6
 
 @dataclass(frozen=True)
 class DisplacementField:
-    """Dense displacement field, ``u`` shaped (3, nx, ny, nz), voxel units."""
+    """Dense displacement field, ``u`` shaped (3, nx, ny, nz), voxel units;
+    float32 stays float32, any other dtype is cast to float64."""
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
@@ -90,7 +99,7 @@ class DisplacementField:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "u", np.ascontiguousarray(self.u, dtype=np.float64))
+        object.__setattr__(self, "u", float_array(self.u))
         if self.u.shape != (3,) + self.dims:
             raise ValueError(f"DisplacementField: u shape {self.u.shape} != (3, *{self.dims})")
         _validate_grid(self.dims, self.spacing, self.u.shape[1:], "DisplacementField")
@@ -105,17 +114,20 @@ class DisplacementField:
 def _sample(data: np.ndarray, points: np.ndarray, with_grad: bool):
     """Trilinear sample and, with ``with_grad``, its derivative (see the
     module docstring), ``SAMPLE_BLOCK`` points at a time.  Flat point i of
-    ``points`` samples batch entry i // (points per entry) of ``data``."""
-    data = np.asarray(data, dtype=np.float64)
+    ``points`` samples batch entry i // (points per entry) of ``data``, in
+    ``float_dtype(data, points)``."""
+    data = np.asarray(data)
+    dtype = float_dtype(data, points)
+    data = np.asarray(data, dtype=dtype)
     dims, batch, flat = data.shape[-3:], data.shape[:-3], data.ravel()
     voxels = math.prod(dims)
     per_entry = max(math.prod(points.shape[1 + len(batch):]), 1)
     pts = points.reshape(3, -1)
     count = pts.shape[1]
-    value = np.empty(count)
-    grad = np.empty((3, count)) if with_grad else None
+    value = np.empty(count, dtype)
+    grad = np.empty((3, count), dtype) if with_grad else None
     width = min(SAMPLE_BLOCK, count)
-    work = np.empty((14, width))
+    work = np.empty((14, width), dtype)
     index = np.empty((2, width), dtype=np.intp)
     ramp = np.arange(width, dtype=np.intp)
     outside = np.empty((3, width), dtype=bool) if with_grad else None
@@ -223,10 +235,12 @@ def add_voxel_coords(points: np.ndarray, starts=(0, 0, 0)) -> np.ndarray:
     """Add to ``points`` (3, ..., wx, wy, wz), which holds u on blocks of the
     grid whose first voxels are ``starts`` (..., 3), the coordinates of each
     block's voxels p, in place, so that it holds the sample points u + p;
-    returns it."""
-    starts = np.asarray(starts)
+    returns it.  The coordinates are integers formed in the points' dtype,
+    so each point is rounded once, in that dtype."""
+    starts = np.asarray(starts, dtype=points.dtype)
     for a, p in enumerate(points):
-        coords = np.arange(p.shape[a - 3]).reshape([-1 if b == a else 1 for b in range(3)])
+        shape = [-1 if b == a else 1 for b in range(3)]
+        coords = np.arange(p.shape[a - 3], dtype=points.dtype).reshape(shape)
         p += starts[..., a, None, None, None] + coords
     return points
 
@@ -294,13 +308,14 @@ def mask_points(stack: MaskStack, u: np.ndarray):
     (u + p) - origin in each channel's crop, shaped (3, K, wx, wy, wz)."""
     dims = u.shape[1:]
     u_min, u_max = u.min(axis=(1, 2, 3)).tolist(), u.max(axis=(1, 2, 3)).tolist()
-    windows = _one_shape([None if box is None else _sample_window(box, u_min, u_max, dims)
+    windows = _one_shape([None if box is None else
+                          _sample_window(box, u_min, u_max, dims, u.dtype.type)
                           for box in stack.boxes], dims)
-    points = np.empty((3, len(windows)) + tuple(s.stop - s.start for s in windows[0]))
+    points = np.empty((3, len(windows)) + tuple(s.stop - s.start for s in windows[0]), u.dtype)
     for k, window in enumerate(windows):
         points[:, k] = u[(slice(None),) + window]
     add_voxel_coords(points, [[s.start for s in window] for window in windows])
-    points -= stack.origins.T[:, :, None, None, None]
+    points -= stack.origins.T.astype(u.dtype)[:, :, None, None, None]
     return windows, points
 
 
@@ -316,26 +331,27 @@ def _one_shape(blocks, dims):
                  for st in starts)
 
 
-def _sample_window(box, u_min, u_max, dims):
+def _sample_window(box, u_min, u_max, dims, scalar):
     """Slices of the output block holding every voxel p whose sample point
     p + u(p) can fall in ``box``, given u_min <= u <= u_max per axis (Python
-    floats); None when the block is empty.
+    floats holding values of u); None when the block is empty.
 
     On one axis that is [ceil(lo - max u), floor(hi - min u)] within the
-    grid.  Each end is settled by testing p + max u >= lo (p + min u <= hi)
-    in the float arithmetic that forms the sample points, so a point rounded
-    onto a face of the box is kept.
+    grid, taken exactly in Python floats.  Each end is settled by testing
+    p + max u >= lo (p + min u <= hi) in the float arithmetic that forms the
+    sample points, in the points' dtype (``scalar``, its NumPy scalar type),
+    so a point rounded onto a face of the box is kept.
     """
     window = []
     for (lo, hi), lo_u, hi_u, n in zip(box, u_min, u_max, dims):
         start, stop = 0, n - 1
         if lo > -math.inf:
             start = max(0, math.ceil(lo - hi_u) - 1)
-            if start + hi_u < lo:
+            if scalar(start) + scalar(hi_u) < lo:
                 start += 1
         if hi < math.inf:
             stop = min(n - 1, math.floor(hi - lo_u) + 1)
-            if stop + lo_u > hi:
+            if scalar(stop) + scalar(lo_u) > hi:
                 stop -= 1
         if start > stop:
             return None
@@ -357,7 +373,7 @@ def upsample_field(field: DisplacementField, target_dims) -> DisplacementField:
         raise DimsMismatchError(
             f"upsample_field: target {target_dims} does not ceil-halve to {field.dims}"
         )
-    coarse_pts = (np.indices(target_dims, dtype=np.float64) - 0.5) / 2.0
+    coarse_pts = (np.indices(target_dims, dtype=field.u.dtype) - 0.5) / 2.0
     u = np.stack([sample_volume(field.u[c], coarse_pts) for c in range(3)]) * 2.0
     return DisplacementField(target_dims, tuple(s / 2 for s in field.spacing), u)
 
@@ -403,7 +419,7 @@ def jacobian_determinant(field: DisplacementField) -> Volume:
     """Per-voxel det(I + grad u), central differences at unit voxel spacing."""
     if min(field.dims) < 3:
         raise ValueError(f"jacobian_determinant: dims {field.dims} must all be >= 3")
-    jac = np.empty((3, 3) + field.dims)
+    jac = np.empty((3, 3) + field.dims, field.u.dtype)
     for c in range(3):
         for a in range(3):
             jac[c, a] = central_difference(field.u[c], a)

@@ -1,5 +1,6 @@
 """Register one pair with all five terms on numpy alone, and fail if any
-``scipy`` module was loaded on the way.
+``scipy`` module was loaded on the way or the returned field is not
+float64.
 
     PYTHONPATH=src python tests/register_numpy_only.py            # two shifted spheres
     PYTHONPATH=src python tests/register_numpy_only.py DIRECTORY  # the pair in DIRECTORY
@@ -57,6 +58,8 @@ def main(argv) -> None:
                                     pair["moving_labels"], config)
     values = result.final_breakdown.values
     assert all(np.isfinite(v) and v != 0.0 for v in values.values()), values
+    # optimized in float32, returned in float64
+    assert result.field.u.dtype == np.float64, result.field.u.dtype
     loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
     assert not loaded, f"a registration loaded {len(loaded)} scipy modules: {loaded[:4]} ..."
     print("registered with", ", ".join(sorted(values)), "and no scipy module")

@@ -14,8 +14,9 @@ from protoreg.gradients import (
 )
 from protoreg.grids import DimsMismatchError, LabelVolume, Volume, one_hot
 from protoreg.losses import LossWeights
+from protoreg.optimizer import AdamState, RegistrationConfig, _cast, adam_step
 from protoreg.phantom import generate, three_blob_spec
-from protoreg.warp import DisplacementField
+from protoreg.warp import DisplacementField, add_voxel_coords, mask_stack
 
 DIMS = (6, 6, 6)
 
@@ -476,8 +477,9 @@ def test_state_holds_no_dense_channel_array():
     assert _held_bytes(st, set()) < k * n * 8 / 2
 
 
-def _twelve_organ_state(weights):
-    # the geometry of test_compact_masks_need_no_dense_channel_array
+def _twelve_organ_state(weights, dtype=np.float64):
+    # the geometry of test_compact_masks_need_no_dense_channel_array; the
+    # volumes and masks are cast to ``dtype``
     dims, k = (32, 32, 32), 12
     labels = np.zeros(dims, np.int32)
     for c in range(k):
@@ -485,8 +487,9 @@ def _twelve_organ_state(weights):
         labels[x:x + 4, y:y + 4, z:z + 4] = c + 1
     fixed = one_hot(LabelVolume(dims, (1, 1, 1), labels, k))
     moving = one_hot(LabelVolume(dims, (1, 1, 1), np.roll(labels, 1, axis=1), k))
-    return build_state(rand_volume(54, dims), rand_volume(55, dims),
-                       weights, fixed, moving, window=3)
+    grids = (rand_volume(54, dims), rand_volume(55, dims), fixed, moving)
+    fixed_volume, moving_volume, fixed, moving = (_cast(grid, dtype) for grid in grids)
+    return build_state(fixed_volume, moving_volume, weights, fixed, moving, window=3)
 
 
 def _assert_one_sampler_call_per_kind(st, monkeypatch):
@@ -608,3 +611,121 @@ def test_objective_does_not_depend_on_the_volumes_memory_layout():
     want, want_grad = evaluate(np.ascontiguousarray)
     got, got_grad = evaluate(np.asfortranarray)
     assert got == want and np.array_equal(got_grad, want_grad)
+
+
+# ------------------------------------------------------- float32 evaluations
+
+@pytest.fixture(scope="module")
+def state32(masks):
+    """The ``state`` fixture built from float32 volumes and masks."""
+    f32 = np.float32
+    return build_state(_cast(rand_volume(42), f32), _cast(rand_volume(43), f32),
+                       LossWeights(1, 4, 1, 1, 0.1), *(_cast(m, f32) for m in masks),
+                       window=3, temperature=0.1, max_points=64, seed=3)
+
+
+def _float32_field(field):
+    return DisplacementField(field.dims, field.spacing, field.u.astype(np.float32))
+
+
+@pytest.mark.parametrize("which", ["state", "twelve"])
+@pytest.mark.parametrize("term", TERM_CHECKS)
+def test_float32_terms_agree_with_float64(state, state32, term, which):
+    # single precision, from the constants of the level to the gradient:
+    # each value within 1e-4 relative of float64's and each gradient within
+    # 1e-3 in relative L2 norm, at the same (float32-representable) field
+    weights = LossWeights(1, 4, 1, 1, 0.1)
+    st, st32 = ((state, state32) if which == "state" else
+                (_twelve_organ_state(weights), _twelve_organ_state(weights, np.float32)))
+    field32 = _float32_field(rand_field(7, dims=st.dims))
+    field = DisplacementField(st.dims, (1, 1, 1), field32.u.astype(np.float64))
+    value, grad = term_evaluator(st, term)(field)
+    value32, grad32 = term_evaluator(st32, term)(field32)
+    assert grad32.dtype == np.float32 and grad.dtype == np.float64
+    assert value32 == pytest.approx(value, rel=1e-4)
+    assert np.linalg.norm(grad32 - grad) <= 1e-3 * np.linalg.norm(grad)
+    assert grad.any()
+
+
+def test_float32_evaluation_and_adam_step_stay_float32(state32, monkeypatch):
+    # every constant of the level, every sampled (moved) array and its
+    # spatial derivative, every gradient and the Adam update are float32
+    band, lncc_fixed = state32.contour_band, state32.lncc_fixed
+    constants = [state32.fixed.data, state32.moving.data, state32.moving_masks.values,
+                 state32.fixed_mass, state32.fixed_protos.vectors, band.maps, band.target,
+                 lncc_fixed[0], lncc_fixed[1]]
+    constants += [crop.values for crop in state32.fixed_crops if crop is not None]
+    assert all(array.dtype == np.float32 for array in constants)
+    calls = []
+    sample = gradients.sample_volume_with_gradient
+
+    def recorder(data, points):
+        value, grad = sample(data, points)
+        calls.append((points, value, grad))
+        return value, grad
+
+    monkeypatch.setattr(gradients, "sample_volume_with_gradient", recorder)
+    field = _float32_field(rand_field(7))
+    _, grad = evaluate_objective(state32, field)
+    assert len(calls) == 3
+    assert all(array.dtype == np.float32 for call in calls for array in call)
+    for term in TERM_CHECKS:
+        assert term_evaluator(state32, term)(field)[1].dtype == np.float32, term
+    stepped, moments = adam_step(field, grad, AdamState.zeros_like(field.u),
+                                 RegistrationConfig(learning_rate=1e-2))
+    assert stepped.u.dtype == moments.m.dtype == moments.v.dtype == np.float32
+
+
+def test_float32_evaluation_working_memory_is_bounded():
+    # the state of test_evaluation_working_memory_is_bounded in float32: its
+    # 16.4 float64 grid arrays halve to 8.3 (measured), so a float64 array
+    # of the grid's size made on the way would show
+    st = _twelve_organ_state(LossWeights(1, 4, 1, 1, 0.1), np.float32)
+    field = _float32_field(rand_field(64, dims=st.dims))
+    tracemalloc.start()
+    try:
+        _, grad = evaluate_objective(st, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.any() and grad.dtype == np.float32
+    assert peak < 9 * np.prod(st.dims) * 8
+
+
+def _float32_rounding_field(dims):
+    # class 2 of ``_compact_masks`` starts at x = 6, so its box starts at
+    # x = 5; in float32, 2 + (3 - 2**-22) rounds to exactly 5, where the
+    # sample's x-derivative is non-zero, although in float64 it stays below 5
+    u = np.zeros((3,) + dims, np.float32)
+    u[0] = np.nextafter(np.float32(3), np.float32(0))
+    assert np.float32(2) + u[0].max() == 5 and 2.0 + float(u[0].max()) < 5.0
+    return u
+
+
+@pytest.mark.parametrize("shift", COMPACT_SHIFTS + ["rounded"])
+def test_float32_masked_samples_equal_dense_samples(shift):
+    # the objective samples each float32 channel on its window at float32
+    # points; value and derivative must be the whole channel's sampled at
+    # the same points, bit for bit, and exactly 0 off the window
+    moving = _cast(_compact_masks()[1], np.float32)
+    dims = moving.dims
+    u = (_float32_rounding_field(dims) if shift == "rounded"
+         else _shifted_field(shift, dims).astype(np.float32))
+    stack = mask_stack(moving)
+    windows, pts = gradients.mask_points(stack, u)
+    values, derivs = gradients.sample_volume_with_gradient(stack.values, pts)
+    assert values.dtype == derivs.dtype == np.float32
+    dense = oracles.dense_channels(moving).astype(np.float32)
+    points = add_voxel_coords(u.copy())
+    for k, window in enumerate(windows):
+        want, want_d = gradients.sample_volume_with_gradient(dense[k], points)
+        assert np.array_equal(values[k], want[window])
+        assert np.array_equal(derivs[:, k], want_d[(slice(None),) + window])
+        off = np.ones(dims, bool)
+        off[window] = False
+        assert not want[off].any() and not want_d[:, off].any()
+    if shift == "rounded":
+        # the voxels at x = 2 sample class 2 on its box face: the window
+        # holds them, and their x-derivative is not 0
+        assert windows[1][0].start <= 2
+        assert gradients.sample_volume_with_gradient(dense[1], points)[1][0, 2].any()

@@ -16,6 +16,7 @@ from protoreg.optimizer import (AdamState, NonFiniteLossError, RegistrationConfi
 from protoreg.phantom import generate, three_blob_spec, twelve_blob_spec
 from protoreg.warp import (DisplacementField, jacobian_determinant, superpose, upsample_field,
                            warp_labels)
+from protoreg.warp import sdlogj as warp_sdlogj
 
 CONFIG = RegistrationConfig(learning_rate=1e-2, iterations=(10, 10, 10, 10))
 
@@ -109,6 +110,18 @@ def test_config_rejects_levels_that_are_not_an_integer(levels):
     with pytest.raises(ValueError, match="levels"):
         RegistrationConfig(levels=levels)
     assert RegistrationConfig(levels=np.int32(2)).levels == 2
+
+
+@pytest.mark.parametrize("levels, iterations", [(1, 2.5), (2, (3.9, 1.2)), (1, 0.5),
+                                                (2, (3, 2.0))])
+def test_config_rejects_iteration_counts_that_are_not_integers(levels, iterations):
+    # a float count used to be truncated without a word (2.5 ran 2 steps,
+    # (3.9, 1.2) ran (3, 1)), and 0.5 was reported as a count below 1
+    with pytest.raises(ValueError, match="iteration counts must be integers") as raised:
+        RegistrationConfig(levels=levels, iterations=iterations)
+    assert str(iterations) in str(raised.value)
+    assert RegistrationConfig(levels=2, iterations=(np.int64(3), 2)).iterations == (3, 2)
+    assert RegistrationConfig(levels=2, iterations=np.int32(4)).iterations == (4, 4)
 
 
 @pytest.mark.parametrize("name", ["beta1", "beta2"])
@@ -265,9 +278,11 @@ SHORT = RegistrationConfig(learning_rate=1e-2, iterations=(2, 2, 2, 2))
 
 def test_register_pair_working_memory_is_bounded(twelve_organs):
     # twelve organs on 32^3, all five terms: the peak is the finest level's
-    # evaluation, about 33 float64 arrays of the grid's size; a dense mask
-    # pyramid, a second field per level, a gradient accumulator held under
-    # the prototype term or a term's zeroed gradient would each add to it
+    # evaluation, 16.6 float64 arrays of the grid's size in float32 (about
+    # 33 when the registration ran in float64); a dense mask pyramid, a
+    # second field per level, a gradient accumulator held under the
+    # prototype term, a term's zeroed gradient or a float64 array on the
+    # evaluation path would each add to it
     pair = twelve_organs
     assert pair.fixed_labels.num_classes == 12
     tracemalloc.start()
@@ -277,8 +292,39 @@ def test_register_pair_working_memory_is_bounded(twelve_organs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 34 * np.prod(pair.fixed.dims) * 8
+    assert peak < 19 * np.prod(pair.fixed.dims) * 8
     assert result.final_breakdown.values["seg"] > 0
+    assert result.field.u.dtype == np.float64
+
+
+def test_register_pair_optimizes_in_float32_and_returns_float64(monkeypatch):
+    # every level's state, field, gradient and Adam moments are float32; the
+    # returned field is float64 and holds the float32 optimum exactly
+    seen = []
+
+    def evaluate(state, field, with_grad=True):
+        breakdown, grad = evaluate_objective(state, field, with_grad)
+        arrays = [state.fixed.data, state.moving.data, state.moving_masks.values, field.u]
+        arrays += [grad] if with_grad else []
+        arrays += [] if state.contour_band is None else [state.contour_band.maps]
+        seen.append({array.dtype for array in arrays})
+        return breakdown, grad
+
+    def step(field, grad, moments, config):
+        stepped, moments = adam_step(field, grad, moments, config)
+        seen.append({stepped.u.dtype, moments.m.dtype, moments.v.dtype})
+        return stepped, moments
+
+    monkeypatch.setattr(optimizer, "evaluate_objective", evaluate)
+    monkeypatch.setattr(optimizer, "adam_step", step)
+    pair = small_pair(0)
+    result = register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels,
+                           RegistrationConfig(learning_rate=1e-2, iterations=(3, 3, 3, 3)))
+    assert len(seen) == 4 * 3 * 2 + 4
+    assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+    assert result.field.u.dtype == np.float64
+    assert np.array_equal(result.field.u.astype(np.float32), result.field.u)
+    assert result.sdlogj == warp_sdlogj(result.field)
 
 
 def test_one_field_loop_matches_base_plus_correction():
@@ -296,7 +342,7 @@ def test_one_field_loop_matches_base_plus_correction():
     field, totals, _ = optimizer._optimize_level(state, start, 20, CONFIG, level=1)
 
     delta = DisplacementField.zeros(fixed.dims, fixed.spacing)
-    moments = AdamState.zeros((3,) + fixed.dims)
+    moments = AdamState.zeros_like(delta.u)
     for _ in range(20):
         _, grad = evaluate_objective(state, superpose(start, delta))
         delta, moments = adam_step(delta, grad, moments, CONFIG)

@@ -311,8 +311,9 @@ def test_warp_labels_half_shift_fractional_boundary():
 
 def dense_warp_labels(labels, u):
     """The dense composition: every one-hot channel warped over the whole
-    grid, clipped to [0, 1], then ``argmax_labels``."""
-    pts = np.indices(labels.dims, dtype=np.float64) + u
+    grid, clipped to [0, 1], then ``argmax_labels``; the points are formed
+    in u's dtype."""
+    pts = np.indices(labels.dims, dtype=u.dtype) + u
     channels = oracles.dense_channels(one_hot(labels))
     warped = np.stack([sample_volume(ch, pts) for ch in channels])
     return argmax_labels(oracles.mask_from_channels(labels.dims, labels.spacing,
@@ -359,6 +360,34 @@ def test_warp_labels_matches_dense_and_oracle(kind):
     assert 3 not in out.labels and out.labels.any()
     if kind == "zero":
         assert np.array_equal(out.labels, labels)
+
+
+@pytest.mark.parametrize("kind", ["shift", "random", "wild", "rounded"])
+def test_warp_labels_of_a_float32_field_matches_dense(kind):
+    # the points are formed in float32 and the float64 channels sampled at
+    # them; the windows are tested in float32 too, so the masked samples
+    # are the dense ones and the labels equal bit for bit
+    dims = (7, 6, 5)
+    labels = np.zeros(dims, np.int32)
+    labels[0:3, 1:3, 1:4] = 1
+    labels[3:5, 2:4, 1:3] = 2
+    labels[4:7, 4:6, 3:5] = 4
+    lv = LabelVolume(dims, (1, 1, 1), labels, 4)
+    rng = np.random.default_rng(23)
+    u = {"shift": np.zeros((3,) + dims) + np.reshape([1.3, -0.6, 0.4], (3, 1, 1, 1)),
+         "random": rng.uniform(-1.2, 1.2, (3,) + dims),
+         "wild": rng.uniform(-50.0, 50.0, (3,) + dims),
+         "rounded": np.zeros((3,) + dims)}[kind].astype(np.float32)
+    if kind == "rounded":
+        # class 4's box starts at x = 3; in float32, 1 + (2 - 2**-23) rounds
+        # to exactly 3, although in float64 it stays below 3
+        u[0] = np.nextafter(np.float32(2), np.float32(0))
+        assert np.float32(1) + u[0].max() == 3 and 1.0 + float(u[0].max()) < 3.0
+    field = DisplacementField(dims, (1, 1, 1), u)
+    assert field.u.dtype == np.float32
+    out = warp_labels(lv, field)
+    assert np.array_equal(out.labels, dense_warp_labels(lv, u).labels)
+    assert 3 not in out.labels and out.labels.any()
 
 
 def test_warp_labels_needs_no_dense_channel_array():
