@@ -21,10 +21,8 @@ halves the registration's working memory and the bytes each pass over the
 grid moves.  The field is cast to float64 once, at the end, so the
 returned ``RegistrationResult`` holds a float64 field.  ``adam_step`` and
 the objective compute in the dtype of the arrays they are given, so a
-float64 field and state still run in float64.  A learning rate beyond
-float32's range (``_working_dtype``) keeps the whole registration in
-float64: float32 cannot hold it, and its first step would overflow the
-field instead of the objective.
+float64 field and state still run in float64.  ``RegistrationConfig``
+rejects a learning rate beyond float32's range, which float32 cannot hold.
 """
 
 from __future__ import annotations
@@ -80,6 +78,7 @@ class RegistrationConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
+    # also taken as five values, or as a dict by term name
     weights: LossWeights = dataclass_field(default_factory=LossWeights)
     window: int = 9
     max_contour_points: int = 2048          # most contour band points per class
@@ -119,6 +118,10 @@ class RegistrationConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"RegistrationConfig: {name} must be finite and > 0, got {value}")
+        largest = float(np.finfo(np.float32).max)       # the registration runs in float32
+        if self.learning_rate > largest:
+            raise ValueError(f"RegistrationConfig: learning_rate must be at most {largest:.4g}, "
+                             f"got {self.learning_rate}")
         # Python floats, which take a float32 array's dtype under every NumPy
         # promotion rule
         for name in ("learning_rate", "beta1", "beta2", "adam_eps", "temperature"):
@@ -127,18 +130,20 @@ class RegistrationConfig:
         if not _is_integer(points) or points < 1:
             raise ValueError(f"RegistrationConfig: max_contour_points must be an integer >= 1, "
                              f"got {points}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"RegistrationConfig: seed must be an integer >= 0, got {self.seed!r}")
+        w = self.weights
+        if isinstance(w, dict):
+            w = LossWeights(**w)
+        elif not isinstance(w, LossWeights):
+            if len(w) != len(TERM_NAMES):
+                raise ValueError(f"RegistrationConfig: weights needs one value per term "
+                                 f"{TERM_NAMES}, got {len(w)}")
+            w = LossWeights(*w)
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegistrationConfig":
-        d = dict(d)
-        if "weights" in d:
-            w = d["weights"]
-            if not isinstance(w, dict) and len(w) != len(TERM_NAMES):
-                raise ValueError(f"RegistrationConfig: weights needs one value per term "
-                                 f"{TERM_NAMES}, got {len(w)}")
-            d["weights"] = LossWeights(**w) if isinstance(w, dict) else LossWeights(*w)
-        if "iterations" in d and d["iterations"] is not None:
-            d["iterations"] = tuple(d["iterations"])
         return cls(**d)
 
 
@@ -259,7 +264,6 @@ def register_pair(fixed: Volume, moving: Volume,
         fixed_mask_pyr = build_pyramid(one_hot(fixed_mask), config.levels)
         moving_mask_pyr = build_pyramid(one_hot(moving_mask), config.levels)
 
-    dtype = _working_dtype(config)
     field = None
     trajectories = []
     level_seconds = []
@@ -275,16 +279,16 @@ def register_pair(fixed: Volume, moving: Volume,
                            level, f_l.dims)
             level_weights = replace(level_weights, sim=0.0)
         state = build_state(
-            _cast(f_l, dtype), _cast(moving_pyr[level], dtype), level_weights,
-            _cast(fixed_mask_pyr[level], dtype) if use_masks else None,
-            _cast(moving_mask_pyr[level], dtype) if use_masks else None,
+            _cast(f_l, np.float32), _cast(moving_pyr[level], np.float32), level_weights,
+            _cast(fixed_mask_pyr[level], np.float32) if use_masks else None,
+            _cast(moving_mask_pyr[level], np.float32) if use_masks else None,
             window=window, temperature=config.temperature,
             max_points=config.max_contour_points, seed=config.seed + level,
         )
         # the start field is passed, not kept: the level holds one field
         field, totals, final_breakdown = _optimize_level(
             state,
-            (DisplacementField(f_l.dims, f_l.spacing, np.zeros((3,) + f_l.dims, dtype))
+            (DisplacementField(f_l.dims, f_l.spacing, np.zeros((3,) + f_l.dims, np.float32))
              if field is None else upsample_field(field, f_l.dims)),
             config.iterations[config.levels - 1 - level], config, level)
         state = None        # dead: the next level, and sdlogj, do not run under it
@@ -300,12 +304,6 @@ def register_pair(fixed: Volume, moving: Volume,
         sdlogj=sdlogj(field),
         unsupervised=unsupervised,
     )
-
-
-def _working_dtype(config: RegistrationConfig) -> type:
-    """The dtype ``register_pair`` optimizes in: float32, or float64 for a
-    learning rate beyond float32's range."""
-    return np.float32 if config.learning_rate <= np.finfo(np.float32).max else np.float64
 
 
 def _cast(grid, dtype):

@@ -1,6 +1,6 @@
-"""Register one pair with all five terms on numpy alone, and fail if any
-``scipy`` module was loaded on the way or the returned field is not
-float64.
+"""Register one pair with all five terms on numpy alone and score it, and
+fail if any ``scipy`` module was loaded on the way, the returned field is
+not float64, or the score is not finite.
 
     PYTHONPATH=src python tests/register_numpy_only.py            # two shifted spheres
     PYTHONPATH=src python tests/register_numpy_only.py DIRECTORY  # the pair in DIRECTORY
@@ -60,9 +60,15 @@ def main(argv) -> None:
     assert all(np.isfinite(v) and v != 0.0 for v in values.values()), values
     # optimized in float32, returned in float64
     assert result.field.u.dtype == np.float64, result.field.u.dtype
+    report = protoreg.evaluate(pair["fixed_labels"],
+                               protoreg.warp_labels(pair["moving_labels"], result.field),
+                               result.field)
+    assert 0.0 <= report.avg_dsc <= 1.0, report.avg_dsc     # false for NaN
+    assert np.isfinite(report.sdlogj), report.sdlogj
     loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-    assert not loaded, f"a registration loaded {len(loaded)} scipy modules: {loaded[:4]} ..."
-    print("registered with", ", ".join(sorted(values)), "and no scipy module")
+    assert not loaded, f"registering and scoring loaded {len(loaded)} scipy modules: {loaded[:4]}"
+    print("registered with", ", ".join(sorted(values)), "and no scipy module:",
+          f"Dice {report.avg_dsc:.4f}, SDlogJ {report.sdlogj:.4f}")
 
 
 if __name__ == "__main__":

@@ -1,20 +1,24 @@
-"""Every name a ``protoreg`` module imports is used in it, and a
+"""Every name a ``protoreg`` module imports is used in it, every public
+name it defines is used by the library or the benchmark, and a
 registration loads no module it does not need: no ``scipy`` module at all
 (only ``protoreg.phantom`` imports scipy).
 
 The package root is left out of the first check: it imports names to
 re-export them.  An import line marked ``# noqa: F401`` is kept on purpose
-and is left out too.
+and is left out too.  The second check leaves out ``phantom``, which makes
+the fixtures of the tests and the benchmark.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import protoreg
 import register_numpy_only
 from protoreg import io
 from protoreg.phantom import generate, three_blob_spec
@@ -50,6 +54,67 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def identifiers(node) -> set:
+    """The names ``node`` reads, as a ``Name``, an ``Attribute`` or an
+    import; strings and docstrings do not count."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in sub.names for part in alias.name.split("."))
+    return names
+
+
+def defined_names(statement) -> list:
+    """The public names a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def unshipped_names(library: dict, checked, users, exported=()) -> list:
+    """The public top-level names of the ``checked`` modules of ``library``
+    (module name -> source) that no statement of ``library`` other than
+    their own definition reads, and no source in ``users`` reads either."""
+    statements = {module: [(statement, identifiers(statement))
+                           for statement in ast.parse(source).body]
+                  for module, source in library.items()}
+    # how many top-level statements of the library read each name
+    readers = Counter(name for body in statements.values() for _, names in body
+                      for name in names)
+    outside = set(exported).union(*(identifiers(ast.parse(source)) for source in users))
+    return sorted(name for module in checked for statement, names in statements[module]
+                  for name in defined_names(statement)
+                  if name not in outside and readers[name] == (name in names))
+
+
+def test_unshipped_names_are_found():
+    library = {"a": ("from .b import used\nLIMIT = 3\nGONE = 4\n"
+                     "def own(x):\n    return own(x - 1)\n"
+                     "def _private():\n    pass\n"),
+               "b": ('def used():\n    """GONE"""\n    return 1\nclass Kept:\n    pass\n'
+                     "def read_by_users():\n    pass\n")}
+    users = ["import b\nb.read_by_users(a.LIMIT)\n"]
+    assert unshipped_names(library, ["a", "b"], users, exported=["Kept"]) == ["GONE", "own"]
+
+
+def test_the_library_ships_nothing_only_tests_call():
+    # the package root's ``__all__`` is the user surface; anything else
+    # must be read by the library itself or by the benchmark
+    library = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    users = [path.read_text() for path in (TESTS.parent / "perfbench").glob("*.py")]
+    checked = sorted(set(library) - {"__init__", "phantom"})
+    assert unshipped_names(library, checked, users, protoreg.__all__) == []
 
 
 REGISTER_16 = """

@@ -1,18 +1,8 @@
-import csv
-import json
-
 import numpy as np
 import pytest
 
 from protoreg.grids import LabelVolume
-from protoreg.metrics import (
-    EvalReport,
-    default_class_names,
-    dsc,
-    evaluate,
-    write_report_csv,
-    write_report_json,
-)
+from protoreg.metrics import dsc, evaluate
 from protoreg.warp import DisplacementField
 
 
@@ -62,7 +52,7 @@ def test_evaluate_identity():
     data[1:3, 1:3, 1:3] = 1
     data[3:5, 3:5, 3:5] = 2
     lv = labels_of(data, 2)
-    rep = evaluate(lv, lv, DisplacementField.zeros((5, 5, 5)), pair_id="id")
+    rep = evaluate(lv, lv, DisplacementField.zeros((5, 5, 5)))
     assert rep.per_class == (1.0, 1.0)
     assert rep.avg_dsc == 1.0
     assert rep.sdlogj == 0.0
@@ -73,7 +63,7 @@ def test_evaluate_matches_scripted_recount():
     rng = np.random.default_rng(2)
     a = labels_of(rng.integers(0, 4, (6, 6, 6)), 3)
     b = labels_of(rng.integers(0, 4, (6, 6, 6)), 3)
-    rep = evaluate(a, b, None, pair_id="x")
+    rep = evaluate(a, b, None)
     # independent recount
     vals = []
     for c in range(1, 4):
@@ -83,45 +73,3 @@ def test_evaluate_matches_scripted_recount():
             continue
         vals.append(2 * np.logical_and(sa, sb).sum() / (sa.sum() + sb.sum()))
     assert rep.avg_dsc == pytest.approx(float(np.mean(vals)), rel=1e-12)
-
-
-def test_csv_json_contain_identical_numbers(tmp_path):
-    rng = np.random.default_rng(3)
-    a = labels_of(rng.integers(0, 3, (5, 5, 5)), 2)
-    b = labels_of(rng.integers(0, 3, (5, 5, 5)), 2)
-    initial = evaluate(a, b, None, pair_id="pair0_initial")
-    final = evaluate(a, a, None, pair_id="pair0_registered")
-    reports = [initial, final]
-    write_report_csv(reports, tmp_path / "r.csv")
-    write_report_json(reports, tmp_path / "r.json")
-
-    js = json.loads((tmp_path / "r.json").read_text())
-    with open(tmp_path / "r.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert {r["pair_id"] for r in rows} == {"pair0_initial", "pair0_registered"}
-    for row in rows:
-        entry = next(j for j in js if j["pair_id"] == row["pair_id"])
-        expect = entry["classes"][row["class_name"]]
-        got = None if row["dsc"] == "" else float(row["dsc"])
-        assert got == expect
-        assert float(row["avg_dsc"]) == entry["avg_dsc"]
-        assert float(row["sdlogj"]) == entry["sdlogj"]
-
-
-def test_evaluate_carries_initial_row_shape(tmp_path):
-    # report format supports an unregistered baseline row alongside the
-    # registered one, sharing the same columns
-    data = np.zeros((4, 4, 4), np.int32)
-    data[0:2] = 1
-    lv = labels_of(data, 1)
-    rows = [evaluate(lv, lv, None, pair_id="p_initial"),
-            evaluate(lv, lv, None, pair_id="p_registered")]
-    write_report_csv(rows, tmp_path / "out.csv")
-    text = (tmp_path / "out.csv").read_text()
-    assert "p_initial" in text and "p_registered" in text
-
-
-def test_class_name_mismatch_rejected():
-    lv = labels_of(np.zeros((3, 3, 3)), 2)
-    with pytest.raises(ValueError):
-        evaluate(lv, lv, None, class_names=("only_one",))

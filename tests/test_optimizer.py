@@ -49,10 +49,11 @@ def test_register_pair_registers_small_phantoms(seed):
 
 
 def test_register_pair_aborts_on_a_non_finite_loss():
-    # the first step of 1e200 voxels overflows the smoothness term; the abort
-    # names that term and the coarsest level's iteration it was seen at
+    # the first step of 1e30 voxels overflows the float32 smoothness term;
+    # the abort names that term and the coarsest level's iteration it was
+    # seen at
     pair = small_pair(0)
-    config = RegistrationConfig(learning_rate=1e200, iterations=(10, 10, 10, 10))
+    config = RegistrationConfig(learning_rate=1e30, iterations=(10, 10, 10, 10))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteLossError) as raised:
         register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels, config)
     assert raised.value.terms == ("smooth",)
@@ -86,6 +87,21 @@ def test_config_from_dict():
         learning_rate=1e-2, iterations=(100, 60, 40, 30), weights=LossWeights(1, 4, 1, 1, 0.1))
     named = RegistrationConfig.from_dict({"weights": {"sim": 2.0, "contour": 0.0}})
     assert named == RegistrationConfig(weights=LossWeights(sim=2.0, contour=0.0))
+
+
+@pytest.mark.parametrize("weights", [(1, 4, 1, 1, 0.1), [1, 4, 1, 1, 0.1],
+                                     {"sim": 1, "smooth": 4, "contour": 0.1}])
+def test_config_converts_weights_given_to_the_constructor(weights):
+    # a tuple, list or dict of weights used to construct and then fail in
+    # register_pair on ``weights.uses_masks``
+    config = RegistrationConfig(weights=weights, learning_rate=1e-2, levels=1, iterations=2,
+                                window=5)
+    assert config == RegistrationConfig.from_dict(
+        {"weights": weights, "learning_rate": 1e-2, "levels": 1, "iterations": 2, "window": 5})
+    assert config.weights == LossWeights(1, 4, 1, 1, 0.1)
+    pair = small_pair(0)
+    result = register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels, config)
+    assert np.isfinite(result.field.u).all()
 
 
 @pytest.mark.parametrize("window", [8, 2, 1, -3])
@@ -158,11 +174,30 @@ def test_config_rejects_a_learning_rate_that_is_not_finite(rate):
         RegistrationConfig(learning_rate=rate)
 
 
+@pytest.mark.parametrize("rate", [1e39, 1e200])
+def test_config_rejects_a_learning_rate_beyond_float32(rate):
+    # the registration runs in float32, which cannot hold the step
+    with pytest.raises(ValueError, match="learning_rate"):
+        RegistrationConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "a"])
+def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # such a seed used to fail inside register_pair, at the first level
+    # whose contour band is subsampled
+    with pytest.raises(ValueError, match="seed"):
+        RegistrationConfig(seed=seed)
+    assert RegistrationConfig(seed=0).seed == 0
+    assert RegistrationConfig(seed=np.int64(3)).seed == 3
+
+
 @pytest.mark.parametrize("weights", [[1, 4], [1, 4, 1, 1, 0.1, 2]])
 def test_config_from_dict_rejects_a_weight_list_of_another_length(weights):
     # a short list would leave the other terms at their defaults unseen
-    with pytest.raises(ValueError, match="weights"):
+    with pytest.raises(ValueError, match="one value per term"):
         RegistrationConfig.from_dict({"weights": weights})
+    with pytest.raises(ValueError, match="one value per term"):
+        RegistrationConfig(weights=weights)
 
 
 def test_register_pair_rejects_a_moving_spacing_unlike_the_fixed():
