@@ -15,6 +15,12 @@ dtype: float32 only when every array it reads is float32, float64
 otherwise, with the same operations in both.  ``downsample`` averages in
 the grid's dtype and ``_on_windows`` places crops in theirs.
 
+A ``LabelVolume`` holds its labels in the smallest unsigned type that
+holds ``num_classes`` (``np.min_scalar_type``): uint8 up to 255 classes,
+uint16 up to 65,535, and so on.  The label range is checked on the
+array given, before the narrowing, so an out-of-range label raises rather
+than wraps.  ``argmax_labels`` builds its map in that type.
+
 A one-hot mask is crop-backed: each channel is held only on a box
 (``ChannelCrop``), and nothing here makes a (K, nx, ny, nz) array.
 ``one_hot`` and ``downsample`` trim each crop to its channel's support:
@@ -99,14 +105,17 @@ class LabelVolume:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "labels", np.ascontiguousarray(self.labels, dtype=np.int32))
+        labels = np.asarray(self.labels)
         object.__setattr__(self, "num_classes", int(self.num_classes))
-        _validate_grid(self.dims, self.spacing, self.labels.shape, "LabelVolume")
-        if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) > self.num_classes:
+        _validate_grid(self.dims, self.spacing, labels.shape, "LabelVolume")
+        # checked before the narrowing, so no label out of range wraps into it
+        if labels.min(initial=0) < 0 or labels.max(initial=0) > self.num_classes:
             raise ValueError(
                 f"LabelVolume: labels must lie in [0, {self.num_classes}], "
-                f"got range [{self.labels.min()}, {self.labels.max()}]"
+                f"got range [{labels.min()}, {labels.max()}]"
             )
+        object.__setattr__(self, "labels", np.ascontiguousarray(
+            labels, dtype=np.min_scalar_type(self.num_classes)))
 
 
 class ChannelCrop(NamedTuple):
@@ -175,7 +184,7 @@ def _label_boxes(labels: np.ndarray, num_classes: int) -> list:
     (``ndimage.find_objects``'s boxes), or None for an absent class.  One
     ``bincount`` per axis over the foreground voxels marks the slabs that
     hold each class; a box runs from its first marked slab to its last."""
-    flat = np.flatnonzero(labels != 0)      # 7x faster than on the int32 labels
+    flat = np.flatnonzero(labels != 0)      # 7x faster than on the labels
     classes = labels.ravel()[flat].astype(np.intp)
     spans = []
     for n, coord in zip(labels.shape, np.unravel_index(flat, labels.shape)):
@@ -209,7 +218,7 @@ def argmax_labels(mask: OneHotMask) -> LabelVolume:
     maximum, which makes this the dense argmax exactly.
     """
     best = np.zeros(mask.dims, _crops_dtype(mask.crops))
-    labels = np.zeros(mask.dims, np.int32)
+    labels = np.zeros(mask.dims, np.min_scalar_type(mask.num_classes))
     for c, crop in enumerate(mask.crops, start=1):
         if crop is None:
             continue

@@ -5,7 +5,12 @@ x-fastest/z-slowest order; ``<name>.json`` is a sidecar with
 ``{dims, spacing, kind, num_classes}``.  Displacement fields store the three
 components consecutively, each in the same layout, with ``kind: "field"``
 and ``units: "voxels"``.  A read converts an x-fastest payload to the C order
-that grids hold (:mod:`protoreg.grids`) in its float64 conversion.
+that grids hold (:mod:`protoreg.grids`) in the one copy it makes.
+
+Reads keep the stored precision: a float64 payload stays float64, and every
+other one (float32, uint8, int16, and the raw format's float32) reads as
+float32, each exactly.  Scaling runs in that dtype.  Label maps are held in
+``LabelVolume``'s narrow unsigned type.
 
 NIfTI-1 subset: 348-byte header, magic "n+1"/"ni1", datatypes uint8/int16/
 float32/float64, optional gzip.  Dims, pixdim and the intensity scaling
@@ -53,13 +58,13 @@ LABEL_TOLERANCE = 1e-3   # largest distance of a stored label from an integer
 
 
 def _integral_labels(data: np.ndarray, path) -> np.ndarray:
-    """``data`` as int32 labels; a value more than ``LABEL_TOLERANCE`` from
-    an integer, not finite or negative raises ``IOFormatError`` (the
-    tolerance admits integers scaled by a float32 ``scl_slope``)."""
+    """``data`` rounded to integers, in its own dtype; a value more than
+    ``LABEL_TOLERANCE`` from an integer, not finite or negative raises
+    ``IOFormatError`` (the tolerance admits integers scaled by a float32
+    ``scl_slope``).  ``LabelVolume`` narrows the result."""
     labels = np.rint(data)
     if not (np.abs(data - labels) <= LABEL_TOLERANCE).all():
         raise IOFormatError(f"{path}: non-integral values cannot be labels")
-    labels = labels.astype(np.int32)
     if labels.min(initial=0) < 0:
         raise IOFormatError(f"{path}: negative values cannot be labels")
     return labels
@@ -125,7 +130,7 @@ def read_raw(path):
     # channel after channel, each x-fastest: Fortran order on dims + (channels,)
     data = (np.frombuffer(blob, dtype="<f4", count=nvox * n_channels)
             .reshape(dims + (n_channels,), order="F").transpose(3, 0, 1, 2)
-            .astype(np.float64, order="C"))
+            .astype(np.float32, order="C"))
 
     if kind == "volume":
         return Volume(dims, spacing, data[0])
@@ -134,7 +139,7 @@ def read_raw(path):
         labels = _integral_labels(data[0], raw_path)
         if labels.max(initial=0) > k:
             raise MalformedHeaderError(f"{json_path}: num_classes {k} is below the largest "
-                                       f"stored label {labels.max()}")
+                                       f"stored label {int(labels.max())}")
         return LabelVolume(dims, spacing, labels, k)
     if kind == "field":
         return DisplacementField(dims, spacing, data)
@@ -209,9 +214,12 @@ def read_nifti(path, kind: str = "image"):
             f"{path}: payload holds {len(payload)} bytes, need {nvox * dtype.itemsize}"
         )
     data = np.frombuffer(payload, dtype=dtype, count=nvox).reshape(dims, order="F")
-    data = data.astype(np.float64, order="C")
+    # a copy in C order: float64 stays float64, every other payload is exact in float32
+    real = np.float64 if dtype == np.float64 else np.float32
+    data = data.astype(real, order="C")
     if scaled:
-        data = data * slope + inter
+        data *= real(slope)
+        data += real(inter)
 
     if kind == "labels":
         labels = _integral_labels(data, path)

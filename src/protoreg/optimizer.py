@@ -13,23 +13,25 @@ The masks enter as ``one_hot`` crops of the label maps and are halved on
 their crops (``grids.downsample``); no dense (K, nx, ny, nz) mask array is
 made on the way to a level's ``build_state``.
 
-``register_pair`` optimizes in float32: the pyramids are built in float64
-as before, and each level's images and mask crops are cast to float32
-(``_cast``) before its ``build_state``, so the level's constants, the
-field, Adam's moments and every array of an evaluation are float32, which
-halves the registration's working memory and the bytes each pass over the
-grid moves.  The field is cast to float64 once, at the end, so the
-returned ``RegistrationResult`` holds a float64 field.  ``adam_step`` and
-the objective compute in the dtype of the arrays they are given, so a
-float64 field and state still run in float64.  ``RegistrationConfig``
-rejects a learning rate beyond float32's range, which float32 cannot hold.
+``register_pair`` optimizes in float32: the two volumes and the two
+one-hot masks are cast to float32 once (``_cast``; a float32 volume is not
+copied), before the pyramids, which are then averaged in float32.  So every
+level's images and mask crops, its constants, the field, Adam's moments and
+every array of an evaluation are float32, which halves the registration's
+working memory and the bytes each pass over the grid moves.  A float64
+volume registers exactly as its float32 cast does.  The field is cast to
+float64 once, at the end, so the returned ``RegistrationResult`` holds a
+float64 field.  ``adam_step`` and the objective compute in the dtype of the
+arrays they are given, so a float64 field and state still run in float64.
+``RegistrationConfig`` rejects a learning rate beyond float32's range,
+which float32 cannot hold.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
 
@@ -134,6 +136,7 @@ class RegistrationConfig:
             raise ValueError(f"RegistrationConfig: seed must be an integer >= 0, got {self.seed!r}")
         w = self.weights
         if isinstance(w, dict):
+            _reject_unknown(w, TERM_NAMES, "weight names")
             w = LossWeights(**w)
         elif not isinstance(w, LossWeights):
             if len(w) != len(TERM_NAMES):
@@ -144,7 +147,16 @@ class RegistrationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegistrationConfig":
+        _reject_unknown(d, [f.name for f in fields(cls)], "keys")
         return cls(**d)
+
+
+def _reject_unknown(d: dict, names, what: str) -> None:
+    """``ValueError`` naming the keys of ``d`` that are not in ``names``."""
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ValueError(f"RegistrationConfig: unknown {what} {unknown}; "
+                         f"expected some of {tuple(names)}")
 
 
 @dataclass
@@ -258,11 +270,11 @@ def register_pair(fixed: Volume, moving: Volume,
         fixed_mask, moving_mask = (replace(mask, num_classes=k)
                                    for mask in (fixed_mask, moving_mask))
 
-    fixed_pyr = build_pyramid(fixed, config.levels)
-    moving_pyr = build_pyramid(moving, config.levels)
+    fixed_pyr = build_pyramid(_cast(fixed, np.float32), config.levels)
+    moving_pyr = build_pyramid(_cast(moving, np.float32), config.levels)
     if use_masks:
-        fixed_mask_pyr = build_pyramid(one_hot(fixed_mask), config.levels)
-        moving_mask_pyr = build_pyramid(one_hot(moving_mask), config.levels)
+        fixed_mask_pyr = build_pyramid(_cast(one_hot(fixed_mask), np.float32), config.levels)
+        moving_mask_pyr = build_pyramid(_cast(one_hot(moving_mask), np.float32), config.levels)
 
     field = None
     trajectories = []
@@ -279,9 +291,9 @@ def register_pair(fixed: Volume, moving: Volume,
                            level, f_l.dims)
             level_weights = replace(level_weights, sim=0.0)
         state = build_state(
-            _cast(f_l, np.float32), _cast(moving_pyr[level], np.float32), level_weights,
-            _cast(fixed_mask_pyr[level], np.float32) if use_masks else None,
-            _cast(moving_mask_pyr[level], np.float32) if use_masks else None,
+            f_l, moving_pyr[level], level_weights,
+            fixed_mask_pyr[level] if use_masks else None,
+            moving_mask_pyr[level] if use_masks else None,
             window=window, temperature=config.temperature,
             max_points=config.max_contour_points, seed=config.seed + level,
         )

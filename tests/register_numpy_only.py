@@ -1,18 +1,21 @@
-"""Register one pair with all five terms on numpy alone and score it, and
-fail if any ``scipy`` module was loaded on the way, the returned field is
-not float64, or the score is not finite.
+"""Read one pair through ``protoreg.io``, register it with all five terms
+on numpy alone and score it, and fail if the images do not read as float32
+or the label maps as uint8, any ``scipy`` module was loaded on the way, the
+returned field is not float64, or the score is not finite.
 
     PYTHONPATH=src python tests/register_numpy_only.py            # two shifted spheres
     PYTHONPATH=src python tests/register_numpy_only.py DIRECTORY  # the pair in DIRECTORY
 
 Without an argument the pair is built here with numpy: two spheres of two
-classes, shifted by a voxel and a half between the images.  With one, the
-images and label maps are read through ``protoreg.io`` from the files
-``FILES`` names in DIRECTORY.  Needs numpy and ``protoreg`` only, so it
-runs where scipy is not installed.
+classes, shifted by a voxel and a half between the images.  It is written
+to a temporary directory as the benchmark writes its inputs (NIfTI images,
+raw label maps) and read back from there.  With an argument, the images and
+label maps are read from the files ``FILES`` names in DIRECTORY.  Needs
+numpy and ``protoreg`` only, so it runs where scipy is not installed.
 """
 
 import sys
+import tempfile
 
 import numpy as np
 
@@ -50,8 +53,19 @@ def read_pair(directory: str) -> dict:
     return {name: io.read_volume(f"{directory}/{fname}") for name, fname in FILES.items()}
 
 
+def written_and_read_back(pair: dict) -> dict:
+    with tempfile.TemporaryDirectory() as directory:
+        for name, fname in FILES.items():
+            io.write_volume(pair[name], f"{directory}/{fname}")
+        return read_pair(directory)
+
+
 def main(argv) -> None:
-    pair = read_pair(argv[0]) if argv else built_pair()
+    pair = read_pair(argv[0]) if argv else written_and_read_back(built_pair())
+    # the reads keep the stored precision: float32 images, one-byte label maps
+    dtypes = [pair["fixed"].data.dtype, pair["moving"].data.dtype,
+              pair["fixed_labels"].labels.dtype, pair["moving_labels"].labels.dtype]
+    assert dtypes == [np.float32] * 2 + [np.uint8] * 2, dtypes
     config = protoreg.RegistrationConfig(levels=2, iterations=(4, 4), window=5,
                                          learning_rate=1e-2)
     result = protoreg.register_pair(pair["fixed"], pair["moving"], pair["fixed_labels"],

@@ -152,8 +152,33 @@ def test_grids_hold_c_ordered_arrays():
 def test_label_volume_range_check():
     with pytest.raises(ValueError):
         make_labels(np.full((2, 2, 2), 5, np.int32), 3)
+    # checked before the narrowing: 256 would wrap to 0 in uint8, -1 to 255
+    for label, num_classes in [(256, 255), (-1, 255), (-1, 3), (65536, 300)]:
+        for given in (np.int32, np.float64):
+            with pytest.raises(ValueError, match="labels must lie in"):
+                make_labels(np.array([0, label], given).reshape(2, 1, 1), num_classes)
     with pytest.raises(ValueError, match="spacing"):
         LabelVolume((2, 2, 2), (1, 1, np.nan), np.zeros((2, 2, 2)), 1)
+
+
+@pytest.mark.parametrize("num_classes, dtype", [(3, np.uint8), (255, np.uint8),
+                                                (256, np.uint16), (300, np.uint16),
+                                                (65535, np.uint16), (70000, np.uint32)])
+def test_label_volume_holds_the_smallest_unsigned_type(num_classes, dtype):
+    for given in (np.int32, np.int64, np.float64):
+        labels = make_labels(np.array([0, 1, num_classes], given).reshape(3, 1, 1), num_classes)
+        assert labels.labels.dtype == dtype
+        assert labels.labels.ravel().tolist() == [0, 1, num_classes]
+
+
+def test_argmax_labels_builds_its_map_in_the_label_type():
+    labels = np.zeros((5, 4, 3), np.int32)
+    labels[1:3, 1:3, 1] = 2
+    labels[4, 0, 2] = 300
+    back = argmax_labels(one_hot(make_labels(labels, 300)))
+    assert back.labels.dtype == np.uint16 and np.array_equal(back.labels, labels)
+    few = np.minimum(labels, 3)
+    assert argmax_labels(one_hot(make_labels(few, 3))).labels.dtype == np.uint8
 
 
 def test_one_hot_crops_are_the_label_boxes():

@@ -167,9 +167,21 @@ def test_a_registration_read_from_disk_loads_no_scipy(tmp_path):
     pair = generate(three_blob_spec(dims=(16, 16, 16), num_blobs=1, magnitude=1.0, seed=3))
     for name, fname in register_numpy_only.FILES.items():
         io.write_volume(getattr(pair, name), tmp_path / fname)
+    assert "no scipy module" in run_numpy_only_script(str(tmp_path))
+
+
+def test_the_numpy_only_script_registers_its_pair_read_back_from_disk():
+    # without a directory the script writes its spheres as the benchmark
+    # writes its inputs and registers what io reads back: float32 images and
+    # uint8 label maps (what the numpy-only and floor CI jobs run)
+    assert "no scipy module" in run_numpy_only_script()
+
+
+def run_numpy_only_script(*args) -> str:
+    """Standard output of the script, run with ``args`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, register_numpy_only.__file__, str(tmp_path)],
+    proc = subprocess.run([sys.executable, register_numpy_only.__file__, *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "no scipy module" in proc.stdout
+    return proc.stdout

@@ -27,6 +27,7 @@ def test_raw_roundtrip_volume_bit_exact(tmp_path):
     write_raw(vol, tmp_path / "vol")
     back = read_volume(tmp_path / "vol.f32raw")
     assert isinstance(back, Volume)
+    assert back.data.dtype == np.float32
     assert back.dims == vol.dims
     assert back.spacing == vol.spacing
     assert np.array_equal(back.data, vol.data)
@@ -40,6 +41,7 @@ def test_raw_roundtrip_labels(tmp_path):
     back = read_raw(tmp_path / "seg")
     assert isinstance(back, LabelVolume)
     assert back.num_classes == 3
+    assert back.labels.dtype == np.uint8
     assert np.array_equal(back.labels, lv.labels)
 
 
@@ -74,6 +76,7 @@ def test_raw_roundtrip_field(tmp_path):
     write_raw(field, tmp_path / "field")
     back = read_raw(tmp_path / "field")
     assert isinstance(back, DisplacementField)
+    assert back.u.dtype == np.float32
     assert np.array_equal(back.u, field.u)
 
 
@@ -199,6 +202,25 @@ def test_nifti_nonfinite_intercept_rejected(tmp_path):
         read_nifti(path)
 
 
+def _nifti_payload_bytes(values, datatype, dtype, slope=0.0, inter=0.0):
+    """A 2x2x2 NIfTI-1 file holding ``values`` x-fastest as ``dtype``."""
+    bitpix = np.dtype(dtype).itemsize * 8
+    hdr = _build_nifti_int16((2, 2, 2), (1, 1, 1), [], datatype=datatype, bitpix=bitpix,
+                             slope=slope, inter=inter)
+    return hdr + np.asarray(values).astype(dtype).tobytes()
+
+
+# payload -> (datatype code, stored dtype, values, dtype read); the values
+# other than float64 are exact in float32, and so are their scaled values
+PAYLOADS = {
+    "uint8": (2, "<u1", [10, 3, 7, 0, 250, 255, 1, 42], np.float32),
+    "int16": (4, "<i2", [10, -3, 7, 0, 250, -32768, 32767, 42], np.float32),
+    "float32": (16, "<f4", [0.25, -2.5, 0.75, 0.0, 1024.5, 7.0, -1.0, 3.0], np.float32),
+    "float64": (64, "<f8", [0.1, -2.5e300, 1.0 / 3.0, 0.0, 5e-324, 7.0, -1.0, 2.0 ** 60],
+                np.float64),
+}
+
+
 def test_nifti_float64_exact(tmp_path):
     values = np.array([0.1, -2.5e300, 1.0 / 3.0, 0.0, 5e-324, 7.0, -1.0, 2.0 ** 60])
     hdr = bytearray(_build_nifti_int16((2, 2, 2), (1.0, 1.0, 1.0), [], datatype=64, bitpix=64))
@@ -206,6 +228,30 @@ def test_nifti_float64_exact(tmp_path):
     path.write_bytes(bytes(hdr) + values.astype("<f8").tobytes())
     vol = read_nifti(path)
     assert np.array_equal(vol.data, values.reshape((2, 2, 2), order="F"))
+
+
+@pytest.mark.parametrize("scaling", [(0.0, 0.0), (0.5, -10.0)], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("payload", sorted(PAYLOADS))
+def test_nifti_payloads_read_as_float32_unless_float64(tmp_path, payload, scaling):
+    # scaled in the dtype read
+    datatype, dtype, values, read = PAYLOADS[payload]
+    slope, inter = scaling
+    path = tmp_path / f"{payload}.nii"
+    path.write_bytes(_nifti_payload_bytes(values, datatype, dtype, slope, inter))
+    vol = read_nifti(path)
+    stored = np.array(values, dtype=np.float64).reshape((2, 2, 2), order="F")
+    assert vol.data.dtype == read
+    assert np.array_equal(vol.data, stored * slope + inter if slope else stored)
+
+
+@pytest.mark.parametrize("payload", sorted(PAYLOADS))
+def test_nifti_label_payloads_read_as_uint8_labels(tmp_path, payload):
+    datatype, dtype, _, _ = PAYLOADS[payload]
+    path = tmp_path / f"{payload}_labels.nii"
+    path.write_bytes(_nifti_payload_bytes([0, 1, 2, 0, 3, 2, 0, 1], datatype, dtype))
+    lv = read_nifti(path, kind="labels")
+    assert lv.num_classes == 3 and lv.labels.dtype == np.uint8
+    assert np.array_equal(lv.labels.ravel(order="F"), [0, 1, 2, 0, 3, 2, 0, 1])
 
 
 def test_nifti_bad_magic(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -200,6 +201,15 @@ def test_config_from_dict_rejects_a_weight_list_of_another_length(weights):
         RegistrationConfig(weights=weights)
 
 
+@pytest.mark.parametrize("config, unknown", [
+    ({"simm": 1.0}, "['simm']"), ({"weights": {"simm": 1.0}}, "['simm']"),
+    ({"levels": 2, "lr": 1e-2, "windo": 5}, "['lr', 'windo']")])
+def test_config_from_dict_names_unknown_keys_in_a_value_error(config, unknown):
+    # a misspelt key used to raise TypeError from a dataclass constructor
+    with pytest.raises(ValueError, match=re.escape(unknown)):
+        RegistrationConfig.from_dict(config)
+
+
 def test_register_pair_rejects_a_moving_spacing_unlike_the_fixed():
     pair = small_pair(0)
     moving = dataclasses.replace(pair.moving, spacing=(1.0, 1.0, 5.0))
@@ -360,6 +370,40 @@ def test_register_pair_optimizes_in_float32_and_returns_float64(monkeypatch):
     assert result.field.u.dtype == np.float64
     assert np.array_equal(result.field.u.astype(np.float32), result.field.u)
     assert result.sdlogj == warp_sdlogj(result.field)
+
+
+def test_float64_inputs_register_as_their_float32_casts_bit_for_bit():
+    # the volumes and one-hot masks are cast to float32 once, before the
+    # pyramids, so float64 volumes with int32 label arrays and their float32
+    # casts with uint8 labels give one field and one trajectory
+    pair = generate(three_blob_spec(magnitude=1.5, seed=2))
+    labels = (pair.fixed_labels, pair.moving_labels)
+    wide = [pair.fixed, pair.moving] + [
+        LabelVolume(m.dims, m.spacing, m.labels.astype(np.int32), m.num_classes) for m in labels]
+    narrow = [protoreg.Volume(v.dims, v.spacing, v.data.astype(np.float32))
+              for v in (pair.fixed, pair.moving)] + [
+        LabelVolume(m.dims, m.spacing, m.labels.astype(np.uint8), m.num_classes) for m in labels]
+    assert wide[0].data.dtype == np.float64 and narrow[0].data.dtype == np.float32
+    config = RegistrationConfig(learning_rate=1e-2, iterations=(4, 4, 4, 4))
+    results = [register_pair(*inputs, config) for inputs in (wide, narrow)]
+    assert np.array_equal(results[0].field.u, results[1].field.u)
+    assert all(np.array_equal(a, b) for a, b in zip(results[0].trajectories,
+                                                     results[1].trajectories))
+
+
+def test_mask_pyramids_averaged_in_float32_equal_float64_ones_cast():
+    # box means of 0/1 values are dyadic: each level of the mask pyramid
+    # built from the float32 cast is the float64 pyramid's level cast to
+    # float32, crop for crop
+    pair = generate(three_blob_spec(magnitude=1.5, seed=2))
+    mask = one_hot(pair.fixed_labels)
+    cast_first = build_pyramid(optimizer._cast(mask, np.float32), 4)
+    cast_after = [optimizer._cast(level, np.float32) for level in build_pyramid(mask, 4)]
+    for ours, theirs in zip(cast_first, cast_after):
+        assert ours.dims == theirs.dims
+        for a, b in zip(ours.crops, theirs.crops):
+            assert a.origin == b.origin and a.values.dtype == np.float32
+            assert np.array_equal(a.values, b.values)
 
 
 def test_one_field_loop_matches_base_plus_correction():
