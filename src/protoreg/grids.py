@@ -15,6 +15,10 @@ dtype: float32 only when every array it reads is float32, float64
 otherwise, with the same operations in both.  ``downsample`` averages in
 the grid's dtype and ``_on_windows`` places crops in theirs.
 
+Every separable linear filter of the package is ``_band_products``, one
+matrix per axis: ``downsample``'s box means (``_halved``), the correlation
+term's window sums and their adjoint (``losses``) and the phantom's Gaussian.
+
 A ``LabelVolume`` holds its labels in the smallest unsigned type that
 holds ``num_classes`` (``np.min_scalar_type``): uint8 up to 255 classes,
 uint16 up to 65,535, and so on.  The label range is checked on the
@@ -230,20 +234,28 @@ def argmax_labels(mask: OneHotMask) -> LabelVolume:
     return LabelVolume(mask.dims, mask.spacing, labels, mask.num_classes)
 
 
-def _box_mean_axis(data: np.ndarray, axis: int) -> np.ndarray:
-    """Mean of non-overlapping pairs along one axis; a trailing odd slab
-    passes through unchanged. Axes of size 1 are left alone."""
-    n = data.shape[axis]
-    if n < 2:
-        return data
-    idx = np.arange(0, n, 2)
-    sums = np.add.reduceat(data, idx, axis=axis)
-    counts = np.full(len(idx), 2.0, dtype=data.dtype)
-    if n % 2 == 1:
-        counts[-1] = 1.0
-    shape = [1] * data.ndim
-    shape[axis] = len(idx)
-    return sums / counts.reshape(shape)
+def _band_products(stacked: np.ndarray, bx, by, bz) -> np.ndarray:
+    """A separable linear filter: (C, nx, ny, nz) -> (C, mx, my, mz) in
+    ``stacked``'s dtype, out[c, a, b, d] = sum over i, j, k of bx[i, a] *
+    by[j, b] * bz[k, d] * stacked[c, i, j, k], one axis at a time in the
+    order x, z, then y.  Each BLAS product is one slab, (m, n) @ (n, n) at
+    most, which BLAS runs on one thread; one product per axis over a whole
+    volume would start its helper threads, which cost more CPU time than
+    they save."""
+    out = np.empty((len(stacked), bx.shape[1], by.shape[1], bz.shape[1]), stacked.dtype)
+    for volume, result in zip(stacked, out):
+        partial = np.matmul(bx.T, volume.transpose(1, 0, 2))     # (ny, mx, nz)
+        partial = partial @ bz                                    # (ny, mx, mz)
+        np.matmul(by.T, partial.transpose(1, 0, 2), out=result)  # (mx, my, mz)
+    return out
+
+
+def _halved(data: np.ndarray) -> np.ndarray:
+    """The means of ``data``'s cells of 2 x 2 x 2 voxels, fewer at an odd
+    end: per axis a band of 0.5 on each pair of slabs and 1.0 on a trailing
+    odd one, so an axis of size 1 is left alone."""
+    cells = (np.repeat(np.eye(-(-n // 2), dtype=data.dtype), 2, axis=0)[:n] for n in data.shape)
+    return _band_products(data[None], *(cell / cell.sum(axis=0) for cell in cells))[0]
 
 
 def downsample(grid):
@@ -260,10 +272,7 @@ def downsample(grid):
     """
     spacing = tuple(s * 2 if d >= 2 else s for s, d in zip(grid.spacing, grid.dims))
     if isinstance(grid, Volume):
-        data = grid.data
-        for ax in range(3):
-            data = _box_mean_axis(data, ax)
-        return Volume(data.shape, spacing, data)
+        return Volume(halved_dims(grid.dims), spacing, _halved(grid.data))
     if isinstance(grid, OneHotMask):
         crops = []
         for crop in grid.crops:
@@ -273,9 +282,7 @@ def downsample(grid):
             start = [o - o % 2 for o in crop.origin]
             stop = [min(b + 1 + (b + 1) % 2, n) for (_, b), n in zip(crop.support, grid.dims)]
             cells = _on_windows([crop], [tuple(map(slice, start, stop))])[0]
-            for ax in range(3):
-                cells = _box_mean_axis(cells, ax)
-            crops.append(ChannelCrop(tuple(a // 2 for a in start), cells))
+            crops.append(ChannelCrop(tuple(a // 2 for a in start), _halved(cells)))
         return OneHotMask(halved_dims(grid.dims), spacing, tuple(crops))
     raise TypeError(f"downsample: unsupported grid type {type(grid).__name__}")
 

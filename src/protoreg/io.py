@@ -13,7 +13,9 @@ float32, each exactly.  Scaling runs in that dtype.  Label maps are held in
 ``LabelVolume``'s narrow unsigned type.
 
 NIfTI-1 subset: 348-byte header, magic "n+1"/"ni1", datatypes uint8/int16/
-float32/float64, optional gzip.  Dims, pixdim and the intensity scaling
+float32/float64, optional gzip.  A header may declare up to 7 dims when
+every dim past the third is 1, as a one-volume 4D series does; any other
+dim past the third raises.  Dims, pixdim and the intensity scaling
 ``scl_slope * stored + scl_inter`` (applied when the slope is non-zero and
 finite, to images and labels alike) are honored; orientation matrices are
 ignored (a warning is logged when one is present).
@@ -176,8 +178,11 @@ def read_nifti(path, kind: str = "image"):
         raise MalformedHeaderError(f"{path}: sizeof_hdr {sizeof_hdr} != 348")
 
     dim = struct.unpack_from("<8h", blob, 40)
-    if not 1 <= dim[0] <= 3:
-        raise MalformedHeaderError(f"{path}: only 3D images supported, dim[0]={dim[0]}")
+    if not 1 <= dim[0] <= 7:
+        raise MalformedHeaderError(f"{path}: dim[0]={dim[0]} is not in 1..7")
+    if any(d != 1 for d in dim[4:dim[0] + 1]):
+        raise MalformedHeaderError(f"{path}: only 3D images supported, "
+                                   f"dim[1..{dim[0]}] = {dim[1:dim[0] + 1]}")
     # NIfTI-1 ignores the entries past dim[0]
     dims = tuple(dim[i] if i <= dim[0] else 1 for i in (1, 2, 3))
     if min(dims) < 1:

@@ -33,10 +33,10 @@ its box a map is the whole grid's; outside it the sampler clamps, so the
 value is held and its derivative is 0.
 
 Everything here runs on numpy alone.  The correlation term's window sums
-are band products: per axis, a 0/1 matrix of shape (n, n - w + 1) sums
-each full window (``_window_sums``), and the same matrices spread
-per-window values back onto the voxels (``_window_spread``, the exact
-adjoint); each product is one slab, small enough for one BLAS thread.
+are band products (``grids._band_products``): per axis, a 0/1 matrix of
+shape (n, n - w + 1) sums each full window (``_bands``), and the same
+matrices transposed spread per-window values back onto the voxels, the
+exact adjoint.
 The distance maps come from an exact separable squared Euclidean distance
 transform in integer arithmetic (``_squared_distance``): a scan for the
 nearest feature along x, then g[i] = min_j f[j] + (i - j)**2 along y and
@@ -81,7 +81,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import FOREGROUND_THRESHOLD, OneHotMask, _crops_dtype, _on_windows
+from .grids import FOREGROUND_THRESHOLD, OneHotMask, _band_products, _crops_dtype, _on_windows
 from .warp import _one_shape, central_difference, central_difference_adjoint
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
@@ -147,39 +147,13 @@ class PrototypeSet(NamedTuple):
 
 # ------------------------------------------------------- similarity (LNCC)
 
-def _band(n: int, window: int, dtype) -> np.ndarray:
-    """The (n, n - window + 1) 0/1 matrix of ``dtype`` whose column j holds
-    ones on rows j .. j + window - 1: a product with it sums each full window
-    of an axis."""
-    offset = np.arange(n)[:, None] - np.arange(n - window + 1)
-    return ((offset >= 0) & (offset < window)).astype(dtype)
-
-
-def _window_sums(stacked: np.ndarray, window: int) -> np.ndarray:
-    """(C, nx, ny, nz) -> (C, mx, my, mz), m = n - window + 1: each volume's
-    sums over its full windows, one band product per axis (x, z, then y).
-    Each BLAS product is one slab, (m, n) @ (n, n) at most, which BLAS runs
-    on one thread; one product per axis over a whole volume would start its
-    helper threads, which cost more CPU time than they save."""
-    bx, by, bz = (_band(n, window, stacked.dtype) for n in stacked.shape[1:])
-    out = np.empty((len(stacked), bx.shape[1], by.shape[1], bz.shape[1]), stacked.dtype)
-    for volume, sums in zip(stacked, out):
-        partial = np.matmul(bx.T, volume.transpose(1, 0, 2))     # (ny, mx, nz)
-        partial = partial @ bz                                    # (ny, mx, mz)
-        np.matmul(by.T, partial.transpose(1, 0, 2), out=sums)    # (mx, my, mz)
-    return out
-
-
-def _window_spread(sums: np.ndarray, dims, window: int) -> np.ndarray:
-    """The exact adjoint of ``_window_sums``: (C, mx, my, mz) ->
-    (C, nx, ny, nz), each window's value added onto every voxel of it."""
-    bx, by, bz = (_band(n, window, sums.dtype) for n in dims)
-    out = np.empty((len(sums),) + tuple(dims), sums.dtype)
-    for window_sums, spread in zip(sums, out):
-        partial = np.matmul(bx, window_sums.transpose(1, 0, 2))  # (my, nx, mz)
-        partial = partial @ bz.T                                  # (my, nx, nz)
-        np.matmul(by, partial.transpose(1, 0, 2), out=spread)    # (nx, ny, nz)
-    return out
+def _bands(dims, window: int, dtype) -> list:
+    """Per axis of ``dims`` the (n, n - window + 1) 0/1 matrix of ``dtype``
+    whose column j holds ones on rows j .. j + window - 1: ``_band_products``
+    with them sums each full window, and with their transposes spreads
+    per-window values back onto the voxels, the exact adjoint."""
+    offsets = (np.arange(n)[:, None] - np.arange(n - window + 1) for n in dims)
+    return [((offset >= 0) & (offset < window)).astype(dtype) for offset in offsets]
 
 
 def _check_window(dims, window: int) -> None:
@@ -195,7 +169,8 @@ def _lncc_fixed(fixed: np.ndarray, window: int):
     and which windows clear the variance floor on that side."""
     _check_window(fixed.shape, window)
     w3 = float(window ** 3)
-    s_i, b = _window_sums(np.stack([fixed, fixed * fixed]), window)
+    s_i, b = _band_products(np.stack([fixed, fixed * fixed]),
+                            *_bands(fixed.shape, window, fixed.dtype))
     b -= s_i * s_i / w3
     return s_i, b, b / w3 >= VARIANCE_EPS
 
@@ -204,9 +179,10 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
           with_grad: bool = False):
     """Correlation value and, with ``with_grad``, d(value)/d(moved), given
     the fixed side's ``_lncc_fixed`` sums.  The three moving-side window
-    sums are one stacked ``_window_sums``.  The backward pass spreads three
-    per-window coefficient stacks back onto the voxels with one
-    ``_window_spread`` (its adjoint) rather than caching per window
+    sums are one stacked ``_band_products`` on the window bands
+    (``_bands``, made once per call).  The backward pass spreads three
+    per-window coefficient stacks back onto the voxels with one product on
+    the transposed bands (the adjoint) rather than caching per window
     (windows overlap heavily): d/d(moved) = -(fixed * S(alpha) - moved *
     S(beta) + S(beta * mean_j - alpha * mean_i)) / count.
 
@@ -215,11 +191,12 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
     division by 0 happens."""
     s_i, b, valid_fixed = fixed_sums
     w3 = float(window ** 3)
+    bands = _bands(moved.shape, window, moved.dtype)
     sums = np.empty((3,) + moved.shape, moved.dtype)
     sums[0] = moved
     np.multiply(moved, moved, out=sums[1])
     np.multiply(fixed, moved, out=sums[2])
-    s_j, s_jj, s_ij = _window_sums(sums, window)
+    s_j, s_jj, s_ij = _band_products(sums, *bands)
     sums = None
     a = s_ij - s_i * s_j / w3
     c = s_jj - s_j * s_j / w3
@@ -252,7 +229,7 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
     np.multiply(beta, s_j / w3, out=shift)
     shift -= alpha * (s_i / w3)
     a = c = bc = two_a = s_j = s_jj = s_ij = ncc2 = None
-    dsum, spread_beta, spread_shift = _window_spread(coef, fixed.shape, window)
+    dsum, spread_beta, spread_shift = _band_products(coef, *(band.T for band in bands))
     # -(fixed * S(alpha) - moved * S(beta) + S(shift)) / count, in place
     dsum *= fixed
     spread_beta *= moved
@@ -594,11 +571,12 @@ def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: 
     ``max_points`` band points keeps a uniform subsample seeded by
     ``seed``.
 
-    All maps of the level are one ``_signed_distance`` call.  S_f is made
-    on its class's S_m box, which holds the fixed mask grown by the band
-    and one voxel: there it is the whole grid's map, and every band point
-    lies in it, so the band points, their order and their S_f are those of
-    any such box."""
+    The maps are one ``_signed_distance`` call per class, on its fixed and
+    moving crops, so the transients are those of one class (each channel's
+    transform is independent of the others).  S_f is made on its class's
+    S_m box, which holds the fixed mask grown by the band and one voxel:
+    there it is the whole grid's map, and every band point lies in it, so
+    the band points, their order and their S_f are those of any such box."""
     dims, by = fixed.dims, int(CONTOUR_BAND) + 1
 
     def grown(crop):
@@ -613,10 +591,11 @@ def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: 
         return None
     boxes = _one_shape([tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
                               for a, b in zip(grown(f), grown(m))) for f, m in classes], dims)
-    p = len(classes)
-    maps = _signed_distance([f for f, _ in classes] + [m for _, m in classes], boxes + boxes)
+    maps = np.empty((len(classes),) + tuple(s.stop - s.start for s in boxes[0]),
+                    _crops_dtype([crop for pair in classes for crop in pair]))
     index, target = [], []
-    for s_f, box in zip(maps[:p], boxes):
+    for (f, m), box, s_m in zip(classes, boxes, maps):
+        s_f, s_m[...] = _signed_distance([f, m], [box, box])
         local = np.argwhere(np.abs(s_f) <= CONTOUR_BAND)
         if len(local) > max_points:
             rng = np.random.default_rng(seed)
@@ -627,7 +606,7 @@ def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: 
     n = counts.max()
     return ContourBand(np.stack([np.pad(i, (0, n - len(i)), "edge") for i in index]),
                        np.stack([np.pad(t, (0, n - len(t)), "edge") for t in target]), counts,
-                       maps[p:].copy(),      # a copy: the state holds no fixed map
+                       maps,
                        np.array([[s.start for s in box] for box in boxes]))
 
 

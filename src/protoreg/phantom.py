@@ -9,6 +9,9 @@ smoothly outside it, keeping trilinear interpolation error small.  A
 low-frequency scene texture (``texture_amplitude``) is added on top of that
 profile, so with default settings the intensity is neither flat inside a label
 nor ever exactly 0 outside one.
+A smooth truth field is white noise under a Gaussian of ``smoothing`` voxels,
+one band matrix per axis: ``scipy.ndimage.gaussian_filter(mode="constant",
+truncate=4.0)`` up to rounding, on numpy alone.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .grids import LabelVolume, Volume
+from .grids import LabelVolume, Volume, _band_products
 from .warp import DisplacementField, sample_volume
 
 
@@ -47,8 +49,14 @@ class PhantomSpec:
             raise ValueError(f"PhantomSpec: unknown blob kind {self.blob_kind!r}")
         if self.deformation not in ("rigid", "smooth", "none"):
             raise ValueError(f"PhantomSpec: unknown deformation {self.deformation!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("PhantomSpec: noise sigma must be >= 0")
+        for name in ("smoothing", "falloff", "texture_scale"):
+            if not 0.0 < float(getattr(self, name)) < np.inf:
+                raise ValueError(f"PhantomSpec: {name} must be finite and > 0, "
+                                 f"got {getattr(self, name)}")
+        for name in ("magnitude", "texture_amplitude", "noise_sigma"):
+            if not 0.0 <= float(getattr(self, name)) < np.inf:
+                raise ValueError(f"PhantomSpec: {name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)}")
         if self.contrasts is not None and len(self.contrasts) != self.num_blobs:
             raise ValueError("PhantomSpec: one contrast per blob required")
 
@@ -179,6 +187,17 @@ def _render(coords: np.ndarray, blobs, contrasts, falloff: float, waves=()):
     return intensity, labels
 
 
+def _gaussian_band(n: int, sigma: float) -> np.ndarray:
+    """The (n, n) matrix that smooths an axis of n voxels with the
+    normalized Gaussian of ``sigma`` cut at radius int(4 sigma + 0.5),
+    with zeros past the grid: ``gaussian_filter(mode="constant")``'s."""
+    radius = int(4.0 * sigma + 0.5)
+    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    kernel /= kernel.sum()
+    offset = np.abs(np.arange(n)[:, None] - np.arange(n))
+    return np.where(offset <= radius, kernel[radius + np.minimum(offset, radius)], 0.0)
+
+
 def _truth_field(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.deformation == "none" or spec.magnitude == 0:
         return np.zeros((3,) + spec.dims)
@@ -190,7 +209,7 @@ def _truth_field(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
             vec = spec.magnitude * direction / np.linalg.norm(direction)
         return np.broadcast_to(vec.reshape(3, 1, 1, 1), (3,) + spec.dims).copy()
     noise = rng.normal(size=(3,) + spec.dims)
-    u = np.stack([gaussian_filter(noise[c], spec.smoothing, mode="constant") for c in range(3)])
+    u = _band_products(noise, *(_gaussian_band(n, spec.smoothing) for n in spec.dims))
     norms = np.sqrt((u ** 2).sum(axis=0))
     peak = norms.max()
     if peak > 0:

@@ -3,11 +3,11 @@ on numpy alone and score it, and fail if the images do not read as float32
 or the label maps as uint8, any ``scipy`` module was loaded on the way, the
 returned field is not float64, or the score is not finite.
 
-    PYTHONPATH=src python tests/register_numpy_only.py            # two shifted spheres
+    PYTHONPATH=src python tests/register_numpy_only.py            # a generated phantom
     PYTHONPATH=src python tests/register_numpy_only.py DIRECTORY  # the pair in DIRECTORY
 
-Without an argument the pair is built here with numpy: two spheres of two
-classes, shifted by a voxel and a half between the images.  It is written
+Without an argument the pair is generated with ``protoreg.phantom``: two
+blobs on 20^3, moved by a smooth field of at most 1.5 voxels.  It is written
 to a temporary directory as the benchmark writes its inputs (NIfTI images,
 raw label maps) and read back from there.  With an argument, the images and
 label maps are read from the files ``FILES`` names in DIRECTORY.  Needs
@@ -21,32 +21,15 @@ import numpy as np
 
 import protoreg
 from protoreg import io
+from protoreg.phantom import generate, three_blob_spec
 
 FILES = {"fixed": "fixed.nii.gz", "moving": "moving.nii.gz",
          "fixed_labels": "fixed_labels.f32raw", "moving_labels": "moving_labels.f32raw"}
-DIMS = (20, 20, 20)
-SHIFT = 1.5          # voxels along x, moving against fixed
-
-
-def spheres(dims=DIMS, shift=0.0):
-    """An image of two blurred-edged spheres of intensities 1 and 0.6 and
-    its label map (classes 1 and 2), both moved by ``shift`` along x."""
-    coords = np.indices(dims, dtype=np.float64)
-    coords[0] -= shift
-    image, labels = np.zeros(dims), np.zeros(dims, np.int32)
-    for label, (center, radius, intensity) in enumerate(
-            [((8.0, 9.0, 10.0), 5.0, 1.0), ((13.0, 12.0, 9.0), 3.0, 0.6)], start=1):
-        distance = np.sqrt(sum((c - o) ** 2 for c, o in zip(coords, center)))
-        image += intensity / (1.0 + np.exp(2.0 * (distance - radius)))
-        labels[distance <= radius] = label
-    return (protoreg.Volume(dims, (1, 1, 1), image),
-            protoreg.LabelVolume(dims, (1, 1, 1), labels, 2))
 
 
 def built_pair() -> dict:
-    (fixed, fixed_labels), (moving, moving_labels) = spheres(), spheres(shift=SHIFT)
-    return {"fixed": fixed, "moving": moving,
-            "fixed_labels": fixed_labels, "moving_labels": moving_labels}
+    pair = generate(three_blob_spec(dims=(20, 20, 20), num_blobs=2, magnitude=1.5, seed=0))
+    return {name: getattr(pair, name) for name in FILES}
 
 
 def read_pair(directory: str) -> dict:

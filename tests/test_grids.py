@@ -8,6 +8,7 @@ import oracles
 from protoreg.grids import (
     LabelVolume,
     Volume,
+    _band_products,
     argmax_labels,
     build_pyramid,
     downsample,
@@ -99,6 +100,39 @@ def test_downsample_onehot_goes_soft():
     down = downsample(oh)
     assert down.dims == (2, 2, 2)
     assert oracles.dense_channels(down)[0][0, 0, 0] == pytest.approx(1 / 8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_band_products_equal_an_einsum(dtype):
+    # non-square matrices, a different (n, m) on each axis, one of them wider
+    rng = np.random.default_rng(11)
+    stacked = rng.normal(size=(3, 7, 5, 6)).astype(dtype)
+    bx, by, bz = (rng.normal(size=shape).astype(dtype) for shape in [(7, 4), (5, 9), (6, 2)])
+    got = _band_products(stacked, bx, by, bz)
+    product = "cijk,ia,jb,kd->cabd"
+    expected = np.einsum(product, *(a.astype(np.float64) for a in (stacked, bx, by, bz)))
+    # a sum of 7 * 5 * 6 products, formed in three steps of at most 7 terms
+    bound = 20 * np.finfo(dtype).eps * np.einsum(product, *map(np.abs, (stacked, bx, by, bz)))
+    assert got.shape == (3, 4, 9, 2) and got.dtype == dtype
+    assert (np.abs(got - expected) <= bound).all()
+
+
+@pytest.mark.parametrize("dims", [(12, 10, 8), (11, 7, 5), (9, 1, 13)])
+def test_downsampled_volumes_are_per_cell_means(dims):
+    # each coarse voxel is the mean of its cell of up to 2x2x2 finer voxels
+    # (a trailing odd slab, or an axis of 1, is one voxel deep), to rounding
+    # in the grid's dtype
+    rng = np.random.default_rng(sum(dims))
+    for dtype in (np.float32, np.float64):
+        fine = rng.uniform(0.5, 1.5, dims).astype(dtype)
+        coarse = downsample(Volume(dims, (1, 1, 1), fine)).data
+        assert coarse.dtype == dtype
+        expected = np.array([[[fine[2 * i:2 * i + 2, 2 * j:2 * j + 2, 2 * k:2 * k + 2]
+                               .astype(np.float64).mean()
+                               for k in range(coarse.shape[2])]
+                              for j in range(coarse.shape[1])]
+                             for i in range(coarse.shape[0])])
+        np.testing.assert_allclose(coarse, expected, rtol=4 * np.finfo(dtype).eps, atol=0)
 
 
 def test_pyramid_dims_16():

@@ -296,6 +296,32 @@ def test_nifti_ignores_dims_past_dim0(tmp_path):
     assert np.array_equal(vol.data[:, :, 0], np.arange(12.0).reshape((4, 3), order="F"))
 
 
+@pytest.mark.parametrize("trailing", [(1,), (1, 1), (1, 1, 1, 1)])
+def test_nifti_reads_a_3d_image_with_trailing_singleton_dims(tmp_path, trailing):
+    # a 3D image stored as a one-volume 4D series, and as 5D and 7D headers
+    blob = bytearray(_build_nifti_int16((4, 3, 2), (1, 1, 1), range(24)))
+    struct.pack_into("<h", blob, 40, 3 + len(trailing))
+    struct.pack_into(f"<{len(trailing)}h", blob, 48, *trailing)
+    path = tmp_path / "series.nii"
+    path.write_bytes(bytes(blob))
+    vol = read_nifti(path)
+    assert vol.dims == (4, 3, 2)
+    assert np.array_equal(vol.data, np.arange(24.0).reshape((4, 3, 2), order="F"))
+
+
+@pytest.mark.parametrize("ndim,trailing", [(4, (2,)), (5, (1, 3)), (8, (1, 1, 1, 1))])
+def test_nifti_rejects_dims_past_the_third_that_are_not_1(tmp_path, ndim, trailing):
+    # two volumes of a series, a 5D vector field (dim[5] = 3), and dim[0] = 8
+    blob = bytearray(_build_nifti_int16((4, 3, 2), (1, 1, 1), range(48)))
+    struct.pack_into("<h", blob, 40, ndim)
+    struct.pack_into(f"<{len(trailing)}h", blob, 48, *trailing)
+    path = tmp_path / "nd.nii"
+    path.write_bytes(bytes(blob))
+    match = r"dim\[0\]=8" if ndim == 8 else rf"dim\[1\.\.{ndim}\] = \(4, 3, 2, {trailing[0]}"
+    with pytest.raises(MalformedHeaderError, match=match):
+        read_nifti(path)
+
+
 def test_nifti_write_read_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     data = rng.normal(size=(3, 4, 5)).astype(np.float32).astype(np.float64)

@@ -8,9 +8,11 @@ import oracles
 from protoreg import losses
 from protoreg.gradients import build_state, evaluate_objective
 from protoreg.grids import (
-    ChannelCrop, DimsMismatchError, LabelVolume, Volume, argmax_labels, one_hot,
+    ChannelCrop, DimsMismatchError, LabelVolume, Volume, _band_products, argmax_labels, one_hot,
 )
 from protoreg.losses import LossWeights, PrototypeSet, extract_prototypes
+from protoreg.optimizer import _cast
+from protoreg.phantom import generate, twelve_blob_spec
 from protoreg.warp import DisplacementField
 
 
@@ -463,7 +465,7 @@ def test_total_requires_masks_when_weighted():
 
 # ------------------------------------------- numpy kernels against oracles
 # scipy is the oracle of the distance maps here only: the package computes
-# them, and the LNCC window sums, with numpy alone.
+# them, and the LNCC window sums (band products), with numpy alone.
 
 def brute_window_sums(stacked, window):
     out = np.zeros((len(stacked),) + tuple(n - window + 1 for n in stacked.shape[1:]))
@@ -487,8 +489,9 @@ def test_window_sums_and_spread_match_brute_force_and_are_adjoint(dims, window):
     rng = np.random.default_rng(sum(dims) + window)
     x = rng.uniform(0.5, 1.5, (3,) + dims)
     v = rng.uniform(0.5, 1.5, (3,) + tuple(n - window + 1 for n in dims))
-    sums = losses._window_sums(x, window)
-    spread = losses._window_spread(v, dims, window)
+    bands = losses._bands(dims, window, x.dtype)
+    sums = _band_products(x, *bands)
+    spread = _band_products(v, *(band.T for band in bands))
     np.testing.assert_allclose(sums, brute_window_sums(x, window), rtol=1e-12, atol=0)
     np.testing.assert_allclose(spread, brute_window_spread(v, dims, window), rtol=1e-12, atol=0)
     assert (sums * v).sum() == pytest.approx((x * spread).sum(), rel=1e-12)
@@ -558,3 +561,21 @@ def test_signed_distance_memory_is_a_few_boxes():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * n ** 3 * 8
+
+
+def test_contour_band_memory_is_one_class_at_a_time():
+    # the fine level of a 12-class 48^3 phantom in float32, as register_pair
+    # builds it: the distance maps are made one class at a time, so the
+    # peak is a few grid-sized arrays (it was 23.5 with every class's
+    # crops in one transform)
+    pair = generate(twelve_blob_spec(seed=3))
+    fixed, moving = (_cast(one_hot(labels), np.float32)
+                     for labels in (pair.fixed_labels, pair.moving_labels))
+    tracemalloc.start()
+    try:
+        band = losses._contour_band(fixed, moving, 2048, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(band.maps) == 12 and band.maps.dtype == np.float32
+    assert peak <= 6 * 48 ** 3 * 4

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.ndimage import distance_transform_edt
+from scipy.ndimage import distance_transform_edt, gaussian_filter
 
 from protoreg.metrics import dsc
-from protoreg.phantom import PhantomSpec, generate, three_blob_spec, twelve_blob_spec
+from protoreg.phantom import (
+    PhantomSpec, _truth_field, generate, three_blob_spec, twelve_blob_spec,
+)
 from protoreg.warp import sdlogj, warp_labels, warp_volume
 
 
@@ -105,3 +107,28 @@ def test_noise_independent_between_sides():
     dm = noisy.moving.data - quiet.moving.data
     assert df.std() == pytest.approx(0.05, rel=0.1)
     assert not np.allclose(df, dm)
+
+
+@pytest.mark.parametrize("dims,smoothing", [((48, 48, 48), 8.0), ((20, 13, 7), 8.0),
+                                            ((21, 9, 15), 1.0), ((9, 16, 5), 2.5)])
+def test_smooth_truth_field_is_scipys_gaussian_filter(dims, smoothing):
+    # the band Gaussian against gaussian_filter(mode="constant") on the same
+    # noise; at sigma 8 the radius of 32 exceeds every axis of (20, 13, 7)
+    spec = PhantomSpec(dims=dims, magnitude=1.0, smoothing=smoothing, seed=0)
+    u = _truth_field(spec, np.random.default_rng(5))
+    noise = np.random.default_rng(5).normal(size=(3,) + dims)
+    expected = np.stack([gaussian_filter(n, smoothing, mode="constant") for n in noise])
+    expected *= spec.magnitude / np.sqrt((expected ** 2).sum(axis=0)).max()
+    np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("smoothing", 0.0), ("smoothing", -1.0), ("smoothing", float("nan")),
+    ("smoothing", float("inf")), ("falloff", 0.0), ("falloff", -2.5),
+    ("texture_scale", 0.0), ("texture_scale", float("inf")),
+    ("magnitude", -1.0), ("magnitude", float("nan")), ("texture_amplitude", -0.1),
+    ("texture_amplitude", float("inf")), ("noise_sigma", float("nan")), ("noise_sigma", -0.01),
+])
+def test_phantom_spec_rejects_numbers_it_cannot_use(field, value):
+    with pytest.raises(ValueError, match=field):
+        PhantomSpec(**{field: value})
