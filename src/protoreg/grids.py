@@ -15,9 +15,12 @@ dtype: float32 only when every array it reads is float32, float64
 otherwise, with the same operations in both.  ``downsample`` averages in
 the grid's dtype and ``_on_windows`` places crops in theirs.
 
-Every separable linear filter of the package is ``_band_products``, one
-matrix per axis: ``downsample``'s box means (``_halved``), the correlation
-term's window sums and their adjoint (``losses``) and the phantom's Gaussian.
+``_band_products`` applies a separable linear filter as one matrix per
+axis: ``downsample``'s box means (``_halved``), the correlation term's
+window sums and their adjoint (``losses``) and the phantom's Gaussian.  One
+linear filter is not run through it: ``warp.upsample_field``, linear
+interpolation onto the doubled lattice, samples a dense coordinate grid
+through the trilinear sampler.
 
 A ``LabelVolume`` holds its labels in the smallest unsigned type that
 holds ``num_classes`` (``np.min_scalar_type``): uint8 up to 255 classes,
@@ -69,6 +72,12 @@ def _crops_dtype(crops) -> type:
     None); float64 when every crop is None."""
     values = [crop[1] for crop in crops if crop is not None]
     return float_dtype(*values) if values else np.float64
+
+
+def _is_integer(value) -> bool:
+    """An int or NumPy integer, not a bool (an int subclass; ``np.bool_`` is
+    neither)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _validate_grid(dims, spacing, shape, name):

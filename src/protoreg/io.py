@@ -201,9 +201,10 @@ def read_nifti(path, kind: str = "image"):
     if spacing != pixdim[1:4]:
         logger.warning("%s: non-positive or non-finite pixdim entries replaced by 1.0", path)
 
-    vox_offset = int(struct.unpack_from("<f", blob, 108)[0])
-    if vox_offset < _HDR_SIZE:
-        vox_offset = 352
+    vox_offset = struct.unpack_from("<f", blob, 108)[0]
+    if not vox_offset.is_integer():          # false for NaN and infinities too
+        raise MalformedHeaderError(f"{path}: vox_offset {vox_offset} is not a whole byte count")
+    vox_offset = int(vox_offset) if vox_offset >= _HDR_SIZE else 352
     slope, inter = struct.unpack_from("<2f", blob, 112)
     scaled = slope != 0 and np.isfinite(slope)
     if scaled and not np.isfinite(inter):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LabelVolume, Volume, _band_products
+from .grids import LabelVolume, Volume, _band_products, _is_integer
 from .warp import DisplacementField, sample_volume
 
 
@@ -43,8 +43,9 @@ class PhantomSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.num_blobs < 1:
-            raise ValueError("PhantomSpec: need at least one blob")
+        if not _is_integer(self.num_blobs) or self.num_blobs < 1:
+            raise ValueError(f"PhantomSpec: num_blobs must be an integer >= 1, "
+                             f"got {self.num_blobs!r}")
         if self.blob_kind not in ("sphere", "ellipsoid"):
             raise ValueError(f"PhantomSpec: unknown blob kind {self.blob_kind!r}")
         if self.deformation not in ("rigid", "smooth", "none"):
@@ -57,8 +58,25 @@ class PhantomSpec:
             if not 0.0 <= float(getattr(self, name)) < np.inf:
                 raise ValueError(f"PhantomSpec: {name} must be finite and >= 0, "
                                  f"got {getattr(self, name)}")
-        if self.contrasts is not None and len(self.contrasts) != self.num_blobs:
-            raise ValueError("PhantomSpec: one contrast per blob required")
+        if self.blob_radius is not None and not 0.0 < float(self.blob_radius) < np.inf:
+            raise ValueError(f"PhantomSpec: blob_radius must be None or finite and > 0, "
+                             f"got {self.blob_radius}")
+        _check_finite_values("contrasts", self.contrasts, self.num_blobs)
+        _check_finite_values("shift", self.shift, 3)
+
+
+def _check_finite_values(name: str, values, count: int) -> None:
+    """``ValueError`` naming ``name`` unless ``values`` is None or ``count``
+    finite numbers."""
+    if values is None:
+        return
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != (count,) or not np.isfinite(array).all():
+        raise ValueError(f"PhantomSpec: {name} must be None or {count} finite values, "
+                         f"got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +126,7 @@ def _place_blobs(spec: PhantomSpec, rng: np.random.Generator):
         raise ValueError(f"PhantomSpec: at most {len(_ANCHOR_ORDER)} blobs supported")
     margin = spec.magnitude + 2.0
     n = min(spec.dims)
-    r_hi = spec.blob_radius if spec.blob_radius else max(3.0, 0.16 * n)
+    r_hi = spec.blob_radius if spec.blob_radius is not None else max(3.0, 0.16 * n)
 
     for _ in range(8):      # shrink radii until the anchor box is feasible
         lo = r_hi + margin
@@ -139,7 +157,7 @@ def _place_blobs(spec: PhantomSpec, rng: np.random.Generator):
                 f"with margin {margin:.1f}"
             )
         r_hi = min(r_hi, r_cap)
-    r_lo = r_hi if spec.blob_radius else 0.8 * r_hi
+    r_lo = r_hi if spec.blob_radius is not None else 0.8 * r_hi
 
     blobs = []
     for center in centers:

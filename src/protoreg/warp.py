@@ -4,10 +4,14 @@ A field stores one 3-vector per voxel in voxel units; the map it encodes is
 ``phi(p) = p + u(p)``, and every sample point is formed as u + p by
 ``add_voxel_coords``, on the whole grid or on windows of it.  Sampling is
 trilinear with clamp-to-edge borders, consistently in the forward warps and
-in the analytic gradients built on top of them.  Everything here is a pure
-function over immutable inputs, and computes in the dtype of the arrays it
-is given (``grids.float_dtype``): a sampler call runs in float32 when both
-the data and the points are float32, in float64 otherwise.
+in the analytic gradients built on top of them.  The functions here leave
+the arrays they read unchanged, with one exception: ``add_voxel_coords``
+turns the array of u it is given into the sample points, in place.  Arrays
+passed for output (``central_difference_adjoint``'s ``out``, a sampler
+block's workspace) are overwritten.  Each function computes in the dtype of
+the arrays it is given (``grids.float_dtype``): a sampler call runs in
+float32 when both the data and the points are float32, in float64
+otherwise.
 
 Every sampler runs one gather (``_sample``): the flat index of each point's
 lower cell corner is formed once, and the 8 corners are read at fixed

@@ -1,7 +1,8 @@
 """Read one pair through ``protoreg.io``, register it with all five terms
-on numpy alone and score it, and fail if the images do not read as float32
-or the label maps as uint8, any ``scipy`` module was loaded on the way, the
-returned field is not float64, or the score is not finite.
+at the default learning rate on numpy alone and score it, and fail if the
+images do not read as float32 or the label maps as uint8, any ``scipy``
+module was loaded on the way, the returned field is not float64, or the
+score is not finite.
 
     PYTHONPATH=src python tests/register_numpy_only.py            # a generated phantom
     PYTHONPATH=src python tests/register_numpy_only.py DIRECTORY  # the pair in DIRECTORY
@@ -49,8 +50,7 @@ def main(argv) -> None:
     dtypes = [pair["fixed"].data.dtype, pair["moving"].data.dtype,
               pair["fixed_labels"].labels.dtype, pair["moving_labels"].labels.dtype]
     assert dtypes == [np.float32] * 2 + [np.uint8] * 2, dtypes
-    config = protoreg.RegistrationConfig(levels=2, iterations=(4, 4), window=5,
-                                         learning_rate=1e-2)
+    config = protoreg.RegistrationConfig(levels=2, iterations=(4, 4), window=5)
     result = protoreg.register_pair(pair["fixed"], pair["moving"], pair["fixed_labels"],
                                     pair["moving_labels"], config)
     values = result.final_breakdown.values

@@ -14,7 +14,7 @@ from protoreg.gradients import (
 )
 from protoreg.grids import DimsMismatchError, LabelVolume, Volume, one_hot
 from protoreg.losses import LossWeights
-from protoreg.optimizer import AdamState, RegistrationConfig, _cast, adam_step
+from protoreg.optimizer import RegistrationConfig, _cast, adam_step
 from protoreg.phantom import generate, three_blob_spec
 from protoreg.warp import DisplacementField, add_voxel_coords, mask_stack
 
@@ -671,9 +671,9 @@ def test_float32_evaluation_and_adam_step_stay_float32(state32, monkeypatch):
     assert all(array.dtype == np.float32 for call in calls for array in call)
     for term in TERM_CHECKS:
         assert term_evaluator(state32, term)(field)[1].dtype == np.float32, term
-    stepped, moments = adam_step(field, grad, AdamState.zeros_like(field.u),
-                                 RegistrationConfig(learning_rate=1e-2))
-    assert stepped.u.dtype == moments.m.dtype == moments.v.dtype == np.float32
+    m, v = np.zeros_like(field.u), np.zeros_like(field.u)
+    stepped = adam_step(field, grad, m, v, 1, RegistrationConfig())
+    assert stepped.u.dtype == m.dtype == v.dtype == np.float32
 
 
 def test_float32_evaluation_working_memory_is_bounded():

@@ -123,7 +123,7 @@ import sys
 import protoreg
 from protoreg.phantom import generate, three_blob_spec
 pair = generate(three_blob_spec(dims=(16, 16, 16), num_blobs=1, magnitude=1.0, seed=0))
-config = protoreg.RegistrationConfig(levels=2, iterations=(3, 3), window=5, learning_rate=1e-2)
+config = protoreg.RegistrationConfig(levels=2, iterations=(3, 3), window=5)
 result = protoreg.register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels,
                                 config)
 assert all(value != 0.0 for value in result.final_breakdown.values.values())

@@ -322,6 +322,27 @@ def test_nifti_rejects_dims_past_the_third_that_are_not_1(tmp_path, ndim, traili
         read_nifti(path)
 
 
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf"), 352.7, 347.5])
+def test_nifti_rejects_a_vox_offset_that_is_not_a_whole_byte_count(tmp_path, offset):
+    # NaN used to raise a bare ValueError, an infinity OverflowError, and
+    # 352.7 was truncated to 352
+    blob = bytearray(_build_nifti_int16((2, 2, 2), (1, 1, 1), range(8)))
+    struct.pack_into("<f", blob, 108, offset)
+    path = tmp_path / "offset.nii"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(MalformedHeaderError, match=f"vox_offset {offset}"):
+        read_nifti(path)
+
+
+@pytest.mark.parametrize("offset", [0.0, 347.0, -4.0])
+def test_nifti_reads_a_vox_offset_inside_the_header_as_352(tmp_path, offset):
+    blob = bytearray(_build_nifti_int16((2, 2, 2), (1, 1, 1), range(8)))
+    struct.pack_into("<f", blob, 108, offset)
+    path = tmp_path / "offset.nii"
+    path.write_bytes(bytes(blob))
+    assert np.array_equal(read_nifti(path).data, np.arange(8.0).reshape((2, 2, 2), order="F"))
+
+
 def test_nifti_write_read_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     data = rng.normal(size=(3, 4, 5)).astype(np.float32).astype(np.float64)

@@ -128,7 +128,25 @@ def test_smooth_truth_field_is_scipys_gaussian_filter(dims, smoothing):
     ("texture_scale", 0.0), ("texture_scale", float("inf")),
     ("magnitude", -1.0), ("magnitude", float("nan")), ("texture_amplitude", -0.1),
     ("texture_amplitude", float("inf")), ("noise_sigma", float("nan")), ("noise_sigma", -0.01),
+    # geometry that used to get further: a negative radius rendered blobs
+    # darker than the background, 0.0 read as "no override", a NaN radius as
+    # "no room", a NaN contrast or shift failed late in Volume or
+    # warp._sample, two shift values in a reshape and 2.5 blobs in a slice
+    ("num_blobs", 2.5), ("num_blobs", True), ("num_blobs", 0),
+    ("blob_radius", -3.0), ("blob_radius", 0.0), ("blob_radius", float("nan")),
+    ("blob_radius", float("inf")),
+    ("contrasts", (1.0, float("nan"), 0.6)), ("contrasts", (1.0, 0.8)),
+    ("shift", (float("nan"), 0.0, 0.0)), ("shift", (1.0, 2.0)), ("shift", (0.0, float("inf"), 0.0)),
 ])
 def test_phantom_spec_rejects_numbers_it_cannot_use(field, value):
     with pytest.raises(ValueError, match=field):
         PhantomSpec(**{field: value})
+
+
+def test_phantom_spec_takes_geometry_it_can_use():
+    # the overrides no preset sets, each at a value the checks above accept
+    spec = PhantomSpec(dims=(24, 24, 24), num_blobs=np.int64(2), blob_radius=3.0,
+                       contrasts=(1.0, 0.7), deformation="rigid", shift=(1.0, 0.0, -0.5), seed=0)
+    pair = generate(spec)
+    assert pair.fixed_labels.num_classes == 2
+    assert np.array_equal(pair.truth.u[:, 0, 0, 0], [1.0, 0.0, -0.5])
