@@ -10,13 +10,14 @@ only the terms it was built for, through ``evaluate_objective`` or
 (``warp.add_voxel_coords``), the moving masks on their windows
 (``warp.mask_points``; ``warp`` shows that these are the dense samples bit
 for bit) and the contour term's moving distance maps at its band points
-p + u(p), all classes in one call at (3, P, n) points, and scores every
-term with its function in ``losses``.  Each returns the term's value and,
-with ``with_grad``, its gradient wrt the term's direct input (moved
-intensities, moved mask stack, u, or sampled maps); this module chains
-those gradients onto u through the spatial derivative of every trilinear
-sample, for the contour term by one fancy-index add per class, as a
-class's band points are distinct voxels.  A value-only evaluation
+p + u(p), all classes in one call at (3, P, n) points (u at the band's flat
+indices plus their box coordinates, both made by ``build_state``), and
+scores every term with its function in ``losses``.  Each returns the
+term's value and, with ``with_grad``, its gradient wrt the term's direct
+input (moved intensities, moved mask stack, u, or sampled maps); this
+module chains those gradients onto u through the spatial derivative of
+every trilinear sample, for the contour term by one fancy-index add per
+class, as a class's band points are distinct voxels.  A value-only evaluation
 (``with_grad=False``: each level's final breakdown, every finite-difference
 probe) samples through ``sample_volume`` and takes no spatial derivative.
 
@@ -64,20 +65,21 @@ from .warp import (DisplacementField, MaskStack, add_voxel_coords, mask_points, 
 class ObjectiveState:
     """Per-resolution bundle of everything the objective needs besides the
     field, made only by ``build_state``, each constant only for the terms
-    with a positive weight: the LNCC window sums ``lncc_fixed``
-    (similarity), the fixed masks' per-class masses ``fixed_mass`` and own
-    crops ``fixed_crops`` (Dice), the fixed prototypes ``fixed_protos``,
-    hard assignment ``fixed_assign`` and ``contrast_fixed`` (prototype),
-    the moving masks ``moving_masks`` (a ``warp.MaskStack``; Dice or
-    prototype) and ``contour_band`` (contour; see
-    ``losses._contour_band``).  ``terms`` names the terms it was built
-    for, so ``replace`` may switch terms off (lower weights) but not on.
+    with a positive weight: the LNCC fixed side ``lncc_fixed`` (window
+    bands, w**3 and the fixed image's window sums; similarity), the fixed
+    masks' per-class masses ``fixed_mass`` and own crops ``fixed_crops``
+    (Dice), the fixed prototypes ``fixed_protos``, hard assignment
+    ``fixed_assign`` and ``contrast_fixed`` (prototype), the moving masks
+    ``moving_masks`` (a ``warp.MaskStack``; Dice or prototype) and
+    ``contour_band`` (contour: the band points as flat indices and as box
+    coordinates, and the distance maps; see ``losses._contour_band``).
+    ``terms`` names the terms it was built for, so ``replace`` may switch
+    terms off (lower weights) but not on.
     """
 
     fixed: Volume
     moving: Volume
     weights: LossWeights
-    window: int
     temperature: float
     terms: frozenset = frozenset()
     fixed_protos: PrototypeSet | None = None
@@ -136,7 +138,7 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     if weights.contour > 0:
         built["contour_band"] = losses._contour_band(fixed_onehot, moving_onehot,
                                                      max_points, seed)
-    return ObjectiveState(fixed, moving, weights, window, float(temperature), **built)
+    return ObjectiveState(fixed, moving, weights, float(temperature), **built)
 
 
 # ------------------------------------------------------------- full objective
@@ -159,7 +161,6 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         raise ValueError(f"evaluate_objective: the state was built without the "
                          f"{', '.join(unbuilt)} term (weight 0 at build_state)")
     values = {name: 0.0 for name in TERM_NAMES}
-    dims = state.dims
 
     def sample(data, points):
         if with_grad:
@@ -183,8 +184,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
         d_masks = np.zeros_like(masks) if with_grad else None
 
     if wd["sim"] > 0:
-        values["sim"], g = losses._lncc(state.fixed.data, moved, state.window,
-                                          state.lncc_fixed, with_grad)
+        values["sim"], g = losses._lncc(state.fixed.data, moved, state.lncc_fixed, with_grad)
         if with_grad:
             d_moved += wd["sim"] * g
 
@@ -216,7 +216,7 @@ def evaluate_objective(state: ObjectiveState, field: DisplacementField,
     if wd["contour"] > 0 and band is not None:
         # the band points p + u(p), in their maps' boxes: (3, P, n)
         pts = field.u.reshape(3, -1)[:, band.index]
-        pts += (np.unravel_index(band.index, dims) - band.origins.T[:, :, None]).astype(pts.dtype)
+        pts += band.coords
         sampled, sampled_pos = sample(band.maps, pts)
         values["contour"], g = losses._contour(band, sampled, with_grad)
         if with_grad:

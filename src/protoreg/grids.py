@@ -121,7 +121,11 @@ class LabelVolume:
         labels = np.asarray(self.labels)
         object.__setattr__(self, "num_classes", int(self.num_classes))
         _validate_grid(self.dims, self.spacing, labels.shape, "LabelVolume")
-        # checked before the narrowing, so no label out of range wraps into it
+        # checked before the narrowing, so no label is truncated or wraps into it
+        if labels.dtype.kind == "f":
+            bad = labels[~np.isfinite(labels) | (labels != np.floor(labels))]
+            if bad.size:
+                raise ValueError(f"LabelVolume: labels must be integers, got {bad[0]}")
         if labels.min(initial=0) < 0 or labels.max(initial=0) > self.num_classes:
             raise ValueError(
                 f"LabelVolume: labels must lie in [0, {self.num_classes}], "

@@ -162,11 +162,14 @@ def _read_bytes(path) -> bytes:
 
 
 def read_nifti(path, kind: str = "image"):
-    """Read a 3D NIfTI-1 file as a Volume (``kind="image"``) or LabelVolume.
+    """Read a 3D NIfTI-1 file as a Volume (``kind="image"``) or LabelVolume
+    (``kind="labels"``); any other kind raises ``ValueError``.
 
     Raises MalformedHeaderError / UnsupportedDatatypeError /
     TruncatedPayloadError for the respective defects.
     """
+    if kind not in ("image", "labels"):
+        raise ValueError(f"read_nifti: kind must be 'image' or 'labels', got {kind!r}")
     blob = _read_bytes(path)
     if len(blob) < _HDR_SIZE:
         raise MalformedHeaderError(f"{path}: file shorter than the 348-byte header")
@@ -256,8 +259,10 @@ def read_volume(path, kind: str = "auto"):
     """Load a volume or label map, dispatching on the file extension.
 
     For the raw format the sidecar decides; for NIfTI pass kind="image" or
-    "labels" ("auto" means image).
+    "labels" ("auto" means image).  Any other kind raises ``ValueError``.
     """
+    if kind not in ("auto", "image", "labels"):
+        raise ValueError(f"read_volume: kind must be 'auto', 'image' or 'labels', got {kind!r}")
     p = Path(path)
     name = p.name.lower()
     if name.endswith((".nii", ".nii.gz")):

@@ -15,9 +15,9 @@ and ``_contour`` (the moving distance maps sampled at the band points).
 Nothing here warps: the objective is scored only through
 ``gradients.evaluate_objective``, which samples and chains these gradients
 onto u.  The constants of a level are made once, by
-``gradients.build_state``: ``_lncc_fixed``, ``_fixed_mass``,
-``extract_prototypes`` (each class pooled on its mask crop) and
-``_contour_band``.
+``gradients.build_state``: ``_lncc_fixed`` (the window bands, w**3 and
+the fixed image's window sums), ``_fixed_mass``, ``extract_prototypes``
+(each class pooled on its mask crop) and ``_contour_band``.
 
 The contour term is chamfer matching on a distance transform (Borgefors,
 1988) as a boundary loss on signed distance maps (Kervadec et al., 2019).
@@ -26,17 +26,18 @@ on both sides, S_f and S_m are the signed Euclidean distance maps of the
 fixed and moving masks, positive outside; beyond the grid is background.
 The term is the class mean of the mean, over the fixed band points p with
 |S_f(p)| <= ``CONTOUR_BAND``, of (S_m(p + u(p)) - S_f(p))**2.  Per class,
-``_contour_band`` keeps the band points as flat grid indices with their
-S_f, and S_m on a box holding the fixed band's box and the moving mask,
-both grown by the band and one voxel (no (K, nx, ny, nz) array).  Within
-its box a map is the whole grid's; outside it the sampler clamps, so the
-value is held and its derivative is 0.
+``_contour_band`` keeps the band points as flat grid indices, which read
+u, and as coordinates in the class's box, to which u(p) is added, with
+their S_f, and S_m on a box holding the fixed band's box and the moving
+mask, both grown by the band and one voxel (no (K, nx, ny, nz) array).
+Within its box a map is the whole grid's; outside it the sampler clamps,
+so the value is held and its derivative is 0.
 
 Everything here runs on numpy alone.  The correlation term's window sums
 are band products (``grids._band_products``): per axis, a 0/1 matrix of
 shape (n, n - w + 1) sums each full window (``_bands``), and the same
 matrices transposed spread per-window values back onto the voxels, the
-exact adjoint.
+exact adjoint; ``_lncc_fixed`` makes the bands once per level.
 The distance maps come from an exact separable squared Euclidean distance
 transform in integer arithmetic (``_squared_distance``): a scan for the
 nearest feature along x, then g[i] = min_j f[j] + (i - j)**2 along y and
@@ -165,33 +166,31 @@ def _check_window(dims, window: int) -> None:
 
 def _lncc_fixed(fixed: np.ndarray, window: int):
     """The fixed image's side of the correlation term, a constant of the
-    level: its window sums s_i, its variance terms b = s_ii - s_i**2/w**3,
-    and which windows clear the variance floor on that side."""
+    level: the window bands (``_bands``) and w**3, the fixed window sums
+    s_i, its variance terms b = s_ii - s_i**2/w**3, and which windows clear
+    the variance floor on that side."""
     _check_window(fixed.shape, window)
     w3 = float(window ** 3)
-    s_i, b = _band_products(np.stack([fixed, fixed * fixed]),
-                            *_bands(fixed.shape, window, fixed.dtype))
+    bands = _bands(fixed.shape, window, fixed.dtype)
+    s_i, b = _band_products(np.stack([fixed, fixed * fixed]), *bands)
     b -= s_i * s_i / w3
-    return s_i, b, b / w3 >= VARIANCE_EPS
+    return bands, w3, s_i, b, b / w3 >= VARIANCE_EPS
 
 
-def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
-          with_grad: bool = False):
+def _lncc(fixed: np.ndarray, moved: np.ndarray, fixed_side, with_grad: bool = False):
     """Correlation value and, with ``with_grad``, d(value)/d(moved), given
-    the fixed side's ``_lncc_fixed`` sums.  The three moving-side window
-    sums are one stacked ``_band_products`` on the window bands
-    (``_bands``, made once per call).  The backward pass spreads three
-    per-window coefficient stacks back onto the voxels with one product on
-    the transposed bands (the adjoint) rather than caching per window
-    (windows overlap heavily): d/d(moved) = -(fixed * S(alpha) - moved *
-    S(beta) + S(beta * mean_j - alpha * mean_i)) / count.
+    the fixed side ``fixed_side`` from ``_lncc_fixed``.  The three
+    moving-side window sums are one stacked ``_band_products`` on its
+    window bands.  The backward pass spreads three per-window coefficient
+    stacks back onto the voxels with one product on the transposed bands
+    (the adjoint) rather than caching per window (windows overlap heavily):
+    d/d(moved) = -(fixed * S(alpha) - moved * S(beta) + S(beta * mean_j -
+    alpha * mean_i)) / count.
 
-    Each quotient is a plain division by a denominator set to 1 outside the
-    valid windows, then multiplied by ``valid``: it is 0 there, and no
-    division by 0 happens."""
-    s_i, b, valid_fixed = fixed_sums
-    w3 = float(window ** 3)
-    bands = _bands(moved.shape, window, moved.dtype)
+    Each quotient is taken only on the valid windows (``np.divide`` with
+    ``where``) into a zeroed array: it is 0 elsewhere, and no division by 0
+    happens."""
+    bands, w3, s_i, b, valid_fixed = fixed_side
     sums = np.empty((3,) + moved.shape, moved.dtype)
     sums[0] = moved
     np.multiply(moved, moved, out=sums[1])
@@ -201,30 +200,19 @@ def _lncc(fixed: np.ndarray, moved: np.ndarray, window: int, fixed_sums,
     a = s_ij - s_i * s_j / w3
     c = s_jj - s_j * s_j / w3
     valid = valid_fixed & (c / w3 >= VARIANCE_EPS)
-    invalid = ~valid
-
-    def guarded(denominator):       # 1 outside the valid windows, in place
-        denominator *= valid
-        denominator += invalid
-        return denominator
-
-    bc = guarded(b * c)
-    ncc2 = np.multiply(a, a)
-    ncc2 /= bc
-    ncc2 *= valid
+    bc = b * c
+    ncc2 = np.divide(np.multiply(a, a), bc, out=np.zeros_like(a), where=valid)
     count = a.size
     value = -float(ncc2.sum()) / count
     if not with_grad:
         return value, None
-    coef = np.empty((3,) + a.shape, a.dtype)
+    coef = np.zeros((3,) + a.shape, a.dtype)
     alpha, beta, shift = coef
     two_a = 2.0 * a
-    np.divide(two_a, bc, out=alpha)
-    alpha *= valid
+    np.divide(two_a, bc, out=alpha, where=valid)
     two_a *= a
     bc *= c
-    np.divide(two_a, guarded(bc), out=beta)
-    beta *= valid
+    np.divide(two_a, bc, out=beta, where=valid)
     # beta * mean_j - alpha * mean_i
     np.multiply(beta, s_j / w3, out=shift)
     shift -= alpha * (s_i / w3)
@@ -500,7 +488,7 @@ class ContourBand(NamedTuple):
     target: np.ndarray      # (P, n) S_f there
     counts: np.ndarray      # (P,) real band points per class
     maps: np.ndarray        # (P, bx, by, bz) S_m, each on its box
-    origins: np.ndarray     # (P, 3) each box's first voxel
+    coords: np.ndarray      # (3, P, n) each band point in its class's box, in the maps' dtype
 
 
 def _parabola_pass(f: np.ndarray, unreached: int) -> np.ndarray:
@@ -593,7 +581,7 @@ def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: 
                               for a, b in zip(grown(f), grown(m))) for f, m in classes], dims)
     maps = np.empty((len(classes),) + tuple(s.stop - s.start for s in boxes[0]),
                     _crops_dtype([crop for pair in classes for crop in pair]))
-    index, target = [], []
+    index, target, coords = [], [], []
     for (f, m), box, s_m in zip(classes, boxes, maps):
         s_f, s_m[...] = _signed_distance([f, m], [box, box])
         local = np.argwhere(np.abs(s_f) <= CONTOUR_BAND)
@@ -602,12 +590,14 @@ def _contour_band(fixed: OneHotMask, moving: OneHotMask, max_points: int, seed: 
             local = local[np.sort(rng.choice(len(local), size=max_points, replace=False))]
         index.append(np.ravel_multi_index(tuple((local + [s.start for s in box]).T), dims))
         target.append(s_f[tuple(local.T)])
+        coords.append(local.T.astype(maps.dtype))
     counts = np.array([len(i) for i in index])
     n = counts.max()
     return ContourBand(np.stack([np.pad(i, (0, n - len(i)), "edge") for i in index]),
                        np.stack([np.pad(t, (0, n - len(t)), "edge") for t in target]), counts,
                        maps,
-                       np.array([[s.start for s in box] for box in boxes]))
+                       np.stack([np.pad(c, [(0, 0), (0, n - c.shape[1])], "edge")
+                                 for c in coords], axis=1))
 
 
 def _contour(band: ContourBand, sampled: np.ndarray, with_grad: bool = False):

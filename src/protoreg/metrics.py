@@ -11,20 +11,6 @@ from .grids import DimsMismatchError, LabelVolume
 from .warp import DisplacementField, SdLogJResult, sdlogj
 
 
-def dsc(a: LabelVolume, b: LabelVolume, class_label: int) -> float | None:
-    """Hard Dice 2|A∩B|/(|A|+|B|) for one class; None when the class is
-    empty on both sides (absent, excluded from averages)."""
-    if a.dims != b.dims:
-        raise DimsMismatchError(f"dsc: {a.dims} vs {b.dims}")
-    set_a = a.labels == class_label
-    set_b = b.labels == class_label
-    na = int(set_a.sum())
-    nb = int(set_b.sum())
-    if na == 0 and nb == 0:
-        return None
-    return 2.0 * float((set_a & set_b).sum()) / (na + nb)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Per-class and aggregate overlap plus field-smoothness numbers for one
@@ -42,12 +28,22 @@ def evaluate(fixed_mask: LabelVolume, warped_mask: LabelVolume,
 
     ``warped_mask`` is expected to come from warping the one-hot moving mask
     and taking the thresholded argmax; pass ``field=None`` to skip the
-    Jacobian-based smoothness numbers (reported as 0).
+    Jacobian-based smoothness numbers (reported as 0).  Per class the hard
+    Dice is 2|A∩B|/(|A|+|B|), and None for a class empty on both sides
+    (left out of the average); all of them come from one count of the
+    (fixed, warped) label pairs.
     """
     if fixed_mask.dims != warped_mask.dims:
         raise DimsMismatchError(f"evaluate: {fixed_mask.dims} vs {warped_mask.dims}")
+    if field is not None and field.dims != fixed_mask.dims:
+        raise DimsMismatchError(f"evaluate: field {field.dims} vs masks {fixed_mask.dims}")
     k = max(fixed_mask.num_classes, warped_mask.num_classes)
-    per_class = tuple(dsc(fixed_mask, warped_mask, c) for c in range(1, k + 1))
+    # the labels are uint8: the pair index is formed in intp
+    pair = fixed_mask.labels.ravel().astype(np.intp) * (k + 1) + warped_mask.labels.ravel()
+    pairs = np.bincount(pair, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
+    sizes = pairs.sum(axis=1) + pairs.sum(axis=0)        # |A| + |B| per class
+    per_class = tuple(2.0 * float(pairs[c, c]) / int(sizes[c]) if sizes[c] else None
+                      for c in range(1, k + 1))
     present = [v for v in per_class if v is not None]
     avg = float(np.mean(present)) if present else math.nan
     quality = SdLogJResult(0.0, 0) if field is None else sdlogj(field)

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field as dataclass_field, fields, replace
 import numpy as np
 
 from .gradients import build_state, evaluate_objective
-from .grids import LabelVolume, OneHotMask, Volume, _is_integer, build_pyramid, one_hot
+from .grids import (DimsMismatchError, LabelVolume, OneHotMask, Volume, _is_integer,
+                    build_pyramid, one_hot)
 from .losses import LossBreakdown, LossWeights, TERM_NAMES
 from .warp import DisplacementField, SdLogJResult, sdlogj, upsample_field
 # Not called here; kept in this namespace because the benchmark's tracer
@@ -222,14 +223,15 @@ def register_pair(fixed: Volume, moving: Volume,
 
     Masks are optional: without them the mask-dependent weights are forced to
     zero (pure intensity mode) with a warning.  When the mask weights are all
-    zero the mask inputs are never read.  The volumes must share dims and
-    voxel spacing, and so must each mask and its volume (``ValueError``).
+    zero the mask inputs are never read.  The volumes must share dims
+    (``DimsMismatchError``) and voxel spacing (``ValueError``), and so must
+    each mask and its volume.
     The optimization runs in float32 (see the module docstring); the
     returned field is float64.
     """
     config = config or RegistrationConfig()
     if fixed.dims != moving.dims:
-        raise ValueError(f"register_pair: fixed {fixed.dims} vs moving {moving.dims}")
+        raise DimsMismatchError(f"register_pair: fixed {fixed.dims} vs moving {moving.dims}")
     if not _same_spacing(fixed.spacing, moving.spacing):
         raise ValueError(f"register_pair: fixed spacing {fixed.spacing} vs moving {moving.spacing}")
 
@@ -245,7 +247,7 @@ def register_pair(fixed: Volume, moving: Volume,
 
     if use_masks:
         if fixed_mask.dims != fixed.dims or moving_mask.dims != moving.dims:
-            raise ValueError("register_pair: mask dims do not match the volumes")
+            raise DimsMismatchError("register_pair: mask dims do not match the volumes")
         if not (_same_spacing(fixed_mask.spacing, fixed.spacing)
                 and _same_spacing(moving_mask.spacing, moving.spacing)):
             raise ValueError("register_pair: mask spacing does not match the volumes")

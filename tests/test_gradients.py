@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import oracles
 from protoreg import gradients, losses
@@ -222,7 +223,7 @@ def test_term_values_match_oracle_composition(state, masks):
     assert contour > 0.0
 
     want = {
-        "sim": oracles.lncc(state.fixed.data, moved, state.window),
+        "sim": oracles.lncc(state.fixed.data, moved, 3),       # the fixture's window
         "smooth": oracles.smoothness(u),
         "seg": oracles.dice_loss(fixed_ch, moved_ch),
         "prototype": contrast + oracles.align(protos_f, present_f, protos_m, present_m),
@@ -376,8 +377,7 @@ def _gradient_accumulated_from_the_start(state, field):
     masks, masks_pos = gradients.sample_volume_with_gradient(state.moving_masks.values, mask_pts)
     np.clip(masks, 0.0, 1.0, out=masks)
     d_masks = np.zeros(masks.shape)
-    d_moved += wd["sim"] * losses._lncc(state.fixed.data, moved, state.window,
-                                        state.lncc_fixed, True)[1]
+    d_moved += wd["sim"] * losses._lncc(state.fixed.data, moved, state.lncc_fixed, True)[1]
     grad += wd["smooth"] * losses._smoothness(field.u, np.zeros(field.u.shape))[1]
     d_masks += wd["seg"] * losses._dice(gradients._on_windows(state.fixed_crops, windows),
                                         state.fixed_mass, masks, True)[1]
@@ -386,10 +386,9 @@ def _gradient_accumulated_from_the_start(state, field):
                                       state.temperature, "both", True)
     d_moved += wd["prototype"] * g
     d_masks += wd["prototype"] * g_masks
-    band = state.contour_band
-    coords = np.unravel_index(band.index, dims) - band.origins.T[:, :, None]
+    band = state.contour_band       # its coords: test_band_coords_place_the_band_points
     sampled, sampled_pos = gradients.sample_volume_with_gradient(
-        band.maps, field.u.reshape(3, -1)[:, band.index] + coords)
+        band.maps, field.u.reshape(3, -1)[:, band.index] + band.coords)
     g = sampled_pos * (wd["contour"] * losses._contour(band, sampled, True)[1])
     for k, count in enumerate(band.counts):
         grad.reshape(3, -1)[:, band.index[k, :count]] += g[:, k, :count]
@@ -405,6 +404,39 @@ def test_gradient_accumulator_made_late_is_bit_identical(state, which):
     _, grad = evaluate_objective(st, field)
     want = _gradient_accumulated_from_the_start(st, field)
     assert grad.any() and (grad == want).all()
+
+
+def _whole_grid_signed_distance(channel):
+    """S of the hard mask ``channel >= 0.5`` on the whole grid, positive
+    outside and background beyond the grid, by scipy's exact EDT."""
+    fg = np.pad(channel >= 0.5, 1)
+    return (ndimage.distance_transform_edt(~fg)
+            - ndimage.distance_transform_edt(fg))[1:-1, 1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("which", ["soft", "compact", "phantom"])
+def test_band_coords_place_the_band_points(which):
+    # each class's map read at its band points' box coordinates is the
+    # moving mask's signed distance on the whole grid at their flat indices
+    if which == "soft":
+        fixed, moving = soft_mask(1), soft_mask(2)
+    elif which == "compact":
+        fixed, moving = _compact_masks()
+    else:       # 50 of each class's band points, a subsample
+        pair = generate(three_blob_spec(dims=(24, 24, 24), seed=1))
+        fixed, moving = one_hot(pair.fixed_labels), one_hot(pair.moving_labels)
+    band = build_state(rand_volume(5, fixed.dims), rand_volume(6, fixed.dims),
+                       LossWeights(0, 0, 0, 0, 1), fixed, moving, max_points=50).contour_band
+    fixed_ch, moving_ch = oracles.dense_channels(fixed), oracles.dense_channels(moving)
+    classes = [k for k in range(len(fixed_ch))
+               if (fixed_ch[k] >= 0.5).any() and (moving_ch[k] >= 0.5).any()]
+    assert band.coords.dtype == band.maps.dtype
+    assert band.coords.shape == (3, len(classes), band.index.shape[1])
+    assert (band.coords == np.round(band.coords)).all()
+    for row, k in enumerate(classes):
+        at_box = band.maps[row][tuple(band.coords[:, row].astype(np.intp))]
+        whole = _whole_grid_signed_distance(moving_ch[k]).ravel()[band.index[row]]
+        assert np.array_equal(at_box, whole)
 
 
 def test_evaluation_working_memory_is_bounded():
@@ -650,10 +682,11 @@ def test_float32_terms_agree_with_float64(state, state32, term, which):
 def test_float32_evaluation_and_adam_step_stay_float32(state32, monkeypatch):
     # every constant of the level, every sampled (moved) array and its
     # spatial derivative, every gradient and the Adam update are float32
-    band, lncc_fixed = state32.contour_band, state32.lncc_fixed
+    band = state32.contour_band
+    bands, _, s_i, b, _ = state32.lncc_fixed
     constants = [state32.fixed.data, state32.moving.data, state32.moving_masks.values,
                  state32.fixed_mass, state32.fixed_protos.vectors, band.maps, band.target,
-                 lncc_fixed[0], lncc_fixed[1]]
+                 band.coords, s_i, b, *bands]
     constants += [crop.values for crop in state32.fixed_crops if crop is not None]
     assert all(array.dtype == np.float32 for array in constants)
     calls = []

@@ -195,6 +195,14 @@ def test_label_volume_range_check():
         LabelVolume((2, 2, 2), (1, 1, np.nan), np.zeros((2, 2, 2)), 1)
 
 
+@pytest.mark.parametrize("label", [1.5, 0.7, np.nan])
+def test_label_volume_rejects_a_label_that_is_not_an_integer(label):
+    # the narrowing to uint8 would truncate 1.5 to 1 and 0.7 to background,
+    # and a NaN passes the range check and casts to 0
+    with pytest.raises(ValueError, match=f"labels must be integers, got {label}"):
+        LabelVolume((2, 1, 1), (1, 1, 1), [[[label]], [[1.0]]], 2)
+
+
 @pytest.mark.parametrize("num_classes, dtype", [(3, np.uint8), (255, np.uint8),
                                                 (256, np.uint16), (300, np.uint16),
                                                 (65535, np.uint16), (70000, np.uint32)])

@@ -1,13 +1,13 @@
-"""Every name a ``protoreg`` module imports is used in it, every public
-name it defines is used by the library or the benchmark, and a
-registration loads no module it does not need: no module of the package
-imports ``scipy``, which only the tests' oracles use, and a registration
-runs where scipy cannot be imported at all.
+"""Every name a ``protoreg`` module imports is used in it, every local a
+function assigns is read, every public name it defines is used by the
+library or the benchmark, and a registration loads no module it does not
+need: no module of the package imports ``scipy``, which only the tests'
+oracles use, and a registration runs where scipy cannot be imported at all.
 
-The package root is left out of the first check: it imports names to
+The package root is left out of the import check: it imports names to
 re-export them.  An import line marked ``# noqa: F401`` is kept on purpose
-and is left out too.  The second check leaves out ``phantom``, which makes
-the fixtures of the tests and the benchmark.
+and is left out too.  The public-name check leaves out ``phantom``, which
+makes the fixtures of the tests and the benchmark.
 """
 
 import ast
@@ -55,6 +55,60 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def own_scope(function):
+    """The nodes of ``function``'s body, not descending into the functions,
+    lambdas and classes it defines (their assignments are their own)."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list:
+    """``function.name`` for each local a function binds by ``=``, an
+    annotated ``=`` or ``:=`` and never reads (pyflakes' F841): tuple
+    targets and names starting with ``_`` are left out, and a read in a
+    nested function counts."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, declared = set(), set()
+        for node in own_scope(function):
+            if isinstance(node, ast.Assign):
+                bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                bound.update([node.target.id] if isinstance(node.target, ast.Name) else [])
+            elif isinstance(node, ast.NamedExpr):
+                bound.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        read.update(node.target.id for node in ast.walk(function)
+                    if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name))
+        found += [f"{function.name}.{name}" for name in sorted(bound - read - declared)
+                  if not name.startswith("_")]
+    return sorted(found)
+
+
+def test_unused_locals_are_found():
+    source = ("LIMIT = 3\n"
+              "def f(x):\n    dims = x.shape\n    a, b = x\n    _unused = 1\n"
+              "    n: int = 2\n    total = 0\n    total += n\n    k = 1\n"
+              "    def inner():\n        gone = k\n        return 1\n"
+              "    if (m := b) > 0:\n        pass\n    return inner\n"
+              "def g():\n    global LIMIT\n    LIMIT = 4\n    seen = 1\n    del seen\n")
+    assert unused_locals(source) == ["f.dims", "f.m", "inner.gone"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_local_it_assigns(module):
+    assert unused_locals((SRC / module).read_text()) == []
 
 
 def identifiers(node) -> set:

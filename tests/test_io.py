@@ -417,6 +417,19 @@ def test_nifti_replaces_an_infinite_pixdim(tmp_path, caplog):
     assert any("pixdim" in rec.message for rec in caplog.records)
 
 
+def test_reads_reject_an_unknown_kind(tmp_path):
+    # "label" for "labels" would read a NIfTI label map as a float Volume,
+    # and a raw file would ignore it
+    write_nifti(Volume((2, 2, 2), (1, 1, 1), np.ones((2, 2, 2))), tmp_path / "v.nii")
+    write_raw(Volume((2, 2, 2), (1, 1, 1), np.ones((2, 2, 2))), tmp_path / "v")
+    for path in (tmp_path / "v.nii", tmp_path / "v.f32raw"):
+        with pytest.raises(ValueError, match="'auto', 'image' or 'labels', got 'label'"):
+            read_volume(path, "label")
+    for kind in ("label", "auto"):
+        with pytest.raises(ValueError, match=f"'image' or 'labels', got '{kind}'"):
+            read_nifti(tmp_path / "v.nii", kind)
+
+
 def test_read_volume_unknown_extension(tmp_path):
     path = tmp_path / "mystery.xyz"
     path.write_text("nope")

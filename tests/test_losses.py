@@ -6,7 +6,7 @@ from scipy import ndimage
 
 import oracles
 from protoreg import losses
-from protoreg.gradients import build_state, evaluate_objective
+from protoreg.gradients import build_state, evaluate_objective, term_evaluator
 from protoreg.grids import (
     ChannelCrop, DimsMismatchError, LabelVolume, Volume, _band_products, argmax_labels, one_hot,
 )
@@ -30,8 +30,7 @@ def soft_mask(dims, k, seed):
 
 def lncc(fixed, moved, window):
     """The correlation term of two volumes (``losses._lncc``)."""
-    return losses._lncc(fixed.data, moved.data, window,
-                        losses._lncc_fixed(fixed.data, window))[0]
+    return losses._lncc(fixed.data, moved.data, losses._lncc_fixed(fixed.data, window))[0]
 
 
 def dice(fixed, moved):
@@ -82,6 +81,41 @@ def test_lncc_matches_brute_force_oracle():
     got = lncc(fixed, moved, 3)
     want = oracles.lncc(fixed.data, moved.data, 3)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def window_variances(data, window):
+    """Each full window's variance, by brute force."""
+    windows = np.lib.stride_tricks.sliding_window_view(data, (window,) * 3)
+    return windows.reshape(windows.shape[:3] + (-1,)).var(axis=-1)
+
+
+@pytest.mark.parametrize("side", ["fixed", "moving", "both"])
+def test_lncc_with_flat_slabs_matches_the_oracle_and_finite_differences(side):
+    # flat x-slabs put windows under the variance floor on one side or on
+    # both, next to valid windows: the quotients are taken on the valid ones
+    dims, window = (10, 6, 6), 3
+    fixed, moving = rand_volume(dims, 11), rand_volume(dims, 12)
+    if side != "moving":
+        fixed.data[:4] = 0.5
+    if side != "fixed":
+        moving.data[4:] = -0.25
+    # u_x > 0 keeps each moved voxel of the slab sampling only the slab
+    rng = np.random.default_rng(13)
+    u = rng.uniform(-0.3, 0.3, (3,) + dims) + 0.13
+    u[0] = rng.uniform(0.05, 0.45, dims)
+    field = DisplacementField(dims, (1, 1, 1), u)
+    moved = oracles.warp(moving.data, field.u)
+    variances = [window_variances(fixed.data, window), window_variances(moved, window)]
+    valid = (variances[0] >= losses.VARIANCE_EPS) & (variances[1] >= losses.VARIANCE_EPS)
+    assert 0 < valid.sum() < valid.size
+    # every window is far from the floor, so no probe of 1e-3 moves one across it
+    assert all(((v < 1e-9) | (v > 1e-3)).all() for v in variances)
+    evaluate = term_evaluator(build_state(fixed, moving, LossWeights(1, 0, 0, 0, 0),
+                                          window=window), "sim")
+    assert evaluate(field, False)[0] == pytest.approx(oracles.lncc(fixed.data, moved, window),
+                                                      rel=1e-9)
+    _, max_rel = oracles.finite_diff_check(evaluate, field, probe_count=64, eps=1e-3, seed=14)
+    assert max_rel < 1e-3
 
 
 def test_lncc_bounded():

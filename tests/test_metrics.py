@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from protoreg.grids import LabelVolume
-from protoreg.metrics import dsc, evaluate
+from protoreg.grids import DimsMismatchError, LabelVolume
+from protoreg.metrics import evaluate
 from protoreg.warp import DisplacementField
 
 
@@ -15,7 +15,7 @@ def test_dsc_identical():
     data = np.zeros((4, 4, 4), np.int32)
     data[1:3, 1:3, 1:3] = 1
     lv = labels_of(data, 1)
-    assert dsc(lv, lv, 1) == 1.0
+    assert evaluate(lv, lv).per_class == (1.0,)
 
 
 def test_dsc_disjoint_equal_size():
@@ -23,7 +23,7 @@ def test_dsc_disjoint_equal_size():
     b = np.zeros((4, 4, 4), np.int32)
     a[0, 0, :2] = 1
     b[3, 3, :2] = 1
-    assert dsc(labels_of(a, 1), labels_of(b, 1), 1) == 0.0
+    assert evaluate(labels_of(a, 1), labels_of(b, 1)).per_class == (0.0,)
 
 
 def test_dsc_partial_overlap_counting():
@@ -32,19 +32,25 @@ def test_dsc_partial_overlap_counting():
     a[0, 0, 0:4] = 1          # |A| = 4
     b[0, 0, 2:4] = 1
     b[0, 1, 0:2] = 1          # |B| = 4, |A ∩ B| = 2
-    assert dsc(labels_of(a, 1), labels_of(b, 1), 1) == pytest.approx(0.5)
+    assert evaluate(labels_of(a, 1), labels_of(b, 1)).per_class[0] == pytest.approx(0.5)
 
 
 def test_dsc_absent_class_is_none():
     empty = labels_of(np.zeros((3, 3, 3)), 2)
-    assert dsc(empty, empty, 1) is None
+    assert evaluate(empty, empty).per_class[0] is None
 
 
 def test_dsc_symmetric():
     rng = np.random.default_rng(1)
     a = labels_of(rng.integers(0, 3, (5, 5, 5)), 2)
     b = labels_of(rng.integers(0, 3, (5, 5, 5)), 2)
-    assert dsc(a, b, 2) == dsc(b, a, 2)
+    assert evaluate(a, b).per_class[1] == evaluate(b, a).per_class[1]
+
+
+def test_evaluate_rejects_a_field_on_another_grid():
+    lv = labels_of(np.ones((4, 4, 4)), 1)
+    with pytest.raises(DimsMismatchError, match="field"):
+        evaluate(lv, lv, DisplacementField.zeros((5, 5, 5)))
 
 
 def test_evaluate_identity():

@@ -245,6 +245,20 @@ def test_register_pair_rejects_a_moving_spacing_unlike_the_fixed():
         register_pair(pair.fixed, moving, config=CONFIG)
 
 
+@pytest.mark.parametrize("which", ["moving", "fixed_labels", "moving_labels"])
+def test_register_pair_raises_dims_mismatch_for_grids_off_the_lattice(which):
+    # one x-slab short, as build_state, evaluate_objective, warp and metrics
+    # report it: DimsMismatchError, a ValueError
+    pair = small_pair(0)
+    grids = {name: getattr(pair, name)
+             for name in ("fixed", "moving", "fixed_labels", "moving_labels")}
+    array = "data" if which == "moving" else "labels"
+    grids[which] = dataclasses.replace(grids[which], dims=(19, 20, 20),
+                                       **{array: getattr(grids[which], array)[1:]})
+    with pytest.raises(protoreg.DimsMismatchError, match="register_pair"):
+        register_pair(*grids.values(), CONFIG)
+
+
 @pytest.mark.parametrize("side", ["fixed", "moving"])
 def test_register_pair_rejects_a_mask_spacing_unlike_its_volume(side):
     pair = small_pair(0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt, gaussian_filter
 
-from protoreg.metrics import dsc
+from protoreg.metrics import evaluate
 from protoreg.phantom import (
     PhantomSpec, _truth_field, generate, three_blob_spec, twelve_blob_spec,
 )
@@ -53,8 +53,8 @@ def test_truth_warp_label_overlap(magnitude):
     # sizes; see the smooth-blob interpolation analysis in the test notes
     ph = generate(PhantomSpec(magnitude=magnitude, noise_sigma=0.0, seed=3))
     warped = warp_labels(ph.moving_labels, ph.truth)
-    for c in range(1, 4):
-        assert dsc(ph.fixed_labels, warped, c) >= 0.92
+    per_class = evaluate(ph.fixed_labels, warped).per_class
+    assert len(per_class) == 3 and all(dice >= 0.92 for dice in per_class)
 
 
 def test_truth_field_is_plausibly_smooth():
