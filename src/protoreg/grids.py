@@ -80,13 +80,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _validate_grid(dims, spacing, shape, name):
-    if len(dims) != 3 or any(int(d) < 1 for d in dims):
-        raise ValueError(f"{name}: dims must be three counts >= 1, got {dims}")
+def _grid_dims(dims, name) -> tuple:
+    """``dims`` as three ints >= 1; a float, bool or string raises ``ValueError``."""
+    if len(dims) != 3 or not all(_is_integer(d) and d >= 1 for d in dims):
+        raise ValueError(f"{name}: dims must be three integers >= 1, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
+def _validate_grid(dims, spacing, shape, name) -> tuple:
+    """``(dims, spacing)`` as ints and floats, checked, with ``shape`` == dims."""
+    dims = _grid_dims(dims, name)
     if len(spacing) != 3 or not all(0.0 < float(s) < np.inf for s in spacing):
         raise ValueError(f"{name}: spacing must be three finite positive lengths, got {spacing}")
-    if shape != tuple(dims):
-        raise ValueError(f"{name}: data shape {shape} != dims {tuple(dims)}")
+    if tuple(shape) != dims:
+        raise ValueError(f"{name}: data shape {tuple(shape)} != dims {dims}")
+    return dims, tuple(float(s) for s in spacing)
 
 
 @dataclass(frozen=True)
@@ -98,10 +106,10 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "data", float_array(self.data))
-        _validate_grid(self.dims, self.spacing, self.data.shape, "Volume")
+        dims, spacing = _validate_grid(self.dims, self.spacing, self.data.shape, "Volume")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spacing", spacing)
         if not np.isfinite(self.data).all():
             raise ValueError("Volume: data contains non-finite values")
 
@@ -116,11 +124,14 @@ class LabelVolume:
     num_classes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         labels = np.asarray(self.labels)
+        dims, spacing = _validate_grid(self.dims, self.spacing, labels.shape, "LabelVolume")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spacing", spacing)
+        if not _is_integer(self.num_classes):
+            raise ValueError(f"LabelVolume: num_classes must be an integer, "
+                             f"got {self.num_classes!r}")
         object.__setattr__(self, "num_classes", int(self.num_classes))
-        _validate_grid(self.dims, self.spacing, labels.shape, "LabelVolume")
         # checked before the narrowing, so no label is truncated or wraps into it
         if labels.dtype.kind == "f":
             bad = labels[~np.isfinite(labels) | (labels != np.floor(labels))]

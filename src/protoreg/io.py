@@ -1,28 +1,32 @@
-"""File I/O: the native raw format and a small NIfTI-1 subset.
+"""File I/O: NIfTI-1 for every grid, and a raw format for label maps.
 
-Raw format: ``<name>.f32raw`` holds a little-endian float32 payload in
-x-fastest/z-slowest order; ``<name>.json`` is a sidecar with
-``{dims, spacing, kind, num_classes}``.  Displacement fields store the three
-components consecutively, each in the same layout, with ``kind: "field"``
-and ``units: "voxels"``.  A read converts an x-fastest payload to the C order
-that grids hold (:mod:`protoreg.grids`) in the one copy it makes.
+``write_volume`` writes a ``.nii``/``.nii.gz`` path as one NIfTI-1 file
+(gzipped for ``.gz``): a ``Volume`` as float32, a ``LabelVolume`` as uint8
+(int16 past 255 classes), a ``warp.DisplacementField`` as a float32 vector
+image.  Other paths get the raw format, label maps only, kept while the
+benchmark's label inputs are written in it: ``<name>.f32raw`` holds the
+labels as x-fastest little-endian float32, ``<name>.json`` the sidecar
+``{dims, spacing, kind: "labels", num_classes}``.
 
-Reads keep the stored precision: a float64 payload stays float64, and every
-other one (float32, uint8, int16, and the raw format's float32) reads as
-float32, each exactly.  Scaling runs in that dtype.  Label maps are held in
-``LabelVolume``'s narrow unsigned type.
+A field has dim (5, nx, ny, nz, 1, 3, 1, 1), intent_code 1007
+(NIFTI_INTENT_VECTOR), x fastest and the component slowest: the layout ITK
+and ANTs write.  An ITK or ANTs reader must be told its units and sign:
+voxels along the grid axes, and a pull-back, out(p) = moving(p + u(p)).  A
+float64 field is rounded once to float32.  ``read_nifti`` knows a field by
+its header (intent 1007, dim[4] = 1, dim[5] = 3) and never reads it as labels.
 
-NIfTI-1 subset: 348-byte header, magic "n+1"/"ni1", datatypes uint8/int16/
-float32/float64, optional gzip.  A header may declare up to 7 dims when
-every dim past the third is 1, as a one-volume 4D series does; any other
-dim past the third raises.  Dims, pixdim and the intensity scaling
-``scl_slope * stored + scl_inter`` (applied when the slope is non-zero and
-finite, to images and labels alike) are honored; orientation matrices are
-ignored (a warning is logged when one is present).
+Reads return C order (:mod:`protoreg.grids`) in their one copy and keep the
+stored precision: float64 stays float64, and every other payload reads
+exactly as float32, the dtype scaling runs in.  Label maps are held in
+``LabelVolume``'s narrow unsigned type; a value not an integer (after
+scaling, to within ``LABEL_TOLERANCE``) raises ``IOFormatError``.
 
-Label maps, the raw ``labels`` kind and NIfTI read with ``kind="labels"``,
-must hold integers (after scaling, to within ``LABEL_TOLERANCE``); other
-values raise ``IOFormatError`` rather than being rounded.
+NIfTI-1 subset: 348-byte header, magic "n+1" (the two-file "ni1" form, a
+``.hdr`` beside an ``.img``, raises), datatypes uint8/int16/float32/float64,
+optional gzip, up to 7 dims when each past the third is 1 (a one-volume 4D
+series) or a field's dim[5].  Dims, pixdim and the scaling
+``scl_slope * stored + scl_inter`` (for a non-zero, finite slope) are
+honored; orientation matrices are ignored, with a warning.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import LabelVolume, Volume, _validate_grid
+from .grids import LabelVolume, Volume, _is_integer, _validate_grid
+from .warp import DisplacementField
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +62,19 @@ class TruncatedPayloadError(IOFormatError):
 
 
 LABEL_TOLERANCE = 1e-3   # largest distance of a stored label from an integer
+
+
+def _payload(blob: bytes, dtype: np.dtype, dims: tuple, channels: int, path) -> np.ndarray:
+    """(channels, *dims) in C order from an x-fastest payload holding one
+    channel after another: float64 stays float64, the rest read as float32."""
+    count = int(np.prod(dims)) * channels
+    if len(blob) < count * dtype.itemsize:
+        raise TruncatedPayloadError(
+            f"{path}: payload holds {len(blob)} bytes, need {count * dtype.itemsize}")
+    real = np.float64 if dtype == np.float64 else np.float32
+    return (np.frombuffer(blob, dtype=dtype, count=count)
+            .reshape(dims + (channels,), order="F").transpose(3, 0, 1, 2)
+            .astype(real, order="C"))
 
 
 def _integral_labels(data: np.ndarray, path) -> np.ndarray:
@@ -81,101 +99,65 @@ def _raw_paths(path) -> tuple[Path, Path]:
     return base.with_suffix(".f32raw"), base.with_suffix(".json")
 
 
-def write_raw(grid, path) -> None:
-    """Write a Volume, LabelVolume, or DisplacementField pair of files."""
-    from .warp import DisplacementField
-
+def write_raw(labels: LabelVolume, path) -> None:
+    """Write a LabelVolume as the raw pair of files; any other grid raises
+    ``TypeError`` (``write_nifti`` writes every grid)."""
+    if not isinstance(labels, LabelVolume):
+        raise TypeError(f"write_raw: the raw format holds label maps only, "
+                        f"got {type(labels).__name__}")
     raw_path, json_path = _raw_paths(path)
-    meta = {"dims": list(grid.dims), "spacing": list(grid.spacing)}
-    if isinstance(grid, Volume):
-        meta["kind"] = "volume"
-        payload = grid.data.astype("<f4").tobytes(order="F")
-    elif isinstance(grid, LabelVolume):
-        meta["kind"] = "labels"
-        meta["num_classes"] = grid.num_classes
-        payload = grid.labels.astype("<f4").tobytes(order="F")
-    elif isinstance(grid, DisplacementField):
-        meta["kind"] = "field"
-        meta["units"] = "voxels"
-        payload = b"".join(grid.u[c].astype("<f4").tobytes(order="F") for c in range(3))
-    else:
-        raise TypeError(f"write_raw: unsupported type {type(grid).__name__}")
-    raw_path.write_bytes(payload)
+    meta = {"dims": list(labels.dims), "spacing": list(labels.spacing), "kind": "labels",
+            "num_classes": labels.num_classes}
+    raw_path.write_bytes(labels.labels.astype("<f4").tobytes(order="F"))
     json_path.write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def read_raw(path):
-    """Read whatever the sidecar says lives at ``path`` (volume/labels/field)."""
-    from .warp import DisplacementField
-
+def read_raw(path) -> LabelVolume:
+    """Read the raw label map at ``path``; a sidecar whose kind is not
+    "labels" raises ``MalformedHeaderError``."""
     raw_path, json_path = _raw_paths(path)
-    if not json_path.is_file():
-        raise IOFormatError(f"missing sidecar {json_path}")
-    if not raw_path.is_file():
-        raise IOFormatError(f"missing payload {raw_path}")
+    for part in (json_path, raw_path):
+        if not part.is_file():
+            raise IOFormatError(f"missing {part}")
     try:
         meta = json.loads(json_path.read_text())
-        dims = tuple(int(d) for d in meta["dims"])
-        spacing = tuple(float(s) for s in meta["spacing"])
-        kind = meta["kind"]
-        _validate_grid(dims, spacing, dims, "sidecar")
+        dims, spacing = _validate_grid(meta["dims"], meta["spacing"], meta["dims"], "sidecar")
+        if meta["kind"] != "labels":
+            raise ValueError(f"kind {meta['kind']!r}; the raw format holds label maps only")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedHeaderError(f"bad sidecar {json_path}: {exc}") from exc
 
-    nvox = int(np.prod(dims))
-    blob = raw_path.read_bytes()
-    n_channels = 3 if kind == "field" else 1
-    if len(blob) < 4 * nvox * n_channels:
-        raise TruncatedPayloadError(
-            f"{raw_path}: expected {4 * nvox * n_channels} bytes, found {len(blob)}"
-        )
-    # channel after channel, each x-fastest: Fortran order on dims + (channels,)
-    data = (np.frombuffer(blob, dtype="<f4", count=nvox * n_channels)
-            .reshape(dims + (n_channels,), order="F").transpose(3, 0, 1, 2)
-            .astype(np.float32, order="C"))
-
-    if kind == "volume":
-        return Volume(dims, spacing, data[0])
-    if kind == "labels":
-        k = int(meta.get("num_classes", data.max()))
-        labels = _integral_labels(data[0], raw_path)
-        if labels.max(initial=0) > k:
-            raise MalformedHeaderError(f"{json_path}: num_classes {k} is below the largest "
-                                       f"stored label {int(labels.max())}")
-        return LabelVolume(dims, spacing, labels, k)
-    if kind == "field":
-        return DisplacementField(dims, spacing, data)
-    raise MalformedHeaderError(f"{json_path}: unknown kind {kind!r}")
+    data = _payload(raw_path.read_bytes(), np.dtype("<f4"), dims, 1, raw_path)[0]
+    labels = _integral_labels(data, raw_path)
+    k = meta.get("num_classes", int(labels.max(initial=0)))
+    if not _is_integer(k) or labels.max(initial=0) > k:
+        raise MalformedHeaderError(f"{json_path}: num_classes {k!r} is not an integer at or "
+                                   f"above the largest stored label {int(labels.max())}")
+    return LabelVolume(dims, spacing, labels, k)
 
 
 # ------------------------------------------------------------- NIfTI subset
 
 _NIFTI_DTYPES = {2: np.uint8, 4: np.dtype("<i2"), 16: np.dtype("<f4"), 64: np.dtype("<f8")}
 _HDR_SIZE = 348
-
-
-def _read_bytes(path) -> bytes:
-    blob = Path(path).read_bytes()
-    if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
-    return blob
+_INTENT_VECTOR = 1007     # NIFTI_INTENT_VECTOR
 
 
 def read_nifti(path, kind: str = "image"):
-    """Read a 3D NIfTI-1 file as a Volume (``kind="image"``) or LabelVolume
-    (``kind="labels"``); any other kind raises ``ValueError``.
-
-    Raises MalformedHeaderError / UnsupportedDatatypeError /
-    TruncatedPayloadError for the respective defects.
-    """
+    """Read a NIfTI-1 file as a Volume (``kind="image"``) or LabelVolume
+    (``kind="labels"``), or a vector header as a DisplacementField; any
+    other kind raises ``ValueError``, and a defect its ``IOFormatError``."""
     if kind not in ("image", "labels"):
         raise ValueError(f"read_nifti: kind must be 'image' or 'labels', got {kind!r}")
-    blob = _read_bytes(path)
+    blob = Path(path).read_bytes()
+    if blob[:2] == b"\x1f\x8b":
+        blob = gzip.decompress(blob)
     if len(blob) < _HDR_SIZE:
         raise MalformedHeaderError(f"{path}: file shorter than the 348-byte header")
     magic = blob[344:348]
-    if magic[:3] not in (b"n+1", b"ni1"):
-        raise MalformedHeaderError(f"{path}: magic {magic!r} is not a NIfTI-1 signature")
+    if magic[:3] != b"n+1":
+        raise MalformedHeaderError(f"{path}: magic {magic!r} is not 'n+1', the one-file "
+                                   f"NIfTI-1 (the two-file 'ni1' form is not supported)")
     sizeof_hdr = struct.unpack_from("<i", blob, 0)[0]
     if sizeof_hdr != _HDR_SIZE:
         raise MalformedHeaderError(f"{path}: sizeof_hdr {sizeof_hdr} != 348")
@@ -183,9 +165,14 @@ def read_nifti(path, kind: str = "image"):
     dim = struct.unpack_from("<8h", blob, 40)
     if not 1 <= dim[0] <= 7:
         raise MalformedHeaderError(f"{path}: dim[0]={dim[0]} is not in 1..7")
-    if any(d != 1 for d in dim[4:dim[0] + 1]):
-        raise MalformedHeaderError(f"{path}: only 3D images supported, "
+    past_third = dim[4:dim[0] + 1]
+    intent = struct.unpack_from("<h", blob, 68)[0]
+    vector = intent == _INTENT_VECTOR and past_third[:2] == (1, 3)
+    if any(d != 1 for d in (past_third[2:] if vector else past_third)):
+        raise MalformedHeaderError(f"{path}: only 3D images and vector fields supported, "
                                    f"dim[1..{dim[0]}] = {dim[1:dim[0] + 1]}")
+    if vector and kind == "labels":
+        raise IOFormatError(f"{path}: a vector (displacement field) file cannot be read as labels")
     # NIfTI-1 ignores the entries past dim[0]
     dims = tuple(dim[i] if i <= dim[0] else 1 for i in (1, 2, 3))
     if min(dims) < 1:
@@ -212,77 +199,73 @@ def read_nifti(path, kind: str = "image"):
     scaled = slope != 0 and np.isfinite(slope)
     if scaled and not np.isfinite(inter):
         raise MalformedHeaderError(f"{path}: scl_inter {inter} is not finite")
-    qform_code, sform_code = struct.unpack_from("<2h", blob, 252)
-    if qform_code > 0 or sform_code > 0:
+    if max(struct.unpack_from("<2h", blob, 252)) > 0:    # qform_code, sform_code
         logger.warning("%s: orientation matrices present but ignored; spacing only", path)
 
-    nvox = int(np.prod(dims))
-    payload = blob[vox_offset:]
-    if len(payload) < nvox * dtype.itemsize:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, need {nvox * dtype.itemsize}"
-        )
-    data = np.frombuffer(payload, dtype=dtype, count=nvox).reshape(dims, order="F")
-    # a copy in C order: float64 stays float64, every other payload is exact in float32
-    real = np.float64 if dtype == np.float64 else np.float32
-    data = data.astype(real, order="C")
+    data = _payload(blob[vox_offset:], dtype, dims, 3 if vector else 1, path)
     if scaled:
-        data *= real(slope)
-        data += real(inter)
+        data *= data.dtype.type(slope)
+        data += data.dtype.type(inter)
 
+    if vector:
+        return DisplacementField(dims, spacing, data)
     if kind == "labels":
-        labels = _integral_labels(data, path)
+        labels = _integral_labels(data[0], path)
         return LabelVolume(dims, spacing, labels, int(labels.max()))
-    return Volume(dims, spacing, data)
+    return Volume(dims, spacing, data[0])
 
 
-def write_nifti(vol: Volume, path) -> None:
-    """Write a Volume as single-file float32 NIfTI-1 (gzipped for .gz paths)."""
+def write_nifti(grid, path) -> None:
+    """Write a Volume (float32), LabelVolume (uint8, int16 past 255 classes)
+    or DisplacementField (a float32 vector image) as single-file NIfTI-1,
+    gzipped for .gz paths; see the module docstring for the field's layout."""
+    if not isinstance(grid, (Volume, LabelVolume, DisplacementField)):
+        raise TypeError(f"write_nifti: unsupported type {type(grid).__name__}")
+    dim, intent = (3, *grid.dims, 1, 1, 1, 1), 0
+    if isinstance(grid, Volume):
+        data, datatype = grid.data, 16
+    elif isinstance(grid, LabelVolume):
+        if grid.num_classes > np.iinfo(np.int16).max:
+            raise ValueError(f"write_nifti: {grid.num_classes} classes exceed int16")
+        data, datatype = grid.labels, 2 if grid.num_classes <= 255 else 4
+    else:
+        # x fastest, the component slowest: Fortran order on (nx, ny, nz, 3)
+        data, datatype = grid.u.transpose(1, 2, 3, 0), 16
+        dim, intent = (5, *grid.dims, 1, 3, 1, 1), _INTENT_VECTOR
+    dtype = np.dtype(_NIFTI_DTYPES[datatype])
     hdr = bytearray(_HDR_SIZE)
     struct.pack_into("<i", hdr, 0, _HDR_SIZE)
-    struct.pack_into("<8h", hdr, 40, 3, *vol.dims, 1, 1, 1, 1)
-    struct.pack_into("<2h", hdr, 70, 16, 32)
-    struct.pack_into("<8f", hdr, 76, 1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into("<8h", hdr, 40, *dim)
+    struct.pack_into("<3h", hdr, 68, intent, datatype, dtype.itemsize * 8)
+    struct.pack_into("<8f", hdr, 76, 1.0, *grid.spacing, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", hdr, 108, 352.0)
     hdr[344:348] = b"n+1\x00"
-    blob = bytes(hdr) + b"\x00" * 4 + vol.data.astype("<f4").tobytes(order="F")
+    blob = bytes(hdr) + b"\x00" * 4 + data.astype(dtype).tobytes(order="F")
     path = Path(path)
-    if path.suffix == ".gz":
-        path.write_bytes(gzip.compress(blob, mtime=0))
-    else:
-        path.write_bytes(blob)
+    path.write_bytes(gzip.compress(blob, mtime=0) if path.suffix == ".gz" else blob)
 
 
 # ----------------------------------------------------------------- dispatch
 
 def read_volume(path, kind: str = "auto"):
-    """Load a volume or label map, dispatching on the file extension.
-
-    For the raw format the sidecar decides; for NIfTI pass kind="image" or
-    "labels" ("auto" means image).  Any other kind raises ``ValueError``.
-    """
+    """Load a grid, dispatching on the file extension.  NIfTI: a LabelVolume
+    for ``kind="labels"``, else a Volume, or a DisplacementField from a vector
+    header.  Raw: a LabelVolume; ``kind="image"`` raises ``IOFormatError``.
+    Any other kind raises ``ValueError``."""
     if kind not in ("auto", "image", "labels"):
         raise ValueError(f"read_volume: kind must be 'auto', 'image' or 'labels', got {kind!r}")
-    p = Path(path)
-    name = p.name.lower()
+    name = Path(path).name.lower()
     if name.endswith((".nii", ".nii.gz")):
-        return read_nifti(p, "labels" if kind == "labels" else "image")
-    if name.endswith((".f32raw", ".json")) or _raw_paths(p)[1].is_file():
-        grid = read_raw(p)
-        if kind == "labels" and isinstance(grid, Volume):
-            raise IOFormatError(f"{path}: sidecar says volume, labels requested")
-        if kind == "image" and isinstance(grid, LabelVolume):
-            raise IOFormatError(f"{path}: sidecar says labels, image requested")
-        return grid
+        return read_nifti(path, "labels" if kind == "labels" else "image")
+    if name.endswith((".f32raw", ".json")) or _raw_paths(path)[1].is_file():
+        if kind == "image":
+            raise IOFormatError(f"{path}: the raw format holds label maps only, image requested")
+        return read_raw(path)
     raise IOFormatError(f"{path}: unrecognized format (expect .f32raw/.json or .nii[.gz])")
 
 
 def write_volume(grid, path) -> None:
-    """Write to the format implied by the extension (.nii[.gz] or raw)."""
+    """Write ``grid`` as NIfTI to a .nii or .nii.gz path (``write_nifti``),
+    else in the raw format, which takes a LabelVolume only."""
     name = Path(path).name.lower()
-    if name.endswith((".nii", ".nii.gz")):
-        if not isinstance(grid, Volume):
-            raise TypeError("write_volume: NIfTI output implemented for intensity volumes only")
-        write_nifti(grid, path)
-    else:
-        write_raw(grid, path)
+    (write_nifti if name.endswith((".nii", ".nii.gz")) else write_raw)(grid, path)

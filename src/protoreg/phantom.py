@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LabelVolume, Volume, _band_products, _is_integer
+from .grids import LabelVolume, Volume, _band_products, _grid_dims, _is_integer
 from .warp import DisplacementField, sample_volume
 
 
@@ -42,7 +42,7 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _grid_dims(self.dims, "PhantomSpec"))
         if not _is_integer(self.num_blobs) or self.num_blobs < 1:
             raise ValueError(f"PhantomSpec: num_blobs must be an integer >= 1, "
                              f"got {self.num_blobs!r}")

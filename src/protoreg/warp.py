@@ -101,12 +101,13 @@ class DisplacementField:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "u", float_array(self.u))
-        if self.u.shape != (3,) + self.dims:
+        if self.u.shape[:1] != (3,):
             raise ValueError(f"DisplacementField: u shape {self.u.shape} != (3, *{self.dims})")
-        _validate_grid(self.dims, self.spacing, self.u.shape[1:], "DisplacementField")
+        dims, spacing = _validate_grid(self.dims, self.spacing, self.u.shape[1:],
+                                       "DisplacementField")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spacing", spacing)
         if not np.isfinite(self.u).all():
             raise ValueError("DisplacementField: non-finite displacement values")
 

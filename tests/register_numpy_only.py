@@ -1,8 +1,10 @@
 """Read one pair through ``protoreg.io``, register it with all five terms
-at the default learning rate on numpy alone and score it, and fail if the
-images do not read as float32 or the label maps as uint8, any ``scipy``
-module was loaded on the way, the returned field is not float64, or the
-score is not finite.
+at the default learning rate on numpy alone, write the field to
+``field.nii.gz`` and read it back, and score it.  Fail if the images do not
+read as float32 or the label maps as uint8, the returned field is not
+float64, the field read back is not a ``DisplacementField`` equal to it in
+float32, any ``scipy`` module was loaded on the way, or the score is not
+finite.
 
     PYTHONPATH=src python tests/register_numpy_only.py            # a generated phantom
     PYTHONPATH=src python tests/register_numpy_only.py DIRECTORY  # the pair in DIRECTORY
@@ -57,6 +59,12 @@ def main(argv) -> None:
     assert all(np.isfinite(v) and v != 0.0 for v in values.values()), values
     # optimized in float32, returned in float64
     assert result.field.u.dtype == np.float64, result.field.u.dtype
+    with tempfile.TemporaryDirectory() as directory:
+        io.write_volume(result.field, f"{directory}/field.nii.gz")
+        field = io.read_volume(f"{directory}/field.nii.gz")
+    # a NIfTI vector image, rounded once to float32
+    assert isinstance(field, protoreg.DisplacementField), type(field)
+    assert np.array_equal(field.u, result.field.u.astype(np.float32)), "field read back differs"
     report = protoreg.evaluate(pair["fixed_labels"],
                                protoreg.warp_labels(pair["moving_labels"], result.field),
                                result.field)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import ndimage
 
 import oracles
+from protoreg import io
 from protoreg.grids import (
     LabelVolume,
     Volume,
@@ -14,6 +16,8 @@ from protoreg.grids import (
     downsample,
     one_hot,
 )
+from protoreg.io import MalformedHeaderError
+from protoreg.phantom import PhantomSpec
 from protoreg.warp import DisplacementField
 
 
@@ -211,6 +215,41 @@ def test_label_volume_holds_the_smallest_unsigned_type(num_classes, dtype):
         labels = make_labels(np.array([0, 1, num_classes], given).reshape(3, 1, 1), num_classes)
         assert labels.labels.dtype == dtype
         assert labels.labels.ravel().tolist() == [0, 1, num_classes]
+
+
+def _grid_built(constructor, dims, tmp_path):
+    if constructor == "Volume":
+        return Volume(dims, (1, 1, 1), np.zeros((2, 2, 2)))
+    if constructor == "LabelVolume":
+        return LabelVolume(dims, (1, 1, 1), np.zeros((2, 2, 2)), 1)
+    if constructor == "DisplacementField":
+        return DisplacementField(dims, (1, 1, 1), np.zeros((3, 2, 2, 2)))
+    if constructor == "PhantomSpec":
+        return PhantomSpec(dims=dims)
+    io.write_raw(LabelVolume((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2)), 1), tmp_path / "seg")
+    meta = json.loads((tmp_path / "seg.json").read_text())
+    dims = [int(d) if isinstance(d, np.integer) else d for d in dims]
+    (tmp_path / "seg.json").write_text(json.dumps(meta | {"dims": dims}))
+    return io.read_raw(tmp_path / "seg")
+
+
+@pytest.mark.parametrize("dim", [2.9, 2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("constructor", ["Volume", "LabelVolume", "DisplacementField",
+                                         "PhantomSpec", "sidecar"])
+def test_grids_reject_a_dim_that_is_not_an_integer(tmp_path, constructor, dim):
+    # 2.9 and 2.5 were truncated to 2; a sidecar's dims come from outside
+    error = MalformedHeaderError if constructor == "sidecar" else ValueError
+    with pytest.raises(error, match="dims must be three integers"):
+        _grid_built(constructor, (dim, 2, 2), tmp_path)
+    assert _grid_built(constructor, (np.int64(2), 2, 2), tmp_path).dims == (2, 2, 2)
+
+
+@pytest.mark.parametrize("num_classes", [2.5, 3.0, "3", True])
+def test_label_volume_rejects_a_num_classes_that_is_not_an_integer(num_classes):
+    # 2.5 was stored as 2 and "3" as 3
+    with pytest.raises(ValueError, match="num_classes must be an integer"):
+        LabelVolume((2, 1, 1), (1, 1, 1), [[[0]], [[1]]], num_classes)
+    assert LabelVolume((2, 1, 1), (1, 1, 1), [[[0]], [[1]]], np.int64(3)).num_classes == 3
 
 
 def test_argmax_labels_builds_its_map_in_the_label_type():

@@ -16,16 +16,17 @@ from protoreg.io import (
     read_volume,
     write_nifti,
     write_raw,
+    write_volume,
 )
 from protoreg.warp import DisplacementField
 
 
-def test_raw_roundtrip_volume_bit_exact(tmp_path):
+def test_nifti_roundtrip_volume_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.normal(size=(8, 8, 8)).astype(np.float32).astype(np.float64)
     vol = Volume((8, 8, 8), (1.0, 1.5, 2.0), data)
-    write_raw(vol, tmp_path / "vol")
-    back = read_volume(tmp_path / "vol.f32raw")
+    write_volume(vol, tmp_path / "vol.nii")
+    back = read_volume(tmp_path / "vol.nii")
     assert isinstance(back, Volume)
     assert back.data.dtype == np.float32
     assert back.dims == vol.dims
@@ -69,23 +70,119 @@ def test_raw_labels_reject_negative_values(tmp_path):
         read_raw(tmp_path / "seg")
 
 
-def test_raw_roundtrip_field(tmp_path):
-    rng = np.random.default_rng(2)
-    u = rng.normal(size=(3, 4, 4, 4)).astype(np.float32).astype(np.float64)
-    field = DisplacementField((4, 4, 4), (1, 1, 1), u)
-    write_raw(field, tmp_path / "field")
-    back = read_raw(tmp_path / "field")
-    assert isinstance(back, DisplacementField)
-    assert back.u.dtype == np.float32
-    assert np.array_equal(back.u, field.u)
+def test_nifti_roundtrip_field(tmp_path):
+    # a float32 vector image: dim (5, nx, ny, nz, 1, 3, 1, 1), intent 1007,
+    # x fastest and the component slowest
+    u = np.random.default_rng(2).normal(size=(3, 4, 3, 2)).astype(np.float32)
+    field = DisplacementField((4, 3, 2), (1.0, 1.5, 2.0), u)
+    for name in ("field.nii", "field.nii.gz"):
+        write_volume(field, tmp_path / name)
+        back = read_volume(tmp_path / name)
+        assert isinstance(back, DisplacementField)
+        assert back.u.dtype == np.float32 and back.u.flags.c_contiguous
+        assert back.dims == (4, 3, 2) and back.spacing == (1.0, 1.5, 2.0)
+        assert np.array_equal(back.u, u)
+        blob = gzip.decompress((tmp_path / name).read_bytes()) if name.endswith(".gz") \
+            else (tmp_path / name).read_bytes()
+        assert struct.unpack_from("<8h", blob, 40) == (5, 4, 3, 2, 1, 3, 1, 1)
+        assert struct.unpack_from("<3h", blob, 68) == (1007, 16, 32)
+        payload = np.frombuffer(blob, dtype="<f4", offset=352)
+        assert payload.size == u.size
+        assert payload[1] == u[0, 1, 0, 0] and payload[4] == u[0, 0, 1, 0]
+        assert payload[4 * 3 * 2] == u[1, 0, 0, 0]
 
 
-def test_raw_field_rejects_a_non_positive_spacing(tmp_path):
-    write_raw(DisplacementField.zeros((2, 2, 2)), tmp_path / "field")
-    meta = json.loads((tmp_path / "field.json").read_text())
-    (tmp_path / "field.json").write_text(json.dumps(meta | {"spacing": [0, 0, -2]}))
-    with pytest.raises(MalformedHeaderError, match="spacing"):
-        read_raw(tmp_path / "field")
+def test_nifti_field_rounds_float64_once_to_float32(tmp_path):
+    u = np.random.default_rng(4).normal(size=(3, 2, 2, 2))
+    write_nifti(DisplacementField((2, 2, 2), (1, 1, 1), u), tmp_path / "field.nii")
+    back = read_nifti(tmp_path / "field.nii")
+    assert back.u.dtype == np.float32 and np.array_equal(back.u, u.astype(np.float32))
+
+
+def test_nifti_field_replaces_a_non_positive_spacing(tmp_path, caplog):
+    # as for an image: the reader replaces the pixdim rather than rejecting it
+    write_nifti(DisplacementField.zeros((2, 2, 2)), tmp_path / "field.nii")
+    blob = bytearray((tmp_path / "field.nii").read_bytes())
+    struct.pack_into("<3f", blob, 80, 0.0, 0.0, -2.0)
+    (tmp_path / "field.nii").write_bytes(bytes(blob))
+    import logging
+
+    with caplog.at_level(logging.WARNING, logger="protoreg.io"):
+        back = read_nifti(tmp_path / "field.nii")
+    assert isinstance(back, DisplacementField) and back.spacing == (1.0, 1.0, 1.0)
+    assert any("pixdim" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("num_classes, datatype, dtype", [(3, 2, "<u1"), (300, 4, "<i2")])
+def test_nifti_label_map_roundtrip(tmp_path, num_classes, datatype, dtype):
+    labels = np.random.default_rng(6).integers(0, num_classes + 1, size=(5, 4, 3))
+    labels[0, 0, 0] = num_classes
+    write_volume(LabelVolume((5, 4, 3), (1.0, 2.0, 1.0), labels, num_classes),
+                 tmp_path / "seg.nii.gz")
+    blob = gzip.decompress((tmp_path / "seg.nii.gz").read_bytes())
+    assert struct.unpack_from("<2h", blob, 70) == (datatype, np.dtype(dtype).itemsize * 8)
+    assert np.array_equal(np.frombuffer(blob, dtype=dtype, offset=352),
+                          labels.ravel(order="F"))
+    back = read_volume(tmp_path / "seg.nii.gz", "labels")
+    assert isinstance(back, LabelVolume) and back.num_classes == num_classes
+    assert back.spacing == (1.0, 2.0, 1.0)
+    assert back.labels.dtype == np.min_scalar_type(num_classes)
+    assert np.array_equal(back.labels, labels)
+
+
+def test_nifti_label_map_past_int16_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="int16"):
+        write_nifti(LabelVolume((2, 1, 1), (1, 1, 1), [[[0]], [[40000]]], 40000),
+                    tmp_path / "seg.nii")
+
+
+def test_write_nifti_writes_a_volume_as_the_float32_header_and_payload(tmp_path):
+    # the header _build_nifti_int16 assembles by hand, with a float32 payload
+    data = np.arange(24.0).reshape(4, 3, 2) / 7
+    write_nifti(Volume((4, 3, 2), (1.0, 1.5, 2.0), data), tmp_path / "v.nii")
+    want = _build_nifti_int16((4, 3, 2), (1.0, 1.5, 2.0), [], datatype=16, bitpix=32)
+    assert (tmp_path / "v.nii").read_bytes() == want + data.astype("<f4").tobytes(order="F")
+
+
+def test_nifti_rejects_an_unknown_grid(tmp_path):
+    with pytest.raises(TypeError, match="ndarray"):
+        write_nifti(np.zeros((2, 2, 2)), tmp_path / "a.nii")
+
+
+@pytest.mark.parametrize("grid", [Volume((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2))),
+                                  DisplacementField.zeros((2, 2, 2))],
+                         ids=["volume", "field"])
+def test_write_raw_takes_label_maps_only(tmp_path, grid):
+    for write in (write_raw, write_volume):
+        with pytest.raises(TypeError, match="label maps only"):
+            write(grid, tmp_path / "g.f32raw")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["volume", "field", "label"])
+def test_read_raw_rejects_a_sidecar_kind_other_than_labels(tmp_path, kind):
+    write_raw(LabelVolume((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2)), 1), tmp_path / "seg")
+    meta = json.loads((tmp_path / "seg.json").read_text())
+    (tmp_path / "seg.json").write_text(json.dumps(meta | {"kind": kind}))
+    with pytest.raises(MalformedHeaderError, match=f"kind '{kind}'"):
+        read_raw(tmp_path / "seg")
+
+
+def test_read_volume_of_a_raw_file_as_an_image_raises(tmp_path):
+    write_raw(LabelVolume((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2)), 1), tmp_path / "seg")
+    with pytest.raises(IOFormatError, match="label maps only"):
+        read_volume(tmp_path / "seg.f32raw", "image")
+    assert isinstance(read_volume(tmp_path / "seg.f32raw"), LabelVolume)
+
+
+@pytest.mark.parametrize("num_classes", [2.5, "3", True])
+def test_raw_labels_reject_a_sidecar_num_classes_that_is_not_an_integer(tmp_path,
+                                                                        num_classes):
+    write_raw(LabelVolume((2, 1, 1), (1, 1, 1), [[[0]], [[1]]], 3), tmp_path / "seg")
+    meta = json.loads((tmp_path / "seg.json").read_text())
+    (tmp_path / "seg.json").write_text(json.dumps(meta | {"num_classes": num_classes}))
+    with pytest.raises(MalformedHeaderError, match="num_classes"):
+        read_raw(tmp_path / "seg")
 
 
 @pytest.mark.parametrize("geometry", [{"dims": [-4, 3, 2]}, {"dims": [0, 3, 2]},
@@ -94,7 +191,7 @@ def test_raw_field_rejects_a_non_positive_spacing(tmp_path):
                          ids=["negative_dim", "zero_dim", "two_dims", "zero_spacing",
                               "nan_spacing"])
 def test_raw_rejects_a_malformed_sidecar_geometry(tmp_path, geometry):
-    write_raw(Volume((4, 3, 2), (1, 1, 1), np.zeros((4, 3, 2))), tmp_path / "v")
+    write_raw(LabelVolume((4, 3, 2), (1, 1, 1), np.zeros((4, 3, 2)), 1), tmp_path / "v")
     meta = json.loads((tmp_path / "v.json").read_text())
     (tmp_path / "v.json").write_text(json.dumps(meta | geometry))
     with pytest.raises(MalformedHeaderError, match="dims" if "dims" in geometry else "spacing"):
@@ -104,20 +201,22 @@ def test_raw_rejects_a_malformed_sidecar_geometry(tmp_path, geometry):
 def test_reads_return_c_ordered_arrays(tmp_path):
     # the payloads are x-fastest; every read is held in C order
     data = np.arange(24.0).reshape(4, 3, 2)
-    write_raw(Volume(data.shape, (1, 1, 1), data), tmp_path / "v")
     write_raw(LabelVolume(data.shape, (1, 1, 1), data % 3, 2), tmp_path / "seg")
-    write_raw(DisplacementField(data.shape, (1, 1, 1), np.stack([data] * 3)), tmp_path / "u")
+    write_nifti(DisplacementField(data.shape, (1, 1, 1), np.stack([data] * 3)),
+                tmp_path / "u.nii")
     write_nifti(Volume(data.shape, (1, 1, 1), data), tmp_path / "v.nii")
-    arrays = [read_raw(tmp_path / "v").data, read_raw(tmp_path / "seg").labels,
-              read_raw(tmp_path / "u").u, read_nifti(tmp_path / "v.nii").data,
-              read_nifti(tmp_path / "v.nii", kind="labels").labels]
-    for array, want in zip(arrays, [data, data % 3, np.stack([data] * 3), data, data]):
+    write_nifti(LabelVolume(data.shape, (1, 1, 1), data, 23), tmp_path / "seg.nii")
+    arrays = [read_raw(tmp_path / "seg").labels, read_nifti(tmp_path / "u.nii").u,
+              read_nifti(tmp_path / "v.nii").data,
+              read_nifti(tmp_path / "v.nii", kind="labels").labels,
+              read_nifti(tmp_path / "seg.nii", kind="labels").labels]
+    for array, want in zip(arrays, [data % 3, np.stack([data] * 3), data, data, data]):
         assert array.flags.c_contiguous and np.array_equal(array, want)
 
 
 def test_raw_payload_layout_is_x_fastest(tmp_path):
     data = np.arange(8, dtype=np.float64).reshape(2, 2, 2)
-    write_raw(Volume((2, 2, 2), (1, 1, 1), data), tmp_path / "v")
+    write_raw(LabelVolume((2, 2, 2), (1, 1, 1), data, 7), tmp_path / "v")
     flat = np.frombuffer((tmp_path / "v.f32raw").read_bytes(), dtype="<f4")
     # index (x, y, z) -> flat (z*ny + y)*nx + x
     assert flat[1] == data[1, 0, 0]
@@ -126,8 +225,7 @@ def test_raw_payload_layout_is_x_fastest(tmp_path):
 
 
 def test_raw_truncated_payload(tmp_path):
-    vol = Volume((4, 4, 4), (1, 1, 1), np.zeros((4, 4, 4)))
-    write_raw(vol, tmp_path / "v")
+    write_raw(LabelVolume((4, 4, 4), (1, 1, 1), np.zeros((4, 4, 4)), 1), tmp_path / "v")
     blob = (tmp_path / "v.f32raw").read_bytes()
     (tmp_path / "v.f32raw").write_bytes(blob[:-8])
     with pytest.raises(TruncatedPayloadError):
@@ -259,6 +357,54 @@ def test_nifti_bad_magic(tmp_path):
     path = tmp_path / "bad.nii"
     path.write_bytes(blob)
     with pytest.raises(MalformedHeaderError):
+        read_nifti(path)
+
+
+def test_nifti_rejects_the_two_file_magic(tmp_path):
+    # "ni1" puts the image in a separate .img file; its bytes at offset 352
+    # are not the image
+    write_nifti(Volume((2, 2, 2), (1, 1, 1), np.arange(8.0).reshape(2, 2, 2)), tmp_path / "a.nii")
+    blob = bytearray((tmp_path / "a.nii").read_bytes())
+    blob[344:348] = b"ni1\x00"
+    (tmp_path / "a.nii").write_bytes(bytes(blob))
+    with pytest.raises(MalformedHeaderError, match="two-file 'ni1'"):
+        read_nifti(tmp_path / "a.nii")
+
+
+def _build_nifti_vector(u, intent=1007, slope=0.0, inter=0.0):
+    """Hand-assembled float32 vector NIfTI-1 bytes for ``u`` (a nested list
+    indexed [component][x][y][z]): dim (5, nx, ny, nz, 1, 3), x fastest and
+    the component slowest."""
+    nx, ny, nz = len(u[0]), len(u[0][0]), len(u[0][0][0])
+    hdr = bytearray(348)
+    struct.pack_into("<i", hdr, 0, 348)
+    struct.pack_into("<8h", hdr, 40, 5, nx, ny, nz, 1, 3, 0, 0)
+    struct.pack_into("<3h", hdr, 68, intent, 16, 32)
+    struct.pack_into("<8f", hdr, 76, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into("<f", hdr, 108, 352.0)
+    struct.pack_into("<2f", hdr, 112, slope, inter)
+    hdr[344:348] = b"n+1\x00"
+    payload = b"".join(struct.pack("<f", u[c][x][y][z]) for c in range(3)
+                       for z in range(nz) for y in range(ny) for x in range(nx))
+    return bytes(hdr) + b"\x00" * 4 + payload
+
+
+def test_nifti_reads_a_vector_file_written_elsewhere(tmp_path):
+    # component c at voxel (x, y, z) stores 100c + 4z + 2y + x, scaled by 0.5 - 1
+    stored = [[[[100 * c + 4 * z + 2 * y + x for z in range(2)] for y in range(2)]
+               for x in range(2)] for c in range(3)]
+    path = tmp_path / "warp.nii"
+    path.write_bytes(_build_nifti_vector(stored, slope=0.5, inter=-1.0))
+    field = read_nifti(path)
+    assert isinstance(field, DisplacementField) and field.dims == (2, 2, 2)
+    assert field.u.dtype == np.float32
+    assert np.array_equal(field.u, np.array(stored, dtype=np.float32) * 0.5 - 1.0)
+    assert (field.u[0, 1, 0, 0], field.u[1, 0, 1, 0], field.u[2, 0, 0, 1]) == (-0.5, 50.0, 101.0)
+    with pytest.raises(IOFormatError, match="cannot be read as labels"):
+        read_nifti(path, kind="labels")
+    # the same header without the vector intent is a 5D image, rejected as before
+    path.write_bytes(_build_nifti_vector(stored, intent=0))
+    with pytest.raises(MalformedHeaderError, match=r"dim\[1\.\.5\] = \(2, 2, 2, 1, 3\)"):
         read_nifti(path)
 
 
@@ -421,7 +567,7 @@ def test_reads_reject_an_unknown_kind(tmp_path):
     # "label" for "labels" would read a NIfTI label map as a float Volume,
     # and a raw file would ignore it
     write_nifti(Volume((2, 2, 2), (1, 1, 1), np.ones((2, 2, 2))), tmp_path / "v.nii")
-    write_raw(Volume((2, 2, 2), (1, 1, 1), np.ones((2, 2, 2))), tmp_path / "v")
+    write_raw(LabelVolume((2, 2, 2), (1, 1, 1), np.ones((2, 2, 2)), 1), tmp_path / "v")
     for path in (tmp_path / "v.nii", tmp_path / "v.f32raw"):
         with pytest.raises(ValueError, match="'auto', 'image' or 'labels', got 'label'"):
             read_volume(path, "label")
