@@ -80,6 +80,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_bool(value) -> bool:
+    """A bool or NumPy bool, which arithmetic would take as 1 or 0."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _grid_dims(dims, name) -> tuple:
     """``dims`` as three ints >= 1; a float, bool or string raises ``ValueError``."""
     if len(dims) != 3 or not all(_is_integer(d) and d >= 1 for d in dims):

@@ -39,9 +39,10 @@ shape (n, n - w + 1) sums each full window (``_bands``), and the same
 matrices transposed spread per-window values back onto the voxels, the
 exact adjoint; ``_lncc_fixed`` makes the bands once per level.
 The distance maps come from an exact separable squared Euclidean distance
-transform in integer arithmetic (``_squared_distance``): a scan for the
-nearest feature along x, then g[i] = min_j f[j] + (i - j)**2 along y and
-z, by offsets d until d*d reaches the largest g.  Squared distances are
+transform in integer arithmetic (``_squared_distance``): the lower envelope
+of parabolas (Felzenszwalb and Huttenlocher, 2012), g[i] = min_j f[j] +
+(i - j)**2, along x, y and z in turn, by offsets d until d*d reaches the
+largest g; along x, f is 0 at the features.  Squared distances are
 integers, so every step is exact, and one square root per map gives the
 float64 that ``scipy.ndimage.distance_transform_edt`` gives, bit for bit;
 float32 masks take that map cast to float32.
@@ -82,7 +83,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import FOREGROUND_THRESHOLD, OneHotMask, _band_products, _crops_dtype, _on_windows
+from .grids import (FOREGROUND_THRESHOLD, OneHotMask, _band_products, _crops_dtype, _is_bool,
+                    _on_windows)
 from .warp import _one_shape, central_difference, central_difference_adjoint
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
@@ -106,6 +108,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, w in self.as_dict().items():
+            if _is_bool(w):
+                raise ValueError(f"LossWeights: {name} must be a number, not a bool, got {w}")
             if not np.isfinite(w) or w < 0:
                 raise ValueError(f"LossWeights: {name} must be finite and >= 0, got {w}")
             object.__setattr__(self, name, float(w))    # a Python float: see the module docstring
@@ -492,9 +496,11 @@ class ContourBand(NamedTuple):
 
 
 def _parabola_pass(f: np.ndarray, unreached: int) -> np.ndarray:
-    """g[i] = min_j f[j] + (i - j)**2 along axis 1 of the C-ordered integer
-    ``f``, where an entry equal to ``unreached`` (above every squared
-    distance of the box) stands for "no feature yet".  Offset d = 1, 2, ...
+    """g[i] = min_j f[j] + (i - j)**2, the lower envelope of parabolas, along
+    axis 1 of the C-ordered int32 ``f``, where an entry equal to
+    ``unreached`` (above every squared distance of the box) stands for "no
+    feature yet"; on 0 at the features it is the squared distance to the
+    nearest feature on each line.  Offset d = 1, 2, ...
     lowers g by f[i + d] + d*d and f[i - d] + d*d, until d*d reaches the
     largest g: no farther offset can lower it.  A line of unreached entries
     stays so; it holds 0 while the offsets run, so that it does not keep
@@ -517,24 +523,14 @@ def _parabola_pass(f: np.ndarray, unreached: int) -> np.ndarray:
 def _squared_distance(features: np.ndarray) -> np.ndarray:
     """Per channel of the (C, nx, ny, nz) bool ``features``, each holding a
     True voxel, the squared Euclidean distance of every voxel to the nearest
-    True one, as integers.  Separable: along x a scan for the nearest
-    feature on each line, then ``_parabola_pass`` along y and along z, each
+    True one, as integers.  Separable: ``_parabola_pass`` along x, on 0 at
+    the features and ``unreached`` elsewhere, then along y and along z, each
     on a copy that puts its axis first for contiguous slabs."""
-    _, nx, ny, nz = features.shape
-    # no value passes (2 * big)**2: int32 is exact while nx + ny + nz < 23,000
-    big = nx + ny + nz
+    # no value passes 2 * big**2: int32 is exact while nx + ny + nz < 32,768
+    big = sum(features.shape[1:])
     unreached = big * big
-    index = np.arange(nx, dtype=np.int32).reshape(1, nx, 1, 1)
-    before = np.where(features, index, np.int32(-big))
-    np.maximum.accumulate(before, axis=1, out=before)
-    after = np.where(features, index, np.int32(nx + big))
-    after = np.minimum.accumulate(after[:, ::-1], axis=1)[:, ::-1]
-    np.subtract(index, before, out=before)
-    after -= index
-    sq = np.minimum(before, after, out=before)
-    np.multiply(sq, sq, out=sq)
-    np.minimum(sq, unreached, out=sq)
-    before = after = None
+    sq = np.where(features, np.int32(0), np.int32(unreached))
+    sq = _parabola_pass(sq, unreached)  # (c, x, y, z)
     sq = _parabola_pass(np.ascontiguousarray(sq.transpose(0, 2, 1, 3)), unreached)  # (c, y, x, z)
     sq = _parabola_pass(np.ascontiguousarray(sq.transpose(0, 3, 1, 2)), unreached)  # (c, z, y, x)
     return sq.transpose(0, 3, 2, 1)

@@ -27,8 +27,9 @@ float64 once, at the end, so the returned ``RegistrationResult`` holds a
 float64 field.  ``adam_step`` and the objective compute in the dtype of the
 arrays they are given, so a float64 field, moments and state still run in
 float64.
-``RegistrationConfig`` rejects a learning rate beyond float32's range,
-which float32 cannot hold.
+``RegistrationConfig`` rejects what float32 cannot hold: a learning rate
+or Adam eps beyond its range or rounding to 0 in it, and a temperature
+whose reciprocal, the logits' scale, overflows it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field as dataclass_field, fields, replace
 import numpy as np
 
 from .gradients import build_state, evaluate_objective
-from .grids import (DimsMismatchError, LabelVolume, OneHotMask, Volume, _is_integer,
-                    build_pyramid, one_hot)
+from .grids import (DimsMismatchError, LabelVolume, OneHotMask, Volume, _is_bool,
+                    _is_integer, build_pyramid, one_hot)
 from .losses import LossBreakdown, LossWeights, TERM_NAMES
 from .warp import DisplacementField, SdLogJResult, sdlogj, upsample_field
 # Not called here; kept in this namespace because the benchmark's tracer
@@ -115,6 +116,10 @@ class RegistrationConfig:
         if not _is_integer(self.window) or self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"RegistrationConfig: window must be an odd integer >= 3, "
                              f"got {self.window}")
+        for name in ("learning_rate", "beta1", "beta2", "adam_eps", "temperature"):
+            if _is_bool(getattr(self, name)):
+                raise ValueError(f"RegistrationConfig: {name} must be a number, not a bool, "
+                                 f"got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"RegistrationConfig: {name} must lie in [0, 1), "
@@ -124,9 +129,18 @@ class RegistrationConfig:
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"RegistrationConfig: {name} must be finite and > 0, got {value}")
         largest = float(np.finfo(np.float32).max)       # the registration runs in float32
-        if self.learning_rate > largest:
-            raise ValueError(f"RegistrationConfig: learning_rate must be at most {largest:.4g}, "
-                             f"got {self.learning_rate}")
+        # half the smallest subnormal and below round to 0
+        zero = float(np.finfo(np.float32).smallest_subnormal) / 2
+        for name in ("learning_rate", "adam_eps"):
+            value = getattr(self, name)
+            if value > largest:
+                raise ValueError(f"RegistrationConfig: {name} must be at most {largest:.4g}, "
+                                 f"got {value}")
+            if value <= zero:
+                raise ValueError(f"RegistrationConfig: {name} rounds to 0 in float32, got {value}")
+        if 1.0 / self.temperature > largest:
+            raise ValueError(f"RegistrationConfig: temperature must be at least "
+                             f"{1.0 / largest:.4g} (1 / float32's largest), got {self.temperature}")
         # Python floats, which take a float32 array's dtype under every NumPy
         # promotion rule
         for name in ("learning_rate", "beta1", "beta2", "adam_eps", "temperature"):

@@ -3,6 +3,8 @@ function assigns is read, every public name it defines is used by the
 library or the benchmark, and a registration loads no module it does not
 need: no module of the package imports ``scipy``, which only the tests'
 oracles use, and a registration runs where scipy cannot be imported at all.
+Every name a docstring or comment cites in double backquotes, when it
+starts with a ``protoreg`` module or an underscore, exists.
 
 The package root is left out of the import check: it imports names to
 re-export them.  An import line marked ``# noqa: F401`` is kept on purpose
@@ -11,9 +13,13 @@ makes the fixtures of the tests and the benchmark.
 """
 
 import ast
+import dataclasses
+import importlib
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -170,6 +176,67 @@ def test_the_library_ships_nothing_only_tests_call():
     users = [path.read_text() for path in (TESTS.parent / "perfbench").glob("*.py")]
     checked = sorted(set(library) - {"__init__", "phantom"})
     assert unshipped_names(library, checked, users, protoreg.__all__) == []
+
+
+def citations(source: str) -> list:
+    """The leading dotted name of every text in double backquotes in the
+    docstrings and comments of ``source``, in order."""
+    nodes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    texts = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(source))
+             if isinstance(node, nodes)]
+    lines = iter(source.splitlines(keepends=True))
+    texts += [token.string for token in tokenize.generate_tokens(lambda: next(lines, ""))
+              if token.type == tokenize.COMMENT]
+    return [match.group(1) for text in texts
+            for match in re.finditer(r"``([A-Za-z_][\w.]*)[^`]*``", text)]
+
+
+def resolves(target, parts) -> bool:
+    """Each of ``parts`` is an attribute of the one before it, starting at
+    ``target``; the last may be a dataclass field without a default."""
+    for i, part in enumerate(parts):
+        if hasattr(target, part):
+            target = getattr(target, part)
+        else:
+            return (i == len(parts) - 1 and dataclasses.is_dataclass(target)
+                    and part in {f.name for f in dataclasses.fields(target)})
+    return True
+
+
+def unresolved_citations(source: str, module: str) -> list:
+    """The citations of ``source``, the source of ``module``, that start
+    with a package module (``warp.mask_points``) or an underscore
+    (``_contour_band``, looked up in ``module`` itself) and do not resolve."""
+    package = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    missing = []
+    for name in citations(source):
+        first, *rest = name.split(".")
+        if first in package:
+            target = importlib.import_module(f"protoreg.{first}")
+        elif first.startswith("_"):
+            target, rest = importlib.import_module(module), [first, *rest]
+        else:
+            continue
+        if not resolves(target, rest):
+            missing.append(name)
+    return missing
+
+
+def test_unresolved_citations_are_found():
+    source = ('"""``warp.mask_points`` and ``warp.gone``, ``_contour_band(fixed)``,\n'
+              '``_gone``, ``LossWeights.unknown``, ``numpy.nothing``."""\n'
+              "# ``grids.Volume.data`` ``warp.MaskStack.values`` ``grids.Volume.gone``\n"
+              "x = 1  # ``grids``, ``_bands``\n")
+    assert citations(source)[:3] == ["warp.mask_points", "warp.gone", "_contour_band"]
+    assert unresolved_citations(source, "protoreg.losses") == ["warp.gone", "_gone", "grids.Volume.gone"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_docstrings_and_comments_cite_names_that_exist(module):
+    # nothing is declared that does not exist: a deletion that leaves a
+    # citation of what it deleted fails here
+    name = "protoreg" if module == "__init__.py" else f"protoreg.{module[:-3]}"
+    assert unresolved_citations((SRC / module).read_text(), name) == []
 
 
 REGISTER_16 = """

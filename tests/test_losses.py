@@ -552,17 +552,34 @@ def single_voxel(dims, at):
     return values
 
 
+def x_ends(dims):
+    values = np.zeros(dims)
+    values[[0, -1]] = 1.0
+    return values
+
+
 @pytest.mark.parametrize("values", [
     random_mask((9, 12, 7), 0.1, 0), random_mask((9, 12, 7), 0.6, 1),
     random_mask((13, 5, 10), 0.02, 2), np.ones((6, 4, 5)),        # on every face of the box
     single_voxel((9, 12, 7), (0, 11, 3)), single_voxel((1, 1, 1), (0, 0, 0)),
     ball((11, 9, 14), 3.5), ball((41, 43, 40), 9.0),                # 40^3 and up: early exit
+    x_ends((40, 3, 4)),               # the x pass across its widest gap, 38 voxels
+    random_mask((12, 20, 18), 0.01, 4),  # most x-lines hold no feature
 ], ids=["rand-9x12x7", "dense-9x12x7", "sparse-13x5x10", "full-6x4x5", "voxel-on-face",
-        "voxel-1x1x1", "ball-11x9x14", "ball-41x43x40"])
+        "voxel-1x1x1", "ball-11x9x14", "ball-41x43x40", "x-ends-40x3x4", "one-percent-12x20x18"])
 def test_signed_distance_equals_scipy_edt_bit_for_bit(values):
     box = tuple(slice(0, n) for n in values.shape)
     got = losses._signed_distance([ChannelCrop((0, 0, 0), values)], [box])
     assert np.array_equal(got, scipy_signed_distance(values)[None])
+
+
+def test_squared_distance_keeps_its_channels_apart():
+    features = np.stack([random_mask((12, 20, 18), 0.01, 4), x_ends((12, 20, 18)),
+                         single_voxel((12, 20, 18), (5, 19, 0)), ball((12, 20, 18), 4.0)]) > 0
+    assert all(channel.any() and not channel.all() for channel in features)
+    got = losses._squared_distance(features)
+    for k, channel in enumerate(features):
+        assert np.array_equal(np.sqrt(got[k]), ndimage.distance_transform_edt(~channel))
 
 
 def test_signed_distances_of_crops_inside_their_boxes_equal_scipy_edt():

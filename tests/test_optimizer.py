@@ -11,7 +11,7 @@ import protoreg
 from protoreg import io, metrics, optimizer
 from protoreg.gradients import build_state, evaluate_objective
 from protoreg.grids import LabelVolume, build_pyramid, one_hot
-from protoreg.losses import LossWeights
+from protoreg.losses import TERM_NAMES, LossWeights
 from protoreg.metrics import evaluate
 from protoreg.optimizer import NonFiniteLossError, RegistrationConfig, adam_step, register_pair
 from protoreg.phantom import generate, three_blob_spec, twelve_blob_spec
@@ -216,6 +216,42 @@ def test_config_rejects_a_bool_for_an_integer(name, value):
         RegistrationConfig(**{name: value})
     with pytest.raises(ValueError, match=name.rstrip("s")):
         RegistrationConfig.from_dict({name: value})
+
+
+@pytest.mark.parametrize("config, name", [
+    ({"learning_rate": True}, "learning_rate"), ({"beta1": False}, "beta1"),
+    ({"beta2": np.False_}, "beta2"), ({"adam_eps": True}, "adam_eps"),
+    ({"temperature": np.True_}, "temperature"), ({"weights": (True, 4, 1, 1, 0.1)}, "sim"),
+    *(({"weights": {term: True}}, term) for term in TERM_NAMES)])
+def test_config_rejects_a_bool_for_a_number(config, name):
+    # learning_rate=True used to store a rate of 1.0, beta1=False a beta of
+    # 0.0 and weights (True, 4, 1, 1, 0.1) a similarity weight of 1.0
+    with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+        RegistrationConfig(**config)
+    with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+        RegistrationConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", 1e-46), ("learning_rate", 7e-46), ("adam_eps", 1e-46), ("adam_eps", 7e-46),
+    ("adam_eps", 1e39), ("temperature", 1e-40), ("temperature", 2.9e-39)])
+def test_config_rejects_a_value_float32_cannot_use(name, value):
+    # the registration runs in float32: a rate or eps of 1e-46 rounds to 0
+    # (the rate then returned a zero field; the eps divided 0 by 0), an eps
+    # of 1e39 overflows to inf (every step 0), and cos / 1e-40 overflows the
+    # logits (NonFiniteLossError at level 3)
+    with pytest.raises(ValueError, match=name):
+        RegistrationConfig(**{name: value})
+
+
+def test_config_takes_the_smallest_values_float32_can_use():
+    smallest = float(np.finfo(np.float32).smallest_subnormal)
+    config = RegistrationConfig(learning_rate=smallest, adam_eps=smallest, temperature=3e-39)
+    assert (config.learning_rate, config.adam_eps, config.temperature) == (smallest, smallest,
+                                                                           3e-39)
+    # the values the benchmark's workloads pin
+    config = RegistrationConfig(learning_rate=1e-2, adam_eps=1e-8, temperature=0.1)
+    assert (config.learning_rate, config.adam_eps, config.temperature) == (1e-2, 1e-8, 0.1)
 
 
 @pytest.mark.parametrize("weights", [[1, 4], [1, 4, 1, 1, 0.1, 2]])
