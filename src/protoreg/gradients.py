@@ -106,7 +106,8 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
     here, only with a positive mask weight, and not kept: the state holds
     their crops.  Mask-dependent weights need both masks, over one class
     universe of at least one class (``ValueError``), on the volumes' grid
-    (``DimsMismatchError``)."""
+    (``DimsMismatchError``); the prototype term needs 2 voxels on every
+    axis (``ValueError``)."""
     if fixed.dims != moving.dims:
         raise DimsMismatchError(f"build_state: fixed {fixed.dims} vs moving {moving.dims}")
     if weights.uses_masks:
@@ -120,6 +121,9 @@ def build_state(fixed: Volume, moving: Volume, weights: LossWeights,
         if fixed_onehot.dims != fixed.dims or moving_onehot.dims != fixed.dims:
             raise DimsMismatchError(f"build_state: masks {fixed_onehot.dims} and "
                                     f"{moving_onehot.dims} vs volumes {fixed.dims}")
+        if weights.prototype > 0 and min(fixed.dims) < 2:
+            raise ValueError(f"build_state: the prototype term needs at least 2 voxels on "
+                             f"every axis, got dims {fixed.dims}")
 
     built = {"terms": frozenset(name for name, w in weights.as_dict().items() if w > 0)}
     if weights.sim > 0:     # also checks the window

@@ -4,7 +4,8 @@ Five terms are combined into the optimized total: windowed normalized
 cross-correlation of intensities (negated so lower is better), diffusion
 smoothness of the displacement, soft Dice on warped masks, a prototype term
 (voxel-to-prototype contrast plus cross-image prototype alignment on a fixed
-2-channel feature bank), and a contour term on signed distance maps.
+2-channel feature bank: the intensity and the magnitude of its central
+differences, ``np.gradient``'s), and a contour term on signed distance maps.
 
 Each term is one private function that returns its value and, when asked,
 its gradient wrt its direct input: ``_lncc`` (moved intensities),
@@ -85,7 +86,7 @@ import numpy as np
 
 from .grids import (FOREGROUND_THRESHOLD, OneHotMask, _band_products, _crops_dtype, _is_bool,
                     _on_windows)
-from .warp import _one_shape, central_difference, central_difference_adjoint
+from .warp import _one_shape
 
 VARIANCE_EPS = 1e-5      # window variance floor for the correlation term
 DICE_EPS = 1e-7          # soft Dice denominator guard
@@ -315,11 +316,12 @@ def _standardize(data: np.ndarray, out: np.ndarray) -> float:
 
 
 def _features_forward(data: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Compute the 2-channel feature bank, written into one (2, nx, ny, nz)
-    array, plus the intermediates that ``_features_backward`` needs."""
+    """Compute the 2-channel feature bank (the standardized intensity and
+    magnitude of its ``np.gradient``) into one (2, nx, ny, nz) array, plus
+    the intermediates that ``_features_backward`` needs."""
     feats = np.empty((2,) + data.shape, data.dtype)
     sig0 = _standardize(data, feats[0])
-    grads = [central_difference(data, a) for a in range(3)]
+    grads = np.gradient(data)
     # the squared magnitude, grads[0]**2 + grads[1]**2 + grads[2]**2 + 1e-12,
     # with the second channel's slot as scratch until it is written
     gm = grads[0] * grads[0]
@@ -332,11 +334,26 @@ def _features_forward(data: np.ndarray) -> tuple[np.ndarray, dict]:
     return feats, cache
 
 
+def central_difference_adjoint(g: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """The transpose of ``np.gradient`` along ``axis`` (unit spacing,
+    ``edge_order=1``) applied to ``g``, written into ``out`` (overwritten;
+    ``g``'s shape)."""
+    out[...] = 0.0
+    h, o = np.swapaxes(g, 0, axis), np.swapaxes(out, 0, axis)
+    o[2:] += 0.5 * h[1:-1]
+    o[:-2] -= 0.5 * h[1:-1]
+    o[0] -= h[0]
+    o[1] += h[0]
+    o[-1] += h[-1]
+    o[-2] -= h[-1]
+    return out
+
+
 def _features_backward(dch: np.ndarray, cache: dict) -> np.ndarray:
     """Pull a gradient on the feature channels back onto the raw intensities,
-    through both standardizations and the gradient-magnitude chain.  Works
-    in place: ``dch`` and the cached central differences are overwritten,
-    and the returned gradient is the one new array it keeps."""
+    through both standardizations, the gradient magnitude and the central
+    differences (``central_difference_adjoint``), in place: ``dch`` and the
+    cached differences are overwritten; the result is the one array made."""
 
     def destandardize(g, ch, sig, out):
         # (g - g.mean() - ch * (g * ch).mean()) / sig into out, g as scratch

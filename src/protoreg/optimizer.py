@@ -29,7 +29,8 @@ arrays they are given, so a float64 field, moments and state still run in
 float64.
 ``RegistrationConfig`` rejects what float32 cannot hold: a learning rate
 or Adam eps beyond its range or rounding to 0 in it, and a temperature
-whose reciprocal, the logits' scale, overflows it.
+whose reciprocal, the logits' scale, overflows it; one it takes can still
+overflow Adam's second moment, which raises ``NonFiniteLossError``.
 """
 
 from __future__ import annotations
@@ -55,16 +56,15 @@ DEFAULT_ITERATIONS = (300, 200, 150, 100)
 
 
 class NonFiniteLossError(ArithmeticError):
-    """The objective stopped being finite; carries the offending term names."""
+    """The objective's named ``terms``, or Adam's update ("adam"), stopped being finite."""
 
     def __init__(self, terms, level, iteration):
         self.terms = tuple(terms)
         self.level = level
         self.iteration = iteration
-        super().__init__(
-            f"non-finite loss in term(s) {', '.join(self.terms)} "
-            f"at level {level}, iteration {iteration}"
-        )
+        what = ("Adam update (gradient or second moment)" if self.terms == ("adam",)
+                else f"loss in term(s) {', '.join(self.terms)}")
+        super().__init__(f"non-finite {what} at level {level}, iteration {iteration}")
 
 
 def default_iterations(levels: int) -> tuple:
@@ -186,20 +186,23 @@ def adam_step(field: DisplacementField, grad: np.ndarray, m: np.ndarray, v: np.n
     closed form's bit for bit: ``m`` and ``v`` are updated in place,
     ``grad`` (dead after the step) is overwritten as scratch, and the one
     array made is the new u, formed as u - step, in u's dtype; the given
-    field is never written."""
+    field is never written.  Raises ``FloatingPointError``, not a warning,
+    where a value overflows (v, whose entry's step would freeze at 0) or
+    an infinite gradient makes inf / inf."""
     u = np.empty_like(field.u)      # scratch until it takes the new u
-    m *= config.beta1
-    m += np.multiply(grad, 1.0 - config.beta1, out=u)
-    v *= config.beta2
-    np.multiply(grad, 1.0 - config.beta2, out=u)
-    v += np.multiply(u, grad, out=u)
-    step = np.divide(v, 1.0 - config.beta2 ** t, out=grad)
-    np.sqrt(step, out=step)
-    step += config.adam_eps
-    np.divide(m, 1.0 - config.beta1 ** t, out=u)
-    u *= config.learning_rate
-    np.divide(u, step, out=step)
-    np.subtract(field.u, step, out=u)
+    with np.errstate(over="raise", invalid="raise"):
+        m *= config.beta1
+        m += np.multiply(grad, 1.0 - config.beta1, out=u)
+        v *= config.beta2
+        np.multiply(grad, 1.0 - config.beta2, out=u)
+        v += np.multiply(u, grad, out=u)
+        step = np.divide(v, 1.0 - config.beta2 ** t, out=grad)
+        np.sqrt(step, out=step)
+        step += config.adam_eps
+        np.divide(m, 1.0 - config.beta1 ** t, out=u)
+        u *= config.learning_rate
+        np.divide(u, step, out=step)
+        np.subtract(field.u, step, out=u)
     return DisplacementField(field.dims, field.spacing, u)
 
 
@@ -341,7 +344,10 @@ def _optimize_level(state, field: DisplacementField, iterations: int,
         breakdown, grad = evaluate_objective(state, field)
         _abort_if_nonfinite(breakdown, level, it)
         totals[it] = breakdown.total
-        field = adam_step(field, grad, m, v, it + 1, config)
+        try:
+            field = adam_step(field, grad, m, v, it + 1, config)
+        except FloatingPointError as error:
+            raise NonFiniteLossError(("adam",), level, it) from error
         grad = None     # dead: do not hold it through the next evaluation
     breakdown, _ = evaluate_objective(state, field, with_grad=False)
     _abort_if_nonfinite(breakdown, level, iterations)

@@ -6,12 +6,11 @@ A field stores one 3-vector per voxel in voxel units; the map it encodes is
 trilinear with clamp-to-edge borders, consistently in the forward warps and
 in the analytic gradients built on top of them.  The functions here leave
 the arrays they read unchanged, with one exception: ``add_voxel_coords``
-turns the array of u it is given into the sample points, in place.  Arrays
-passed for output (``central_difference_adjoint``'s ``out``, a sampler
-block's workspace) are overwritten.  Each function computes in the dtype of
-the arrays it is given (``grids.float_dtype``): a sampler call runs in
-float32 when both the data and the points are float32, in float64
-otherwise.
+turns the array of u it is given into the sample points, in place.  A
+sampler block's workspace, passed for output, is overwritten.  Each
+function computes in the dtype of the arrays it is given
+(``grids.float_dtype``): a sampler call runs in float32 when both the data
+and the points are float32, in float64 otherwise.
 
 Every sampler runs one gather (``_sample``): the flat index of each point's
 lower cell corner is formed once, and the 8 corners are read at fixed
@@ -392,42 +391,15 @@ def superpose(base: DisplacementField, delta: DisplacementField) -> Displacement
 
 # ------------------------------------------------------- field differentials
 
-def central_difference(data: np.ndarray, axis: int) -> np.ndarray:
-    """Central differences with one-sided stencils at the ends (unit spacing)."""
-    out = np.zeros_like(data)
-    if data.shape[axis] < 2:
-        return out
-    d, o = np.swapaxes(data, 0, axis), np.swapaxes(out, 0, axis)
-    o[1:-1] = 0.5 * (d[2:] - d[:-2])
-    o[0] = d[1] - d[0]
-    o[-1] = d[-1] - d[-2]
-    return out
-
-
-def central_difference_adjoint(g: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`central_difference` (needed for exact backprop),
-    written into ``out`` (overwritten; ``g``'s shape)."""
-    out[...] = 0.0
-    if g.shape[axis] < 2:
-        return out
-    h, o = np.swapaxes(g, 0, axis), np.swapaxes(out, 0, axis)
-    o[2:] += 0.5 * h[1:-1]
-    o[:-2] -= 0.5 * h[1:-1]
-    o[0] -= h[0]
-    o[1] += h[0]
-    o[-1] += h[-1]
-    o[-2] -= h[-1]
-    return out
-
-
 def jacobian_determinant(field: DisplacementField) -> Volume:
-    """Per-voxel det(I + grad u), central differences at unit voxel spacing."""
+    """Per-voxel det(I + grad u), grad u by np.gradient's central differences,
+    one-sided at the ends, at unit spacing, filled one derivative at a time."""
     if min(field.dims) < 3:
         raise ValueError(f"jacobian_determinant: dims {field.dims} must all be >= 3")
     jac = np.empty((3, 3) + field.dims, field.u.dtype)
     for c in range(3):
         for a in range(3):
-            jac[c, a] = central_difference(field.u[c], a)
+            jac[c, a] = np.gradient(field.u[c], axis=a)
         jac[c, c] += 1.0
     det = (
         jac[0, 0] * (jac[1, 1] * jac[2, 2] - jac[1, 2] * jac[2, 1])

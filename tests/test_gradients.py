@@ -112,6 +112,18 @@ def test_build_state_rejects_masks_off_the_volumes_grid(weights, side):
                     window=3)
 
 
+@pytest.mark.parametrize("dims", [(1, 8, 8), (8, 8, 1)])
+def test_build_state_rejects_an_axis_too_short_for_the_prototype_term(dims):
+    # np.gradient's central differences need 2 voxels on every axis
+    masks = soft_mask(1, dims=dims), soft_mask(2, dims=dims)
+    with pytest.raises(ValueError, match="prototype term needs at least 2 voxels") as raised:
+        build_state(rand_volume(3, dims), rand_volume(4, dims), LossWeights(0, 0, 0, 1, 0),
+                    *masks)
+    assert str(dims) in str(raised.value)
+    # the other terms do not need them
+    build_state(rand_volume(3, dims), rand_volume(4, dims), LossWeights(0, 1, 1, 0, 0), *masks)
+
+
 def test_smoothness_alone_tight():
     st = build_state(rand_volume(1, (5, 5, 5)), rand_volume(2, (5, 5, 5)),
                      LossWeights(0, 1, 0, 0, 0), window=3)
@@ -182,12 +194,12 @@ def test_smooth_terms_stationary_at_identity():
 
 
 def _oracle_features(data):
-    """The 2-channel feature bank, rebuilt with np.gradient: standardized
-    intensity and standardized gradient magnitude."""
+    """The 2-channel feature bank, rebuilt with ``oracles.central_differences``:
+    standardized intensity and standardized gradient magnitude."""
     def standardize(x):
         return (x - x.mean()) / np.sqrt(((x - x.mean()) ** 2).mean() + 1e-12)
 
-    gx, gy, gz = np.gradient(data)
+    gx, gy, gz = (oracles.central_differences(data, a) for a in range(3))
     return np.stack([standardize(data), standardize(np.sqrt(gx ** 2 + gy ** 2 + gz ** 2 + 1e-12))])
 
 

@@ -331,13 +331,30 @@ def test_the_numpy_only_script_runs_where_scipy_cannot_be_imported():
     assert "no scipy module" in run_numpy_only_script(without_scipy=True)
 
 
+# pyproject.toml's pytest filterwarnings as interpreter options: the script
+# fails on a warning as the tests do, in this file and in the CI jobs
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                      "-W", "error::FutureWarning"]
+
+
+def test_the_numpy_only_script_runs_under_the_tests_warning_policy():
+    pyproject = (TESTS.parent / "pyproject.toml").read_text().splitlines()
+    line = next(line for line in pyproject if line.startswith("filterwarnings"))
+    assert ast.literal_eval(line.split("=", 1)[1].strip()) == WARNINGS_AS_ERRORS[1::2]
+    workflow = (TESTS.parent / ".github" / "workflows" / "tier1.yml").read_text()
+    command = " ".join(["python", *WARNINGS_AS_ERRORS, "tests/register_numpy_only.py"])
+    assert workflow.count(command) == 2         # the floor and numpy-only jobs
+
+
 def run_numpy_only_script(*args, without_scipy: bool = False) -> str:
     """Standard output of the script, run with ``args`` in a fresh
-    interpreter; with ``without_scipy`` one where scipy cannot be imported."""
+    interpreter under ``WARNINGS_AS_ERRORS``; with ``without_scipy`` one
+    where scipy cannot be imported."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     prefix = ["-c", WITHOUT_SCIPY] if without_scipy else []
-    proc = subprocess.run([sys.executable, *prefix, register_numpy_only.__file__, *args],
+    proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, *prefix,
+                           register_numpy_only.__file__, *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -348,6 +348,17 @@ def test_align_per_class_terms_in_range():
 
 # ---------------------------------------------------------- prototype term
 
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_central_difference_adjoint_is_np_gradients_transpose(axis, n):
+    # <D x, y> = <x, D^T y> for np.gradient's stencil D along the axis
+    rng = np.random.default_rng(10 * n + axis)
+    shape = tuple(n if a == axis else m for a, m in enumerate((3, 4, 5)))
+    x, y = rng.normal(size=shape), rng.normal(size=shape)
+    adjoint = losses.central_difference_adjoint(y, axis, np.empty(shape))
+    assert np.vdot(np.gradient(x, axis=axis), y) == pytest.approx(np.vdot(x, adjoint), rel=1e-12)
+
+
 def test_prototype_loss_composition():
     # at the zero field the moved image and masks are the moving ones, so
     # the term is the contrast of both sides' features against the fixed

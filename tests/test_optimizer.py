@@ -3,6 +3,7 @@ import logging
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,45 @@ def test_adam_step_is_the_closed_form_update():
     assert (m1 == m).all() and (v1 == v).all()          # the moments are updated in place
     assert (stepped.u == want).all()
     assert (field.u == start).all()          # the given field is never written
+
+
+@pytest.mark.parametrize("grad", [1e30, np.inf], ids=["overflow", "infinite"])
+def test_adam_step_raises_instead_of_freezing_an_entry(grad):
+    # g * g overflows float32's second moment, where the step would read 0;
+    # an infinite gradient makes the step inf / inf
+    dims = (4, 4, 4)
+    field = DisplacementField(dims, (1, 1, 1), np.zeros((3,) + dims, np.float32))
+    g = np.full((3,) + dims, 1e-3, np.float32)
+    g[1, 2, 2, 2] = grad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            adam_step(field, g, np.zeros_like(g), np.zeros_like(g), 1, CONFIG)
+
+
+@pytest.mark.parametrize("temperature", [1e-30, 3e-39])
+def test_register_pair_aborts_where_adams_second_moment_overflows(temperature):
+    # the contrast gradient scales as 1/temperature: its square overflows v
+    # from the first step at the 5^3 level, which used to freeze those
+    # entries of the field without a word
+    pair = small_pair(0)
+    config = RegistrationConfig(iterations=5, temperature=temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLossError, match="Adam update") as raised:
+            register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels, config)
+    assert raised.value.terms == ("adam",)
+    assert (raised.value.level, raised.value.iteration) == (2, 0)
+
+
+def test_register_pair_registers_at_a_small_temperature_adam_can_hold():
+    pair = small_pair(0)
+    config = RegistrationConfig(iterations=5, temperature=1e-20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = register_pair(pair.fixed, pair.moving, pair.fixed_labels, pair.moving_labels,
+                               config)
+    assert np.isfinite(result.final_breakdown.total) and np.abs(result.field.u).max() > 0
 
 
 def test_adam_step_makes_one_field_sized_array():

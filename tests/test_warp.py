@@ -480,10 +480,23 @@ def test_jacobian_linear_field():
     assert np.allclose(det.data[1:-1], 1.1)
 
 
-def test_jacobian_matches_np_gradient_oracle():
+def test_jacobian_matches_the_central_difference_oracle():
     field = rand_field((5, 5, 5), 0.4, 13)
     det = jacobian_determinant(field)
     assert np.allclose(det.data, oracles.jacobian_dets(field.u), atol=1e-12)
+
+
+def test_jacobian_quadratic_field_matches_its_closed_form():
+    # central differences are exact on a quadratic: for u = (a x y + q x^2,
+    # b y z, c z x), det(I + grad u) = (1 + a y + 2 q x)(1 + b z)(1 + c x)
+    # + a b c x y z inside the grid
+    a, b, c, q = 0.05, -0.04, 0.03, 0.02
+    x, y, z = np.indices((6, 7, 8), dtype=float)
+    u = np.stack([a * x * y + q * x * x, b * y * z, c * z * x])
+    det = jacobian_determinant(DisplacementField((6, 7, 8), (1, 1, 1), u)).data
+    want = (1 + a * y + 2 * q * x) * (1 + b * z) * (1 + c * x) + a * b * c * x * y * z
+    inner = (slice(1, -1),) * 3
+    assert np.allclose(det[inner], want[inner], rtol=1e-12, atol=0)
 
 
 def test_sdlogj_zero_field():
